@@ -9,15 +9,18 @@ u*A(z) + u^-1*D(z).
 
 Exact checks run on cleared polynomial matrices (every factor scaled by its
 corner denominator, the twist scaled by u); both sides of each identity
-carry the same overall scalar, so equality is polynomial equality.
+carry the same overall scalar, so equality is polynomial equality.  Numeric
+products are streamed: each 4x4 factor is applied to its two tensor slots of
+an N-column matrix, O(4*N^2) per factor and O(L*4^L) per transfer matrix.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from ..field import (
     RatFun,
     mat_eq,
     mat_mul,
+    np_apply_on_slots,
     np_op_on_slots,
     np_partial_trace,
     np_residual,
@@ -165,10 +169,26 @@ class ChainSpec:
             raise ValueError("twist must be invertible")
         return f
 
-    # numeric accessors
+    # numeric accessors; the spectrum loops call them per point, so each
+    # literal is parsed once per spec (a failed parse raises on every call)
+
+    @cached_property
+    def _q_c(self) -> complex:
+        return parse_complex(self.q)
+
+    @cached_property
+    def _twist_c(self) -> complex:
+        v = parse_complex(self.twist)
+        if v == 0:
+            raise ValueError("twist must be invertible")
+        return v
+
+    @cached_property
+    def _ratios_c(self) -> tuple:
+        return self.site_ratios_complex(self.a_complex())
 
     def q_complex(self) -> complex:
-        return parse_complex(self.q)
+        return self._q_c
 
     def a_complex(self) -> complex:
         return parse_complex(self.a)
@@ -177,10 +197,13 @@ class ChainSpec:
         return parse_complex(self.sites[l])
 
     def twist_complex(self) -> complex:
-        v = parse_complex(self.twist)
-        if v == 0:
-            raise ValueError("twist must be invertible")
-        return v
+        return self._twist_c
+
+    def site_ratios_complex(self, a: complex | None = None) -> tuple:
+        """Numeric a / b_l per site, the spec's a by default."""
+        if a is None:
+            return self._ratios_c
+        return tuple(a / self.site_complex(l) for l in range(self.L))
 
 
 def numeric_r(zeta: complex, q: complex) -> np.ndarray:
@@ -282,29 +305,35 @@ def transfer_cleared(
 
 
 def monodromy_numeric(
-    spec: ChainSpec,
-    z: complex,
-    a_val: complex | None = None,
-    q_val: complex | None = None,
-):
-    q = spec.q_complex() if q_val is None else q_val
-    a = spec.a_complex() if a_val is None else a_val
-    dims = [2] + [2] * spec.L
-    M = None
+    spec: ChainSpec, z: complex, a_val: complex | None = None
+) -> np.ndarray:
+    """Numeric monodromy over aux (x) sites, the auxiliary space in slot 0."""
+    return _np_monodromy(spec, np.eye(2 << spec.L, dtype=complex), [(0, z, a_val)])
+
+
+def _np_monodromy(spec: ChainSpec, M: np.ndarray, lines) -> np.ndarray:
+    """``M`` times the ordered site factors, site L leftmost.
+
+    The columns of ``M`` carry the auxiliary slots, then the L sites.  Each
+    line ``(aux_slot, z, a)`` puts numeric_r(z * a / b_l, q) on (aux_slot,
+    site l), ``a=None`` meaning the spec's a; at each site the lines apply in
+    the order given.
+    """
+    dims = [2] * (M.shape[1].bit_length() - 1)
+    first_site = len(dims) - spec.L
+    q = spec.q_complex()
+    ratios = [spec.site_ratios_complex(a) for _, _, a in lines]
     for l in range(spec.L - 1, -1, -1):
-        zeta = z * a / spec.site_complex(l)
-        f = np_op_on_slots(numeric_r(zeta, q), (0, l + 1), dims)
-        M = f if M is None else M @ f
+        for (slot, z, _), rho in zip(lines, ratios):
+            r = numeric_r(z * rho[l], q)
+            M = np_apply_on_slots(M, r, (slot, first_site + l), dims)
     return M
 
 
 def transfer_numeric(
-    spec: ChainSpec,
-    z: complex,
-    a_val: complex | None = None,
-    q_val: complex | None = None,
+    spec: ChainSpec, z: complex, a_val: complex | None = None
 ) -> np.ndarray:
-    M = monodromy_numeric(spec, z, a_val=a_val, q_val=q_val)
+    M = monodromy_numeric(spec, z, a_val=a_val)
     H = 1 << spec.L
     u = spec.twist_complex()
     return u * M[:H, :H] + (1 / u) * M[H:, H:]
@@ -323,16 +352,16 @@ def vacuum_functions(spec: ChainSpec):
 
 def sample_point(spec: ChainSpec, rng) -> complex:
     """Seeded sample in an annulus, kept away from the factor poles."""
-    q = spec.q_complex()
-    a = spec.a_complex()
+    qinv2 = spec.q_complex() ** -2
+    ratios = spec.site_ratios_complex()
     for _ in range(1000):
         r = 0.5 + rng.random()
         theta = 2 * np.pi * rng.random()
         z = r * np.exp(1j * theta)
         ok = True
-        for l in range(spec.L):
-            zeta = z * a / spec.site_complex(l)
-            if abs(zeta - q**-2) < 1e-3 or abs(zeta - 1) < 1e-6:
+        for rho in ratios:
+            zeta = z * rho
+            if abs(zeta - qinv2) < 1e-3 or abs(zeta - 1) < 1e-6:
                 ok = False
                 break
         if ok:
@@ -379,7 +408,6 @@ def check_rtt(
         raise ValueError("mode must be exact or numeric")
     rng = np.random.default_rng(seed)
     q = spec.q_complex()
-    a = spec.a_complex()
     dims = [2, 2] + [2] * spec.L
     worst = 0.0
     for _ in range(samples):
@@ -389,10 +417,13 @@ def check_rtt(
         if perturb:
             r = r.copy()
             r[1, 2] *= 2
-        R12 = np_op_on_slots(r, (0, 1), dims)
-        T13 = _np_monodromy_on(spec, z0 * w0, dims, 0, a)
-        T23 = _np_monodromy_on(spec, w0, dims, 1, a)
-        worst = max(worst, np_residual(R12 @ T13 @ T23, T23 @ T13 @ R12))
+        # T13 and T23 factors on different sites commute, so each side is
+        # one stream interleaving the two lines site by site
+        t13, t23 = (0, z0 * w0, None), (1, w0, None)
+        lhs = _np_monodromy(spec, np_op_on_slots(r, (0, 1), dims), [t13, t23])
+        rhs = _np_monodromy(spec, np.eye(4 << spec.L, dtype=complex), [t23, t13])
+        rhs = np_apply_on_slots(rhs, r, (0, 1), dims)
+        worst = max(worst, np_residual(lhs, rhs))
     ok = worst < tol
     return CheckResult(
         name="rtt",
@@ -405,16 +436,6 @@ def check_rtt(
             "perturbed": bool(perturb),
         },
     )
-
-
-def _np_monodromy_on(spec, z, dims, aux_slot, a_val):
-    q = spec.q_complex()
-    M = None
-    for l in range(spec.L - 1, -1, -1):
-        zeta = z * a_val / spec.site_complex(l)
-        f = np_op_on_slots(numeric_r(zeta, q), (aux_slot, l + 2), dims)
-        M = f if M is None else M @ f
-    return M
 
 
 def check_commute(
@@ -537,27 +558,16 @@ def check_multiplicativity(
     if mode != "numeric":
         raise ValueError("mode must be exact or numeric")
     rng = np.random.default_rng(seed)
-    q = spec.q_complex()
-    a1 = spec.a_complex()
-    a2c = a1 * 2 if a2 is None else complex(a2)
+    a2c = spec.a_complex() * 2 if a2 is None else complex(a2)
     u = spec.twist_complex()
     dims = [2, 2] + [2] * spec.L
+    tw = np.diag([u, 1 / u]).astype(complex)
+    tw2 = np.eye(2, dtype=complex) if perturb else tw
+    twists = np_op_on_slots(np.kron(tw, tw2), (0, 1), dims)
     worst = 0.0
     for _ in range(samples):
         z0 = sample_point(spec, rng)
-        M = None
-        for l in range(spec.L - 1, -1, -1):
-            f1 = np_op_on_slots(
-                numeric_r(z0 * a1 / spec.site_complex(l), q), (0, l + 2), dims
-            )
-            f2 = np_op_on_slots(
-                numeric_r(z0 * a2c / spec.site_complex(l), q), (1, l + 2), dims
-            )
-            g = f1 @ f2
-            M = g if M is None else M @ g
-        tw = np.diag([u, 1 / u]).astype(complex)
-        tw2 = np.eye(2, dtype=complex) if perturb else tw
-        big = np_op_on_slots(tw, (0,), dims) @ np_op_on_slots(tw2, (1,), dims) @ M
+        big = _np_monodromy(spec, twists, [(0, z0, None), (1, z0, a2c)])
         pair = np_partial_trace(np_partial_trace(big, 0, dims), 0, [2] + [2] * spec.L)
         t1 = transfer_numeric(spec, z0)
         t2 = transfer_numeric(spec, z0, a_val=a2c)

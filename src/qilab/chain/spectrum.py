@@ -26,6 +26,7 @@ __all__ = [
     "solve_shift_poly",
     "poly_roots",
     "shift_terms",
+    "vacuum_ratio",
     "functional_residual",
     "root_residuals",
     "refine_roots",
@@ -58,11 +59,10 @@ class Spectrum:
         self.seed = seed
 
     def denominator(self, z: complex) -> complex:
-        q = self.spec.q_complex()
-        a = self.spec.a_complex()
+        qinv2 = self.spec.q_complex() ** -2
         out = 1.0 + 0j
-        for l in range(self.spec.L):
-            out *= z * a / self.spec.site_complex(l) - q**-2
+        for rho in self.spec.site_ratios_complex():
+            out *= z * rho - qinv2
         return out
 
     def lam(self, branch: Branch, z: complex) -> complex:
@@ -81,6 +81,7 @@ def compute_spectrum(spec: ChainSpec, seed: int = 0) -> Spectrum:
     samples = [sample_point(spec, rng) for _ in range(n_samples)]
     T0 = transfer_numeric(spec, z0)
     Ts = [transfer_numeric(spec, z) for z in samples]
+    dens = list(map(Spectrum(spec, [], z0, seed).denominator, samples))
     dim = 1 << L
     sectors = {}
     for i in range(dim):
@@ -110,12 +111,9 @@ def compute_spectrum(spec: ChainSpec, seed: int = 0) -> Spectrum:
                     "transfer matrices did not stay diagonal"
                 )
             lam_table[:, s] = np.diag(Ds)
-        spcm = Spectrum(spec, [], z0, seed)
         A = np.array([[z**j for j in range(L + 1)] for z in samples])
         for i in range(k):
-            rhs = np.array(
-                [lam_table[i, s] * spcm.denominator(samples[s]) for s in range(n_samples)]
-            )
+            rhs = np.array([lam_table[i, s] * dens[s] for s in range(n_samples)])
             coeffs, *_ = np.linalg.lstsq(A, rhs, rcond=None)
             pred = A @ coeffs
             resid = float(
@@ -141,14 +139,20 @@ def shift_terms(spec: ChainSpec, m: int, z: complex):
     """Coefficients of the down-shifted and up-shifted polynomial values."""
     q = spec.q_complex()
     u = spec.twist_complex()
-    a = spec.a_complex()
-    d = 1.0 + 0j
-    for l in range(spec.L):
-        zeta = z * a / spec.site_complex(l)
-        d *= (zeta - 1) / (q * (zeta - q**-2))
     t1 = u * q**m
-    t2 = (1 / u) * q ** (-m) * d
+    t2 = (1 / u) * q ** (-m) * vacuum_ratio(spec, z)
     return t1, t2
+
+
+def vacuum_ratio(spec: ChainSpec, z: complex) -> complex:
+    """Numeric d(z) / a(z) on the all-up reference state."""
+    q = spec.q_complex()
+    qinv2 = q**-2
+    d = 1.0 + 0j
+    for rho in spec.site_ratios_complex():
+        zeta = z * rho
+        d *= (zeta - 1) / (q * (zeta - qinv2))
+    return d
 
 
 def solve_shift_poly(spectrum: Spectrum, branch: Branch, seed: int = 1):
@@ -256,25 +260,30 @@ def root_residuals(
     spec: ChainSpec, m: int, roots, perturb: bool = False
 ) -> list:
     """Cleared two-term residual at each root; all must vanish."""
-    q = spec.q_complex()
-    u = spec.twist_complex()
-    a = spec.a_complex()
     coeffs = _monic_from_roots(roots)
     out = []
     for w in roots:
-        p1 = 1.0 + 0j
-        p2 = 1.0 + 0j
-        for l in range(spec.L):
-            zeta = w * a / spec.site_complex(l)
-            p1 *= zeta - q**-2
-            p2 *= zeta - 1
-        term1 = u * q**m * p1 * _poly_eval(coeffs, w * q**-2)
-        term2 = (1 / u) * q ** (-m) * q ** (-spec.L) * p2 * _poly_eval(coeffs, w * q**2)
+        term1, term2 = _root_terms(spec, m, coeffs, w)
         if perturb:
             term2 = 2 * term2
         denom = max(1.0, abs(term1), abs(term2))
         out.append(abs(term1 + term2) / denom)
     return out
+
+
+def _root_terms(spec: ChainSpec, m: int, coeffs, w: complex):
+    """The two cleared terms of the root system at ``w``; they cancel at a root."""
+    q = spec.q_complex()
+    u = spec.twist_complex()
+    qinv2 = q**-2
+    p1 = p2 = 1.0 + 0j
+    for rho in spec.site_ratios_complex():
+        zeta = w * rho
+        p1 *= zeta - qinv2
+        p2 *= zeta - 1
+    term1 = u * q**m * p1 * _poly_eval(coeffs, w * qinv2)
+    term2 = (1 / u) * q ** (-m) * q ** (-spec.L) * p2 * _poly_eval(coeffs, w * q**2)
+    return term1, term2
 
 
 def _monic_from_roots(roots) -> tuple:
@@ -292,25 +301,11 @@ def solve_roots_newton(
     spec: ChainSpec, m: int, start, max_iter: int = 200, tol: float = 1e-12
 ):
     """Newton iteration on the cleared root system from a starting guess."""
-    q = spec.q_complex()
-    u = spec.twist_complex()
-    a = spec.a_complex()
 
     def residvec(ws):
         coeffs = _monic_from_roots(ws)
-        out = []
-        for w in ws:
-            p1 = 1.0 + 0j
-            p2 = 1.0 + 0j
-            for l in range(spec.L):
-                zeta = w * a / spec.site_complex(l)
-                p1 *= zeta - q**-2
-                p2 *= zeta - 1
-            out.append(
-                u * q**m * p1 * _poly_eval(coeffs, w * q**-2)
-                + (1 / u) * q ** (-m) * q ** (-spec.L) * p2 * _poly_eval(coeffs, w * q**2)
-            )
-        return np.array(out, dtype=complex)
+        terms = [_root_terms(spec, m, coeffs, w) for w in ws]
+        return np.array([t1 + t2 for t1, t2 in terms], dtype=complex)
 
     ws = np.array(list(start), dtype=complex)
     for _ in range(max_iter):

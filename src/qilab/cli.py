@@ -350,9 +350,9 @@ def _cmd_chain_spectrum(args) -> int:
     spec = _chain_spec(args.spec)
     spectrum = compute_spectrum(spec, seed=args.seed)
     qinv2 = 1 / spec.q_complex() ** 2
-    ratios = [spec.a_complex() / spec.site_complex(l) for l in range(spec.L)]
     den_str = "".join(
-        f"(z*{_fmt_complex(r)} - {_fmt_complex(qinv2)})" for r in ratios
+        f"(z*{_fmt_complex(r)} - {_fmt_complex(qinv2)})"
+        for r in spec.site_ratios_complex()
     )
     def _term(k: int, co) -> str:
         s = _fmt_complex(co)

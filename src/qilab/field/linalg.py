@@ -2,9 +2,11 @@
 
 Exact matrices are plain lists of rows whose entries are MPoly, RatFun,
 Fraction, or int; the helpers only assume ring arithmetic with coercion.
-Numeric matrices are numpy arrays.  RFMatrix wraps either representation
-behind one interface; the free functions are the workhorses and avoid any
-per-operation canonicalization beyond what the entry type itself does.
+Numeric matrices are numpy arrays; ``np_apply_on_slots`` applies a k x k
+factor on tensor slots to an R x N matrix in O(R*N*k), where the dense
+embedding ``np_op_on_slots`` followed by a product costs O(R*N^2).  RFMatrix
+wraps either representation; the free functions canonicalize no further than
+the entry type itself does.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "inverse_exact",
     "solve_unique",
     "bareiss_nullspace",
+    "np_apply_on_slots",
     "np_op_on_slots",
     "np_partial_trace",
     "np_rank",
@@ -336,27 +339,26 @@ def bareiss_nullspace(rows):
 # numeric counterparts
 
 
-def np_op_on_slots(M: np.ndarray, slots, dims) -> np.ndarray:
-    slots = tuple(slots)
-    n = len(dims)
+def np_apply_on_slots(M: np.ndarray, F: np.ndarray, slots, dims) -> np.ndarray:
+    """``M @ np_op_on_slots(F, slots, dims)`` without building the embedding.
+
+    One ``tensordot`` contracts the rows of ``F`` with the slot axes of the
+    columns of ``M``: O(R*N*k) for R rows, N columns and a factor of size k.
+    """
+    M = np.asarray(M, dtype=complex)
     sub_dims = [dims[s] for s in slots]
-    T = np.asarray(M, dtype=complex).reshape(sub_dims + sub_dims)
-    rest = [i for i in range(n) if i not in slots]
-    for i in rest:
-        eye = np.eye(dims[i], dtype=complex)
-        T = np.tensordot(T, eye, axes=0)
-    # axis layout: slot outs, slot ins, then (out, in) pairs for each rest slot
-    k = len(slots)
-    src_out = list(range(k)) + [2 * k + 2 * t for t in range(len(rest))]
-    src_in = list(range(k, 2 * k)) + [2 * k + 2 * t + 1 for t in range(len(rest))]
-    order_sites = list(slots) + rest
-    perm_out = [src_out[order_sites.index(i)] for i in range(n)]
-    perm_in = [src_in[order_sites.index(i)] for i in range(n)]
-    T = np.transpose(T, perm_out + perm_in)
-    N = 1
-    for d in dims:
-        N *= d
-    return T.reshape(N, N)
+    F = np.asarray(F, dtype=complex).reshape(sub_dims + sub_dims)
+    axes = [1 + s for s in slots]
+    k = len(axes)
+    T = M.reshape([M.shape[0]] + list(dims))
+    out = np.tensordot(T, F, axes=(axes, list(range(k))))
+    return np.moveaxis(out, list(range(out.ndim - k, out.ndim)), axes).reshape(M.shape)
+
+
+def np_op_on_slots(M: np.ndarray, slots, dims) -> np.ndarray:
+    """Dense embedding of ``M`` on the chosen slots, identity elsewhere."""
+    N = int(np.prod(dims))
+    return np_apply_on_slots(np.eye(N, dtype=complex), M, slots, dims)
 
 
 def np_partial_trace(M: np.ndarray, slot: int, dims) -> np.ndarray:

@@ -23,6 +23,7 @@ from .chain.spectrum import (
     compute_spectrum,
     sample_point,
     solve_shift_poly,
+    vacuum_ratio,
 )
 
 import numpy as np
@@ -190,16 +191,6 @@ def baxter_substitute(chi: YLaurent, sub: SubstitutionSpec, z: complex) -> compl
     return total
 
 
-def _numeric_d(spec: ChainSpec, z: complex) -> complex:
-    q = spec.q_complex()
-    a = spec.a_complex()
-    out = 1.0 + 0j
-    for l in range(spec.L):
-        zeta = z * a / spec.site_complex(l)
-        out *= (zeta - 1) / (q * (zeta - q**-2))
-    return out
-
-
 def vacuum_prefactors(spec: ChainSpec):
     """Prefactor data read off the reference branch.
 
@@ -214,7 +205,7 @@ def vacuum_prefactors(spec: ChainSpec):
     lab_hi = a_expr * q
     return {
         (1, lab_lo): lambda z: u,
-        (1, lab_hi): lambda z: u / _numeric_d(spec, z),
+        (1, lab_hi): lambda z: u / vacuum_ratio(spec, z),
     }
 
 

@@ -17,7 +17,7 @@ from qilab.chain import (
     transfer_numeric,
     vacuum_functions,
 )
-from qilab.field import MPoly
+from qilab.field import MPoly, np_residual
 
 
 def test_parse_complex_forms():
@@ -151,3 +151,49 @@ def test_transfer_numeric_matches_cleared_at_rational_point():
             exact_val = float(T[i][j].eval_fraction({}) if not T[i][j].is_zero() else 0)
             assert abs(exact_val - u * corner * Tn[i, j].real) < 1e-9
             assert abs(Tn[i, j].imag) < 1e-12
+
+
+def _dense_site_factor(r4, l, L):
+    # numeric_r on (aux, site l) of aux (x) L sites, as a sum of Kronecker
+    # products of matrix units
+    out = np.zeros((2 << L, 2 << L), dtype=complex)
+    for row in range(4):
+        for col in range(4):
+            if r4[row, col] == 0:
+                continue
+            aux = np.zeros((2, 2))
+            aux[row >> 1, col >> 1] = 1
+            site = np.zeros((2, 2))
+            site[row & 1, col & 1] = 1
+            term = np.kron(aux, np.eye(1 << l))
+            term = np.kron(np.kron(term, site), np.eye(1 << (L - l - 1)))
+            out += r4[row, col] * term
+    return out
+
+
+def test_transfer_numeric_matches_dense_reference():
+    L = 5
+    s = ChainSpec.from_json(
+        {
+            "L": L,
+            "q": "0.83+0.21*i",
+            "twist": "0.64+0.13*i",
+            "a": "3/2",
+            "sites": ["1", "2", "1/3", "0.9+0.1*i", "5/4"],
+        }
+    )
+    z = sample_point(s, np.random.default_rng(4))
+    q, u = s.q_complex(), s.twist_complex()
+    M = np.eye(2 << L, dtype=complex)
+    for l in range(L - 1, -1, -1):
+        zeta = z * s.a_complex() / s.site_complex(l)
+        M = M @ _dense_site_factor(numeric_r(zeta, q), l, L)
+    H = 1 << L
+    ref = u * M[:H, :H] + M[H:, H:] / u
+    assert np_residual(transfer_numeric(s, z), ref) < 1e-13
+
+
+def test_commute_numeric_scale_guard_l10():
+    s = ChainSpec.from_json({"L": 10, "q": "0.83+0.21*i", "twist": "0.64+0.13*i"})
+    cr = check_commute(s, mode="numeric", samples=1, tol=1e-10)
+    assert cr.ok and cr.details["residual"] < 1e-10

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qilab.field import (
     MPoly,
@@ -15,6 +16,7 @@ from qilab.field import (
     mat_eq,
     mat_mul,
     nullspace_exact,
+    np_apply_on_slots,
     np_op_on_slots,
     np_partial_trace,
     np_rank,
@@ -122,6 +124,34 @@ def test_np_op_on_slots_matches_exact_embedding():
             val = float(e.as_fraction()) if isinstance(e, MPoly) else float(e)
             assert abs(val - numeric[i, j].real) < 1e-12
             assert abs(numeric[i, j].imag) < 1e-12
+
+
+@st.composite
+def _slot_problems(draw):
+    # 2..4 tensor slots of dimension 2 or 3, one or two chosen in any order
+    # (so reversed and non-adjacent pairs occur), a random complex M
+    dims = draw(st.lists(st.sampled_from([2, 3]), min_size=2, max_size=4))
+    k = draw(st.integers(1, 2))
+    slots = tuple(draw(st.permutations(range(len(dims))))[:k])
+    rows = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    N = int(np.prod(dims))
+    n = int(np.prod([dims[s] for s in slots]))
+    M = rng.normal(size=(rows, N)) + 1j * rng.normal(size=(rows, N))
+    F = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return M, F, slots, dims
+
+
+@settings(max_examples=80, deadline=None)
+@given(_slot_problems())
+def test_np_apply_on_slots_equals_product_with_embedding(problem):
+    M, F, slots, dims = problem
+    applied = np_apply_on_slots(M, F, slots, dims)
+    assert applied.shape == M.shape
+    assert np_residual(applied, M @ np_op_on_slots(F, slots, dims)) < 1e-14
+    # the exact embedding shares no code with the numeric one
+    exact = np.array(op_on_slots(F.tolist(), slots, dims), dtype=complex)
+    assert np_residual(applied, M @ exact) < 1e-14
 
 
 def test_np_identity_and_rank():
