@@ -10,8 +10,8 @@ u*A(z) + u^-1*D(z).
 Exact checks run on cleared polynomial matrices (every factor scaled by its
 corner denominator, the twist scaled by u); both sides of each identity
 carry the same overall scalar, so equality is polynomial equality.  Numeric
-products are streamed: each 4x4 factor is applied to its two tensor slots of
-an N-column matrix, O(4*N^2) per factor and O(L*4^L) per transfer matrix.
+products are streamed in place: a spin-conserving 4x4 factor updates two
+quarters of the matrix via two quarter-size temporaries, O(L*4^L) per transfer.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from ..field import (
     RatFun,
     mat_eq,
     mat_mul,
-    np_apply_on_slots,
-    np_op_on_slots,
+    np_apply_conserving,
     np_partial_trace,
     np_residual,
     op_on_slots,
@@ -312,12 +311,12 @@ def monodromy_numeric(
 
 
 def _np_monodromy(spec: ChainSpec, M: np.ndarray, lines) -> np.ndarray:
-    """``M`` times the ordered site factors, site L leftmost.
+    """``M`` times the ordered site factors, site L leftmost, in place.
 
     The columns of ``M`` carry the auxiliary slots, then the L sites.  Each
     line ``(aux_slot, z, a)`` puts numeric_r(z * a / b_l, q) on (aux_slot,
     site l), ``a=None`` meaning the spec's a; at each site the lines apply in
-    the order given.
+    the order given.  ``M`` is overwritten, so callers pass a fresh start.
     """
     dims = [2] * (M.shape[1].bit_length() - 1)
     first_site = len(dims) - spec.L
@@ -326,7 +325,7 @@ def _np_monodromy(spec: ChainSpec, M: np.ndarray, lines) -> np.ndarray:
     for l in range(spec.L - 1, -1, -1):
         for (slot, z, _), rho in zip(lines, ratios):
             r = numeric_r(z * rho[l], q)
-            M = np_apply_on_slots(M, r, (slot, first_site + l), dims)
+            np_apply_conserving(M, r, (slot, first_site + l), dims)
     return M
 
 
@@ -420,9 +419,10 @@ def check_rtt(
         # T13 and T23 factors on different sites commute, so each side is
         # one stream interleaving the two lines site by site
         t13, t23 = (0, z0 * w0, None), (1, w0, None)
-        lhs = _np_monodromy(spec, np_op_on_slots(r, (0, 1), dims), [t13, t23])
+        lhs = np_apply_conserving(np.eye(4 << spec.L, dtype=complex), r, (0, 1), dims)
+        lhs = _np_monodromy(spec, lhs, [t13, t23])
         rhs = _np_monodromy(spec, np.eye(4 << spec.L, dtype=complex), [t23, t13])
-        rhs = np_apply_on_slots(rhs, r, (0, 1), dims)
+        np_apply_conserving(rhs, r, (0, 1), dims)
         worst = max(worst, np_residual(lhs, rhs))
     ok = worst < tol
     return CheckResult(
@@ -562,11 +562,11 @@ def check_multiplicativity(
     u = spec.twist_complex()
     dims = [2, 2] + [2] * spec.L
     tw = np.diag([u, 1 / u]).astype(complex)
-    tw2 = np.eye(2, dtype=complex) if perturb else tw
-    twists = np_op_on_slots(np.kron(tw, tw2), (0, 1), dims)
+    tw12 = np.kron(tw, np.eye(2, dtype=complex) if perturb else tw)
     worst = 0.0
     for _ in range(samples):
         z0 = sample_point(spec, rng)
+        twists = np_apply_conserving(np.eye(4 * H, dtype=complex), tw12, (0, 1), dims)
         big = _np_monodromy(spec, twists, [(0, z0, None), (1, z0, a2c)])
         pair = np_partial_trace(np_partial_trace(big, 0, dims), 0, [2] + [2] * spec.L)
         t1 = transfer_numeric(spec, z0)
@@ -585,5 +585,3 @@ def check_multiplicativity(
         },
     )
 
-
-vacuum_eigs = vacuum_functions

@@ -463,8 +463,3 @@ def _roots_match(a, b, tol: float = 1e-6) -> bool:
             return False
         left.pop(best[1])
     return True
-
-
-solve_q = solve_shift_poly
-bethe_solve = solve_roots_newton
-bethe_check = check_bethe

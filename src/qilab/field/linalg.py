@@ -1,12 +1,12 @@
 """Matrices over exact rings and their numeric complex128 counterparts.
 
 Exact matrices are plain lists of rows whose entries are MPoly, RatFun,
-Fraction, or int; the helpers only assume ring arithmetic with coercion.
-Numeric matrices are numpy arrays; ``np_apply_on_slots`` applies a k x k
-factor on tensor slots to an R x N matrix in O(R*N*k), where the dense
-embedding ``np_op_on_slots`` followed by a product costs O(R*N^2).  RFMatrix
-wraps either representation; the free functions canonicalize no further than
-the entry type itself does.
+Fraction, or int; the helpers only assume ring arithmetic with coercion and
+canonicalize no further than the entry type itself does.  Numeric matrices are
+numpy arrays: ``np_apply_on_slots`` right-applies a k x k factor on tensor
+slots in O(R*N*k), copying the R x N matrix twice; ``np_apply_conserving``
+applies a spin-conserving 4x4 factor in place with two quarter-matrix updates
+and two quarter-size temporaries.  RFMatrix wraps either kind.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ __all__ = [
     "inverse_exact",
     "solve_unique",
     "bareiss_nullspace",
+    "np_apply_conserving",
     "np_apply_on_slots",
     "np_op_on_slots",
     "np_partial_trace",
@@ -337,6 +338,32 @@ def bareiss_nullspace(rows):
 
 
 # numeric counterparts
+
+
+def np_apply_conserving(M: np.ndarray, F: np.ndarray, slots, dims) -> np.ndarray:
+    """``M @= np_op_on_slots(F, slots, dims)`` in place; returns ``M``.
+
+    ``F`` must conserve the spin sum of its two size-2 slots and ``M`` must be
+    C-contiguous; otherwise ValueError is raised before ``M`` changes."""
+    if F.shape != (4, 4) or any(dims[s] != 2 for s in slots):
+        raise ValueError("a conserving factor is 4x4 on two slots of size 2")
+    off = F.copy()  # the entries that would move spin between the slots
+    off[0, 0] = off[3, 3] = off[1:3, 1:3] = 0
+    if np.count_nonzero(off) or not M.flags.c_contiguous:
+        raise ValueError("needs a spin-conserving F and a C-contiguous M")
+    axes = [1 + s for s in slots]
+    T = M.reshape([M.shape[0]] + list(dims))  # a view of M
+    V = T.transpose(axes + [k for k in range(T.ndim) if k not in axes])
+    X01, X10 = V[0, 1], V[1, 0]  # V[a, s] is the quarter with slot values a, s
+    t01, t10 = X10 * F[2, 1], X01 * F[1, 2]
+    X01 *= F[1, 1]
+    X01 += t01
+    X10 *= F[2, 2]
+    X10 += t10
+    for i in (0, 1):
+        if F[3 * i, 3 * i] != 1:
+            np.multiply(V[i, i], F[3 * i, 3 * i], out=V[i, i])
+    return M
 
 
 def np_apply_on_slots(M: np.ndarray, F: np.ndarray, slots, dims) -> np.ndarray:

@@ -487,8 +487,3 @@ def check_intertwiner(perturb=False) -> CheckResult:
             "perturbed": bool(perturb),
         },
     )
-
-
-build_trig_r = trig_r
-check_inverse_identity = check_inverse
-check_zero_mode_intertwiner = check_intertwiner

@@ -10,6 +10,7 @@ from qilab.chain import (
     check_commute,
     check_multiplicativity,
     check_rtt,
+    monodromy_numeric,
     numeric_r,
     parse_complex,
     sample_point,
@@ -17,7 +18,7 @@ from qilab.chain import (
     transfer_numeric,
     vacuum_functions,
 )
-from qilab.field import MPoly, np_residual
+from qilab.field import MPoly, np_apply_on_slots, np_residual
 
 
 def test_parse_complex_forms():
@@ -135,6 +136,35 @@ def test_multiplicativity_exact_and_numeric():
     assert not check_multiplicativity(s5, mode="numeric", perturb=True).ok
 
 
+def test_multiplicativity_numeric_fresh_start_per_sample():
+    # a start matrix left mutated by one sample would spoil the next
+    s = ChainSpec.from_json(
+        {
+            "L": 4,
+            "q": "0.83+0.21*i",
+            "twist": "0.64+0.13*i",
+            "a": "3/2",
+            "sites": ["1", "2", "1/3", "0.9+0.1*i"],
+        }
+    )
+    cr = check_multiplicativity(s, mode="numeric", samples=3, tol=1e-12)
+    assert cr.ok and cr.details["residual"] < 1e-12
+    assert not check_multiplicativity(
+        s, mode="numeric", samples=3, tol=1e-12, perturb=True
+    ).ok
+
+
+def test_monodromy_numeric_returns_fresh_array():
+    s = ChainSpec.from_json({"L": 3, "q": "0.83+0.21*i", "twist": "0.64+0.13*i"})
+    first = monodromy_numeric(s, 0.7 + 0.2j)
+    kept = first.copy()
+    second = monodromy_numeric(s, 0.7 + 0.2j)
+    assert second is not first and not np.shares_memory(first, second)
+    second[:] = 0
+    assert np.array_equal(first, kept)
+    assert np.array_equal(monodromy_numeric(s, 0.7 + 0.2j), kept)
+
+
 def test_transfer_numeric_matches_cleared_at_rational_point():
     # same object through the exact and numeric pipelines, up to the
     # cleared scalar u * prod(corner_l)
@@ -197,3 +227,26 @@ def test_commute_numeric_scale_guard_l10():
     s = ChainSpec.from_json({"L": 10, "q": "0.83+0.21*i", "twist": "0.64+0.13*i"})
     cr = check_commute(s, mode="numeric", samples=1, tol=1e-10)
     assert cr.ok and cr.details["residual"] < 1e-10
+
+
+def test_transfer_numeric_matches_general_slot_stream_l8():
+    # inhomogeneous, so no site-independent aux gauge hides a wrong factor
+    L = 8
+    s = ChainSpec.from_json(
+        {
+            "L": L,
+            "q": "0.83+0.21*i",
+            "twist": "0.64+0.13*i",
+            "a": "3/2",
+            "sites": ["1", "2", "1/3", "0.9+0.1*i", "5/4", "3/2", "2/3", "1.1-0.2*i"],
+        }
+    )
+    z = sample_point(s, np.random.default_rng(2))
+    q, u = s.q_complex(), s.twist_complex()
+    M = np.eye(2 << L, dtype=complex)
+    for l in range(L - 1, -1, -1):
+        zeta = z * s.a_complex() / s.site_complex(l)
+        M = np_apply_on_slots(M, numeric_r(zeta, q), (0, 1 + l), [2] * (L + 1))
+    H = 1 << L
+    ref = u * M[:H, :H] + M[H:, H:] / u
+    assert np_residual(transfer_numeric(s, z), ref) < 1e-14

@@ -16,6 +16,7 @@ from qilab.field import (
     mat_eq,
     mat_mul,
     nullspace_exact,
+    np_apply_conserving,
     np_apply_on_slots,
     np_op_on_slots,
     np_partial_trace,
@@ -152,6 +153,47 @@ def test_np_apply_on_slots_equals_product_with_embedding(problem):
     # the exact embedding shares no code with the numeric one
     exact = np.array(op_on_slots(F.tolist(), slots, dims), dtype=complex)
     assert np_residual(applied, M @ exact) < 1e-14
+
+
+@st.composite
+def _conserving_problems(draw):
+    # 2..5 slots of size 2, two of them in either order (adjacent or not), a
+    # random spin-conserving complex factor whose corners may each be 1
+    n = draw(st.integers(2, 5))
+    slots = tuple(draw(st.permutations(range(n)))[:2])
+    rows = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = rng.normal(size=(rows, 1 << n)) + 1j * rng.normal(size=(rows, 1 << n))
+    F = np.zeros((4, 4), dtype=complex)
+    F[1:3, 1:3] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    for i in (0, 3):
+        F[i, i] = 1 if draw(st.booleans()) else complex(*rng.normal(size=2))
+    return M, F, slots, [2] * n
+
+
+@settings(max_examples=80, deadline=None)
+@given(_conserving_problems())
+def test_np_apply_conserving_equals_product_with_embedding(problem):
+    M, F, slots, dims = problem
+    expected = M @ np_op_on_slots(F, slots, dims)
+    out = np_apply_conserving(M, F, slots, dims)
+    assert out is M
+    assert np_residual(M, expected) < 1e-14
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (0, 3), (1, 3), (3, 0), (2, 0)])
+def test_np_apply_conserving_rejects_spin_changing_factor(entry):
+    rng = np.random.default_rng(1)
+    M = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))
+    before = M.copy()
+    F = np.eye(4, dtype=complex)
+    F[entry] = 0.5
+    with pytest.raises(ValueError):
+        np_apply_conserving(M, F, (2, 0), [2, 2, 2, 2])
+    assert np.array_equal(M, before)
+    # an in-place update needs M's columns to reshape as a view
+    with pytest.raises(ValueError):
+        np_apply_conserving(np.asfortranarray(M), np.eye(4), (2, 0), [2, 2, 2, 2])
 
 
 def test_np_identity_and_rank():
