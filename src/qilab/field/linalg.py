@@ -2,11 +2,16 @@
 
 Exact matrices are plain lists of rows whose entries are MPoly, RatFun,
 Fraction, or int; the helpers only assume ring arithmetic with coercion and
-canonicalize no further than the entry type itself does.  Numeric matrices are
-numpy arrays: ``np_apply_on_slots`` right-applies a k x k factor on tensor
-slots in O(R*N*k), copying the R x N matrix twice; ``np_apply_conserving``
-applies a spin-conserving 4x4 factor in place with two quarter-matrix updates
-and two quarter-size temporaries.  RFMatrix wraps either kind.
+canonicalize no further than the entry type itself does.  ``mat_mul`` of two
+matrices whose nonzero entries are all MPoly packs each entry once (see
+``poly._Packing``) and visits only the (i, t, j) with A[i][t] and B[t][j] both
+nonzero: one int multiply-add per pair of their terms, and one unpacking to a
+Fraction term per term of an output entry.  Other entry types take the generic
+loop over all n*k*m index triples with one ring product and sum per nonzero
+pair.  Numeric matrices are numpy arrays: ``np_apply_on_slots`` right-applies
+a k x k factor on tensor slots in O(R*N*k), copying the R x N matrix twice;
+``np_apply_conserving`` applies a spin-conserving 4x4 factor in place with two
+quarter-matrix updates and two quarter-size temporaries.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from math import gcd as int_gcd, lcm as int_lcm
 
 import numpy as np
 
-from .ratfun import RatFun
+from .poly import MPoly, _accumulate, _Packing
 
 __all__ = [
     "mat_mul",
@@ -24,7 +29,6 @@ __all__ = [
     "mat_sub",
     "mat_scale",
     "mat_eq",
-    "mat_transpose",
     "identity",
     "kron",
     "op_on_slots",
@@ -39,13 +43,13 @@ __all__ = [
     "np_op_on_slots",
     "np_partial_trace",
     "np_rank",
-    "np_nullspace",
     "np_residual",
-    "RFMatrix",
 ]
 
 
 def mat_mul(A, B):
+    if all(isinstance(x, MPoly) for M in (A, B) for row in M for x in row if x):
+        return _mat_mul_packed(A, B)
     n, k, m = len(A), len(B), len(B[0])
     out = []
     for i in range(n):
@@ -63,6 +67,34 @@ def mat_mul(A, B):
                 p = a * b
                 acc = p if acc is None else acc + p
             row.append(0 if acc is None else acc)
+        out.append(row)
+    return out
+
+
+def _mat_mul_packed(A, B):
+    """``mat_mul`` of MPoly matrices with each operand packed once.
+
+    Entry (i, j) accumulates its products in ascending t in one int dict.  It
+    stays int 0 when no pair is nonzero, as in the generic loop; a sum that
+    cancels is ``MPoly.zero()``.
+    """
+    pk = _Packing(
+        [a for row in A for a in row if a], [b for row in B for b in row if b]
+    )
+    PA = [[(t, pk.pack(a, 0)) for t, a in enumerate(row) if a] for row in A]
+    PB = [[(j, pk.pack(b, 1)) for j, b in enumerate(row) if b] for row in B]
+    out = []
+    for prow in PA:
+        accs: dict[int, dict] = {}
+        for t, pa in prow:
+            for j, pb in PB[t]:
+                acc = accs.get(j)
+                if acc is None:
+                    acc = accs[j] = {}
+                _accumulate(acc, pa, pb)
+        row = [0] * len(B[0])
+        for j, acc in accs.items():
+            row[j] = pk.poly(acc)
         out.append(row)
     return out
 
@@ -89,10 +121,6 @@ def mat_eq(A, B) -> bool:
             if not (a == b):
                 return False
     return True
-
-
-def mat_transpose(A):
-    return [list(col) for col in zip(*A)]
 
 
 def identity(n: int):
@@ -234,10 +262,6 @@ def rref(rows):
         if r == nrows:
             break
     return R, pivots
-
-
-def rank_exact(rows) -> int:
-    return len(rref(rows)[1])
 
 
 def nullspace_exact(rows):
@@ -406,149 +430,9 @@ def np_rank(M: np.ndarray, rtol: float = 1e-9) -> int:
     return int(np.sum(s > rtol * s[0]))
 
 
-def np_nullspace(M: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
-    """Orthonormal basis of the right null space, singular values below
-    ``rtol`` relative to the largest treated as zero.  Rows are the basis."""
-    M = np.asarray(M, dtype=complex)
-    _, s, vh = np.linalg.svd(M, full_matrices=True)
-    ncols = M.shape[1]
-    smax = s[0] if s.size else 0.0
-    null_rows = [i for i in range(ncols) if i >= s.size or s[i] <= rtol * smax]
-    return vh[null_rows, :].conj() if null_rows else np.zeros((0, ncols), dtype=complex)
-
-
 def np_residual(A: np.ndarray, B: np.ndarray) -> float:
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
     scale = max(1.0, float(np.max(np.abs(A))), float(np.max(np.abs(B))))
     return float(np.max(np.abs(A - B))) / scale
 
-
-class RFMatrix:
-    """Matrix facade over exact RatFun rows or a numeric numpy array."""
-
-    __slots__ = ("mode", "rows", "arr")
-
-    def __init__(self, data, mode: str | None = None):
-        if isinstance(data, np.ndarray) or mode == "numeric":
-            object.__setattr__(self, "mode", "numeric")
-            object.__setattr__(self, "arr", np.asarray(data, dtype=complex))
-            object.__setattr__(self, "rows", None)
-        else:
-            coerced = [[_entry(x) for x in row] for row in data]
-            object.__setattr__(self, "mode", "exact")
-            object.__setattr__(self, "rows", coerced)
-            object.__setattr__(self, "arr", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RFMatrix is immutable")
-
-    @property
-    def shape(self):
-        if self.mode == "numeric":
-            return self.arr.shape
-        return (len(self.rows), len(self.rows[0]))
-
-    def entry(self, i: int, j: int):
-        return self.arr[i, j] if self.mode == "numeric" else self.rows[i][j]
-
-    def _other(self, other) -> "RFMatrix":
-        if not isinstance(other, RFMatrix):
-            raise TypeError("expected an RFMatrix")
-        if other.mode != self.mode:
-            raise ValueError("mixed exact and numeric matrices")
-        return other
-
-    def __matmul__(self, other):
-        other = self._other(other)
-        if self.mode == "numeric":
-            return RFMatrix(self.arr @ other.arr)
-        return RFMatrix(mat_mul(self.rows, other.rows))
-
-    def __add__(self, other):
-        other = self._other(other)
-        if self.mode == "numeric":
-            return RFMatrix(self.arr + other.arr)
-        return RFMatrix(mat_add(self.rows, other.rows))
-
-    def __sub__(self, other):
-        other = self._other(other)
-        if self.mode == "numeric":
-            return RFMatrix(self.arr - other.arr)
-        return RFMatrix(mat_sub(self.rows, other.rows))
-
-    def scale(self, s) -> "RFMatrix":
-        if self.mode == "numeric":
-            return RFMatrix(self.arr * complex(s))
-        return RFMatrix(mat_scale(self.rows, _entry(s)))
-
-    def __eq__(self, other):
-        if not isinstance(other, RFMatrix) or other.mode != self.mode:
-            return NotImplemented
-        if self.mode == "numeric":
-            return bool(np.array_equal(self.arr, other.arr))
-        return mat_eq(self.rows, other.rows)
-
-    def transpose(self) -> "RFMatrix":
-        if self.mode == "numeric":
-            return RFMatrix(self.arr.T)
-        return RFMatrix(mat_transpose(self.rows))
-
-    def kron(self, other) -> "RFMatrix":
-        other = self._other(other)
-        if self.mode == "numeric":
-            return RFMatrix(np.kron(self.arr, other.arr))
-        return RFMatrix(kron(self.rows, other.rows))
-
-    def partial_trace(self, slot: int, dims) -> "RFMatrix":
-        if self.mode == "numeric":
-            return RFMatrix(np_partial_trace(self.arr, slot, dims))
-        return RFMatrix(partial_trace(self.rows, slot, dims))
-
-    def inverse(self) -> "RFMatrix":
-        if self.mode == "numeric":
-            return RFMatrix(np.linalg.inv(self.arr))
-        return RFMatrix(inverse_exact(self.rows))
-
-    def rank(self, rtol: float = 1e-9) -> int:
-        if self.mode == "numeric":
-            return np_rank(self.arr, rtol)
-        return rank_exact(self.rows)
-
-    def nullspace(self, rtol: float = 1e-9):
-        if self.mode == "numeric":
-            return np_nullspace(self.arr, rtol)
-        if all(x.is_const() for row in self.rows for x in row):
-            fr = [[x.as_fraction() for x in row] for row in self.rows]
-            return [[RatFun(v) for v in vec] for vec in bareiss_nullspace(fr)]
-        return nullspace_exact(self.rows)
-
-    def eval_complex(self, mapping: dict) -> "RFMatrix":
-        if self.mode == "numeric":
-            return self
-        return RFMatrix(
-            np.array(
-                [[x.eval_complex(mapping) for x in row] for row in self.rows],
-                dtype=complex,
-            )
-        )
-
-    def map(self, f) -> "RFMatrix":
-        if self.mode == "numeric":
-            raise ValueError("map applies to exact matrices")
-        return RFMatrix([[f(x) for x in row] for row in self.rows])
-
-    def __str__(self):
-        if self.mode == "numeric":
-            return str(self.arr)
-        body = "; ".join(", ".join(str(x) for x in row) for row in self.rows)
-        return f"[{body}]"
-
-    def __repr__(self):
-        return f"RFMatrix({self})"
-
-
-def _entry(x) -> RatFun:
-    if isinstance(x, RatFun):
-        return x
-    return RatFun(x)

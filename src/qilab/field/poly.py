@@ -10,12 +10,25 @@ to one global monomial order, defined by ranking the variables
 
 and comparing exponent vectors lexicographically, most significant variable
 first.  Terms print in descending order under this ranking.
+
+Products keep that storage (exponent tuple -> Fraction, ``vars`` the exact
+support) and use integers only inside their loops.  A one-term factor shifts
+and scales the other's terms.  Otherwise a private packed kernel,
+``_Packing``, aligns the variables of both sides in rank order, packs each
+exponent tuple into one int whose bit slot per variable is as wide as the
+bit length of that variable's largest degree sum over the two sides (so key
+addition never carries), scales coefficients to ints over a common
+denominator, accumulates ``ka + kb -> ca * cb`` in one int dict and unpacks
+once.  ``MPoly.__mul__`` and ``linalg.mat_mul`` on MPoly matrices use it.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import reduce
+from math import lcm
+from operator import add, mul, or_
 
 __all__ = ["MPoly", "NotDivisible", "normalize_var", "var_rank", "poly_gcd"]
 
@@ -27,15 +40,19 @@ class NotDivisible(ArithmeticError):
 _PLAIN = {"q", "z", "w", "u", "h", "c", "t"}
 _INDEXED = re.compile(r"^([uX])_?([1-9][0-9]*)$")
 
-_RANK0 = {
-    "c": (0, 0),
-    "z": (2, 0),
-    "w": (3, 0),
-    "u": (4, 0),
-    "h": (6, 0),
-    "q": (7, 0),
-    "t": (8, 0),
-}
+
+class _RankTable(dict):
+    """Variable name -> rank; indexed names are ranked on first lookup."""
+
+    def __missing__(self, name):
+        r = (1, int(name[1:])) if name[0] == "X" else (5, int(name[1:]))
+        self[name] = r
+        return r
+
+
+_RANK = _RankTable(
+    c=(0, 0), z=(2, 0), w=(3, 0), u=(4, 0), h=(6, 0), q=(7, 0), t=(8, 0)
+)
 
 
 def normalize_var(name: str) -> str:
@@ -50,12 +67,7 @@ def normalize_var(name: str) -> str:
 
 def var_rank(name: str) -> tuple[int, int]:
     """Sort key of a canonical variable name; smaller sorts more significant."""
-    r = _RANK0.get(name)
-    if r is not None:
-        return r
-    if name[0] == "X":
-        return (1, int(name[1:]))
-    return (5, int(name[1:]))
+    return _RANK[name]
 
 
 def _coerce_scalar(x):
@@ -85,7 +97,7 @@ class MPoly:
                 if e:
                     used[i] = True
         order = sorted(
-            (i for i in range(len(vars)) if used[i]), key=lambda i: var_rank(vars[i])
+            (i for i in range(len(vars)) if used[i]), key=lambda i: _RANK[vars[i]]
         )
         newvars = tuple(vars[i] for i in order)
         if newvars != vars:
@@ -106,6 +118,15 @@ class MPoly:
         raise AttributeError("MPoly is immutable")
 
     # constructors
+
+    @classmethod
+    def _from_canonical(cls, vars: tuple, terms: dict) -> "MPoly":
+        """Wrap data that is already canonical: ``vars`` the rank-ordered
+        exact support, ``terms`` nonzero Fractions keyed by exponent tuples."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "vars", vars)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     @classmethod
     def zero(cls) -> "MPoly":
@@ -168,7 +189,7 @@ class MPoly:
     def _aligned(self, other):
         if self.vars == other.vars:
             return self.vars, self.terms, other.terms
-        merged = tuple(sorted(set(self.vars) | set(other.vars), key=var_rank))
+        merged = tuple(sorted(set(self.vars) | set(other.vars), key=_RANK.__getitem__))
         return merged, _remap(self, merged), _remap(other, merged)
 
     # arithmetic
@@ -223,17 +244,20 @@ class MPoly:
             return MPoly(self.vars, {e: c * s for e, c in self.terms.items()})
         if not self.terms or not other.terms:
             return MPoly.zero()
-        vars, ta, tb = self._aligned(other)
-        out: dict[tuple, Fraction] = {}
-        for ea, ca in ta.items():
-            for eb, cb in tb.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                acc = out.get(e, Fraction(0)) + ca * cb
-                if acc:
-                    out[e] = acc
-                else:
-                    out.pop(e, None)
-        return MPoly(vars, out)
+        # A product of nonzero polynomials has positive degree in every
+        # variable of either factor, so the union of the supports is exact.
+        if len(self.terms) == 1 or len(other.terms) == 1:
+            # a one-term factor shifts the other's terms apart: no two collide
+            big, mono = (other, self) if len(self.terms) == 1 else (self, other)
+            vars, tb, tm = big._aligned(mono)
+            ((em, cm),) = tm.items()
+            return MPoly._from_canonical(
+                vars, {tuple(map(add, e, em)): c * cm for e, c in tb.items()}
+            )
+        pk = _Packing((self,), (other,))
+        acc: dict[int, int] = {}
+        _accumulate(acc, pk.pack(self, 0), pk.pack(other, 1))
+        return MPoly._from_canonical(pk.vars, pk.terms(acc))
 
     __rmul__ = __mul__
 
@@ -416,6 +440,104 @@ def _remap(p: MPoly, merged: tuple) -> dict:
             key[pos[i]] = k
         out[tuple(key)] = c
     return out
+
+
+# packed products
+
+
+class _Packing:
+    """Integer layout for products of a polynomial from ``left`` with one
+    from ``right``.
+
+    The variables of both sides are aligned in rank order.  Each gets a bit
+    slot as wide as the bit length of the largest degree it can reach in such
+    a product (its largest degree on the left plus its largest on the right),
+    so adding two packed exponent keys never carries from one slot into the
+    next.  Coefficients are scaled to ints over their side's common
+    denominator; accumulated products are over ``den``, the product of both.
+    """
+
+    __slots__ = ("vars", "den", "_shift", "_slots", "_side_den", "_exps", "_fracs")
+
+    def __init__(self, left, right):
+        deg_l, den_l = _scan(left)
+        deg_r, den_r = _scan(right)
+        self.vars = tuple(sorted(deg_l.keys() | deg_r.keys(), key=_RANK.__getitem__))
+        self._shift = {}
+        self._slots = []
+        bit = 0
+        for v in self.vars:
+            width = (deg_l.get(v, 0) + deg_r.get(v, 0)).bit_length()
+            self._shift[v] = 1 << bit
+            self._slots.append((bit, (1 << width) - 1))
+            bit += width
+        self._side_den = (den_l, den_r)
+        self.den = den_l * den_r
+        # The entries of one matrix product share most monomials and
+        # coefficients: each key and each int is unpacked once per layout.
+        self._exps: dict[int, tuple] = {}
+        self._fracs: dict[int, Fraction] = {}
+
+    def pack(self, p: MPoly, side: int) -> list:
+        """``[(key, int coefficient)]`` of ``p`` from side 0 (left) or 1."""
+        shifts = [self._shift[v] for v in p.vars]
+        keys = [sum(map(mul, exps, shifts)) for exps in p.terms]
+        den = self._side_den[side]
+        if den == 1:
+            coeffs = [c.numerator for c in p.terms.values()]
+        else:
+            coeffs = [c.numerator * (den // c.denominator) for c in p.terms.values()]
+        return list(zip(keys, coeffs))
+
+    def terms(self, acc: dict) -> dict:
+        """An accumulated ``key -> int`` dict as ``exponents -> Fraction``."""
+        exps, fracs, slots, den = self._exps, self._fracs, self._slots, self.den
+        out = {}
+        for k, c in acc.items():
+            e = exps.get(k)
+            if e is None:
+                e = exps[k] = tuple([(k >> o) & m for o, m in slots])
+            f = fracs.get(c)
+            if f is None:
+                f = fracs[c] = Fraction(c, den) if den != 1 else Fraction(c)
+            out[e] = f
+        return out
+
+    def poly(self, acc: dict) -> MPoly:
+        """The MPoly of an accumulated sum of products; it is built through the
+        constructor only when cancellation left a variable unused."""
+        if not acc:
+            return MPoly.zero()
+        used = reduce(or_, acc)
+        if all((used >> o) & m for o, m in self._slots):
+            return MPoly._from_canonical(self.vars, self.terms(acc))
+        return MPoly(self.vars, self.terms(acc))
+
+
+def _scan(polys) -> tuple[dict, int]:
+    """Largest degree of each variable and the lcm of all denominators."""
+    degs: dict[str, int] = {}
+    den = 1
+    for p in polys:
+        for v, column in zip(p.vars, zip(*p.terms)):
+            d = max(column)
+            if d > degs.get(v, 0):
+                degs[v] = d
+        den = lcm(den, *[c.denominator for c in p.terms.values()])
+    return degs, den
+
+
+def _accumulate(acc: dict, pa: list, pb: list) -> None:
+    """``acc[ka + kb] += ca * cb`` over all pairs; zero sums are dropped."""
+    get = acc.get
+    for ka, ca in pa:
+        for kb, cb in pb:
+            k = ka + kb
+            c = get(k, 0) + ca * cb
+            if c:
+                acc[k] = c
+            else:
+                del acc[k]
 
 
 def _min_exps(p: MPoly) -> dict:

@@ -95,6 +95,15 @@ def test_rtt_exact_small_l():
     assert not check_rtt(ChainSpec.from_json({"L": 2, "q": "3/5"}), mode="exact", perturb=True).ok
 
 
+def test_rtt_exact_symbolic_q_l4():
+    assert check_rtt(ChainSpec.from_json({"L": 4, "q": "q"}), mode="exact").ok
+
+
+def test_rtt_exact_symbolic_q_perturb_fails():
+    s = ChainSpec.from_json({"L": 3, "q": "q"})
+    assert not check_rtt(s, mode="exact", perturb=True).ok
+
+
 def test_rtt_numeric():
     s = ChainSpec.from_json({"L": 4, "q": "0.83+0.21*i", "twist": "0.64+0.13*i"})
     cr = check_rtt(s, mode="numeric")

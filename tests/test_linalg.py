@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qilab.field import (
     MPoly,
@@ -109,6 +109,106 @@ def test_solve_unique_and_underdetermined():
     Aund = [[RatFun(1), RatFun(1)]]
     with pytest.raises(ValueError):
         solve_unique(Aund, [RatFun(1)])
+
+
+def _monomials(p: MPoly) -> dict:
+    return {tuple((v, k) for v, k in zip(p.vars, e) if k): c for e, c in p.terms.items()}
+
+
+def _reference_entry(pairs):
+    """Sum of the pair products worked monomial by monomial; int 0 without
+    pairs, as the generic loop leaves it."""
+    if not pairs:
+        return 0
+    acc: dict[tuple, Fraction] = {}
+    for a, b in pairs:
+        for ma, ca in _monomials(a).items():
+            for mb, cb in _monomials(b).items():
+                m = dict(ma)
+                for v, k in mb:
+                    m[v] = m.get(v, 0) + k
+                key = tuple(sorted(m.items()))
+                acc[key] = acc.get(key, Fraction(0)) + ca * cb
+    names = sorted({v for m in acc for v, _ in m})
+    return MPoly(names, {tuple(dict(m).get(v, 0) for v in names): c for m, c in acc.items()})
+
+
+@st.composite
+def _mpoly_entries(draw):
+    names = draw(st.lists(st.sampled_from(("z", "w", "q")), min_size=0, max_size=3, unique=True))
+    exps = st.tuples(*[st.integers(0, 3)] * len(names))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return MPoly(names, draw(st.dictionaries(exps, coeffs, min_size=1, max_size=3)))
+
+
+@st.composite
+def _mpoly_matmul_problems(draw):
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    entry = st.one_of(st.just(0), st.just(MPoly.zero()), _mpoly_entries())
+    A = [[draw(entry) for _ in range(k)] for _ in range(n)]
+    B = [[draw(entry) for _ in range(m)] for _ in range(k)]
+    if k >= 2 and draw(st.booleans()):
+        # A's column 1 repeats column 0 and B's row 1 negates row 0: those
+        # two pairs cancel in every entry
+        for row in A:
+            row[1] = row[0]
+        B[1] = [-b for b in B[0]]
+    return A, B
+
+
+_z, _q = MPoly.var("z"), MPoly.var("q")
+
+
+@settings(max_examples=120, deadline=None)
+@given(_mpoly_matmul_problems())
+@example(([[_z, MPoly.const(1)]], [[_q], [1 - _z * _q]]))  # z*q + 1 - z*q = 1
+def test_mat_mul_mpoly_equals_entrywise_reference(problem):
+    A, B = problem
+    got = mat_mul(A, B)
+    assert len(got) == len(A) and all(len(row) == len(B[0]) for row in got)
+    for i, row in enumerate(A):
+        for j in range(len(B[0])):
+            pairs = [(a, B[t][j]) for t, a in enumerate(row) if a and B[t][j]]
+            ref, out = _reference_entry(pairs), got[i][j]
+            if not pairs:
+                assert type(out) is int and out == 0
+                continue
+            assert isinstance(out, MPoly)
+            assert out.vars == ref.vars and out.terms == ref.terms
+            assert hash(out) == hash(ref)
+
+
+def _generic_mat_mul(A, B):
+    out = []
+    for row in A:
+        new = []
+        for j in range(len(B[0])):
+            acc = None
+            for t, a in enumerate(row):
+                if a and B[t][j]:
+                    acc = a * B[t][j] if acc is None else acc + a * B[t][j]
+            new.append(0 if acc is None else acc)
+        out.append(new)
+    return out
+
+
+_MIXED_B = [[_q, 0], [MPoly.const(2), _z], [0, _z + 1]]
+_FRACS = [[Fraction(1, 2), 0], [Fraction(3), Fraction(-1, 3)]]
+
+
+@pytest.mark.parametrize(
+    "A, B",
+    [
+        ([[_z, RatFun.parse("1/z"), 0], [MPoly.zero(), _q, _z * _q - 1]], _MIXED_B),
+        ([[_z, Fraction(1, 2), 0], [MPoly.zero(), _q, _z * _q - 1]], _MIXED_B),
+        (_FRACS, _FRACS),
+    ],
+    ids=["ratfun", "fraction", "fractions-only"],
+)
+def test_mat_mul_other_entry_types_keep_the_generic_rule(A, B):
+    got, ref = mat_mul(A, B), _generic_mat_mul(A, B)
+    assert [[type(x) for x in row] for row in got] == [[type(x) for x in row] for row in ref]
+    assert mat_eq(got, ref)
 
 
 def test_np_op_on_slots_matches_exact_embedding():

@@ -155,3 +155,54 @@ def test_product_divides_back(a, b):
     if b.is_zero():
         return
     assert (a * b).div_exact(b) == a
+
+
+_POOL = ("c", "X1", "z", "u2", "q")  # spans the rank classes
+
+
+def _schoolbook(a: MPoly, b: MPoly) -> tuple[tuple, dict]:
+    """Product over the rank-ordered union of variables, term by term."""
+    names = tuple(sorted(set(a.vars) | set(b.vars), key=var_rank))
+
+    def spread(p):
+        return [
+            (tuple(dict(zip(p.vars, e)).get(v, 0) for v in names), c)
+            for e, c in p.terms.items()
+        ]
+
+    out: dict[tuple, Fraction] = {}
+    for ea, ca in spread(a):
+        for eb, cb in spread(b):
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, Fraction(0)) + ca * cb
+    return names, {e: c for e, c in out.items() if c}
+
+
+@st_.composite
+def wide_polys(draw):
+    names = draw(st_.lists(st_.sampled_from(_POOL), min_size=0, max_size=4, unique=True))
+    exps = st_.tuples(*[st_.integers(0, 40)] * len(names))
+    terms = draw(st_.dictionaries(exps, small_fracs, min_size=1, max_size=5))
+    return MPoly(names, terms)
+
+
+@st_.composite
+def product_pairs(draw):
+    a, b = draw(wide_polys()), draw(wide_polys())
+    if draw(st_.booleans()):
+        a, b = a + b, a - b  # cross terms cancel
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_pairs())
+def test_packed_product_equals_schoolbook(pair):
+    a, b = pair
+    names, ref = _schoolbook(a, b)
+    expected = MPoly(names, ref)
+    got = a * b
+    assert got.terms == expected.terms
+    support = {v for e in ref for v, k in zip(names, e) if k}
+    assert got.vars == tuple(v for v in names if v in support)
+    assert hash(got) == hash(expected)
+    assert b * a == got
