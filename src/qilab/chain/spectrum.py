@@ -24,6 +24,7 @@ __all__ = [
     "Spectrum",
     "compute_spectrum",
     "solve_shift_poly",
+    "poly_eval",
     "poly_roots",
     "shift_terms",
     "vacuum_ratio",
@@ -197,7 +198,8 @@ def solve_shift_poly(spectrum: Spectrum, branch: Branch, seed: int = 1):
     return tuple(complex(c) for c in coeffs)
 
 
-def _poly_eval(coeffs, z: complex) -> complex:
+def poly_eval(coeffs, z: complex) -> complex:
+    """Horner value at ``z`` of a coefficient sequence, constant first."""
     out = 0j
     for c in reversed(coeffs):
         out = out * z + c
@@ -218,8 +220,8 @@ def refine_roots(coeffs, roots, iters: int = 8) -> list:
     out = []
     for w in roots:
         for _ in range(iters):
-            f = _poly_eval(coeffs, w)
-            df = _poly_eval(dcoeffs, w)
+            f = poly_eval(coeffs, w)
+            df = poly_eval(dcoeffs, w)
             if abs(df) < 1e-14:
                 break
             step = f / df
@@ -249,8 +251,8 @@ def functional_residual(
         t1, t2 = shift_terms(spec, branch.sector, z)
         if perturb:
             t2 = 2 * t2
-        lhs = lam * _poly_eval(coeffs, z)
-        rhs = t1 * _poly_eval(coeffs, z * q**-2) + t2 * _poly_eval(coeffs, z * q**2)
+        lhs = lam * poly_eval(coeffs, z)
+        rhs = t1 * poly_eval(coeffs, z * q**-2) + t2 * poly_eval(coeffs, z * q**2)
         denom = max(1.0, abs(lhs), abs(rhs))
         worst = max(worst, abs(lhs - rhs) / denom)
     return worst
@@ -281,8 +283,8 @@ def _root_terms(spec: ChainSpec, m: int, coeffs, w: complex):
         zeta = w * rho
         p1 *= zeta - qinv2
         p2 *= zeta - 1
-    term1 = u * q**m * p1 * _poly_eval(coeffs, w * qinv2)
-    term2 = (1 / u) * q ** (-m) * q ** (-spec.L) * p2 * _poly_eval(coeffs, w * q**2)
+    term1 = u * q**m * p1 * poly_eval(coeffs, w * qinv2)
+    term2 = (1 / u) * q ** (-m) * q ** (-spec.L) * p2 * poly_eval(coeffs, w * q**2)
     return term1, term2
 
 

@@ -20,6 +20,27 @@ bit length of that variable's largest degree sum over the two sides (so key
 addition never carries), scales coefficients to ints over a common
 denominator, accumulates ``ka + kb -> ca * cb`` in one int dict and unpacks
 once.  ``MPoly.__mul__`` and ``linalg.mat_mul`` on MPoly matrices use it.
+
+``poly_gcd`` returns the gcd with leading coefficient 1 and runs on ints:
+
+- a zero operand gives the other made monic, and a constant operand gives 1;
+- if either operand is one term ``c*x^e``, the gcd is the monomial
+  ``x^min(e, m)`` over the shared variables, with ``m`` the other operand's
+  smallest exponents; no division or constructor runs;
+- otherwise each side's monomial content is divided out (the shared part
+  becomes a monomial factor of the result), its coefficients are scaled to a
+  primitive int vector, and its exponents are packed into ints with the
+  variables in rank order, the least significant in the lowest bit slot
+  (``_GcdLayout``).  The heuristic gcd of Char, Geddes and Gonnet (GCDHEU)
+  evaluates the least significant variable at an integer ``xi`` above
+  twice the smaller coefficient norm plus one, recurses on the images down
+  to an integer gcd, and rebuilds a candidate from balanced ``xi``-adic
+  digits.  Its primitive part is the gcd if it divides both sides exactly
+  over Z, which a packed sparse division checks; otherwise ``xi`` grows by
+  73794/27011, at most six times per variable.
+- The Fraction primitive pseudo-remainder sequence (``_prs_gcd``) runs only
+  when the heuristic gives up: after six rejected candidates for one
+  variable, or once the bit length of ``xi`` times the degree passes 5000.
 """
 
 from __future__ import annotations
@@ -27,7 +48,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul, or_
 
 __all__ = ["MPoly", "NotDivisible", "normalize_var", "var_rank", "poly_gcd"]
@@ -37,6 +58,7 @@ class NotDivisible(ArithmeticError):
     """Exact polynomial division left a remainder."""
 
 
+_ONE = Fraction(1)
 _PLAIN = {"q", "z", "w", "u", "h", "c", "t"}
 _INDEXED = re.compile(r"^([uX])_?([1-9][0-9]*)$")
 
@@ -130,15 +152,16 @@ class MPoly:
 
     @classmethod
     def zero(cls) -> "MPoly":
-        return cls((), {})
+        return cls._from_canonical((), {})
 
     @classmethod
     def const(cls, x) -> "MPoly":
-        return cls((), {(): Fraction(x)})
+        x = Fraction(x)
+        return cls._from_canonical((), {(): x} if x else {})
 
     @classmethod
     def var(cls, name: str) -> "MPoly":
-        return cls((normalize_var(name),), {(1,): Fraction(1)})
+        return cls._from_canonical((normalize_var(name),), {(1,): _ONE})
 
     # predicates and views
 
@@ -264,15 +287,17 @@ class MPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("MPoly exponent must be a nonnegative integer")
-        result = MPoly.const(1)
+        if not n:
+            return MPoly.const(1)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
-            if n:
-                base = base * base
-        return result
+            if not n:
+                return result
+            base = base * base
 
     # leading data under the global order
 
@@ -540,6 +565,249 @@ def _accumulate(acc: dict, pa: list, pb: list) -> None:
                 del acc[k]
 
 
+# greatest common divisors
+
+_HEU_TRIES = 6  # evaluation points per variable before giving up
+# Give up once the bit length of xi times the degree passes this, which caps
+# the size of the images (the paper's cap counts decimal digits).
+_HEU_BITS = 5000
+
+
+def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
+    """Greatest common divisor, normalized to leading coefficient 1."""
+    if not a.terms:
+        return b.monic()
+    if not b.terms:
+        return a.monic()
+    if not a.vars or not b.vars:
+        return MPoly.const(1)
+    lo_a = [min(col) for col in zip(*a.terms)]
+    lo_b = [min(col) for col in zip(*b.terms)]
+    lo_of_b = dict(zip(b.vars, lo_b))
+    mono = {}  # the shared monomial content, in rank order
+    for v, k in zip(a.vars, lo_a):
+        k = min(k, lo_of_b.get(v, 0))
+        if k:
+            mono[v] = k
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        return _monomial(mono)
+    layout = _GcdLayout((a, lo_a), (b, lo_b))
+    h = _heuristic_gcd(layout.pack(a, lo_a), layout.pack(b, lo_b), layout, layout.n)
+    if h is None:
+        return _prs_gcd(a, b)
+    return layout.monic_poly(h, mono)
+
+
+def _monomial(exps: dict) -> MPoly:
+    """The monomial with coefficient 1 and ``exps``: name -> positive
+    exponent, names in rank order."""
+    return MPoly._from_canonical(tuple(exps), {tuple(exps.values()): _ONE})
+
+
+class _GcdLayout:
+    """Packed integer form of two polynomials for :func:`_heuristic_gcd`.
+
+    Each side's monomial content is divided out and its coefficients are
+    scaled to a primitive int vector.  The variables that are left are
+    aligned in rank order and packed least significant first from bit 0, so
+    comparing keys as ints is the lex order and evaluating the least
+    significant variable reads the lowest slot.  A slot is one bit wider than
+    the largest degree needs; the top bit is a guard that ``_divides`` uses to
+    spot a negative or overflowing exponent.
+    """
+
+    __slots__ = ("n", "widths", "guards", "_shift", "_slots")
+
+    def __init__(self, *sides):
+        """``sides``: ``(p, lo)`` pairs, ``lo`` the exponents divided out of ``p``."""
+        span: dict[str, int] = {}
+        for p, lo in sides:
+            for v, col, m in zip(p.vars, zip(*p.terms), lo):
+                d = max(col) - m
+                if d > span.get(v, 0):
+                    span[v] = d
+        names = sorted(span, key=_RANK.__getitem__)
+        self.n = len(names)
+        self.widths = [span[v].bit_length() + 1 for v in names]
+        # guards[m]: the guard bits of the first m variables packed on their own
+        self.guards = [0]
+        for w in self.widths:
+            self.guards.append((self.guards[-1] << w) | (1 << (w - 1)))
+        self._shift = {}
+        self._slots = {}
+        bit = 0
+        for v, w in zip(reversed(names), reversed(self.widths)):
+            self._shift[v] = 1 << bit
+            self._slots[v] = (bit, (1 << w) - 1)
+            bit += w
+
+    def pack(self, p: MPoly, lo: list) -> dict:
+        """``key -> int`` of ``p`` over ``x^lo``, scaled to a primitive vector."""
+        shifts = [self._shift.get(v, 0) for v in p.vars]
+        base = sum(map(mul, lo, shifts))
+        den = lcm(*[c.denominator for c in p.terms.values()])
+        coeffs = [c.numerator * (den // c.denominator) for c in p.terms.values()]
+        cont = gcd(*coeffs)
+        return {
+            sum(map(mul, e, shifts)) - base: c // cont for e, c in zip(p.terms, coeffs)
+        }
+
+    def monic_poly(self, h: dict, mono: dict) -> MPoly:
+        """The MPoly ``mono * h``, scaled to leading coefficient 1."""
+        if len(h) == 1:  # no monomial content left: h is a constant
+            return _monomial(mono)
+        used = reduce(or_, h)
+        names = set(mono)
+        for v, (o, m) in self._slots.items():
+            if (used >> o) & m:
+                names.add(v)
+        names = sorted(names, key=_RANK.__getitem__)
+        cols = [self._slots.get(v, (0, 0)) + (mono.get(v, 0),) for v in names]
+        lc = h[max(h)]
+        return MPoly._from_canonical(
+            tuple(names),
+            {
+                tuple([((k >> o) & m) + d for o, m, d in cols]): Fraction(c, lc)
+                for k, c in h.items()
+            },
+        )
+
+
+def _heuristic_gcd(f: dict, g: dict, layout: _GcdLayout, m: int):
+    """GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989).
+
+    ``f`` and ``g`` are nonzero packed int polynomials in the first ``m``
+    variables of ``layout``.  Returns their gcd over Z up to sign, or None
+    when the heuristic gives up.  The least significant variable is
+    evaluated at an integer ``xi``, the gcd of the images is found
+    recursively and its balanced ``xi``-adic digits become the coefficients
+    of the candidate.  With ``xi > 2 min(|f|, |g|) + 1`` a primitive
+    candidate that divides both is the gcd; otherwise ``xi`` grows.
+    """
+    c = gcd(*f.values(), *g.values())
+    if c != 1:
+        f = {k: v // c for k, v in f.items()}
+        g = {k: v // c for k, v in g.items()}
+    if (len(f) == 1 and 0 in f) or (len(g) == 1 and 0 in g):
+        return {0: c}
+    w = layout.widths[m - 1]
+    low = (1 << w) - 1
+    df = max([k & low for k in f])
+    dg = max([k & low for k in g])
+    guard = layout.guards[m]
+    top = max(df, dg)
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
+    for _ in range(_HEU_TRIES):
+        if xi.bit_length() * top > _HEU_BITS:
+            return None
+        powers = [xi**j for j in range(top + 1)]
+        ff = _evaluate_low(f, w, low, powers)
+        gg = _evaluate_low(g, w, low, powers)
+        if ff and gg:
+            h = _heuristic_gcd(ff, gg, layout, m - 1)
+            if h is not None:
+                cand = _interpolate(h, w, xi, min(df, dg))
+                if cand is not None:
+                    if len(cand) == 1 and 0 in cand:
+                        return {0: c}
+                    if _divides(f, cand, guard) and _divides(g, cand, guard):
+                        return {k: c * v for k, v in cand.items()} if c != 1 else cand
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _evaluate_low(f: dict, w: int, low: int, powers: list) -> dict:
+    """Substitute ``powers[1]`` for the variable in the lowest slot."""
+    out: dict[int, int] = {}
+    get = out.get
+    for k, v in f.items():
+        key = k >> w
+        s = get(key, 0) + v * powers[k & low]
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+    return out
+
+
+def _interpolate(h: dict, w: int, xi: int, dmax: int):
+    """Primitive part of the polynomial whose lowest variable has the balanced
+    ``xi``-adic digits of ``h``'s coefficients; None past degree ``dmax``."""
+    half = xi >> 1
+    out = {}
+    for k, v in h.items():
+        k <<= w
+        j = 0
+        while v:
+            d = v % xi
+            if d > half:
+                d -= xi
+            if d:
+                if j > dmax:
+                    return None
+                out[k | j] = d
+            v = (v - d) // xi
+            j += 1
+    cont = gcd(*out.values())
+    if cont != 1:
+        out = {k: v // cont for k, v in out.items()}
+    return out
+
+
+def _divides(f: dict, g: dict, guard: int) -> bool:
+    """True when ``g`` divides ``f`` exactly over Z.
+
+    Sparse division by leading terms on keys whose guard bits are clear.
+    Subtracting the divisor's leading key from a remainder key with its
+    guard bits set clears a guard bit exactly where an exponent would go
+    negative.  A remainder key that sets a guard bit has an exponent above
+    ``f``'s degree, which an exact quotient never produces; stopping there
+    also keeps every exponent inside its slot.
+    """
+    lk = max(g)
+    lc = g[lk]
+    rest = [(k - lk, v) for k, v in g.items() if k != lk]
+    rem = dict(f)
+    get = rem.get
+    while rem:
+        kr = max(rem)
+        q, r = divmod(rem.pop(kr), lc)
+        if r or ((kr | guard) - lk) & guard != guard:
+            return False
+        for d, v in rest:
+            k = kr + d
+            if k & guard:
+                return False
+            s = get(k, 0) - q * v
+            if s:
+                rem[k] = s
+            else:
+                del rem[k]
+    return True
+
+
+# the primitive remainder sequence, run when the heuristic gives up
+
+
+def _prs_gcd(a: MPoly, b: MPoly) -> MPoly:
+    """``poly_gcd`` by primitive pseudo-remainder sequences over Fractions."""
+    if a.is_zero():
+        return b.monic()
+    if b.is_zero():
+        return a.monic()
+    ma = _min_exps(a)
+    mb = _min_exps(b)
+    a1 = _shift_down(a, ma)
+    b1 = _shift_down(b, mb)
+    mono = MPoly.const(1)
+    for v in ma:
+        if v in mb:
+            k = min(ma[v], mb[v])
+            if k:
+                mono = mono * (MPoly.var(v) ** k)
+    return (mono * _gcd_core(a1, b1)).monic()
+
+
 def _min_exps(p: MPoly) -> dict:
     mins = None
     for e in p.terms:
@@ -624,22 +892,3 @@ def _gcd_core(a: MPoly, b: MPoly) -> MPoly:
             R = R.div_exact(_content_in(R, x))
         A, B = B, R
     return (cont * A).monic()
-
-
-def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
-    """Greatest common divisor, normalized to leading coefficient 1."""
-    if a.is_zero():
-        return b.monic()
-    if b.is_zero():
-        return a.monic()
-    ma = _min_exps(a)
-    mb = _min_exps(b)
-    a1 = _shift_down(a, ma)
-    b1 = _shift_down(b, mb)
-    mono = MPoly.const(1)
-    for v in ma:
-        if v in mb:
-            k = min(ma[v], mb[v])
-            if k:
-                mono = mono * (MPoly.var(v) ** k)
-    return (mono * _gcd_core(a1, b1)).monic()

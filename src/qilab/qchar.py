@@ -19,8 +19,8 @@ from .verdict import CheckResult
 from .chain.model import ChainSpec
 from .chain.spectrum import (
     Spectrum,
-    _poly_eval,
     compute_spectrum,
+    poly_eval,
     sample_point,
     solve_shift_poly,
     vacuum_ratio,
@@ -181,8 +181,8 @@ def baxter_substitute(chi: YLaurent, sub: SubstitutionSpec, z: complex) -> compl
             coeffs = sub.q_poly[i]
             b = lab.eval_complex(point)
             f = sub.prefactor[(i, lab)](z)
-            num = _poly_eval(coeffs, z * b / qc)
-            den = _poly_eval(coeffs, z * b * qc)
+            num = poly_eval(coeffs, z * b / qc)
+            den = poly_eval(coeffs, z * b * qc)
             if abs(den) < 1e-13:
                 raise ZeroDivisionError("substitution hit a polynomial zero")
             factor = f * qc ** sub.degree(i) * num / den

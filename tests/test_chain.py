@@ -232,6 +232,7 @@ def test_transfer_numeric_matches_dense_reference():
     assert np_residual(transfer_numeric(s, z), ref) < 1e-13
 
 
+@pytest.mark.slow
 def test_commute_numeric_scale_guard_l10():
     s = ChainSpec.from_json({"L": 10, "q": "0.83+0.21*i", "twist": "0.64+0.13*i"})
     cr = check_commute(s, mode="numeric", samples=1, tol=1e-10)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from qilab.field import MPoly, NotDivisible, normalize_var, poly_gcd, var_rank
+from qilab.field import poly as poly_mod
 
 
 def test_constants_and_zero():
@@ -206,3 +207,132 @@ def test_packed_product_equals_schoolbook(pair):
     assert got.vars == tuple(v for v in names if v in support)
     assert hash(got) == hash(expected)
     assert b * a == got
+
+
+def test_constructors_give_canonical_data():
+    assert MPoly.const(0).terms == {} and MPoly.const(0).vars == ()
+    assert MPoly.const(Fraction(-2, 4)).terms == {(): Fraction(-1, 2)}
+    assert MPoly.var("u_2").vars == ("u2",)
+    z = MPoly.var("z")
+    assert z**0 == MPoly.const(1)
+    assert MPoly.zero() ** 3 == MPoly.zero()
+    assert (2 * z - 1) ** 5 == (2 * z - 1) ** 4 * (2 * z - 1)
+
+
+nonzero_fracs = small_fracs.filter(bool)
+
+
+@st_.composite
+def gcd_pairs(draw):
+    """``(g*a*x^m, g*b*x^n)``: a planted common factor over 0-4 variables."""
+    names = draw(st_.lists(st_.sampled_from(_POOL), max_size=4, unique=True))
+    exps = st_.tuples(*[st_.integers(0, 2)] * len(names))
+
+    def poly(max_terms):
+        terms = draw(st_.dictionaries(exps, nonzero_fracs, min_size=1, max_size=max_terms))
+        return MPoly(names, terms)
+
+    def monomial():
+        return MPoly(names, {draw(st_.tuples(*[st_.integers(0, 3)] * len(names))): 1})
+
+    g = poly(3)
+    a = g * poly(draw(st_.sampled_from([1, 3]))) * monomial()
+    b = g * poly(draw(st_.sampled_from([1, 3]))) * monomial()
+    if draw(st_.booleans()):
+        a = a * g  # a repeated factor
+    if draw(st_.integers(0, 9)) == 0:
+        a = MPoly.zero()
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(gcd_pairs())
+def test_poly_gcd_agrees_with_remainder_sequence(pair):
+    a, b = pair
+    g = poly_gcd(a, b)
+    assert g == poly_mod._prs_gcd(a, b)
+    assert g.vars == tuple(sorted(g.vars, key=var_rank))
+    assert g.lex_leading()[1] == 1
+    ca, cb = a.div_exact(g), b.div_exact(g)  # raises NotDivisible if g does not divide
+    assert poly_gcd(ca, cb) == MPoly.const(1)
+    assert poly_gcd(b, a) == g
+
+
+# (g, a, b) with a and b coprime: planted gcds over two to four variables
+# that the heuristic must answer without the remainder sequence.
+def _heuristic_cases():
+    z, w, u, q = (MPoly.var(v) for v in "zwuq")
+    return [
+        (3 * z + 2 * q, 6 * z * z - 4 * q, z * q + Fraction(1, 2)),
+        (z * w - 2 * q, (z + w) ** 2, 4 * z - 2 * q * q + w),
+        (u * q + 3, 5 * u + 10 * q, u * u * q - 7),
+        (z - q, z + q, z * q + 1),
+        (2 * z * w * u + 4 * q, 3 * u * u - w, 6 * z * z + 9 * q * q),
+        (w * w * q - Fraction(4, 3) * z, w + q, z * w + u),
+        (q * q + 3, z + q, z * q - 2),  # a gcd in the evaluated variable alone
+        (z + q, q * q + q + 2, q * q + q + 4),  # cofactor values are all even
+    ]
+
+
+def test_heuristic_answers_without_fallback(monkeypatch):
+    def fail(a, b):
+        raise AssertionError("remainder sequence used")
+
+    monkeypatch.setattr(poly_mod, "_prs_gcd", fail)
+    z, q = MPoly.var("z"), MPoly.var("q")
+    for g, a, b in _heuristic_cases():
+        got = poly_gcd(14 * g * a * z * z, 21 * g * b * z * q)
+        assert got == (g * z).monic()
+    # coprime pairs whose first candidate is a false common factor (z - 1,
+    # z - 3/2, z - 1) that only the division test rejects
+    for a, b in [(z * z + 2, 4 * z - 4), (2 * z - 3, 1 - 5 * z), (5 * z * z + 1, 2 * z * z - 2)]:
+        assert poly_gcd(a, b) == MPoly.const(1)
+
+
+def test_fallback_runs_when_the_heuristic_gives_up(monkeypatch):
+    calls = []
+    prs = poly_mod._prs_gcd
+
+    def spy(a, b):
+        calls.append((a, b))
+        return prs(a, b)
+
+    monkeypatch.setattr(poly_mod, "_prs_gcd", spy)
+    z = MPoly.var("z")
+    big = 3**1300  # xi has over 2000 bits, so xi's size times the degree 3 passes the limit
+    a = (z + big) * (z * z + 1)
+    b = (z + big) * (z * z + 2)
+    assert poly_gcd(a, b) == z + big
+    assert calls == [(a, b)]
+
+
+@st_.composite
+def division_pairs(draw):
+    names = draw(st_.lists(st_.sampled_from(_POOL), min_size=1, max_size=3, unique=True))
+    exps = st_.tuples(*[st_.integers(0, 4)] * len(names))
+    coeffs = st_.integers(-3, 3).filter(bool)
+
+    def poly():
+        return MPoly(names, draw(st_.dictionaries(exps, coeffs, min_size=1, max_size=3)))
+
+    f, g = poly(), poly()
+    if draw(st_.booleans()):
+        f = f * g
+    return f, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(division_pairs())
+def test_packed_division_test_matches_div_exact(pair):
+    f, g = pair
+    if f.is_const() or g.is_const():
+        return
+    zeros = ([0] * len(f.vars), [0] * len(g.vars))
+    layout = poly_mod._GcdLayout((f, zeros[0]), (g, zeros[1]))
+    pf, pg = layout.pack(f, zeros[0]), layout.pack(g, zeros[1])
+    try:
+        f.div_exact(g)  # over Q, which for primitive parts means over Z (Gauss)
+        expected = True
+    except NotDivisible:
+        expected = False
+    assert poly_mod._divides(pf, pg, layout.guards[layout.n]) == expected

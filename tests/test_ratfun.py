@@ -113,3 +113,64 @@ def test_field_axioms_random(a, b):
     assert a * b == b * a
     if not b.is_zero():
         assert (a / b) * b == a
+
+
+# Reduced forms and their stored keys (vars, sorted exponent -> coefficient
+# pairs of numerator and denominator) as the canonical form defines them.
+_GOLDEN = [
+    (
+        "(z-q)*(z*w+3/2)*z^2*q/((z-q)*(w-2)*z*q^3)",
+        "(z^2*w + 3/2*z)/(w*q^2 - 2*q^2)",
+        (
+            (("z", "w"), (((1, 0), Fraction(3, 2)), ((2, 1), Fraction(1)))),
+            (("w", "q"), (((0, 2), Fraction(-2)), ((1, 2), Fraction(1)))),
+        ),
+    ),
+    (
+        "(X1^2-X2^2)/(2*X1*X2+2*X2^2)",
+        "(1/2*X1 - 1/2*X2)/X2",
+        (
+            (("X1", "X2"), (((0, 1), Fraction(-1, 2)), ((1, 0), Fraction(1, 2)))),
+            (("X2",), (((1,), Fraction(1)),)),
+        ),
+    ),
+    (
+        "(c*u1 - 2*h)^2*(u2+1)/(3*(c*u1-2*h)*(u2+1)^2*t)",
+        "(1/3*c*u1 - 2/3*h)/(u2*t + t)",
+        (
+            (("c", "u1", "h"), (((0, 0, 1), Fraction(-2, 3)), ((1, 1, 0), Fraction(1, 3)))),
+            (("u2", "t"), (((0, 1), Fraction(1)), ((1, 1), Fraction(1)))),
+        ),
+    ),
+    (
+        "(4*z^2*w - 6*z*w)/(-10*z^3 + 15*z^2)",
+        "-2/5*w/z",
+        ((("w",), (((1,), Fraction(-2, 5)),)), (("z",), (((1,), Fraction(1)),))),
+    ),
+    (
+        "z^3*q/(z*w^2)",
+        "z^2*q/w^2",
+        ((("z", "q"), (((2, 1), Fraction(1)),)), (("w",), (((2,), Fraction(1)),))),
+    ),
+    (
+        "(z^2*q + z*q^3)/(3*z*q^2)",
+        "(1/3*z + 1/3*q^2)/q",
+        (
+            (("z", "q"), (((0, 2), Fraction(1, 3)), ((1, 0), Fraction(1, 3)))),
+            (("q",), (((1,), Fraction(1)),)),
+        ),
+    ),
+    (
+        "(q^2-1)/(q^4-1)",
+        "1/(q^2 + 1)",
+        (((), (((), Fraction(1)),)), (("q",), (((0,), Fraction(1)), ((2,), Fraction(1))))),
+    ),
+]
+
+
+@pytest.mark.parametrize("text,shown,key", _GOLDEN)
+def test_reduced_fractions_match_golden_forms(text, shown, key):
+    f = RatFun.parse(text)
+    assert str(f) == shown
+    assert f.key() == key
+    assert hash(f) == hash(key)
