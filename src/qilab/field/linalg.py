@@ -35,7 +35,6 @@ __all__ = [
     "partial_trace",
     "rref",
     "nullspace_exact",
-    "inverse_exact",
     "solve_unique",
     "bareiss_nullspace",
     "np_apply_conserving",
@@ -277,15 +276,6 @@ def nullspace_exact(rows):
             v[pc] = -R[r][f]
         basis.append(v)
     return basis
-
-
-def inverse_exact(rows):
-    n = len(rows)
-    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
-    R, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ZeroDivisionError("matrix is singular")
-    return [r[n:] for r in R[:n]]
 
 
 def solve_unique(A, b):

@@ -7,8 +7,20 @@ Each column of a stable matrix is a degree-n class constrained by support
 (a combination of the attracting-stratum classes of the points at or
 under the source point), by its restriction at the source point, and by
 u-degree bounds under it; the solver demands a unique solution.
-Wall-crossing matrices are exact inverses times neighbors, so cyclic
-products around a codimension-2 face close to the identity on the nose.
+
+Three routes keep the exact work at the fixed points:
+
+- ``stab_matrix`` restricts each stratum class at p_i as the product of its
+  linear factors at c = v_i, once per chamber; the constraint rows and the
+  returned matrix are read from that table, never by substituting into a
+  class.
+- ``check_axioms`` decides membership by Newton divided differences of each
+  column over the nodes v_0..v_n, each one an exact polynomial division by
+  (v_i - v_{i-lev}).
+- ``geometric_r`` row-reduces the augmented matrix [S_to | S_from] once and
+  reads S_to^-1 S_from off the right block, so cyclic products of
+  wall crossings around a codimension-2 face close to the identity on the
+  nose.
 """
 
 from __future__ import annotations
@@ -17,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .field import MPoly, RatFun, inverse_exact, mat_mul, solve_unique
+from .field import MPoly, NotDivisible, RatFun, mat_mul, rref, solve_unique
 from .verdict import CheckResult
 
 __all__ = [
@@ -160,6 +172,22 @@ class StabMatrix:
         return self.chamber.n
 
 
+def _stratum(chamber: Chamber, k: int, at: MPoly) -> MPoly:
+    """Product of (at - v_i) over points above p_k and (at - v_i - h) below.
+
+    With ``at`` = c this is the stratum class through p_k; with ``at`` = v_i
+    it is the restriction of that class at p_i.
+    """
+    vs = weights(chamber.n)
+    h = MPoly.var("h")
+    out = MPoly.const(1)
+    for i in chamber.above(k):
+        out = out * (at - vs[i])
+    for i in chamber.below(k):
+        out = out * (at - vs[i] - h)
+    return out
+
+
 def attr_class(chamber: Chamber, k: int) -> MPoly:
     """Class of the closed attracting stratum through p_k.
 
@@ -167,14 +195,14 @@ def attr_class(chamber: Chamber, k: int) -> MPoly:
     points below; it vanishes at every point above p_k and restricts at
     p_k to the signed repelling weight product.
     """
-    vs = weights(chamber.n)
-    c = MPoly.var("c")
-    h = MPoly.var("h")
-    out = MPoly.const(1)
-    for i in chamber.above(k):
-        out = out * (c - vs[i])
-    for i in chamber.below(k):
-        out = out * (c - vs[i] - h)
+    return _stratum(chamber, k, MPoly.var("c"))
+
+
+def _span(polys, coeffs) -> MPoly:
+    out = MPoly.zero()
+    for p, x in zip(polys, coeffs):
+        if x:
+            out = out + p * x
     return out
 
 
@@ -227,16 +255,21 @@ def stab_matrix(chamber: Chamber, polarization=None) -> StabMatrix:
     )
     if len(pol) != n + 1 or any(s not in (-1, 1) for s in pol):
         raise ValueError("polarization must be a vector of +-1 per fixed point")
-    strata = {k: attr_class(chamber, k) for k in range(n + 1)}
+    strata = [attr_class(chamber, k) for k in range(n + 1)]
+    restr = [
+        [_stratum(chamber, k, vs[i]) for k in range(n + 1)] for i in range(n + 1)
+    ]
+    big = lambda mono: sum(e for nm, e in mono if nm in unames) >= n
     gammas = []
+    columns = []
     for j in range(n + 1):
         allowed = [j] + chamber.below(j)
+        above = chamber.above(j)
         targets = []
         diag = e_neg(chamber, j) * pol[j]
-        big = lambda mono: sum(e for nm, e in mono if nm in unames) >= n
         for i in range(n + 1):
-            basis_at_i = [strata[k].substitute({"c": vs[i]}) for k in allowed]
-            if i in chamber.above(j):
+            basis_at_i = [restr[i][k] for k in allowed]
+            if i in above:
                 _rows_for(targets, basis_at_i, MPoly.zero())
             elif i == j:
                 _rows_for(targets, basis_at_i, diag)
@@ -250,13 +283,11 @@ def stab_matrix(chamber: Chamber, polarization=None) -> StabMatrix:
             raise ValueError(
                 f"column {j}: constraint system has no unique solution ({e})"
             ) from None
-        gamma = MPoly.zero()
-        for k, coeff in zip(allowed, x):
-            if coeff:
-                gamma = gamma + strata[k] * coeff
-        gammas.append(gamma)
+        gammas.append(_span([strata[k] for k in allowed], x))
+        columns.append((allowed, x))
     matrix = tuple(
-        tuple(g.substitute({"c": vs[i]}) for g in gammas) for i in range(n + 1)
+        tuple(_span([restr[i][k] for k in allowed], x) for allowed, x in columns)
+        for i in range(n + 1)
     )
     return StabMatrix(
         chamber=chamber, polarization=pol, gammas=tuple(gammas), matrix=matrix
@@ -264,15 +295,19 @@ def stab_matrix(chamber: Chamber, polarization=None) -> StabMatrix:
 
 
 def geometric_r(stab_from: StabMatrix, stab_to: StabMatrix):
-    """Wall-crossing matrix: inverse of the target times the source."""
+    """Wall-crossing matrix S_to^-1 S_from: the inverse of the target times
+    the source, read off the right block of one rref of [S_to | S_from]."""
     if stab_from.n != stab_to.n:
         raise ValueError("both envelopes must live on the same space")
-    to_rf = lambda M: [[RatFun(e) for e in row] for row in M]
-    try:
-        inv = inverse_exact(to_rf(stab_to.matrix))
-    except ZeroDivisionError:
-        raise ValueError("target envelope matrix is singular") from None
-    return mat_mul(inv, to_rf(stab_from.matrix))
+    size = stab_to.n + 1
+    aug = [
+        [RatFun(e) for e in (*row_to, *row_from)]
+        for row_to, row_from in zip(stab_to.matrix, stab_from.matrix)
+    ]
+    R, pivots = rref(aug)
+    if pivots[:size] != list(range(size)):
+        raise ValueError("target envelope matrix is singular")
+    return [row[size:] for row in R]
 
 
 def adjacent(c1: Chamber, c2: Chamber) -> bool:
@@ -292,12 +327,31 @@ def fan_n2() -> list:
     return [Chamber(n=2, perm=p) for p in perms]
 
 
+def _is_restriction(nodes, values) -> bool:
+    """True when every divided difference of ``values`` over ``nodes`` is a
+    polynomial."""
+    dd = list(values)
+    try:
+        for lev in range(1, len(dd)):
+            for i in range(len(dd) - 1, lev - 1, -1):
+                dd[i] = (dd[i] - dd[i - 1]).div_exact(nodes[i] - nodes[i - lev])
+    except NotDivisible:
+        return False
+    return True
+
+
 def check_axioms(sm: StabMatrix) -> CheckResult:
     """Support, normalization, degree axioms plus non-localized membership.
 
-    The membership test interpolates every column through the fixed-point
-    values and demands polynomial coefficients, independently of how the
-    solver produced the column.
+    The membership test asks whether every column is the restriction of a
+    class polynomial in c, u and h, independently of how the solver produced
+    the column.  The interpolating polynomial in c of degree at most n has
+    polynomial coefficients exactly when every divided difference of the
+    column over the nodes v_0..v_n is a polynomial: the Newton coefficients
+    are among them, the Newton basis prod_{m<k} (c - v_m) is monic with
+    polynomial coefficients, and every divided difference of a polynomial is
+    one.  Each difference is an exact division by (v_i - v_{i-lev}), and a
+    remainder fails the column.
     """
     n = sm.n
     ch = sm.chamber
@@ -317,13 +371,10 @@ def check_axioms(sm: StabMatrix) -> CheckResult:
         for i in ch.below(j):
             if _u_degree(sm.matrix[i][j], unames) >= n:
                 degree_ok = False
-    honest_ok = True
-    vand = [[RatFun(vs[i]) ** k for k in range(n + 1)] for i in range(n + 1)]
-    for j in range(n + 1):
-        col = [RatFun(sm.matrix[i][j]) for i in range(n + 1)]
-        coeffs = solve_unique(vand, col)
-        if any(not c.is_poly() for c in coeffs):
-            honest_ok = False
+    honest_ok = all(
+        _is_restriction(vs, [sm.matrix[i][j] for i in range(n + 1)])
+        for j in range(n + 1)
+    )
     ok = support_ok and diag_ok and degree_ok and honest_ok
     return CheckResult(
         name="stab-axioms",

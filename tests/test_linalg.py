@@ -11,7 +11,6 @@ from qilab.field import (
     RatFun,
     bareiss_nullspace,
     identity,
-    inverse_exact,
     kron,
     mat_eq,
     mat_mul,
@@ -83,22 +82,6 @@ def test_bareiss_agrees_with_rref_nullspace():
     for v in ns2:
         for row in rows:
             assert sum(row[i] * v[i] for i in range(3)) == 0
-
-
-def test_inverse_exact_round_trip():
-    u = MPoly.var("u")
-    h = MPoly.var("h")
-    M = [[RatFun(u), RatFun(h)], [RatFun(h), RatFun(u)]]
-    Minv = inverse_exact(M)
-    prod = mat_mul(M, Minv)
-    assert prod[0][0] == RatFun(1) and prod[1][1] == RatFun(1)
-    assert prod[0][1].is_zero() and prod[1][0].is_zero()
-
-
-def test_inverse_exact_rejects_singular():
-    M = [[RatFun(1), RatFun(1)], [RatFun(1), RatFun(1)]]
-    with pytest.raises(ZeroDivisionError):
-        inverse_exact(M)
 
 
 def test_solve_unique_and_underdetermined():
