@@ -46,7 +46,6 @@ __all__ = [
     "transfer_cleared",
     "monodromy_numeric",
     "transfer_numeric",
-    "vacuum_functions",
     "sample_point",
     "check_rtt",
     "check_commute",
@@ -244,7 +243,6 @@ def monodromy_cleared(
     aux_slot: int,
     site_slots: list,
     a_override: Fraction | None = None,
-    perturb_entry: bool = False,
 ):
     """Ordered cleared product over sites; site L leftmost.
 
@@ -257,9 +255,6 @@ def monodromy_cleared(
     for l in range(spec.L - 1, -1, -1):
         r4 = cleared_r(zbase * ratios[l], 1)
         r4 = _maybe_fix_q(r4, subs)
-        if perturb_entry and l == 0:
-            r4 = [row[:] for row in r4]
-            r4[1][2] = 2 * r4[1][2]
         factors.append(op_on_slots(r4, (aux_slot, site_slots[l]), dims))
     M = factors[0]
     for f in factors[1:]:
@@ -336,17 +331,6 @@ def transfer_numeric(
     H = 1 << spec.L
     u = spec.twist_complex()
     return u * M[:H, :H] + (1 / u) * M[H:, H:]
-
-
-def vacuum_functions(spec: ChainSpec):
-    """Exact eigen-coefficients (a(z), d(z)) of the all-up reference state."""
-    q = RatFun.var("q") if spec.q_is_symbolic() else RatFun.const(spec.q_fraction())
-    z = RatFun.var("z")
-    d = RatFun(1)
-    for rho in spec.ratios():
-        zeta = z * rho
-        d = d * ((zeta - 1) / (q * (zeta - q ** -2)))
-    return RatFun(1), d
 
 
 def sample_point(spec: ChainSpec, rng) -> complex:

@@ -13,6 +13,7 @@ orders on a wall, genericity-guard failures).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -166,26 +167,24 @@ def _finish(args, command: str, inputs: dict, results: list, t0: float) -> int:
     return code
 
 
-# ---------------------------------------------------------------- rmat
+# ---------------------------------------------------------------- handlers
+#
+# Each handler takes the parsed arguments and returns (inputs, results); the
+# table at the end names its command and flags, and ``main`` reports.
 
 
-def _cmd_rmat_ybe(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_rmat_ybe(args):
     a, b, c = _rational(args.a), _rational(args.b), _rational(args.c)
     cr = rm.check_ybe(a, b, c, perturb=args.perturb)
-    inputs = {"a": str(a), "b": str(b), "c": str(c), "perturb": args.perturb}
-    return _finish(args, "rmat ybe", inputs, [cr], t0)
+    return {"a": str(a), "b": str(b), "c": str(c), "perturb": args.perturb}, [cr]
 
 
-def _cmd_rmat_yang(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_rmat_yang(args):
     cr = rm.check_yang(cutoff=args.cutoff, perturb=args.perturb)
-    inputs = {"cutoff": args.cutoff, "perturb": args.perturb}
-    return _finish(args, "rmat yang", inputs, [cr], t0)
+    return {"cutoff": args.cutoff, "perturb": args.perturb}, [cr]
 
 
-def _cmd_rmat_normalize(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_rmat_normalize(args):
     a, b = _rational(args.a), _rational(args.b)
     if b == 0:
         raise InputError("scale b must be nonzero")
@@ -203,21 +202,15 @@ def _cmd_rmat_normalize(args) -> int:
             "matches_normalized_form": ok,
         },
     )
-    inputs = {"a": str(a), "b": str(b)}
-    return _finish(args, "rmat normalize", inputs, [cr], t0)
+    return {"a": str(a), "b": str(b)}, [cr]
 
 
-def _cmd_rmat_limit(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_rmat_limit(args):
     fa, fb = _ratfun(args.a), _ratfun(args.b)
     point = _fraction(args.point)
     inputs = {"a": args.a, "b": args.b, "point": str(point)}
-    default = (
-        fa == RatFun(1) and fb == RatFun.parse("q^2") and point == Fraction(1)
-    )
-    if default:
-        cr = rm.check_pole_structure()
-        return _finish(args, "rmat limit", inputs, [cr], t0)
+    if fa == RatFun(1) and fb == RatFun.parse("q^2") and point == Fraction(1):
+        return inputs, [rm.check_pole_structure()]
     if fb.is_zero():
         raise InputError("scale b must be nonzero")
     zeta = RatFun(MPoly.var("z")) * fa / fb
@@ -227,41 +220,26 @@ def _cmd_rmat_limit(args) -> int:
     ]
     order = max(orders) if orders else 0
     res = [[rm.limit_at(x, "z", point, order) for x in row] for row in M]
-    rank = len(rref(res)[1])
     cr = CheckResult(
         name="pole-limit",
         ok=True,
         details={
             "pole_order": order,
-            "rank": rank,
+            "rank": len(rref(res)[1]),
             "limit": [[str(x) for x in row] for row in res],
         },
     )
-    return _finish(args, "rmat limit", inputs, [cr], t0)
+    return inputs, [cr]
 
 
-def _cmd_rmat_inverse(args) -> int:
-    t0 = time.perf_counter()
-    cr = rm.check_inverse(seed=args.seed, points=args.points, perturb=args.perturb)
-    inputs = {"seed": args.seed, "points": args.points, "perturb": args.perturb}
-    return _finish(args, "rmat inverse", inputs, [cr], t0)
+def _cmd_rmat_sampled(args):
+    check = {"inverse": rm.check_inverse, "hexagon": rm.check_hexagon}[args.cmd]
+    cr = check(seed=args.seed, points=args.points, perturb=args.perturb)
+    return {"seed": args.seed, "points": args.points, "perturb": args.perturb}, [cr]
 
 
-def _cmd_rmat_hexagon(args) -> int:
-    t0 = time.perf_counter()
-    cr = rm.check_hexagon(seed=args.seed, points=args.points, perturb=args.perturb)
-    inputs = {"seed": args.seed, "points": args.points, "perturb": args.perturb}
-    return _finish(args, "rmat hexagon", inputs, [cr], t0)
-
-
-def _cmd_rmat_intertwine(args) -> int:
-    t0 = time.perf_counter()
-    cr = rm.check_intertwiner(perturb=args.perturb)
-    inputs = {"perturb": args.perturb}
-    return _finish(args, "rmat intertwine", inputs, [cr], t0)
-
-
-# ---------------------------------------------------------------- chain
+def _cmd_rmat_intertwine(args):
+    return {"perturb": args.perturb}, [rm.check_intertwiner(perturb=args.perturb)]
 
 
 def _chain_inputs(args, spec: ChainSpec) -> dict:
@@ -289,54 +267,28 @@ def _exact_capable(spec: ChainSpec) -> bool:
         return False
 
 
-def _pick_mode(args, spec: ChainSpec, exact_max: int) -> str:
-    if args.mode != "auto":
-        return args.mode
-    if spec.L <= exact_max and _exact_capable(spec):
-        return "exact"
-    return "numeric"
-
-
 def _tol_kw(args) -> dict:
     return {} if args.tol is None else {"tol": args.tol}
 
 
-def _cmd_chain_rtt(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_chain_identity(args):
+    """``chain rtt``, ``commute`` and ``multiplicativity``: one identity
+    check; ``--mode auto`` picks exact for chains up to its exact_max sites.
+    The check is looked up per call, so a patched module binding is used."""
+    check, exact_max = {
+        "rtt": (check_rtt, 2),
+        "commute": (check_commute, 3),
+        "multiplicativity": (check_multiplicativity, 2),
+    }[args.cmd]
     spec = _chain_spec(args.spec)
-    mode = _pick_mode(args, spec, exact_max=2)
-    kw = _tol_kw(args) if mode == "numeric" else {}
-    if mode == "numeric":
-        kw["samples"] = args.samples
-    cr = check_rtt(spec, mode=mode, seed=args.seed, perturb=args.perturb, **kw)
+    mode = args.mode
+    if mode == "auto":
+        exact = spec.L <= exact_max and _exact_capable(spec)
+        mode = "exact" if exact else "numeric"
+    kw = {**_tol_kw(args), "samples": args.samples} if mode == "numeric" else {}
+    cr = check(spec, mode=mode, seed=args.seed, perturb=args.perturb, **kw)
     inputs = {**_chain_inputs(args, spec), "mode": mode, "perturb": args.perturb}
-    return _finish(args, "chain rtt", inputs, [cr], t0)
-
-
-def _cmd_chain_commute(args) -> int:
-    t0 = time.perf_counter()
-    spec = _chain_spec(args.spec)
-    mode = _pick_mode(args, spec, exact_max=3)
-    kw = _tol_kw(args) if mode == "numeric" else {}
-    if mode == "numeric":
-        kw["samples"] = args.samples
-    cr = check_commute(spec, mode=mode, seed=args.seed, perturb=args.perturb, **kw)
-    inputs = {**_chain_inputs(args, spec), "mode": mode, "perturb": args.perturb}
-    return _finish(args, "chain commute", inputs, [cr], t0)
-
-
-def _cmd_chain_mult(args) -> int:
-    t0 = time.perf_counter()
-    spec = _chain_spec(args.spec)
-    mode = _pick_mode(args, spec, exact_max=2)
-    kw = _tol_kw(args) if mode == "numeric" else {}
-    if mode == "numeric":
-        kw["samples"] = args.samples
-    cr = check_multiplicativity(
-        spec, mode=mode, seed=args.seed, perturb=args.perturb, **kw
-    )
-    inputs = {**_chain_inputs(args, spec), "mode": mode, "perturb": args.perturb}
-    return _finish(args, "chain multiplicativity", inputs, [cr], t0)
+    return inputs, [cr]
 
 
 def _fmt_complex(v) -> str:
@@ -345,8 +297,7 @@ def _fmt_complex(v) -> str:
     return f"({v.real:.10g}{v.imag:+.10g}i)"
 
 
-def _cmd_chain_spectrum(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_chain_spectrum(args):
     spec = _chain_spec(args.spec)
     spectrum = compute_spectrum(spec, seed=args.seed)
     qinv2 = 1 / spec.q_complex() ** 2
@@ -354,6 +305,7 @@ def _cmd_chain_spectrum(args) -> int:
         f"(z*{_fmt_complex(r)} - {_fmt_complex(qinv2)})"
         for r in spec.site_ratios_complex()
     )
+
     def _term(k: int, co) -> str:
         s = _fmt_complex(co)
         if k == 0:
@@ -383,58 +335,32 @@ def _cmd_chain_spectrum(args) -> int:
             "denominator": den_str,
         },
     )
-    inputs = {**_chain_inputs(args, spec), "sector": args.sector}
-    return _finish(args, "chain spectrum", inputs, [cr], t0)
+    return {**_chain_inputs(args, spec), "sector": args.sector}, [cr]
 
 
-def _cmd_chain_tq(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_chain_tq(args):
     spec = _chain_spec(args.spec)
     cr = check_tq(
-        spec,
-        seed=args.seed,
-        perturb=args.perturb,
-        sector=args.sector,
-        **_tol_kw(args),
+        spec, seed=args.seed, perturb=args.perturb, sector=args.sector, **_tol_kw(args)
     )
-    inputs = {
-        **_chain_inputs(args, spec),
-        "sector": args.sector,
-        "perturb": args.perturb,
-    }
-    return _finish(args, "chain tq", inputs, [cr], t0)
+    inputs = {**_chain_inputs(args, spec), "sector": args.sector}
+    return {**inputs, "perturb": args.perturb}, [cr]
 
 
-def _cmd_chain_bethe(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_chain_bethe(args):
     spec = _chain_spec(args.spec)
-    try:
-        cr = check_bethe(
-            spec, args.sector, seed=args.seed, perturb=args.perturb, **_tol_kw(args)
-        )
-    except ValueError as e:
-        raise InputError(str(e))
-    inputs = {
-        **_chain_inputs(args, spec),
-        "sector": args.sector,
-        "perturb": args.perturb,
-    }
-    return _finish(args, "chain bethe", inputs, [cr], t0)
+    cr = check_bethe(
+        spec, args.sector, seed=args.seed, perturb=args.perturb, **_tol_kw(args)
+    )
+    inputs = {**_chain_inputs(args, spec), "sector": args.sector}
+    return {**inputs, "perturb": args.perturb}, [cr]
 
 
-# ---------------------------------------------------------------- cluster
-
-
-def _cmd_cluster_mutate(args) -> int:
-    t0 = time.perf_counter()
-    quiver = _quiver(args.quiver)
-    seed0 = cl.initial_seed(quiver)
+def _cmd_cluster_mutate(args):
+    seed0 = cl.initial_seed(_quiver(args.quiver))
     s = seed0
     for k in args.at:
-        try:
-            s = cl.mutate_seed(s, k)
-        except ValueError as e:
-            raise InputError(str(e))
+        s = cl.mutate_seed(s, k)
     cr = CheckResult(
         name="mutate",
         ok=True,
@@ -445,27 +371,17 @@ def _cmd_cluster_mutate(args) -> int:
             "returned_to_start": s == seed0,
         },
     )
-    inputs = {"quiver": args.quiver, "at": list(args.at)}
-    return _finish(args, "cluster mutate", inputs, [cr], t0)
+    return {"quiver": args.quiver, "at": list(args.at)}, [cr]
 
 
-def _cmd_cluster_explore(args) -> int:
-    t0 = time.perf_counter()
-    quiver = _quiver(args.quiver)
-    atlas = cl.explore(cl.initial_seed(quiver), args.depth)
-    cr = CheckResult(
-        name="explore",
-        ok=True,
-        details=json.loads(atlas.to_json()),
-    )
-    inputs = {"quiver": args.quiver, "depth": args.depth}
-    return _finish(args, "cluster explore", inputs, [cr], t0)
+def _cmd_cluster_explore(args):
+    atlas = cl.explore(cl.initial_seed(_quiver(args.quiver)), args.depth)
+    cr = CheckResult(name="explore", ok=True, details=json.loads(atlas.to_json()))
+    return {"quiver": args.quiver, "depth": args.depth}, [cr]
 
 
-def _cmd_cluster_laurent(args) -> int:
-    t0 = time.perf_counter()
-    quiver = _quiver(args.quiver)
-    atlas = cl.explore(cl.initial_seed(quiver), args.depth)
+def _cmd_cluster_laurent(args):
+    atlas = cl.explore(cl.initial_seed(_quiver(args.quiver)), args.depth)
     variables = list(atlas.variables.values())
     if args.perturb:
         variables.append(RatFun.parse("(1 + X1)/(1 + X2)"))
@@ -480,58 +396,40 @@ def _cmd_cluster_laurent(args) -> int:
             "perturbed": args.perturb,
         },
     )
-    inputs = {"quiver": args.quiver, "depth": args.depth, "perturb": args.perturb}
-    return _finish(args, "cluster laurent", inputs, [cr], t0)
+    return {"quiver": args.quiver, "depth": args.depth, "perturb": args.perturb}, [cr]
 
 
-# ---------------------------------------------------------------- stab
-
-
-def _stab_chamber(args, n: int) -> st.Chamber:
+def _stab_chamber(args) -> st.Chamber:
     if args.chamber is None:
-        if n == 1:
+        if args.n == 1:
             return st.Chamber.named("plus")
         raise InputError("--chamber is required for n >= 2")
-    return _chamber(n, args.chamber)
+    return _chamber(args.n, args.chamber)
 
 
-def _cmd_stab_roots(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_stab_roots(args):
     if args.n < 1:
         raise InputError("n must be at least 1")
     rts = st.roots(args.n)
-    cr = CheckResult(
-        name="roots",
-        ok=True,
-        details={"n": args.n, "roots": rts, "count": len(rts)},
-    )
-    return _finish(args, "stab roots", {"n": args.n}, [cr], t0)
+    details = {"n": args.n, "roots": rts, "count": len(rts)}
+    return {"n": args.n}, [CheckResult(name="roots", ok=True, details=details)]
 
 
-def _cmd_stab_order(args) -> int:
-    t0 = time.perf_counter()
-    chamber = _stab_chamber(args, args.n)
-    cr = CheckResult(
-        name="order",
-        ok=True,
-        details={
-            "n": args.n,
-            "order": chamber.order_string(),
-            "top_to_bottom": st.attr_order(chamber),
-        },
-    )
+def _cmd_stab_order(args):
+    chamber = _stab_chamber(args)
+    details = {
+        "n": args.n,
+        "order": chamber.order_string(),
+        "top_to_bottom": st.attr_order(chamber),
+    }
     inputs = {"n": args.n, "chamber": args.chamber or "plus"}
-    return _finish(args, "stab order", inputs, [cr], t0)
+    return inputs, [CheckResult(name="order", ok=True, details=details)]
 
 
-def _cmd_stab_matrix(args) -> int:
-    t0 = time.perf_counter()
-    chamber = _stab_chamber(args, args.n)
+def _cmd_stab_matrix(args):
+    chamber = _stab_chamber(args)
     pol = _polarization(args.polarization) if args.polarization else None
-    try:
-        sm = st.stab_matrix(chamber, polarization=pol)
-    except ValueError as e:
-        raise InputError(str(e))
+    sm = st.stab_matrix(chamber, polarization=pol)
     info = CheckResult(
         name="stab-matrix",
         ok=True,
@@ -542,27 +440,20 @@ def _cmd_stab_matrix(args) -> int:
             "classes": [str(g) for g in sm.gammas],
         },
     )
-    axioms = st.check_axioms(sm)
     inputs = {
         "n": args.n,
         "chamber": args.chamber or "plus",
         "polarization": args.polarization,
     }
-    return _finish(args, "stab matrix", inputs, [info, axioms], t0)
+    return inputs, [info, st.check_axioms(sm)]
 
 
-def _cmd_stab_rmatrix(args) -> int:
-    t0 = time.perf_counter()
-    chamber = _stab_chamber(args, args.n)
+def _cmd_stab_rmatrix(args):
+    chamber = _stab_chamber(args)
     to = _chamber(args.n, args.to) if args.to else chamber.opposite()
-    try:
-        sa = st.stab_matrix(chamber)
-        sb = st.stab_matrix(to)
-        R = st.geometric_r(sa, sb)
-        Rback = st.geometric_r(sb, sa)
-    except ValueError as e:
-        raise InputError(str(e))
-    prod = mat_mul(R, Rback)
+    sa, sb = st.stab_matrix(chamber), st.stab_matrix(to)
+    R = st.geometric_r(sa, sb)
+    prod = mat_mul(R, st.geometric_r(sb, sa))
     m = len(prod)
     ident = all(
         prod[i][j] == RatFun(1 if i == j else 0) for i in range(m) for j in range(m)
@@ -579,17 +470,15 @@ def _cmd_stab_rmatrix(args) -> int:
         matches = got == st.N1_R
         details["matches_reference"] = matches
         ok = ok and matches
-    cr = CheckResult(name="geometric-r", ok=ok, details=details)
     inputs = {
         "n": args.n,
         "chamber": args.chamber or "plus",
         "to": args.to or to.order_string(),
     }
-    return _finish(args, "stab rmatrix", inputs, [cr], t0)
+    return inputs, [CheckResult(name="geometric-r", ok=ok, details=details)]
 
 
-def _cmd_stab_cycle(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_stab_cycle(args):
     if args.n != 2:
         raise InputError("the cycle walk is implemented for n=2")
     if args.face != "u1=u2":
@@ -597,214 +486,155 @@ def _cmd_stab_cycle(args) -> int:
             f"unknown face {args.face!r}; the supported codim-2 face is 'u1=u2'"
         )
     cr = st.check_cycle_identity(perturb=args.perturb)
-    inputs = {"n": args.n, "face": args.face, "perturb": args.perturb}
-    return _finish(args, "stab cycle", inputs, [cr], t0)
+    return {"n": args.n, "face": args.face, "perturb": args.perturb}, [cr]
 
 
-# ---------------------------------------------------------------- parser
+# ---------------------------------------------------------------- table
 
 
-def _add_json(p) -> None:
-    p.add_argument("--json", action="store_true", help="machine-readable report")
+def _flag(option: str, **kw) -> tuple:
+    return option, kw
 
 
-def _add_perturb(p) -> None:
-    p.add_argument(
-        "--perturb",
-        action="store_true",
-        help="apply the documented breaking perturbation; the check must fail",
+def _scale(space: int, default: str = "1", note: str = " (rational)") -> tuple:
+    return _flag(
+        "--" + "abc"[space - 1], default=default, help=f"scale of space {space}{note}"
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_JSON = _flag("--json", action="store_true", help="machine-readable report")
+_PERTURB = _flag(
+    "--perturb",
+    action="store_true",
+    help="apply the documented breaking perturbation; the check must fail",
+)
+_SEED = _flag("--seed", type=int, default=0)
+_POINTS = _flag("--points", type=int, default=3, help="random rational triples")
+_CHAIN = (
+    _flag("--spec", required=True, help="chain description JSON file"),
+    _SEED,
+    _flag("--tol", type=float, default=None, help="residual tolerance"),
+)
+_IDENTITY = _CHAIN + (
+    _flag(
+        "--mode",
+        choices=("auto", "exact", "numeric"),
+        default="auto",
+        help="auto picks exact for small L, numeric otherwise",
+    ),
+    _flag("--samples", type=int, default=2, help="numeric sample points"),
+    _JSON,
+    _PERTURB,
+)
+
+
+def _sector(required: bool) -> tuple:
+    return _flag(
+        "--sector", type=int, required=required, default=None, help="magnon number"
+    )
+
+
+_QUIVER = _flag("--quiver", required=True, help="quiver JSON file")
+_DEPTH = _flag("--depth", type=int, default=8, help="mutation depth bound")
+_N = _flag("--n", type=int, required=True)
+_CHAMBER = _flag("--chamber", default=None, help="'plus', 'minus', or '1,0,2'")
+
+_GROUPS = {
+    "rmat": "fundamental 4x4 solution checks",
+    "chain": "transfer matrices on a finite chain",
+    "cluster": "seed mutation and exchange graphs",
+    "stab": "attracting-order matrices and walls",
+}
+
+# (group, command, help, flags, handler); the report names it "group command".
+# fmt: off
+_COMMANDS = (
+    ("rmat", "ybe", "triple exchange identity",
+     (_scale(1), _scale(2), _scale(3), _JSON, _PERTURB), _cmd_rmat_ybe),
+    ("rmat", "yang", "additive degeneration of the solution",
+     (_flag("--cutoff", type=int, default=6, help="series truncation order"),
+      _JSON, _PERTURB), _cmd_rmat_yang),
+    ("rmat", "normalize", "rescale the cleared matrix to corner 1",
+     (_scale(1), _scale(2), _JSON), _cmd_rmat_normalize),
+    ("rmat", "limit", "scaled limit of the matrix at a pole",
+     (_scale(1, note=""), _scale(2, "q^2", note=""),
+      _flag("--point", default="1", help="location of the pole in z"), _JSON),
+     _cmd_rmat_limit),
+    ("rmat", "inverse", "unitarity of the normalized solution",
+     (_SEED, _POINTS, _JSON, _PERTURB), _cmd_rmat_sampled),
+    ("rmat", "hexagon", "mixed-argument exchange identity",
+     (_SEED, _POINTS, _JSON, _PERTURB), _cmd_rmat_sampled),
+    ("rmat", "intertwine", "zero-weight generator compatibility",
+     (_JSON, _PERTURB), _cmd_rmat_intertwine),
+    ("chain", "rtt", "exchange relation for the monodromy",
+     _IDENTITY, _cmd_chain_identity),
+    ("chain", "commute", "transfer matrices commute",
+     _IDENTITY, _cmd_chain_identity),
+    ("chain", "multiplicativity", "transfer over a tensor pair factorizes",
+     _IDENTITY, _cmd_chain_identity),
+    ("chain", "spectrum", "joint eigenvalue branches",
+     _CHAIN + (_sector(False), _JSON), _cmd_chain_spectrum),
+    ("chain", "tq", "shift identity with a polynomial on every branch",
+     _CHAIN + (_sector(False), _JSON, _PERTURB), _cmd_chain_tq),
+    ("chain", "bethe", "root systems against direct nonlinear solving",
+     _CHAIN + (_sector(True), _JSON, _PERTURB), _cmd_chain_bethe),
+    ("cluster", "mutate", "mutate the initial seed at vertices",
+     (_QUIVER,
+      _flag("--at", type=int, action="append", required=True,
+            help="1-based mutable vertex; repeat to compose"),
+      _JSON), _cmd_cluster_mutate),
+    ("cluster", "explore", "breadth-first seed exploration",
+     (_QUIVER, _DEPTH, _JSON), _cmd_cluster_explore),
+    ("cluster", "laurent", "denominators of discovered variables",
+     (_QUIVER, _DEPTH, _JSON, _PERTURB), _cmd_cluster_laurent),
+    ("stab", "roots", "wall directions of the arrangement",
+     (_N, _JSON), _cmd_stab_roots),
+    ("stab", "order", "attracting order of a chamber",
+     (_N, _CHAMBER, _JSON), _cmd_stab_order),
+    ("stab", "matrix", "envelope matrix for a chamber",
+     (_N, _CHAMBER,
+      _flag("--polarization", default=None,
+            help="signs per fixed point, e.g. '1,-1'"),
+      _JSON), _cmd_stab_matrix),
+    ("stab", "rmatrix", "wall-crossing matrix between chambers",
+     (_N, _flag("--chamber", default=None, help="source chamber"),
+      _flag("--to", default=None, help="target chamber (default: opposite)"),
+      _JSON), _cmd_stab_rmatrix),
+    ("stab", "cycle", "cyclic wall-crossing product closes",
+     (_N, _flag("--face", default="u1=u2", help="codim-2 face label"),
+      _JSON, _PERTURB), _cmd_stab_cycle),
+)
+# fmt: on
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree of ``_COMMANDS``, built once per process."""
     parser = argparse.ArgumentParser(
         prog="qilab",
         description="Checks and computations for the lattice-model toolkit.",
     )
     sub = parser.add_subparsers(dest="module", required=True)
-
-    # ---- rmat
-    rmat = sub.add_parser("rmat", help="fundamental 4x4 solution checks")
-    rsub = rmat.add_subparsers(dest="cmd", required=True)
-
-    p = rsub.add_parser("ybe", help="triple exchange identity")
-    p.add_argument("--a", default="1", help="scale of space 1 (rational)")
-    p.add_argument("--b", default="1", help="scale of space 2 (rational)")
-    p.add_argument("--c", default="1", help="scale of space 3 (rational)")
-    _add_json(p)
-    _add_perturb(p)
-    p.set_defaults(func=_cmd_rmat_ybe)
-
-    p = rsub.add_parser("yang", help="additive degeneration of the solution")
-    p.add_argument("--cutoff", type=int, default=6, help="series truncation order")
-    _add_json(p)
-    _add_perturb(p)
-    p.set_defaults(func=_cmd_rmat_yang)
-
-    p = rsub.add_parser("normalize", help="rescale the cleared matrix to corner 1")
-    p.add_argument("--a", default="1", help="scale of space 1 (rational)")
-    p.add_argument("--b", default="1", help="scale of space 2 (rational)")
-    _add_json(p)
-    p.set_defaults(func=_cmd_rmat_normalize)
-
-    p = rsub.add_parser("limit", help="scaled limit of the matrix at a pole")
-    p.add_argument("--a", default="1", help="scale of space 1")
-    p.add_argument("--b", default="q^2", help="scale of space 2")
-    p.add_argument("--point", default="1", help="location of the pole in z")
-    _add_json(p)
-    p.set_defaults(func=_cmd_rmat_limit)
-
-    p = rsub.add_parser("inverse", help="unitarity of the normalized solution")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--points", type=int, default=3, help="random rational triples")
-    _add_json(p)
-    _add_perturb(p)
-    p.set_defaults(func=_cmd_rmat_inverse)
-
-    p = rsub.add_parser("hexagon", help="mixed-argument exchange identity")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--points", type=int, default=3, help="random rational triples")
-    _add_json(p)
-    _add_perturb(p)
-    p.set_defaults(func=_cmd_rmat_hexagon)
-
-    p = rsub.add_parser("intertwine", help="zero-weight generator compatibility")
-    _add_json(p)
-    _add_perturb(p)
-    p.set_defaults(func=_cmd_rmat_intertwine)
-
-    # ---- chain
-    chain = sub.add_parser("chain", help="transfer matrices on a finite chain")
-    csub = chain.add_subparsers(dest="cmd", required=True)
-
-    def chain_parser(name, helptext, *, sector=None, mode=True, perturb=True):
-        cp = csub.add_parser(name, help=helptext)
-        cp.add_argument("--spec", required=True, help="chain description JSON file")
-        cp.add_argument("--seed", type=int, default=0)
-        cp.add_argument("--tol", type=float, default=None, help="residual tolerance")
-        if mode:
-            cp.add_argument(
-                "--mode",
-                choices=("auto", "exact", "numeric"),
-                default="auto",
-                help="auto picks exact for small L, numeric otherwise",
-            )
-            cp.add_argument(
-                "--samples", type=int, default=2, help="numeric sample points"
-            )
-        if sector is not None:
-            cp.add_argument(
-                "--sector",
-                type=int,
-                required=sector,
-                default=None,
-                help="magnon number",
-            )
-        _add_json(cp)
-        if perturb:
-            _add_perturb(cp)
-        return cp
-
-    chain_parser("rtt", "exchange relation for the monodromy").set_defaults(
-        func=_cmd_chain_rtt
-    )
-    chain_parser("commute", "transfer matrices commute").set_defaults(
-        func=_cmd_chain_commute
-    )
-    chain_parser(
-        "multiplicativity", "transfer over a tensor pair factorizes"
-    ).set_defaults(func=_cmd_chain_mult)
-    chain_parser(
-        "spectrum", "joint eigenvalue branches", sector=False, mode=False, perturb=False
-    ).set_defaults(func=_cmd_chain_spectrum)
-    chain_parser(
-        "tq", "shift identity with a polynomial on every branch", sector=False,
-        mode=False,
-    ).set_defaults(func=_cmd_chain_tq)
-    chain_parser(
-        "bethe", "root systems against direct nonlinear solving", sector=True,
-        mode=False,
-    ).set_defaults(func=_cmd_chain_bethe)
-
-    # ---- cluster
-    cluster = sub.add_parser("cluster", help="seed mutation and exchange graphs")
-    clsub = cluster.add_subparsers(dest="cmd", required=True)
-
-    p = clsub.add_parser("mutate", help="mutate the initial seed at vertices")
-    p.add_argument("--quiver", required=True, help="quiver JSON file")
-    p.add_argument(
-        "--at",
-        type=int,
-        action="append",
-        required=True,
-        help="1-based mutable vertex; repeat to compose",
-    )
-    _add_json(p)
-    p.set_defaults(func=_cmd_cluster_mutate)
-
-    p = clsub.add_parser("explore", help="breadth-first seed exploration")
-    p.add_argument("--quiver", required=True, help="quiver JSON file")
-    p.add_argument("--depth", type=int, default=8, help="mutation depth bound")
-    _add_json(p)
-    p.set_defaults(func=_cmd_cluster_explore)
-
-    p = clsub.add_parser("laurent", help="denominators of discovered variables")
-    p.add_argument("--quiver", required=True, help="quiver JSON file")
-    p.add_argument("--depth", type=int, default=8, help="mutation depth bound")
-    _add_json(p)
-    _add_perturb(p)
-    p.set_defaults(func=_cmd_cluster_laurent)
-
-    # ---- stab
-    stab = sub.add_parser("stab", help="attracting-order matrices and walls")
-    ssub = stab.add_subparsers(dest="cmd", required=True)
-
-    p = ssub.add_parser("roots", help="wall directions of the arrangement")
-    p.add_argument("--n", type=int, required=True)
-    _add_json(p)
-    p.set_defaults(func=_cmd_stab_roots)
-
-    p = ssub.add_parser("order", help="attracting order of a chamber")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--chamber", default=None, help="'plus', 'minus', or '1,0,2'")
-    _add_json(p)
-    p.set_defaults(func=_cmd_stab_order)
-
-    p = ssub.add_parser("matrix", help="envelope matrix for a chamber")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--chamber", default=None, help="'plus', 'minus', or '1,0,2'")
-    p.add_argument(
-        "--polarization", default=None, help="signs per fixed point, e.g. '1,-1'"
-    )
-    _add_json(p)
-    p.set_defaults(func=_cmd_stab_matrix)
-
-    p = ssub.add_parser("rmatrix", help="wall-crossing matrix between chambers")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--chamber", default=None, help="source chamber")
-    p.add_argument("--to", default=None, help="target chamber (default: opposite)")
-    _add_json(p)
-    p.set_defaults(func=_cmd_stab_rmatrix)
-
-    p = ssub.add_parser("cycle", help="cyclic wall-crossing product closes")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--face", default="u1=u2", help="codim-2 face label")
-    _add_json(p)
-    _add_perturb(p)
-    p.set_defaults(func=_cmd_stab_cycle)
-
+    groups = {
+        name: sub.add_parser(name, help=text).add_subparsers(dest="cmd", required=True)
+        for name, text in _GROUPS.items()
+    }
+    for group, name, text, flags, handler in _COMMANDS:
+        p = groups[group].add_parser(name, help=text)
+        for option, kw in flags:
+            p.add_argument(option, **kw)
+        p.set_defaults(handler=handler, command=f"{group} {name}")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
+    args = _parser().parse_args(sys.argv[1:] if argv is None else list(argv))
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        inputs, results = args.handler(args)
+        return _finish(args, args.command, inputs, results, t0)
     except (ValueError, OSError, ZeroDivisionError, RuntimeError) as e:
+        # InputError is a ValueError: malformed input of any kind exits 2
         print(f"error: {e}", file=sys.stderr)
         return 2
 

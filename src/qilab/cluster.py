@@ -185,22 +185,10 @@ def _canonical_key(seed: Seed) -> str:
     the arrow matrix minimal over permutations of equal variables."""
     n = seed.quiver.n
     r = seed.quiver.r
-    tagged = sorted(range(n), key=lambda i: str(seed.variables[i]))
-    groups = []
-    start = 0
-    while start < n:
-        stop = start
-        while (
-            stop + 1 < n
-            and str(seed.variables[tagged[stop + 1]])
-            == str(seed.variables[tagged[start]])
-        ):
-            stop += 1
-        groups.append(tagged[start : stop + 1])
-        start = stop + 1
-    var_part = tuple(str(seed.variables[i]) for i in tagged) + tuple(
-        str(seed.variables[i]) for i in range(n, r)
-    )
+    names = [str(v) for v in seed.variables]
+    tagged = sorted(range(n), key=names.__getitem__)
+    groups = [list(g) for _, g in itertools.groupby(tagged, key=names.__getitem__)]
+    var_part = tuple(names[i] for i in tagged) + tuple(names[n:r])
     best = None
     for choice in itertools.product(*(itertools.permutations(g) for g in groups)):
         perm = [i for g in choice for i in g] + list(range(n, r))

@@ -4,20 +4,14 @@ from .poly import MPoly, NotDivisible, normalize_var, poly_gcd, var_rank
 from .ratfun import ParseError, RatFun
 from .series import TruncSeries2, leading_form_ratio, series_of_poly
 from .linalg import (
-    bareiss_nullspace,
     identity,
     kron,
     mat_add,
     mat_eq,
     mat_mul,
     mat_scale,
-    mat_sub,
-    nullspace_exact,
     np_apply_conserving,
-    np_apply_on_slots,
-    np_op_on_slots,
     np_partial_trace,
-    np_rank,
     np_residual,
     op_on_slots,
     partial_trace,
@@ -36,20 +30,14 @@ __all__ = [
     "TruncSeries2",
     "leading_form_ratio",
     "series_of_poly",
-    "bareiss_nullspace",
     "identity",
     "kron",
     "mat_add",
     "mat_eq",
     "mat_mul",
     "mat_scale",
-    "mat_sub",
-    "nullspace_exact",
     "np_apply_conserving",
-    "np_apply_on_slots",
-    "np_op_on_slots",
     "np_partial_trace",
-    "np_rank",
     "np_residual",
     "op_on_slots",
     "partial_trace",

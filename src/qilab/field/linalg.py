@@ -8,16 +8,12 @@ matrices whose nonzero entries are all MPoly packs each entry once (see
 nonzero: one int multiply-add per pair of their terms, and one unpacking to a
 Fraction term per term of an output entry.  Other entry types take the generic
 loop over all n*k*m index triples with one ring product and sum per nonzero
-pair.  Numeric matrices are numpy arrays: ``np_apply_on_slots`` right-applies
-a k x k factor on tensor slots in O(R*N*k), copying the R x N matrix twice;
-``np_apply_conserving`` applies a spin-conserving 4x4 factor in place with two
+pair.  Numeric matrices are numpy arrays: ``np_apply_conserving`` applies a
+spin-conserving 4x4 factor on two tensor slots in place with two
 quarter-matrix updates and two quarter-size temporaries.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from math import gcd as int_gcd, lcm as int_lcm
 
 import numpy as np
 
@@ -26,7 +22,6 @@ from .poly import MPoly, _accumulate, _Packing
 __all__ = [
     "mat_mul",
     "mat_add",
-    "mat_sub",
     "mat_scale",
     "mat_eq",
     "identity",
@@ -34,14 +29,9 @@ __all__ = [
     "op_on_slots",
     "partial_trace",
     "rref",
-    "nullspace_exact",
     "solve_unique",
-    "bareiss_nullspace",
     "np_apply_conserving",
-    "np_apply_on_slots",
-    "np_op_on_slots",
     "np_partial_trace",
-    "np_rank",
     "np_residual",
 ]
 
@@ -100,10 +90,6 @@ def _mat_mul_packed(A, B):
 
 def mat_add(A, B):
     return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def mat_scale(A, s):
@@ -263,21 +249,6 @@ def rref(rows):
     return R, pivots
 
 
-def nullspace_exact(rows):
-    """Basis of the right null space over the entry field."""
-    R, pivots = rref(rows)
-    ncols = len(rows[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = -R[r][f]
-        basis.append(v)
-    return basis
-
-
 def solve_unique(A, b):
     """Solve A x = b insisting on exactly one solution."""
     aug = [list(r) + [v] for r, v in zip(A, b)]
@@ -293,69 +264,11 @@ def solve_unique(A, b):
     return x
 
 
-def bareiss_nullspace(rows):
-    """Right null space of a matrix of Fractions via fraction-free elimination.
-
-    Rows are rescaled to integers, the echelon form is computed with the
-    two-step division-free rule, and the basis is back-substituted exactly.
-    """
-    M = []
-    for row in rows:
-        fr = [Fraction(x) for x in row]
-        mult = 1
-        for x in fr:
-            mult = int_lcm(mult, x.denominator)
-        ints = [int(x * mult) for x in fr]
-        g = 0
-        for x in ints:
-            g = int_gcd(g, abs(x))
-        if g > 1:
-            ints = [x // g for x in ints]
-        M.append(ints)
-    nrows = len(M)
-    ncols = len(M[0]) if M else 0
-    prev = 1
-    r = 0
-    pivots = []
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if M[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        M[r], M[pivot] = M[pivot], M[r]
-        p = M[r][col]
-        for i in range(r + 1, nrows):
-            f = M[i][col]
-            M[i] = [(p * M[i][j] - f * M[r][j]) // prev for j in range(ncols)]
-        pivots.append(col)
-        prev = p
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i in range(len(pivots) - 1, -1, -1):
-            pc = pivots[i]
-            acc = Fraction(0)
-            for j in range(pc + 1, ncols):
-                if M[i][j] and v[j]:
-                    acc += M[i][j] * v[j]
-            v[pc] = -acc / M[i][pc]
-        basis.append(v)
-    return basis
-
-
 # numeric counterparts
 
 
 def np_apply_conserving(M: np.ndarray, F: np.ndarray, slots, dims) -> np.ndarray:
-    """``M @= np_op_on_slots(F, slots, dims)`` in place; returns ``M``.
+    """``M`` times ``F`` on ``slots`` (identity elsewhere), in place; returns ``M``.
 
     ``F`` must conserve the spin sum of its two size-2 slots and ``M`` must be
     C-contiguous; otherwise ValueError is raised before ``M`` changes."""
@@ -380,28 +293,6 @@ def np_apply_conserving(M: np.ndarray, F: np.ndarray, slots, dims) -> np.ndarray
     return M
 
 
-def np_apply_on_slots(M: np.ndarray, F: np.ndarray, slots, dims) -> np.ndarray:
-    """``M @ np_op_on_slots(F, slots, dims)`` without building the embedding.
-
-    One ``tensordot`` contracts the rows of ``F`` with the slot axes of the
-    columns of ``M``: O(R*N*k) for R rows, N columns and a factor of size k.
-    """
-    M = np.asarray(M, dtype=complex)
-    sub_dims = [dims[s] for s in slots]
-    F = np.asarray(F, dtype=complex).reshape(sub_dims + sub_dims)
-    axes = [1 + s for s in slots]
-    k = len(axes)
-    T = M.reshape([M.shape[0]] + list(dims))
-    out = np.tensordot(T, F, axes=(axes, list(range(k))))
-    return np.moveaxis(out, list(range(out.ndim - k, out.ndim)), axes).reshape(M.shape)
-
-
-def np_op_on_slots(M: np.ndarray, slots, dims) -> np.ndarray:
-    """Dense embedding of ``M`` on the chosen slots, identity elsewhere."""
-    N = int(np.prod(dims))
-    return np_apply_on_slots(np.eye(N, dtype=complex), M, slots, dims)
-
-
 def np_partial_trace(M: np.ndarray, slot: int, dims) -> np.ndarray:
     n = len(dims)
     T = np.asarray(M, dtype=complex).reshape(list(dims) * 2)
@@ -411,13 +302,6 @@ def np_partial_trace(M: np.ndarray, slot: int, dims) -> np.ndarray:
     for d in keep:
         N *= d
     return T.reshape(N, N)
-
-
-def np_rank(M: np.ndarray, rtol: float = 1e-9) -> int:
-    s = np.linalg.svd(np.asarray(M, dtype=complex), compute_uv=False)
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > rtol * s[0]))
 
 
 def np_residual(A: np.ndarray, B: np.ndarray) -> float:

@@ -16,9 +16,10 @@ from qilab.chain import (
     sample_point,
     transfer_cleared,
     transfer_numeric,
-    vacuum_functions,
 )
-from qilab.field import MPoly, np_apply_on_slots, np_residual
+from qilab.chain.spectrum import vacuum_ratio
+from qilab.field import MPoly, RatFun, np_residual
+from slot_oracles import np_apply_on_slots
 
 
 def test_parse_complex_forms():
@@ -58,11 +59,14 @@ def test_l1_transfer_golden_strings():
     assert T[0][1].is_zero() and T[1][0].is_zero()
 
 
-def test_vacuum_functions_golden():
-    s = ChainSpec.from_json({"L": 1})
-    a, d = vacuum_functions(s)
-    assert str(a) == "1"
-    assert str(d) == "(z*q - q)/(z*q^2 - 1)"
+def test_vacuum_ratio_golden():
+    # the one d(z) of the package against the exact L=1 form, a(z) = 1
+    golden = RatFun.parse("(z*q - q)/(z*q^2 - 1)")
+    points = [(0.83 + 0.21j, 1.3 - 0.2j), (2.5 - 0.4j, 0.6 + 0.7j), (-0.7 + 1.1j, -2.0)]
+    for q, z in points:
+        s = ChainSpec.from_json({"L": 1, "q": f"{q.real}{q.imag:+}*i"})
+        want = golden.eval_complex({"q": q, "z": z})
+        assert abs(vacuum_ratio(s, z) - want) < 1e-14 * abs(want)
 
 
 def test_numeric_r_unitarity_point():

@@ -1,0 +1,367 @@
+"""Pins of the command layer: the ``--json`` bytes and exit code of every
+command (with its ``--perturb`` control and malformed inputs), the option
+surface of every subcommand, and one parser per process."""
+
+import argparse
+import hashlib
+import json
+
+import pytest
+
+from qilab import cli
+
+# argv -> (exit code, sha256 of the --json stdout, last line of stderr)
+JSON_PINS = {
+    "rmat ybe": (0, "af993460c03c92b01f51c39158393645bfb0589ea283342cdd3b9695e96ea177", ""),
+    "rmat ybe --a 2 --b 3 --c 5": (0, "df470c8c6b78b9f147e3356d084f0e1dd8238b8410406a47bb9b7679d01d3793", ""),
+    "rmat ybe --perturb": (1, "1be046fc3f4a073634b947046701411a93b454f58528c5f2b6d5b2cbc77f4e6e", ""),
+    "rmat ybe --a q": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: expected a rational constant, got 'q'"),
+    "rmat yang --cutoff 4": (0, "c7d65f44690eef13ffd8d963bdcf81a4cdd8e6105a188cbd42e6e1871fc25a2a", ""),
+    "rmat yang --cutoff 4 --perturb": (1, "953bae207ff2188032ce3f7a6b5c9032d8419b86cc5ccd870ff7f3ee5de870fd", ""),
+    "rmat normalize --a 2 --b 3": (0, "c697215a51ce5f2a2bca99e0c5b05d5eb201141eccadac23d22646c0c0e5be79", ""),
+    "rmat normalize --b 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: scale b must be nonzero"),
+    "rmat limit": (0, "96b69801c73b34a579b7c862b31180f24508a1f9b1817b3128f13a3d9bc8f5ad", ""),
+    "rmat limit --a 1 --b q --point 1": (0, "8e16e3a431c2f401455e9b7d15072eab7aa9ba5b69964c4acb27b648f129680e", ""),
+    "rmat inverse --points 2": (0, "3833f64f79abed8a1ee4849f1858b572909b2b8a04647eb5b5991ccc15260902", ""),
+    "rmat inverse --points 2 --perturb": (1, "9f2713e8b3c29ae7374967d36904f11142e894f6bb13a699ab0d067859226240", ""),
+    "rmat hexagon --points 2 --seed 1": (0, "9359625d5c5fd55af164a247804513ba0d2e2d55b9376e12dac20354345d348f", ""),
+    "rmat hexagon --points 2 --perturb": (1, "f87bddcfb192364c8c9f3b78bc9201758a738e290c78a8cfc2284d5ed25d5e53", ""),
+    "rmat intertwine": (0, "de10e40ba3f6f923de1f2ed5ed97c85fd329451e85f046cc523955f3452a60d7", ""),
+    "rmat intertwine --perturb": (1, "21987fd8ae39d424826a637846d675b16aa8bf86222959cb259fc629f293a677", ""),
+    "chain rtt --spec l1.json": (0, "05933d733bbccb001ffe4994d55bd040ebcc754b6a8e94269104e0ea6d3a2ef3", ""),
+    "chain rtt --spec l2.json": (0, "2fa4c2aff76d55a2585df2469163e0472e6058d8467aadefb8eed6b165fedd1f", ""),
+    "chain rtt --spec l2.json --perturb": (1, "336a40e811158f580a4577727f1034442805375e1a4a719e75db25c884721d92", ""),
+    "chain rtt --spec l2.json --mode numeric --samples 1 --tol 1e-9": (0, "1c129468fa0530099b2634fbe18ff1e290edd1370a9f266834dee86dfbd1d08f", ""),
+    "chain rtt --spec nope.json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: cannot read nope.json: [Errno 2] No such file or directory: 'nope.json'"),
+    "chain commute --spec l1.json": (0, "13155e069ae5d573ea4b05db6e1548cb59c5da5d965407a7d94b62dc5eccbcb4", ""),
+    "chain commute --spec l2.json": (0, "05677a887cbb934d0db9780f1f7e7a1961aed1e073ecf8c0ad3a6eaac8625c85", ""),
+    "chain commute --spec l2.json --perturb": (1, "967539e374ce2d8b2153771ae69c12769e0deef5608b00156bfea2eefd35528f", ""),
+    "chain multiplicativity --spec l1.json": (0, "d0b9a790975173e225fdc46ef2e9f30935059e909a688cc2410af647e25e5e9e", ""),
+    "chain multiplicativity --spec l2.json": (0, "1c52810c5db51cda9b9a9375a65c6381f07f81aa369dd16990961cb4c3cc6506", ""),
+    "chain multiplicativity --spec l2.json --perturb": (1, "694dbcdd8524db3195e012275a17cef26628b80bdc6ca6edb2d3658ffaef8d59", ""),
+    "chain spectrum --spec l1.json --sector 0": (0, "b8cbdb14571058c99ccccecab772bff2335ca5ff62fe285c339036bbf846b92f", ""),
+    "chain spectrum --spec l2.json": (0, "41eb0424c9abfd28e818eae06af4b57ce3829910c3aaf39e51770d00088fe1a4", ""),
+    "chain tq --spec l2.json --seed 3": (0, "7251126db06a2e92c653a4efd7b205e76dbb80d7b512d22106f3ac0f1a20f9fa", ""),
+    "chain tq --spec l2.json --perturb": (1, "f77a871c0e4ee7136aac724ef9189684d2575b4a27777932431af904dde6a1c3", ""),
+    "chain bethe --spec l2.json --sector 1": (0, "c5bfd3b47b243902ee657b17ff94c93141529b66e2bc5560241b27ec8c69bc85", ""),
+    "chain bethe --spec l2.json --sector 1 --perturb": (1, "73d2ba6b2dc081a8c5ae7d458fc90beab83bf2dda2e093ec3cae1ff63a6e7149", ""),
+    "chain bethe --spec l2.json --sector 9": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: sector must lie between 0 and L"),
+    "chain bethe --spec l2.json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "qilab chain bethe: error: the following arguments are required: --sector"),
+    "chain rtt --spec l2.json --mode bogus": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "qilab chain rtt: error: argument --mode: invalid choice: 'bogus' (choose from 'auto', 'exact', 'numeric')"),
+    "cluster mutate --quiver example.json --at 1 --at 1": (0, "1a629e893f4a1296be26280293d0e567aa7a3c88098fbe59b5d102d9a1e88fbf", ""),
+    "cluster mutate --quiver example.json --at 2": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: vertex 2 is frozen or out of range"),
+    "cluster explore --quiver example.json --depth 4": (0, "5d1e0db8e0a1fd80b55d9843e9633a17e30fa54db54d3496d435f3e9ce35492c", ""),
+    "cluster laurent --quiver example.json": (0, "48aa6a2329eef1242f69264ecf88188199724a89bb061d23f0f09369cdc231d8", ""),
+    "cluster laurent --quiver example.json --perturb": (1, "331735933056508a5c99bd2c7820a5b27e8663c570c158ed7b6b96ff582709e5", ""),
+    "cluster explore --quiver missing.json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: cannot read missing.json: [Errno 2] No such file or directory: 'missing.json'"),
+    "stab roots --n 2": (0, "88bc65b939905a8e871e6214fcb8c40d84ab64bebb1ec11b78a09ef7245d5102", ""),
+    "stab roots --n 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: n must be at least 1"),
+    "stab order --n 2 --chamber 1,0,2": (0, "bebb004755f99815e11ce0d59f5d5153a0bdbcba515cacf19a241f914ed677f8", ""),
+    "stab order --n 1": (0, "f3cb2a10dddad24f2840c4176c2281cd5de2470029a38b26e3cfdca5ec023935", ""),
+    "stab matrix --n 1 --chamber plus": (0, "ce5120c85c6b3f3d3d6782de19f5fc6cbc61d2cee61a034849da4aba6704c98f", ""),
+    "stab matrix --n 2 --chamber 1,0,2 --polarization 1,-1,1": (0, "8d0e76eecc8d8e9a3c926542d5b4b7993c26205689c960ed137c870f9ab67df3", ""),
+    "stab matrix --n 2": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: --chamber is required for n >= 2"),
+    "stab matrix --n 2 --chamber p0>p1>p1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: chamber order must be a permutation of 0..n"),
+    "stab rmatrix --n 1": (0, "467922a5f20153b9dee32eaadf8a5c97e4c4a011fe2c1352459779e7421658c8", ""),
+    "stab rmatrix --n 2 --chamber 0,1,2 --to 1,0,2": (0, "3cd74e9346663bfb25354308c31e737433ec75c9c52943a01dac393ef0506d2b", ""),
+    "stab cycle --n 2 --face u1=u2": (0, "bbe0ae312d71c7c371e6a3e15c17ff23076649e2db88ede97c86e0656a6caa00", ""),
+    "stab cycle --n 2 --perturb": (1, "3d40840cb9ebbadeb434214b64b0959590c3cba5177c3f7aa1e793cfc00ab6ce", ""),
+    "stab cycle --n 3": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the cycle walk is implemented for n=2"),
+}
+
+# "<group> <command>" -> (help, option rows); a group maps to its help.
+# A row is (option strings, kind, default, required, choices, help).
+JSON = (["--json"], "storetrue", False, False, None, "machine-readable report")
+PERTURB = (
+    ["--perturb"],
+    "storetrue",
+    False,
+    False,
+    None,
+    "apply the documented breaking perturbation; the check must fail",
+)
+MODE = (
+    ["--mode"],
+    "store",
+    "auto",
+    False,
+    ("auto", "exact", "numeric"),
+    "auto picks exact for small L, numeric otherwise",
+)
+PARSER_SURFACE = {
+    "rmat": "fundamental 4x4 solution checks",
+    "rmat ybe": (
+        "triple exchange identity",
+        [
+            (["--a"], "store", "1", False, None, "scale of space 1 (rational)"),
+            (["--b"], "store", "1", False, None, "scale of space 2 (rational)"),
+            (["--c"], "store", "1", False, None, "scale of space 3 (rational)"),
+            JSON,
+            PERTURB,
+        ],
+    ),
+    "rmat yang": (
+        "additive degeneration of the solution",
+        [
+            (["--cutoff"], "store:int", 6, False, None, "series truncation order"),
+            JSON,
+            PERTURB,
+        ],
+    ),
+    "rmat normalize": (
+        "rescale the cleared matrix to corner 1",
+        [
+            (["--a"], "store", "1", False, None, "scale of space 1 (rational)"),
+            (["--b"], "store", "1", False, None, "scale of space 2 (rational)"),
+            JSON,
+        ],
+    ),
+    "rmat limit": (
+        "scaled limit of the matrix at a pole",
+        [
+            (["--a"], "store", "1", False, None, "scale of space 1"),
+            (["--b"], "store", "q^2", False, None, "scale of space 2"),
+            (["--point"], "store", "1", False, None, "location of the pole in z"),
+            JSON,
+        ],
+    ),
+    "rmat inverse": (
+        "unitarity of the normalized solution",
+        [
+            (["--seed"], "store:int", 0, False, None, None),
+            (["--points"], "store:int", 3, False, None, "random rational triples"),
+            JSON,
+            PERTURB,
+        ],
+    ),
+    "rmat hexagon": (
+        "mixed-argument exchange identity",
+        [
+            (["--seed"], "store:int", 0, False, None, None),
+            (["--points"], "store:int", 3, False, None, "random rational triples"),
+            JSON,
+            PERTURB,
+        ],
+    ),
+    "rmat intertwine": (
+        "zero-weight generator compatibility",
+        [
+            JSON,
+            PERTURB,
+        ],
+    ),
+    "chain": "transfer matrices on a finite chain",
+    "chain rtt": (
+        "exchange relation for the monodromy",
+        [
+            (["--spec"], "store", None, True, None, "chain description JSON file"),
+            (["--seed"], "store:int", 0, False, None, None),
+            (["--tol"], "store:float", None, False, None, "residual tolerance"),
+            MODE,
+            (["--samples"], "store:int", 2, False, None, "numeric sample points"),
+            JSON,
+            PERTURB,
+        ],
+    ),
+    "chain commute": (
+        "transfer matrices commute",
+        [
+            (["--spec"], "store", None, True, None, "chain description JSON file"),
+            (["--seed"], "store:int", 0, False, None, None),
+            (["--tol"], "store:float", None, False, None, "residual tolerance"),
+            MODE,
+            (["--samples"], "store:int", 2, False, None, "numeric sample points"),
+            JSON,
+            PERTURB,
+        ],
+    ),
+    "chain multiplicativity": (
+        "transfer over a tensor pair factorizes",
+        [
+            (["--spec"], "store", None, True, None, "chain description JSON file"),
+            (["--seed"], "store:int", 0, False, None, None),
+            (["--tol"], "store:float", None, False, None, "residual tolerance"),
+            MODE,
+            (["--samples"], "store:int", 2, False, None, "numeric sample points"),
+            JSON,
+            PERTURB,
+        ],
+    ),
+    "chain spectrum": (
+        "joint eigenvalue branches",
+        [
+            (["--spec"], "store", None, True, None, "chain description JSON file"),
+            (["--seed"], "store:int", 0, False, None, None),
+            (["--tol"], "store:float", None, False, None, "residual tolerance"),
+            (["--sector"], "store:int", None, False, None, "magnon number"),
+            JSON,
+        ],
+    ),
+    "chain tq": (
+        "shift identity with a polynomial on every branch",
+        [
+            (["--spec"], "store", None, True, None, "chain description JSON file"),
+            (["--seed"], "store:int", 0, False, None, None),
+            (["--tol"], "store:float", None, False, None, "residual tolerance"),
+            (["--sector"], "store:int", None, False, None, "magnon number"),
+            JSON,
+            PERTURB,
+        ],
+    ),
+    "chain bethe": (
+        "root systems against direct nonlinear solving",
+        [
+            (["--spec"], "store", None, True, None, "chain description JSON file"),
+            (["--seed"], "store:int", 0, False, None, None),
+            (["--tol"], "store:float", None, False, None, "residual tolerance"),
+            (["--sector"], "store:int", None, True, None, "magnon number"),
+            JSON,
+            PERTURB,
+        ],
+    ),
+    "cluster": "seed mutation and exchange graphs",
+    "cluster mutate": (
+        "mutate the initial seed at vertices",
+        [
+            (["--quiver"], "store", None, True, None, "quiver JSON file"),
+            (["--at"], "append:int", None, True, None, "1-based mutable vertex; repeat to compose"),
+            JSON,
+        ],
+    ),
+    "cluster explore": (
+        "breadth-first seed exploration",
+        [
+            (["--quiver"], "store", None, True, None, "quiver JSON file"),
+            (["--depth"], "store:int", 8, False, None, "mutation depth bound"),
+            JSON,
+        ],
+    ),
+    "cluster laurent": (
+        "denominators of discovered variables",
+        [
+            (["--quiver"], "store", None, True, None, "quiver JSON file"),
+            (["--depth"], "store:int", 8, False, None, "mutation depth bound"),
+            JSON,
+            PERTURB,
+        ],
+    ),
+    "stab": "attracting-order matrices and walls",
+    "stab roots": (
+        "wall directions of the arrangement",
+        [
+            (["--n"], "store:int", None, True, None, None),
+            JSON,
+        ],
+    ),
+    "stab order": (
+        "attracting order of a chamber",
+        [
+            (["--n"], "store:int", None, True, None, None),
+            (["--chamber"], "store", None, False, None, "'plus', 'minus', or '1,0,2'"),
+            JSON,
+        ],
+    ),
+    "stab matrix": (
+        "envelope matrix for a chamber",
+        [
+            (["--n"], "store:int", None, True, None, None),
+            (["--chamber"], "store", None, False, None, "'plus', 'minus', or '1,0,2'"),
+            (["--polarization"], "store", None, False, None, "signs per fixed point, e.g. '1,-1'"),
+            JSON,
+        ],
+    ),
+    "stab rmatrix": (
+        "wall-crossing matrix between chambers",
+        [
+            (["--n"], "store:int", None, True, None, None),
+            (["--chamber"], "store", None, False, None, "source chamber"),
+            (["--to"], "store", None, False, None, "target chamber (default: opposite)"),
+            JSON,
+        ],
+    ),
+    "stab cycle": (
+        "cyclic wall-crossing product closes",
+        [
+            (["--n"], "store:int", None, True, None, None),
+            (["--face"], "store", "u1=u2", False, None, "codim-2 face label"),
+            JSON,
+            PERTURB,
+        ],
+    ),
+}
+
+
+def _run(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as e:
+        code = e.code
+    out, err = capsys.readouterr()
+    last = err.strip().splitlines()[-1] if err.strip() else ""
+    return code, hashlib.sha256(out.encode()).hexdigest(), last
+
+
+def _subparsers(parser):
+    act = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in act._choices_actions}
+    return [(name, helps[name], sub) for name, sub in act.choices.items()]
+
+
+def _kind(action) -> str:
+    kind = type(action).__name__.strip("_").removesuffix("Action").lower()
+    return f"{kind}:{action.type.__name__}" if action.type else kind
+
+
+def parser_surface(parser) -> dict:
+    surface = {}
+    for group, ghelp, gparser in _subparsers(parser):
+        surface[group] = ghelp
+        for name, chelp, cparser in _subparsers(gparser):
+            rows = [
+                (a.option_strings, _kind(a), a.default, a.required, a.choices, a.help)
+                for a in cparser._actions
+                if a.dest != "help"
+            ]
+            surface[f"{group} {name}"] = (chelp, rows)
+    return surface
+
+
+@pytest.fixture
+def inputs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "l1.json").write_text(json.dumps({"L": 1, "q": "2", "twist": "3"}))
+    (tmp_path / "l2.json").write_text(
+        json.dumps({"L": 2, "q": "0.83+0.21*i", "twist": "0.64+0.13*i"})
+    )
+    (tmp_path / "example.json").write_text(
+        json.dumps({"r": 3, "frozen": [2, 3], "arrows": [[3, 1, 1], [1, 2, 1]]})
+    )
+
+
+def test_every_command_json_bytes_are_pinned(inputs, capsys):
+    commands = {tuple(argv.split()[:2]) for argv in JSON_PINS}
+    assert len(commands) == 21
+    for argv, pin in JSON_PINS.items():
+        assert _run(argv.split() + ["--json"], capsys) == pin, argv
+
+
+def test_every_subcommand_parser_surface_is_pinned():
+    assert parser_surface(cli._parser()) == PARSER_SURFACE
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    assert cli.main(["stab", "roots", "--n", "1", "--json"]) == 0
+    first = len(built)
+    assert first > 0
+    assert cli.main(["rmat", "ybe", "--json"]) == 0
+    assert len(built) == first
+    capsys.readouterr()

@@ -9,23 +9,19 @@ from hypothesis import example, given, settings, strategies as st
 from qilab.field import (
     MPoly,
     RatFun,
-    bareiss_nullspace,
     identity,
     kron,
     mat_eq,
     mat_mul,
-    nullspace_exact,
     np_apply_conserving,
-    np_apply_on_slots,
-    np_op_on_slots,
     np_partial_trace,
-    np_rank,
     np_residual,
     op_on_slots,
     partial_trace,
     rref,
     solve_unique,
 )
+from slot_oracles import np_apply_on_slots, np_op_on_slots
 
 
 def _frac_mat(rows):
@@ -62,26 +58,12 @@ def test_partial_trace_of_product_state():
 
 def test_rref_rank_and_nullspace():
     M = [[RatFun(1), RatFun(2)], [RatFun(2), RatFun(4)]]
-    _, pivots = rref(M)
-    assert len(pivots) == 1
-    ns = nullspace_exact(M)
-    assert len(ns) == 1
-    v = ns[0]
-    assert v[0] + 2 * v[1] == RatFun.zero() or 2 * v[0] + 4 * v[1] == RatFun.zero()
-
-
-def test_bareiss_agrees_with_rref_nullspace():
-    rows = [
-        [Fraction(1, 2), Fraction(1), Fraction(0)],
-        [Fraction(1), Fraction(2), Fraction(0)],
-    ]
-    M = [[RatFun(x) for x in row] for row in rows]
-    ns1 = nullspace_exact(M)
-    ns2 = bareiss_nullspace(rows)
-    assert len(ns1) == len(ns2) == 2
-    for v in ns2:
-        for row in rows:
-            assert sum(row[i] * v[i] for i in range(3)) == 0
+    R, pivots = rref(M)
+    assert pivots == [0]
+    # the free column gives the null vector (-R[0][1], 1)
+    v = [-R[0][1], RatFun(1)]
+    for row in M:
+        assert row[0] * v[0] + row[1] * v[1] == RatFun.zero()
 
 
 def test_solve_unique_and_underdetermined():
@@ -279,10 +261,9 @@ def test_np_apply_conserving_rejects_spin_changing_factor(entry):
         np_apply_conserving(np.asfortranarray(M), np.eye(4), (2, 0), [2, 2, 2, 2])
 
 
-def test_np_identity_and_rank():
+def test_np_identity_embedding_and_partial_trace():
     pattern = np_op_on_slots(np.eye(4, dtype=complex), (0, 2), [2, 2, 2])
     assert np_residual(pattern, np.eye(8, dtype=complex)) < 1e-14
-    assert np_rank(np.diag([1.0, 1e-3, 0.0]).astype(complex)) == 2
     tr = np_partial_trace(
         np.kron(np.eye(2, dtype=complex), np.eye(2, dtype=complex)), 1, [2, 2]
     )
