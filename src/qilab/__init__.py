@@ -2,8 +2,8 @@
 
 Subpackages and modules:
 
-- ``field``: exact polynomials, rational functions, truncated series, and
-  matrices over them, with numeric counterparts.
+- ``field``: exact polynomials, rational functions, and matrices over
+  them, with numeric counterparts.
 - ``rmatrix``: the fundamental 4x4 solution of the spectral Yang-Baxter
   equation and its structural checks.
 - ``chain``: twisted inhomogeneous spin-chain transfer matrices, their

@@ -214,12 +214,7 @@ def _cmd_rmat_limit(args):
     if fb.is_zero():
         raise InputError("scale b must be nonzero")
     zeta = RatFun(MPoly.var("z")) * fa / fb
-    M = rm.trig_r(zeta)
-    orders = [
-        rm.pole_order_at(x, "z", point) for row in M for x in row if not x.is_zero()
-    ]
-    order = max(orders) if orders else 0
-    res = [[rm.limit_at(x, "z", point, order) for x in row] for row in M]
+    order, res = rm.pole_limit(rm.trig_r(zeta), "z", point)
     cr = CheckResult(
         name="pole-limit",
         ok=True,

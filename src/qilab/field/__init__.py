@@ -1,8 +1,7 @@
-"""Exact arithmetic core: polynomials, rational functions, series, matrices."""
+"""Exact arithmetic core: polynomials, rational functions, matrices."""
 
 from .poly import MPoly, NotDivisible, normalize_var, poly_gcd, var_rank
 from .ratfun import ParseError, RatFun
-from .series import TruncSeries2, leading_form_ratio, series_of_poly
 from .linalg import (
     identity,
     kron,
@@ -27,9 +26,6 @@ __all__ = [
     "var_rank",
     "ParseError",
     "RatFun",
-    "TruncSeries2",
-    "leading_form_ratio",
-    "series_of_poly",
     "identity",
     "kron",
     "mat_add",

@@ -18,10 +18,17 @@ JSON_PINS = {
     "rmat ybe --a q": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: expected a rational constant, got 'q'"),
     "rmat yang --cutoff 4": (0, "c7d65f44690eef13ffd8d963bdcf81a4cdd8e6105a188cbd42e6e1871fc25a2a", ""),
     "rmat yang --cutoff 4 --perturb": (1, "953bae207ff2188032ce3f7a6b5c9032d8419b86cc5ccd870ff7f3ee5de870fd", ""),
+    "rmat yang": (0, "d79b98d1927970bd5f6b160f7149bf9582249e83d0af897233bff9767338283e", ""),
+    "rmat yang --cutoff 2": (0, "25e39415dbd63f9cde0d371c39aa903e01a1b3c32688967aac25698c9d69c2c6", ""),
+    "rmat yang --cutoff 1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: denominator series vanishes to the cutoff"),
+    "rmat yang --cutoff 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: cutoff must be at least 1"),
     "rmat normalize --a 2 --b 3": (0, "c697215a51ce5f2a2bca99e0c5b05d5eb201141eccadac23d22646c0c0e5be79", ""),
     "rmat normalize --b 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: scale b must be nonzero"),
     "rmat limit": (0, "96b69801c73b34a579b7c862b31180f24508a1f9b1817b3128f13a3d9bc8f5ad", ""),
     "rmat limit --a 1 --b q --point 1": (0, "8e16e3a431c2f401455e9b7d15072eab7aa9ba5b69964c4acb27b648f129680e", ""),
+    "rmat limit --a 1 --b 1 --point 1": (0, "d0ceb355e7dcef5ece033908d172466a587528609bdb14f2c05bda428d6be7c1", ""),
+    "rmat limit --a 0": (0, "1c80532639416942133858a02e87caaab953ec7f50c8d2d4c54426d8ac35987a", ""),
+    "rmat limit --a t --b 1 --point 1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: entry (z*q*t - q)/(z*q^2*t - 1) already contains t, the expansion variable"),
     "rmat inverse --points 2": (0, "3833f64f79abed8a1ee4849f1858b572909b2b8a04647eb5b5991ccc15260902", ""),
     "rmat inverse --points 2 --perturb": (1, "9f2713e8b3c29ae7374967d36904f11142e894f6bb13a699ab0d067859226240", ""),
     "rmat hexagon --points 2 --seed 1": (0, "9359625d5c5fd55af164a247804513ba0d2e2d55b9376e12dac20354345d348f", ""),

@@ -14,11 +14,9 @@ from qilab.rmatrix import (
     check_yang,
     cleared_r,
     coproduct_action,
-    limit_at,
     normalize,
     perm_p,
-    pole_order_at,
-    residue_limit,
+    pole_limit,
     trig_r,
     yang_limit,
 )
@@ -89,23 +87,58 @@ def test_yang_limit_golden():
     assert not check_yang(perturb=True).ok
 
 
+def test_yang_limit_matches_evaluation_along_the_ray():
+    # R at z = 1 + eps u0, q = 1 + eps h0/2 is the limit at (u0, h0) up to O(eps)
+    R = trig_r(Z)
+    lim = yang_limit()
+    for u0, h0 in [(2, 3), (Fraction(-5, 7), Fraction(1, 3)), (1, -4)]:
+        u0, h0 = Fraction(u0), Fraction(h0)
+        for eps in (Fraction(1, 10**4), Fraction(1, 10**8)):
+            at = {"z": 1 + eps * u0, "q": 1 + eps * h0 / 2}
+            point = {"u": u0, "h": h0}
+            err = max(
+                abs(R[i][j].eval_fraction(at) - lim[i][j].eval_fraction(point))
+                for i in range(4)
+                for j in range(4)
+            )
+            assert err / eps <= 10
+
+
+def test_pole_limit_matches_evaluation_along_the_ray():
+    # (z - 1) R(z q^-2) at z = 1 + eps differs from the residue by O(eps)
+    M = trig_r(RatFun(MPoly.var("z"), MPoly.var("q") ** 2))
+    order, res = pole_limit(M, "z", 1)
+    assert order == 1
+    q0 = Fraction(3, 5)
+    for eps in (Fraction(1, 10**4), Fraction(1, 10**8)):
+        at = {"z": 1 + eps, "q": q0}
+        err = max(
+            abs(eps * M[i][j].eval_fraction(at) - res[i][j].eval_fraction({"q": q0}))
+            for i in range(4)
+            for j in range(4)
+        )
+        assert err / eps <= 10
+
+
 def test_pole_order_and_residue():
-    f = RatFun(1) / ((Z - 1) ** 2)
-    assert pole_order_at(f, "z", 1) == 2
-    assert pole_order_at(Z - 1, "z", 1) == -1
-    lim = limit_at(f, "z", 1, 2)
-    assert lim == RatFun(1)
-    with pytest.raises(ZeroDivisionError):
-        limit_at(f, "z", 1, 1)
+    order, lim = pole_limit([[RatFun(1) / ((Z - 1) ** 2), Z - 1]], "z", 1)
+    assert order == 2
+    assert lim == [[RatFun(1), RatFun(0)]]
+    # a zero of order 1 only: the scaled limit is the entry's leading coefficient
+    assert pole_limit([[Z - 1, RatFun(0)]], "z", 1) == (-1, [[RatFun(1), RatFun(0)]])
+    assert pole_limit([[RatFun(0)]], "z", 1) == (0, [[RatFun(0)]])
+    with pytest.raises(ValueError, match="contains t"):
+        pole_limit([[RatFun.var("t")]], "z", 1)
 
 
-def test_residue_limit_rank_one():
+def test_pole_limit_rank_one():
     cr = check_pole_structure()
     assert cr.ok
     assert cr.details["pole_order"] == 1
     assert cr.details["rank"] == 1
-    res = residue_limit()
     q = MPoly.var("q")
+    order, res = pole_limit(trig_r(RatFun(MPoly.var("z"), q * q)), "z", 1)
+    assert order == 1
     assert res[1][1] == RatFun(1 - q * q, q)
     assert res[1][2] == RatFun(q * q - 1)
     assert res[2][1] == RatFun(q * q - 1, q * q)
