@@ -213,11 +213,11 @@ def _cmd_rmat_limit(args):
         return inputs, [rm.check_pole_structure()]
     if fb.is_zero():
         raise InputError("scale b must be nonzero")
-    zeta = RatFun(MPoly.var("z")) * fa / fb
-    order, res = rm.pole_limit(rm.trig_r(zeta), "z", point)
+    M = rm.trig_r(RatFun(MPoly.var("z")) * fa / fb)
+    order, res = rm.pole_limit(M, "z", point)
     cr = CheckResult(
         name="pole-limit",
-        ok=True,
+        ok=rm.pole_limit_holds(M, "z", point, order, res),
         details={
             "pole_order": order,
             "rank": len(rref(res)[1]),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .field import RatFun
 from .verdict import CheckResult
@@ -134,11 +134,14 @@ class Seed:
     """Exact variables attached to the quiver's vertices.
 
     Frozen vertices must be the trailing indices n+1..r: those variables
-    belong to every cluster and are never mutated.
+    belong to every cluster and are never mutated.  ``exchange`` is the
+    ``_exchange`` of the mutation that made the seed (None for an initial
+    seed); it takes no part in comparisons.
     """
 
     variables: tuple
     quiver: Quiver
+    exchange: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.variables) != self.quiver.r:
@@ -153,31 +156,32 @@ def initial_seed(q: Quiver) -> Seed:
     return Seed(variables=vs, quiver=q)
 
 
-def _exchange_parts(seed: Seed, k: int):
-    """(out-product, in-product) of neighbor variables at vertex k."""
-    a = k - 1
-    B = seed.quiver.B
-    out = RatFun(1)
-    inn = RatFun(1)
-    for j in range(seed.quiver.r):
-        m = B[a][j]
+def _exchange(seed: Seed, k: int):
+    """``(out exponents, in exponents, out-product + in-product)`` at vertex
+    k; the exponents map a 0-based neighbor index to its arrow count."""
+    out, inn = {}, {}
+    for j, m in enumerate(seed.quiver.B[k - 1]):
         if m > 0:
-            out = out * seed.variables[j] ** m
+            out[j] = m
         elif m < 0:
-            inn = inn * seed.variables[j] ** (-m)
-    return out, inn
+            inn[j] = -m
+    products = []
+    for exps in (out, inn):
+        p = RatFun(1)
+        for j, e in exps.items():
+            p = p * seed.variables[j] ** e
+        products.append(p)
+    return out, inn, products[0] + products[1]
 
 
 def mutate_seed(seed: Seed, k: int) -> Seed:
     """Replace z_k by (out-product + in-product)/z_k; mutate the quiver."""
     if not seed.quiver.is_mutable(k):
         raise ValueError(f"vertex {k} is frozen or out of range")
-    out, inn = _exchange_parts(seed, k)
-    zk = seed.variables[k - 1]
-    new_var = (out + inn) / zk
+    exchange = _exchange(seed, k)
     vs = list(seed.variables)
-    vs[k - 1] = new_var
-    return Seed(variables=tuple(vs), quiver=mutate_quiver(seed.quiver, k))
+    vs[k - 1] = exchange[2] / vs[k - 1]
+    return Seed(tuple(vs), mutate_quiver(seed.quiver, k), exchange)
 
 
 def _canonical_key(seed: Seed) -> str:
@@ -258,25 +262,15 @@ def _product_display(seed: Seed, atlas: Atlas, exps: dict) -> str:
 
 
 def _record_relation(seed: Seed, atlas: Atlas, k: int, new_seed: Seed):
-    a = k - 1
-    old = seed.variables[a]
-    new = new_seed.variables[a]
-    out, inn = _exchange_parts(seed, k)
-    rhs = out + inn
+    """Record the exchange relation of ``new_seed = mutate_seed(seed, k)``."""
+    old = seed.variables[k - 1]
+    new = new_seed.variables[k - 1]
+    out_exps, in_exps, rhs = new_seed.exchange
     key = (frozenset({str(old), str(new)}), str(rhs))
     if key in atlas.relations:
         return
     old_name = atlas.names[str(old)]
     new_name = _register_variable(atlas, new, old_name + "p")
-    out_exps = {}
-    in_exps = {}
-    B = seed.quiver.B
-    for j in range(seed.quiver.r):
-        m = B[a][j]
-        if m > 0:
-            out_exps[j] = m
-        elif m < 0:
-            in_exps[j] = -m
     rhs_disp = (
         _product_display(seed, atlas, out_exps)
         + " + "
@@ -318,7 +312,7 @@ def explore(seed: Seed, depth: int) -> Atlas:
 
 def laurent_check(v: RatFun) -> bool:
     """True iff the canonical denominator is a single monomial."""
-    return len(v.den.terms) == 1
+    return v.den.n_terms() == 1
 
 
 EXAMPLE_QUIVER = {"r": 3, "frozen": [2, 3], "arrows": [[3, 1, 1], [1, 2, 1]]}

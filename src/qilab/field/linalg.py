@@ -3,21 +3,22 @@
 Exact matrices are plain lists of rows whose entries are MPoly, RatFun,
 Fraction, or int; the helpers only assume ring arithmetic with coercion and
 canonicalize no further than the entry type itself does.  ``mat_mul`` of two
-matrices whose nonzero entries are all MPoly packs each entry once (see
-``poly._Packing``) and visits only the (i, t, j) with A[i][t] and B[t][j] both
-nonzero: one int multiply-add per pair of their terms, and one unpacking to a
-Fraction term per term of an output entry.  Other entry types take the generic
-loop over all n*k*m index triples with one ring product and sum per nonzero
-pair.  Numeric matrices are numpy arrays: ``np_apply_conserving`` applies a
-spin-conserving 4x4 factor on two tensor slots in place with two
-quarter-matrix updates and two quarter-size temporaries.
+matrices whose nonzero entries are all MPoly runs ``MPoly.matrix_product``:
+each entry's packed integer terms are rekeyed once to the union of all
+supports, and only the (i, t, j) with A[i][t] and B[t][j] both nonzero are
+visited, with one int multiply-add per pair of their terms.  Other entry
+types take the generic loop over all n*k*m index triples with one ring
+product and sum per nonzero pair.  Numeric matrices are numpy arrays:
+``np_apply_conserving`` applies a spin-conserving 4x4 factor on two tensor
+slots in place with two quarter-matrix updates and two quarter-size
+temporaries.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .poly import MPoly, _accumulate, _Packing
+from .poly import MPoly
 
 __all__ = [
     "mat_mul",
@@ -38,7 +39,7 @@ __all__ = [
 
 def mat_mul(A, B):
     if all(isinstance(x, MPoly) for M in (A, B) for row in M for x in row if x):
-        return _mat_mul_packed(A, B)
+        return MPoly.matrix_product(A, B)
     n, k, m = len(A), len(B), len(B[0])
     out = []
     for i in range(n):
@@ -56,34 +57,6 @@ def mat_mul(A, B):
                 p = a * b
                 acc = p if acc is None else acc + p
             row.append(0 if acc is None else acc)
-        out.append(row)
-    return out
-
-
-def _mat_mul_packed(A, B):
-    """``mat_mul`` of MPoly matrices with each operand packed once.
-
-    Entry (i, j) accumulates its products in ascending t in one int dict.  It
-    stays int 0 when no pair is nonzero, as in the generic loop; a sum that
-    cancels is ``MPoly.zero()``.
-    """
-    pk = _Packing(
-        [a for row in A for a in row if a], [b for row in B for b in row if b]
-    )
-    PA = [[(t, pk.pack(a, 0)) for t, a in enumerate(row) if a] for row in A]
-    PB = [[(j, pk.pack(b, 1)) for j, b in enumerate(row) if b] for row in B]
-    out = []
-    for prow in PA:
-        accs: dict[int, dict] = {}
-        for t, pa in prow:
-            for j, pb in PB[t]:
-                acc = accs.get(j)
-                if acc is None:
-                    acc = accs[j] = {}
-                _accumulate(acc, pa, pb)
-        row = [0] * len(B[0])
-        for j, acc in accs.items():
-            row[j] = pk.poly(acc)
         out.append(row)
     return out
 

@@ -11,32 +11,38 @@ to one global monomial order, defined by ranking the variables
 and comparing exponent vectors lexicographically, most significant variable
 first.  Terms print in descending order under this ranking.
 
-Products keep that storage (exponent tuple -> Fraction, ``vars`` the exact
-support) and use integers only inside their loops.  A one-term factor shifts
-and scales the other's terms.  Otherwise a private packed kernel,
-``_Packing``, aligns the variables of both sides in rank order, packs each
-exponent tuple into one int whose bit slot per variable is as wide as the
-bit length of that variable's largest degree sum over the two sides (so key
-addition never carries), scales coefficients to ints over a common
-denominator, accumulates ``ka + kb -> ca * cb`` in one int dict and unpacks
-once.  ``MPoly.__mul__`` and ``linalg.mat_mul`` on MPoly matrices use it.
+One stored form.  An MPoly is ``content * P``: ``content`` is a Fraction
+(0 only for the zero polynomial) and ``P`` a primitive integer polynomial
+whose lex-leading coefficient is positive, so the stored form is canonical
+and ``==`` and ``hash`` compare it directly.  ``vars`` is the exact support
+in rank order.  ``P`` is a dict from packed exponent key to int.  Every
+variable owns one 32-bit slot, ``vars[0]`` the highest and the last
+variable bits 0-31, so comparing keys as ints is the lex order, adding keys
+multiplies monomials and the least significant variable sits in the lowest
+slot.  The top bit of each slot is a guard: exponents stay below 2^31, and
+an operation whose result would reach that bit raises ValueError.  Two
+operands with different supports are rekeyed to the union of the two
+(``_align``); only this module reads the stored form.
+
+Products multiply the contents and the primitive parts.  By Gauss's lemma
+a product of primitive parts is primitive, and its leading coefficient is
+the product of two positive ones, so no gcd runs.  Sums, ``split_by`` and
+matrix products divide the gcd of the ints back out.  ``div_exact`` divides
+the primitive parts over Z by leading terms (``_quotient``); by Gauss's
+lemma the quotient is integral whenever it exists.
 
 ``poly_gcd`` returns the gcd with leading coefficient 1 and runs on ints:
 
 - a zero operand gives the other made monic, and a constant operand gives 1;
-- if either operand is one term ``c*x^e``, the gcd is the monomial
-  ``x^min(e, m)`` over the shared variables, with ``m`` the other operand's
-  smallest exponents; no division or constructor runs;
-- otherwise each side's monomial content is divided out (the shared part
-  becomes a monomial factor of the result), its coefficients are scaled to a
-  primitive int vector, and its exponents are packed into ints with the
-  variables in rank order, the least significant in the lowest bit slot
-  (``_GcdLayout``).  The heuristic gcd of Char, Geddes and Gonnet (GCDHEU)
+- each side's monomial content (the slotwise minimum of its keys) is divided
+  out and the shared part becomes a monomial factor of the result; if a side
+  is then a constant, that factor is the gcd;
+- otherwise the heuristic gcd of Char, Geddes and Gonnet (GCDHEU)
   evaluates the least significant variable at an integer ``xi`` above
   twice the smaller coefficient norm plus one, recurses on the images down
   to an integer gcd, and rebuilds a candidate from balanced ``xi``-adic
   digits.  Its primitive part is the gcd if it divides both sides exactly
-  over Z, which a packed sparse division checks; otherwise ``xi`` grows by
+  over Z, which ``_quotient`` checks; otherwise ``xi`` grows by
   73794/27011, at most six times per variable.
 - The Fraction primitive pseudo-remainder sequence (``_prs_gcd``) runs only
   when the heuristic gives up: after six rejected candidates for one
@@ -47,9 +53,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import reduce
+from functools import cache, lru_cache, reduce
 from math import gcd, lcm
-from operator import add, mul, or_
+from operator import or_
 
 __all__ = ["MPoly", "NotDivisible", "normalize_var", "var_rank", "poly_gcd"]
 
@@ -100,41 +106,139 @@ def _coerce_scalar(x):
     return None
 
 
+# the packed layout
+
+_W = 32  # bits per variable slot
+_LIMIT = 1 << (_W - 1)  # the guard bit: every exponent stays below it
+_SLOT = (1 << _W) - 1
+
+
+@cache
+def _masks(n: int) -> tuple[int, int]:
+    """``(guard, fill)`` for ``n`` slots: the guard bits, and ``_LIMIT - 1``
+    in every slot (adding it to a key sets the guard bit of each nonzero
+    slot)."""
+    ones = ((1 << _W * n) - 1) // _SLOT
+    return _LIMIT * ones, (_LIMIT - 1) * ones
+
+
+@cache
+def _offsets(n: int) -> tuple:
+    """Bit offset of each of ``n`` slots, most significant first."""
+    return tuple(_W * (n - 1 - i) for i in range(n))
+
+
+def _decode(k: int, n: int) -> tuple:
+    return tuple([k >> s & _SLOT for s in _offsets(n)])
+
+
+@lru_cache(maxsize=4096)
+def _union(a: tuple, b: tuple) -> tuple:
+    return tuple(sorted(set(a) | set(b), key=_RANK.__getitem__))
+
+
+@lru_cache(maxsize=4096)
+def _moves(src: tuple, dst: tuple) -> tuple:
+    """``(src offset, mask, dst offset)`` per run of slots that move together
+    from the layout of ``src`` to that of ``dst``.  Variables of ``src``
+    missing from ``dst`` must have exponent 0; they are dropped."""
+    runs = []
+    for v, s in zip(reversed(src), reversed(_offsets(len(src)))):
+        if v not in dst:
+            continue
+        d = _W * (len(dst) - 1 - dst.index(v))
+        if runs and runs[-1][0] + runs[-1][2] == s and runs[-1][1] + runs[-1][2] == d:
+            runs[-1][2] += _W
+        else:
+            runs.append([s, d, _W])
+    return tuple((s, (1 << width) - 1, d) for s, d, width in runs)
+
+
+def _rekey(ints: dict, src: tuple, dst: tuple) -> dict:
+    """``ints`` keyed on the slots of ``dst`` instead of ``src``."""
+    if src == dst:
+        return ints
+    runs = _moves(src, dst)
+    if len(runs) == 1:
+        ((s, m, d),) = runs
+        return {(k >> s & m) << d: c for k, c in ints.items()}
+    out = {}
+    for k, c in ints.items():
+        key = 0
+        for s, m, d in runs:
+            key |= (k >> s & m) << d
+        out[key] = c
+    return out
+
+
+def _align(a: "MPoly", b: "MPoly") -> tuple:
+    """``(vars, ints of a, ints of b)`` on the union of the two supports."""
+    if a.vars == b.vars:
+        return a.vars, a._ints, b._ints
+    vars = _union(a.vars, b.vars)
+    return vars, _rekey(a._ints, a.vars, vars), _rekey(b._ints, b.vars, vars)
+
+
+def _make(vars: tuple, ints: dict, content: Fraction) -> "MPoly":
+    """Wrap data that is already canonical."""
+    p = object.__new__(MPoly)
+    object.__setattr__(p, "vars", vars)
+    object.__setattr__(p, "_ints", ints)
+    object.__setattr__(p, "_content", content)
+    return p
+
+
+def _trim(vars: tuple, ints: dict, content: Fraction) -> "MPoly":
+    """The MPoly of a primitive, positive-leading ``ints``: drops the slots no
+    key uses and raises ValueError if an exponent reached the guard bit."""
+    if vars:
+        guard, fill = _masks(len(vars))
+        used = reduce(or_, ints)
+        if used & guard:
+            raise ValueError(f"exponent exceeds the limit {_LIMIT - 1}")
+        alive = (used + fill) & guard
+        if alive != guard:
+            offsets = _offsets(len(vars))
+            keep = tuple(v for v, s in zip(vars, offsets) if alive >> s + _W - 1 & 1)
+            ints = _rekey(ints, vars, keep)
+            vars = keep
+    return _make(vars, ints, content)
+
+
+def _canon(vars: tuple, ints: dict, num: int = 1, den: int = 1) -> "MPoly":
+    """The MPoly ``num/den * ints``; ``ints`` need not be primitive."""
+    if not ints:
+        return _ZERO
+    g = gcd(*ints.values())
+    if ints[max(ints)] < 0:
+        g = -g
+    if g != 1:
+        ints = {k: c // g for k, c in ints.items()}
+    return _trim(vars, ints, Fraction(num * g, den))
+
+
 class MPoly:
     """Immutable sparse polynomial; ``vars`` holds exactly the support."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_ints", "_content")
 
-    def __init__(self, vars, terms):
+    def __new__(cls, vars, terms):
+        """``terms`` maps exponent tuples over ``vars`` (any order, unused
+        variables allowed) to int or Fraction coefficients."""
         vars = tuple(vars)
-        clean = {}
-        for exps, coeff in terms.items():
-            if not isinstance(coeff, Fraction):
-                coeff = Fraction(coeff)
-            if coeff:
-                clean[tuple(exps)] = coeff
-        used = [False] * len(vars)
-        for exps in clean:
-            for i, e in enumerate(exps):
-                if e:
-                    used[i] = True
-        order = sorted(
-            (i for i in range(len(vars)) if used[i]), key=lambda i: _RANK[vars[i]]
-        )
-        newvars = tuple(vars[i] for i in order)
-        if newvars != vars:
-            remapped: dict[tuple, Fraction] = {}
-            for exps, coeff in clean.items():
-                key = tuple(exps[i] for i in order)
-                acc = remapped.get(key, Fraction(0)) + coeff
-                if acc:
-                    remapped[key] = acc
-                else:
-                    remapped.pop(key, None)
-            clean = remapped
-            vars = newvars
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", clean)
+        order = sorted(range(len(vars)), key=lambda i: _RANK[vars[i]])
+        offsets = _offsets(len(vars))
+        coeffs = {}
+        for exps, c in terms.items():
+            c = Fraction(c)
+            if not c:
+                continue
+            if len(exps) != len(vars) or not all(0 <= e < _LIMIT for e in exps):
+                raise ValueError(f"exponents {tuple(exps)} outside 0..{_LIMIT - 1}")
+            coeffs[sum(exps[i] << s for i, s in zip(order, offsets))] = c
+        den = lcm(*[c.denominator for c in coeffs.values()])
+        ints = {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
+        return _canon(tuple(vars[i] for i in order), ints, 1, den)
 
     def __setattr__(self, *a):
         raise AttributeError("MPoly is immutable")
@@ -142,91 +246,94 @@ class MPoly:
     # constructors
 
     @classmethod
-    def _from_canonical(cls, vars: tuple, terms: dict) -> "MPoly":
-        """Wrap data that is already canonical: ``vars`` the rank-ordered
-        exact support, ``terms`` nonzero Fractions keyed by exponent tuples."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "vars", vars)
-        object.__setattr__(p, "terms", terms)
-        return p
-
-    @classmethod
     def zero(cls) -> "MPoly":
-        return cls._from_canonical((), {})
+        return _ZERO
 
     @classmethod
     def const(cls, x) -> "MPoly":
         x = Fraction(x)
-        return cls._from_canonical((), {(): x} if x else {})
+        return _make((), {0: 1}, x) if x else _ZERO
 
     @classmethod
     def var(cls, name: str) -> "MPoly":
-        return cls._from_canonical((normalize_var(name),), {(1,): _ONE})
+        return _make((normalize_var(name),), {1: 1}, _ONE)
 
     # predicates and views
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._ints
 
     def is_const(self) -> bool:
         return not self.vars
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) <= 1
+    def n_terms(self) -> int:
+        return len(self._ints)
+
+    def terms(self) -> dict:
+        """Exponent tuple over ``vars`` -> Fraction, in descending order."""
+        n, c = len(self.vars), self._content
+        return {
+            _decode(k, n): c if v == 1 else c * v
+            for k, v in sorted(self._ints.items(), reverse=True)
+        }
 
     def as_fraction(self) -> Fraction:
         if self.vars:
             raise ValueError(f"not a constant: {self}")
-        return self.terms.get((), Fraction(0))
+        return self._content
 
     def degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
-        if not self.terms:
+        if not self._ints:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(_decode(k, len(self.vars))) for k in self._ints)
 
     def degree_in(self, name: str) -> int:
         name = normalize_var(name)
         if name not in self.vars:
             return 0
-        i = self.vars.index(name)
-        return max(e[i] for e in self.terms)
+        s = _offsets(len(self.vars))[self.vars.index(name)]
+        return max(k >> s & _SLOT for k in self._ints)
 
     def degree_in_set(self, names) -> int:
         """Max total degree counting only the listed variables."""
         names = {normalize_var(n) for n in names}
-        idx = [i for i, v in enumerate(self.vars) if v in names]
-        if not self.terms:
+        if not self._ints:
             return -1
-        return max(sum(e[i] for i in idx) for e in self.terms)
+        picked = [s for v, s in zip(self.vars, _offsets(len(self.vars))) if v in names]
+        return max(sum(k >> s & _SLOT for s in picked) for k in self._ints)
 
     def key(self):
-        return (self.vars, tuple(sorted(self.terms.items())))
+        """``(vars, ((exponents, coefficient), ...))`` in ascending order."""
+        n, c = len(self.vars), self._content
+        return self.vars, tuple(
+            (_decode(k, n), c if v == 1 else c * v)
+            for k, v in sorted(self._ints.items())
+        )
 
     def __hash__(self):
-        return hash(self.key())
+        return hash((self.vars, self._content, frozenset(self._ints.items())))
 
     def __bool__(self):
-        return bool(self.terms)
-
-    def _aligned(self, other):
-        if self.vars == other.vars:
-            return self.vars, self.terms, other.terms
-        merged = tuple(sorted(set(self.vars) | set(other.vars), key=_RANK.__getitem__))
-        return merged, _remap(self, merged), _remap(other, merged)
+        return bool(self._ints)
 
     # arithmetic
 
     def __eq__(self, other):
         if isinstance(other, MPoly):
-            return self.vars == other.vars and self.terms == other.terms
+            # tuples compare identical items without calling Fraction.__eq__
+            return (self.vars, self._ints, self._content) == (
+                other.vars,
+                other._ints,
+                other._content,
+            )
         s = _coerce_scalar(other)
         if s is None:
             return NotImplemented
         return self.is_const() and self.as_fraction() == s
 
     def __neg__(self):
-        return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _make(self.vars, self._ints, -self._content)
 
     def __add__(self, other):
         if not isinstance(other, MPoly):
@@ -234,15 +341,25 @@ class MPoly:
             if s is None:
                 return NotImplemented
             other = MPoly.const(s)
-        vars, ta, tb = self._aligned(other)
-        out = dict(ta)
-        for e, c in tb.items():
-            acc = out.get(e, Fraction(0)) + c
-            if acc:
-                out[e] = acc
+        if not other._ints:
+            return self
+        if not self._ints:
+            return other
+        vars, A, B = _align(self, other)
+        ca, cb = self._content, other._content
+        g = gcd(ca.numerator, cb.numerator)
+        den = lcm(ca.denominator, cb.denominator)
+        sa = ca.numerator // g * (den // ca.denominator)
+        sb = cb.numerator // g * (den // cb.denominator)
+        out = {k: c * sa for k, c in A.items()} if sa != 1 else dict(A)
+        get = out.get
+        for k, c in B.items():
+            s = get(k, 0) + c * sb
+            if s:
+                out[k] = s
             else:
-                out.pop(e, None)
-        return MPoly(vars, out)
+                del out[k]
+        return _canon(vars, out, g, den)
 
     __radd__ = __add__
 
@@ -262,25 +379,21 @@ class MPoly:
             s = _coerce_scalar(other)
             if s is None:
                 return NotImplemented
-            if not s:
-                return MPoly.zero()
-            return MPoly(self.vars, {e: c * s for e, c in self.terms.items()})
-        if not self.terms or not other.terms:
-            return MPoly.zero()
-        # A product of nonzero polynomials has positive degree in every
-        # variable of either factor, so the union of the supports is exact.
-        if len(self.terms) == 1 or len(other.terms) == 1:
-            # a one-term factor shifts the other's terms apart: no two collide
-            big, mono = (other, self) if len(self.terms) == 1 else (self, other)
-            vars, tb, tm = big._aligned(mono)
-            ((em, cm),) = tm.items()
-            return MPoly._from_canonical(
-                vars, {tuple(map(add, e, em)): c * cm for e, c in tb.items()}
-            )
-        pk = _Packing((self,), (other,))
-        acc: dict[int, int] = {}
-        _accumulate(acc, pk.pack(self, 0), pk.pack(other, 1))
-        return MPoly._from_canonical(pk.vars, pk.terms(acc))
+            if not s or not self._ints:
+                return _ZERO
+            return _make(self.vars, self._ints, self._content * s)
+        if not self._ints or not other._ints:
+            return _ZERO
+        vars, A, B = _align(self, other)
+        if len(A) == 1 or len(B) == 1:
+            # a primitive one-term factor is a monomial with coefficient 1
+            big, mono = (B, A) if len(A) == 1 else (A, B)
+            (km,) = mono
+            out = {k + km: c for k, c in big.items()}
+        else:
+            out = {}
+            _accumulate(out, A.items(), B.items())
+        return _trim(vars, out, self._content * other._content)
 
     __rmul__ = __mul__
 
@@ -303,19 +416,16 @@ class MPoly:
 
     def lex_leading(self):
         """Leading ``(exponents, coefficient)``; raises on the zero polynomial."""
-        if not self.terms:
+        if not self._ints:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms)
-        return e, self.terms[e]
+        k = max(self._ints)
+        return _decode(k, len(self.vars)), self._content * self._ints[k]
 
     def monic(self) -> "MPoly":
-        if not self.terms:
+        if not self._ints:
             return self
-        _, c = self.lex_leading()
-        if c == 1:
-            return self
-        inv = 1 / c
-        return MPoly(self.vars, {e: k * inv for e, k in self.terms.items()})
+        c = Fraction(1, self._ints[max(self._ints)])
+        return self if c == self._content else _make(self.vars, self._ints, c)
 
     # structure helpers
 
@@ -323,68 +433,62 @@ class MPoly:
         """Decompose as a polynomial in one variable: degree -> coefficient."""
         name = normalize_var(name)
         if name not in self.vars:
-            return {0: self} if self.terms else {}
+            return {0: self} if self._ints else {}
         i = self.vars.index(name)
-        rest = self.vars[:i] + self.vars[i + 1 :]
+        s = _offsets(len(self.vars))[i]
+        below = (1 << s) - 1
         buckets: dict[int, dict] = {}
-        for e, c in self.terms.items():
-            d = e[i]
-            re_ = e[:i] + e[i + 1 :]
-            buckets.setdefault(d, {})[re_] = c
-        return {d: MPoly(rest, t) for d, t in buckets.items()}
+        for k, c in self._ints.items():
+            buckets.setdefault(k >> s & _SLOT, {})[k >> s + _W << s | k & below] = c
+        rest = self.vars[:i] + self.vars[i + 1 :]
+        num, den = self._content.numerator, self._content.denominator
+        return {d: _canon(rest, t, num, den) for d, t in buckets.items()}
 
     def coeff_of(self, name: str, k: int) -> "MPoly":
-        return self.split_by(name).get(k, MPoly.zero())
+        return self.split_by(name).get(k, _ZERO)
+
+    def evaluate(self, values: dict, lift, total):
+        """``total`` plus, term by term in descending order,
+        ``lift(coefficient) * values[v1]**e1 * values[v2]**e2 * ...``;
+        ``values`` maps every variable of ``vars`` to a ring element."""
+        slots = [(values[v], s) for v, s in zip(self.vars, _offsets(len(self.vars)))]
+        content = self._content
+        powers = {}
+        for key in sorted(self._ints, reverse=True):
+            c = self._ints[key]
+            val = lift(content if c == 1 else content * c)
+            for x, s in slots:
+                k = key >> s & _SLOT
+                if k:
+                    xk = powers.get((s, k))
+                    if xk is None:
+                        xk = powers[(s, k)] = x**k
+                    val = val * xk
+            total = total + val
+        return total
 
     def substitute(self, mapping: dict) -> "MPoly":
         """Substitute variables by polynomials or scalars; others are kept."""
         norm = {}
         for k, v in mapping.items():
-            if not isinstance(v, MPoly):
-                v = MPoly.const(v)
-            norm[normalize_var(k)] = v
-        targets = [norm.get(v, MPoly.var(v)) for v in self.vars]
-        out = MPoly.zero()
-        cache: dict[tuple[int, int], MPoly] = {}
-        for e, coeff in self.terms.items():
-            term = MPoly.const(coeff)
-            for i, k in enumerate(e):
-                if k:
-                    ck = cache.get((i, k))
-                    if ck is None:
-                        ck = targets[i] ** k
-                        cache[(i, k)] = ck
-                    term = term * ck
-            out = out + term
-        return out
+            norm[normalize_var(k)] = v if isinstance(v, MPoly) else MPoly.const(v)
+        values = {v: norm[v] if v in norm else MPoly.var(v) for v in self.vars}
+        return self.evaluate(values, MPoly.const, _ZERO)
+
+    def _bound(self, mapping: dict, kind: str, cast) -> dict:
+        norm = {normalize_var(k): cast(v) for k, v in mapping.items()}
+        missing = [v for v in self.vars if v not in norm]
+        if missing:
+            raise ValueError(f"unbound variables in {kind} evaluation: {missing}")
+        return norm
 
     def eval_complex(self, mapping: dict) -> complex:
-        norm = {normalize_var(k): complex(v) for k, v in mapping.items()}
-        missing = [v for v in self.vars if v not in norm]
-        if missing:
-            raise ValueError(f"unbound variables in numeric evaluation: {missing}")
-        total = 0j
-        for e, coeff in self.terms.items():
-            val = complex(coeff.numerator) / coeff.denominator
-            for i, k in enumerate(e):
-                if k:
-                    val *= norm[self.vars[i]] ** k
-            total += val
-        return total
+        values = self._bound(mapping, "numeric", complex)
+        return self.evaluate(values, lambda c: complex(c.numerator) / c.denominator, 0j)
 
     def eval_fraction(self, mapping: dict) -> Fraction:
-        norm = {normalize_var(k): Fraction(v) for k, v in mapping.items()}
-        missing = [v for v in self.vars if v not in norm]
-        if missing:
-            raise ValueError(f"unbound variables in exact evaluation: {missing}")
-        total = Fraction(0)
-        for e, coeff in self.terms.items():
-            val = coeff
-            for i, k in enumerate(e):
-                if k:
-                    val *= norm[self.vars[i]] ** k
-            total += val
-        return total
+        values = self._bound(mapping, "exact", Fraction)
+        return self.evaluate(values, lambda c: c, Fraction(0))
 
     # exact division
 
@@ -396,163 +500,105 @@ class MPoly:
                 raise TypeError("div_exact expects a polynomial or scalar")
             if not s:
                 raise ZeroDivisionError("division by zero")
-            return self * (Fraction(1) / s)
-        if other.is_zero():
+            return self * (1 / s)
+        if not other._ints:
             raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return MPoly.zero()
-        if other.is_const():
-            return self * (Fraction(1) / other.as_fraction())
-        vars, ta, tb = self._aligned(other)
-        eb = max(tb)
-        cb = tb[eb]
-        rem = dict(ta)
-        quo: dict[tuple, Fraction] = {}
-        while rem:
-            er = max(rem)
-            cr = rem[er]
-            eq = tuple(a - b for a, b in zip(er, eb))
-            if any(x < 0 for x in eq):
-                raise NotDivisible(f"({self}) is not divisible by ({other})")
-            cq = cr / cb
-            quo[eq] = quo.get(eq, Fraction(0)) + cq
-            for e, c in tb.items():
-                tgt = tuple(a + b for a, b in zip(e, eq))
-                acc = rem.get(tgt, Fraction(0)) - c * cq
-                if acc:
-                    rem[tgt] = acc
-                else:
-                    rem.pop(tgt, None)
-        return MPoly(vars, quo)
+        if not self._ints:
+            return _ZERO
+        if not other.vars:
+            return _make(self.vars, self._ints, self._content / other._content)
+        vars, A, B = _align(self, other)
+        quo = _quotient(A, B, _masks(len(vars))[0])
+        if quo is None:
+            raise NotDivisible(f"({self}) is not divisible by ({other})")
+        return _trim(vars, quo, self._content / other._content)
 
     # printing
 
     def __str__(self):
-        if not self.terms:
+        if not self._ints:
             return "0"
         pieces = []
-        for e in sorted(self.terms, reverse=True):
-            coeff = self.terms[e]
+        num, den = self._content.numerator, self._content.denominator
+        n = len(self.vars)
+        for k in sorted(self._ints, reverse=True):
+            c = self._ints[k] * num
+            g = gcd(c, den)
+            c, d = c // g, den // g
             mono = "*".join(
-                self.vars[i] if k == 1 else f"{self.vars[i]}^{k}"
-                for i, k in enumerate(e)
-                if k
+                v if e == 1 else f"{v}^{e}"
+                for v, e in zip(self.vars, _decode(k, n))
+                if e
             )
-            mag = abs(coeff)
+            mag = str(abs(c)) if d == 1 else f"{abs(c)}/{d}"
             if not mono:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = mono
             else:
                 body = f"{mag}*{mono}"
             if not pieces:
-                pieces.append(body if coeff > 0 else "-" + body)
+                pieces.append(body if c > 0 else "-" + body)
             else:
-                pieces.append((" + " if coeff > 0 else " - ") + body)
+                pieces.append((" + " if c > 0 else " - ") + body)
         return "".join(pieces)
 
     def __repr__(self):
         return f"MPoly({self})"
 
+    @staticmethod
+    def matrix_product(A, B):
+        """``A·B`` for matrices whose nonzero entries are all MPoly.
 
-def _remap(p: MPoly, merged: tuple) -> dict:
-    pos = [merged.index(v) for v in p.vars]
-    width = len(merged)
-    out = {}
-    for e, c in p.terms.items():
-        key = [0] * width
-        for i, k in enumerate(e):
-            key[pos[i]] = k
-        out[tuple(key)] = c
-    return out
+        Every entry is rekeyed once to the union of all supports and scaled
+        to ints over its side's common denominator.  Entry (i, j) accumulates
+        ``ka + kb -> ca * cb`` in ascending t in one int dict, over only the
+        t with A[i][t] and B[t][j] both nonzero.  It stays int 0 when there
+        is no such t, as in the generic loop; a sum that cancels is zero.
+        """
+        sides = [[p for row in M for p in row if p] for M in (A, B)]
+        vars = reduce(_union, [p.vars for side in sides for p in side], ())
+        dens = [lcm(*[p._content.denominator for p in side]) for side in sides]
+        packed = {}
 
+        def pack(p, side):
+            got = packed.get((id(p), side))
+            if got is None:
+                c = p._content
+                m = c.numerator * (dens[side] // c.denominator)
+                got = packed[(id(p), side)] = [
+                    (k, v * m) for k, v in _rekey(p._ints, p.vars, vars).items()
+                ]
+            return got
 
-# packed products
-
-
-class _Packing:
-    """Integer layout for products of a polynomial from ``left`` with one
-    from ``right``.
-
-    The variables of both sides are aligned in rank order.  Each gets a bit
-    slot as wide as the bit length of the largest degree it can reach in such
-    a product (its largest degree on the left plus its largest on the right),
-    so adding two packed exponent keys never carries from one slot into the
-    next.  Coefficients are scaled to ints over their side's common
-    denominator; accumulated products are over ``den``, the product of both.
-    """
-
-    __slots__ = ("vars", "den", "_shift", "_slots", "_side_den", "_exps", "_fracs")
-
-    def __init__(self, left, right):
-        deg_l, den_l = _scan(left)
-        deg_r, den_r = _scan(right)
-        self.vars = tuple(sorted(deg_l.keys() | deg_r.keys(), key=_RANK.__getitem__))
-        self._shift = {}
-        self._slots = []
-        bit = 0
-        for v in self.vars:
-            width = (deg_l.get(v, 0) + deg_r.get(v, 0)).bit_length()
-            self._shift[v] = 1 << bit
-            self._slots.append((bit, (1 << width) - 1))
-            bit += width
-        self._side_den = (den_l, den_r)
-        self.den = den_l * den_r
-        # The entries of one matrix product share most monomials and
-        # coefficients: each key and each int is unpacked once per layout.
-        self._exps: dict[int, tuple] = {}
-        self._fracs: dict[int, Fraction] = {}
-
-    def pack(self, p: MPoly, side: int) -> list:
-        """``[(key, int coefficient)]`` of ``p`` from side 0 (left) or 1."""
-        shifts = [self._shift[v] for v in p.vars]
-        keys = [sum(map(mul, exps, shifts)) for exps in p.terms]
-        den = self._side_den[side]
-        if den == 1:
-            coeffs = [c.numerator for c in p.terms.values()]
-        else:
-            coeffs = [c.numerator * (den // c.denominator) for c in p.terms.values()]
-        return list(zip(keys, coeffs))
-
-    def terms(self, acc: dict) -> dict:
-        """An accumulated ``key -> int`` dict as ``exponents -> Fraction``."""
-        exps, fracs, slots, den = self._exps, self._fracs, self._slots, self.den
-        out = {}
-        for k, c in acc.items():
-            e = exps.get(k)
-            if e is None:
-                e = exps[k] = tuple([(k >> o) & m for o, m in slots])
-            f = fracs.get(c)
-            if f is None:
-                f = fracs[c] = Fraction(c, den) if den != 1 else Fraction(c)
-            out[e] = f
+        PA = [[(t, pack(a, 0)) for t, a in enumerate(row) if a] for row in A]
+        PB = [[(j, pack(b, 1)) for j, b in enumerate(row) if b] for row in B]
+        den = dens[0] * dens[1]
+        share = {}.setdefault
+        out = []
+        for prow in PA:
+            accs: dict[int, dict] = {}
+            for t, pa in prow:
+                for j, pb in PB[t]:
+                    acc = accs.get(j)
+                    if acc is None:
+                        acc = accs[j] = {}
+                    _accumulate(acc, pa, pb)
+            row = [0] * len(B[0])
+            for j, acc in accs.items():
+                # the entries of one product share most keys and coefficients;
+                # one int object per value keeps the result's memory small
+                p = _canon(vars, acc, 1, den)
+                ints = {share(k, k): share(c, c) for k, c in p._ints.items()}
+                row[j] = _make(p.vars, ints, p._content)
+            out.append(row)
         return out
 
-    def poly(self, acc: dict) -> MPoly:
-        """The MPoly of an accumulated sum of products; it is built through the
-        constructor only when cancellation left a variable unused."""
-        if not acc:
-            return MPoly.zero()
-        used = reduce(or_, acc)
-        if all((used >> o) & m for o, m in self._slots):
-            return MPoly._from_canonical(self.vars, self.terms(acc))
-        return MPoly(self.vars, self.terms(acc))
+
+_ZERO = _make((), {}, Fraction(0))
 
 
-def _scan(polys) -> tuple[dict, int]:
-    """Largest degree of each variable and the lcm of all denominators."""
-    degs: dict[str, int] = {}
-    den = 1
-    for p in polys:
-        for v, column in zip(p.vars, zip(*p.terms)):
-            d = max(column)
-            if d > degs.get(v, 0):
-                degs[v] = d
-        den = lcm(den, *[c.denominator for c in p.terms.values()])
-    return degs, den
-
-
-def _accumulate(acc: dict, pa: list, pb: list) -> None:
+def _accumulate(acc: dict, pa, pb) -> None:
     """``acc[ka + kb] += ca * cb`` over all pairs; zero sums are dropped."""
     get = acc.get
     for ka, ca in pa:
@@ -565,6 +611,40 @@ def _accumulate(acc: dict, pa: list, pb: list) -> None:
                 del acc[k]
 
 
+def _quotient(f: dict, g: dict, guard: int):
+    """``f / g`` over Z when ``g`` divides ``f`` exactly, else None.
+
+    Sparse division by leading terms on keys whose guard bits are clear.
+    Subtracting the divisor's leading key from a remainder key with its
+    guard bits set clears a guard bit exactly where an exponent would go
+    negative.  A remainder key that sets a guard bit has an exponent above
+    ``f``'s degree, which an exact quotient never produces; stopping there
+    also keeps every exponent inside its slot.
+    """
+    lk = max(g)
+    lc = g[lk]
+    rest = [(k - lk, v) for k, v in g.items() if k != lk]
+    rem = dict(f)
+    get = rem.get
+    quo = {}
+    while rem:
+        kr = max(rem)
+        q, r = divmod(rem.pop(kr), lc)
+        if r or ((kr | guard) - lk) & guard != guard:
+            return None
+        quo[kr - lk] = q
+        for d, v in rest:
+            k = kr + d
+            if k & guard:
+                return None
+            s = get(k, 0) - q * v
+            if s:
+                rem[k] = s
+            else:
+                del rem[k]
+    return quo
+
+
 # greatest common divisors
 
 _HEU_TRIES = 6  # evaluation points per variable before giving up
@@ -575,114 +655,49 @@ _HEU_BITS = 5000
 
 def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
     """Greatest common divisor, normalized to leading coefficient 1."""
-    if not a.terms:
+    if not a._ints:
         return b.monic()
-    if not b.terms:
+    if not b._ints:
         return a.monic()
     if not a.vars or not b.vars:
         return MPoly.const(1)
-    lo_a = [min(col) for col in zip(*a.terms)]
-    lo_b = [min(col) for col in zip(*b.terms)]
-    lo_of_b = dict(zip(b.vars, lo_b))
-    mono = {}  # the shared monomial content, in rank order
-    for v, k in zip(a.vars, lo_a):
-        k = min(k, lo_of_b.get(v, 0))
-        if k:
-            mono[v] = k
-    if len(a.terms) == 1 or len(b.terms) == 1:
-        return _monomial(mono)
-    layout = _GcdLayout((a, lo_a), (b, lo_b))
-    h = _heuristic_gcd(layout.pack(a, lo_a), layout.pack(b, lo_b), layout, layout.n)
-    if h is None:
-        return _prs_gcd(a, b)
-    return layout.monic_poly(h, mono)
+    vars, f, g, mono = _strip_monomials(a, b)
+    h = {0: 1}
+    if len(f) > 1 and len(g) > 1:
+        h = _heuristic_gcd(f, g, len(vars))
+        if h is None:
+            return _prs_gcd(a, b)
+    return _canon(vars, {k + mono: c for k, c in h.items()}).monic()
 
 
-def _monomial(exps: dict) -> MPoly:
-    """The monomial with coefficient 1 and ``exps``: name -> positive
-    exponent, names in rank order."""
-    return MPoly._from_canonical(tuple(exps), {tuple(exps.values()): _ONE})
+def _strip_monomials(a: MPoly, b: MPoly) -> tuple:
+    """``(vars, f, g, mono)``: the ints of ``a`` and ``b`` on the union of
+    their supports, each divided by its monomial content, and the key of the
+    monomial both contents share."""
+    vars, A, B = _align(a, b)
+    guard = _masks(len(vars))[0]
+
+    def slot_min(x: int, y: int) -> int:
+        ge = ((x | guard) - y) & guard  # the guard bit of each slot where x >= y
+        return x ^ ((x ^ y) & (ge - (ge >> _W - 1)))
+
+    lo_a, lo_b = reduce(slot_min, A), reduce(slot_min, B)
+    f = {k - lo_a: c for k, c in A.items()} if lo_a else A
+    g = {k - lo_b: c for k, c in B.items()} if lo_b else B
+    return vars, f, g, slot_min(lo_a, lo_b)
 
 
-class _GcdLayout:
-    """Packed integer form of two polynomials for :func:`_heuristic_gcd`.
-
-    Each side's monomial content is divided out and its coefficients are
-    scaled to a primitive int vector.  The variables that are left are
-    aligned in rank order and packed least significant first from bit 0, so
-    comparing keys as ints is the lex order and evaluating the least
-    significant variable reads the lowest slot.  A slot is one bit wider than
-    the largest degree needs; the top bit is a guard that ``_divides`` uses to
-    spot a negative or overflowing exponent.
-    """
-
-    __slots__ = ("n", "widths", "guards", "_shift", "_slots")
-
-    def __init__(self, *sides):
-        """``sides``: ``(p, lo)`` pairs, ``lo`` the exponents divided out of ``p``."""
-        span: dict[str, int] = {}
-        for p, lo in sides:
-            for v, col, m in zip(p.vars, zip(*p.terms), lo):
-                d = max(col) - m
-                if d > span.get(v, 0):
-                    span[v] = d
-        names = sorted(span, key=_RANK.__getitem__)
-        self.n = len(names)
-        self.widths = [span[v].bit_length() + 1 for v in names]
-        # guards[m]: the guard bits of the first m variables packed on their own
-        self.guards = [0]
-        for w in self.widths:
-            self.guards.append((self.guards[-1] << w) | (1 << (w - 1)))
-        self._shift = {}
-        self._slots = {}
-        bit = 0
-        for v, w in zip(reversed(names), reversed(self.widths)):
-            self._shift[v] = 1 << bit
-            self._slots[v] = (bit, (1 << w) - 1)
-            bit += w
-
-    def pack(self, p: MPoly, lo: list) -> dict:
-        """``key -> int`` of ``p`` over ``x^lo``, scaled to a primitive vector."""
-        shifts = [self._shift.get(v, 0) for v in p.vars]
-        base = sum(map(mul, lo, shifts))
-        den = lcm(*[c.denominator for c in p.terms.values()])
-        coeffs = [c.numerator * (den // c.denominator) for c in p.terms.values()]
-        cont = gcd(*coeffs)
-        return {
-            sum(map(mul, e, shifts)) - base: c // cont for e, c in zip(p.terms, coeffs)
-        }
-
-    def monic_poly(self, h: dict, mono: dict) -> MPoly:
-        """The MPoly ``mono * h``, scaled to leading coefficient 1."""
-        if len(h) == 1:  # no monomial content left: h is a constant
-            return _monomial(mono)
-        used = reduce(or_, h)
-        names = set(mono)
-        for v, (o, m) in self._slots.items():
-            if (used >> o) & m:
-                names.add(v)
-        names = sorted(names, key=_RANK.__getitem__)
-        cols = [self._slots.get(v, (0, 0)) + (mono.get(v, 0),) for v in names]
-        lc = h[max(h)]
-        return MPoly._from_canonical(
-            tuple(names),
-            {
-                tuple([((k >> o) & m) + d for o, m, d in cols]): Fraction(c, lc)
-                for k, c in h.items()
-            },
-        )
-
-
-def _heuristic_gcd(f: dict, g: dict, layout: _GcdLayout, m: int):
+def _heuristic_gcd(f: dict, g: dict, m: int):
     """GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989).
 
-    ``f`` and ``g`` are nonzero packed int polynomials in the first ``m``
-    variables of ``layout``.  Returns their gcd over Z up to sign, or None
-    when the heuristic gives up.  The least significant variable is
-    evaluated at an integer ``xi``, the gcd of the images is found
-    recursively and its balanced ``xi``-adic digits become the coefficients
-    of the candidate.  With ``xi > 2 min(|f|, |g|) + 1`` a primitive
-    candidate that divides both is the gcd; otherwise ``xi`` grows.
+    ``f`` and ``g`` are nonzero packed int polynomials in ``m`` slots.
+    Returns their gcd over Z up to sign, or None when the heuristic gives
+    up.  The variable in the lowest slot is evaluated at an integer ``xi``,
+    the gcd of the images is found recursively and its balanced ``xi``-adic
+    digits become the coefficients of the candidate.  With
+    ``xi > 2 min(|f|, |g|) + 1`` a primitive candidate that divides both is
+    the gcd; otherwise ``xi`` grows.  A variable that appears in neither
+    side is skipped.
     """
     c = gcd(*f.values(), *g.values())
     if c != 1:
@@ -690,39 +705,41 @@ def _heuristic_gcd(f: dict, g: dict, layout: _GcdLayout, m: int):
         g = {k: v // c for k, v in g.items()}
     if (len(f) == 1 and 0 in f) or (len(g) == 1 and 0 in g):
         return {0: c}
-    w = layout.widths[m - 1]
-    low = (1 << w) - 1
-    df = max([k & low for k in f])
-    dg = max([k & low for k in g])
-    guard = layout.guards[m]
+    df = max([k & _SLOT for k in f])
+    dg = max([k & _SLOT for k in g])
     top = max(df, dg)
+    if not top:
+        f, g = ({k >> _W: v for k, v in p.items()} for p in (f, g))
+        h = _heuristic_gcd(f, g, m - 1)
+        return None if h is None else {k << _W: c * v for k, v in h.items()}
+    guard = _masks(m)[0]
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
     for _ in range(_HEU_TRIES):
         if xi.bit_length() * top > _HEU_BITS:
             return None
         powers = [xi**j for j in range(top + 1)]
-        ff = _evaluate_low(f, w, low, powers)
-        gg = _evaluate_low(g, w, low, powers)
+        ff = _evaluate_low(f, powers)
+        gg = _evaluate_low(g, powers)
         if ff and gg:
-            h = _heuristic_gcd(ff, gg, layout, m - 1)
+            h = _heuristic_gcd(ff, gg, m - 1)
             if h is not None:
-                cand = _interpolate(h, w, xi, min(df, dg))
+                cand = _interpolate(h, xi, min(df, dg))
                 if cand is not None:
                     if len(cand) == 1 and 0 in cand:
                         return {0: c}
-                    if _divides(f, cand, guard) and _divides(g, cand, guard):
+                    if all(_quotient(p, cand, guard) is not None for p in (f, g)):
                         return {k: c * v for k, v in cand.items()} if c != 1 else cand
         xi = xi * 73794 // 27011
     return None
 
 
-def _evaluate_low(f: dict, w: int, low: int, powers: list) -> dict:
+def _evaluate_low(f: dict, powers: list) -> dict:
     """Substitute ``powers[1]`` for the variable in the lowest slot."""
     out: dict[int, int] = {}
     get = out.get
     for k, v in f.items():
-        key = k >> w
-        s = get(key, 0) + v * powers[k & low]
+        key = k >> _W
+        s = get(key, 0) + v * powers[k & _SLOT]
         if s:
             out[key] = s
         else:
@@ -730,13 +747,13 @@ def _evaluate_low(f: dict, w: int, low: int, powers: list) -> dict:
     return out
 
 
-def _interpolate(h: dict, w: int, xi: int, dmax: int):
+def _interpolate(h: dict, xi: int, dmax: int):
     """Primitive part of the polynomial whose lowest variable has the balanced
     ``xi``-adic digits of ``h``'s coefficients; None past degree ``dmax``."""
     half = xi >> 1
     out = {}
     for k, v in h.items():
-        k <<= w
+        k <<= _W
         j = 0
         while v:
             d = v % xi
@@ -754,97 +771,18 @@ def _interpolate(h: dict, w: int, xi: int, dmax: int):
     return out
 
 
-def _divides(f: dict, g: dict, guard: int) -> bool:
-    """True when ``g`` divides ``f`` exactly over Z.
-
-    Sparse division by leading terms on keys whose guard bits are clear.
-    Subtracting the divisor's leading key from a remainder key with its
-    guard bits set clears a guard bit exactly where an exponent would go
-    negative.  A remainder key that sets a guard bit has an exponent above
-    ``f``'s degree, which an exact quotient never produces; stopping there
-    also keeps every exponent inside its slot.
-    """
-    lk = max(g)
-    lc = g[lk]
-    rest = [(k - lk, v) for k, v in g.items() if k != lk]
-    rem = dict(f)
-    get = rem.get
-    while rem:
-        kr = max(rem)
-        q, r = divmod(rem.pop(kr), lc)
-        if r or ((kr | guard) - lk) & guard != guard:
-            return False
-        for d, v in rest:
-            k = kr + d
-            if k & guard:
-                return False
-            s = get(k, 0) - q * v
-            if s:
-                rem[k] = s
-            else:
-                del rem[k]
-    return True
-
-
 # the primitive remainder sequence, run when the heuristic gives up
 
 
 def _prs_gcd(a: MPoly, b: MPoly) -> MPoly:
     """``poly_gcd`` by primitive pseudo-remainder sequences over Fractions."""
-    if a.is_zero():
+    if not a._ints:
         return b.monic()
-    if b.is_zero():
+    if not b._ints:
         return a.monic()
-    ma = _min_exps(a)
-    mb = _min_exps(b)
-    a1 = _shift_down(a, ma)
-    b1 = _shift_down(b, mb)
-    mono = MPoly.const(1)
-    for v in ma:
-        if v in mb:
-            k = min(ma[v], mb[v])
-            if k:
-                mono = mono * (MPoly.var(v) ** k)
-    return (mono * _gcd_core(a1, b1)).monic()
-
-
-def _min_exps(p: MPoly) -> dict:
-    mins = None
-    for e in p.terms:
-        mins = list(e) if mins is None else [min(a, b) for a, b in zip(mins, e)]
-    return dict(zip(p.vars, mins or []))
-
-
-def _shift_down(p: MPoly, mins: dict) -> MPoly:
-    if not any(mins.values()):
-        return p
-    drop = [mins[v] for v in p.vars]
-    return MPoly(
-        p.vars, {tuple(a - b for a, b in zip(e, drop)): c for e, c in p.terms.items()}
-    )
-
-
-def _euclid_univar(a: MPoly, b: MPoly, x: str) -> MPoly:
-    da = {k: v.as_fraction() for k, v in a.split_by(x).items()}
-    db = {k: v.as_fraction() for k, v in b.split_by(x).items()}
-    while db:
-        degb = max(db)
-        lcb = db[degb]
-        while da and max(da) >= degb:
-            dega = max(da)
-            f = da[dega] / lcb
-            shift = dega - degb
-            for k, v in db.items():
-                tgt = k + shift
-                acc = da.get(tgt, Fraction(0)) - f * v
-                if acc:
-                    da[tgt] = acc
-                else:
-                    da.pop(tgt, None)
-        da, db = db, da
-    deg = max(da)
-    lc = da[deg]
-    return MPoly((x,), {(k,): v / lc for k, v in da.items()})
+    vars, f, g, mono = _strip_monomials(a, b)
+    core = _gcd_core(_canon(vars, f), _canon(vars, g))
+    return (_canon(vars, {mono: 1}) * core).monic()
 
 
 def _content_in(p: MPoly, x: str) -> MPoly:
@@ -877,8 +815,6 @@ def _gcd_core(a: MPoly, b: MPoly) -> MPoly:
     if not shared:
         return MPoly.const(1)
     x = min(shared, key=lambda v: min(a.degree_in(v), b.degree_in(v)))
-    if a.vars == (x,) and b.vars == (x,):
-        return _euclid_univar(a, b, x)
     ca = _content_in(a, x)
     cb = _content_in(b, x)
     cont = poly_gcd(ca, cb)
@@ -889,6 +825,6 @@ def _gcd_core(a: MPoly, b: MPoly) -> MPoly:
     while not B.is_zero():
         R = _prem(A, B, x)
         if not R.is_zero():
-            R = R.div_exact(_content_in(R, x))
+            R = R.div_exact(_content_in(R, x)).monic()
         A, B = B, R
     return (cont * A).monic()

@@ -36,7 +36,7 @@ def _as_poly(x):
 class RatFun:
     """Quotient of two MPoly values, canonicalized on construction."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num, den=1):
         num = _as_poly(num)
@@ -99,7 +99,13 @@ class RatFun:
         return (self.num.key(), self.den.key())
 
     def __hash__(self):
-        return hash(self.key())
+        # the key decodes both polynomials; labels used as dict keys are
+        # hashed again and again, so the hash is kept after the first call
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self.key()))
+            return self._hash
 
     def __bool__(self):
         return not self.num.is_zero()
@@ -197,9 +203,12 @@ class RatFun:
         if not any_rational:
             pm = {k: v.num for k, v in full.items()}
             return RatFun(self.num.substitute(pm), self.den.substitute(pm))
-        num = _subs_poly_ratfun(self.num, full)
-        den = _subs_poly_ratfun(self.den, full)
-        return num / den
+
+        def lifted(p: MPoly) -> RatFun:
+            values = {v: full.get(v, RatFun.var(v)) for v in p.vars}
+            return p.evaluate(values, RatFun.const, RatFun.zero())
+
+        return lifted(self.num) / lifted(self.den)
 
     def eval_complex(self, mapping: dict) -> complex:
         d = self.den.eval_complex(mapping)
@@ -223,7 +232,7 @@ class RatFun:
         if self.den == 1:
             return str(self.num)
         ns = str(self.num)
-        if len(self.num.terms) > 1:
+        if self.num.n_terms() > 1:
             ns = f"({ns})"
         ds = str(self.den)
         if not _plain_den(self.den):
@@ -236,27 +245,7 @@ class RatFun:
 
 def _plain_den(p: MPoly) -> bool:
     # a bare variable power prints without parentheses on the right of /
-    if len(p.terms) != 1:
-        return False
-    (exps, coeff), = p.terms.items()
-    return coeff == 1 and sum(1 for e in exps if e) <= 1
-
-
-def _subs_poly_ratfun(p: MPoly, mapping: dict) -> RatFun:
-    out = RatFun(0)
-    cache: dict[tuple[str, int], RatFun] = {}
-    for e, coeff in p.terms.items():
-        term = RatFun.const(coeff)
-        for i, k in enumerate(e):
-            if k:
-                v = p.vars[i]
-                ck = cache.get((v, k))
-                if ck is None:
-                    ck = mapping.get(v, RatFun.var(v)) ** k
-                    cache[(v, k)] = ck
-                term = term * ck
-        out = out + term
-    return out
+    return p.n_terms() == 1 and len(p.vars) <= 1 and p.lex_leading()[1] == 1
 
 
 _TOKEN = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9_]*)|([()+\-*/^])|(\S)")

@@ -48,6 +48,7 @@ __all__ = [
     "yang_limit",
     "check_yang",
     "pole_limit",
+    "pole_limit_holds",
     "check_pole_structure",
     "check_inverse",
     "check_hexagon",
@@ -295,6 +296,25 @@ def pole_limit(M, var: str, point):
         if dd - dn == order:
             limit[i][j] = RatFun(cn, cd)
     return order, limit
+
+
+def pole_limit_holds(M, var: str, point, order: int, limit) -> bool:
+    """Check a ``pole_limit`` result by substitution, independently of the
+    expansion ``pole_limit`` uses.
+
+    For every entry f, (var - point)^order * f must have a denominator that
+    is nonzero at var = point, and its value there must equal the limit
+    entry; unless ``M`` is zero, some limit entry must be nonzero.
+    """
+    at = {var: Fraction(point)}
+    scale = (RatFun.var(var) - at[var]) ** order
+    for row, lim_row in zip(M, limit):
+        for f, lim in zip(row, lim_row):
+            g = scale * f
+            den = g.den.substitute(at)
+            if den.is_zero() or RatFun(g.num.substitute(at), den) != lim:
+                return False
+    return any(x for row in limit for x in row) or not any(f for row in M for f in row)
 
 
 def check_pole_structure() -> CheckResult:

@@ -229,7 +229,7 @@ def _mono_items(p: MPoly):
     """Monomials of p keyed by nonzero (name, exp) pairs, plus coefficients."""
     keys = []
     coeffs = []
-    for exps, coeff in p.terms.items():
+    for exps, coeff in p.terms().items():
         keys.append(tuple(sorted((nm, e) for nm, e in zip(p.vars, exps) if e)))
         coeffs.append(coeff)
     return keys, coeffs

@@ -49,6 +49,32 @@ def test_ybe_rejects_symbolic_scalar(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("shift", [(1, 0), (-1, 0), (0, 1)])
+def test_limit_wrong_result_fails(capsys, monkeypatch, shift):
+    # a pole_limit that reports a wrong order or a wrong entry gives FAIL
+    from qilab import rmatrix
+
+    true_limit = rmatrix.pole_limit
+
+    def wrong_limit(M, var, point):
+        order, res = true_limit(M, var, point)
+        res[1][1] = res[1][1] + shift[1]
+        return order + shift[0], res
+
+    monkeypatch.setattr(rmatrix, "pole_limit", wrong_limit)
+    argv = ["rmat", "limit", "--a", "2", "--b", "3", "--point", "3/2", "--json"]
+    code, out, _ = run(argv, capsys)
+    assert code == 1
+    assert report_of(out)["verdicts"][0]["status"] == "fail"
+
+
+def test_limit_exponent_past_the_slot_limit_exits_2(capsys):
+    code, out, err = run(["rmat", "limit", "--a", f"z^{2**31}"], capsys)
+    assert code == 2 and out == ""
+    want = f"error: bad scalar 'z^{2**31}': exponent exceeds the limit {2**31 - 1}"
+    assert err.strip() == want
+
+
 def test_limit_documented_example(capsys):
     code, out, _ = run(
         ["rmat", "limit", "--a", "1", "--b", "q^2", "--point", "1", "--json"], capsys

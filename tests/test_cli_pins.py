@@ -45,6 +45,8 @@ JSON_PINS = {
     "chain commute --spec l2.json --perturb": (1, "967539e374ce2d8b2153771ae69c12769e0deef5608b00156bfea2eefd35528f", ""),
     "chain multiplicativity --spec l1.json": (0, "d0b9a790975173e225fdc46ef2e9f30935059e909a688cc2410af647e25e5e9e", ""),
     "chain multiplicativity --spec l2.json": (0, "1c52810c5db51cda9b9a9375a65c6381f07f81aa369dd16990961cb4c3cc6506", ""),
+    "chain rtt --spec sym3.json --mode exact": (0, "c6d1c7e408f0a052190fbbc4c6a3bee67f74596cadb84438ba5e0cb06abe1dce", ""),
+    "chain multiplicativity --spec sym3.json --mode exact": (0, "e0cf74c669c4a4d840ffa4cee8e852f0dc8ab3dffd936da7ea734b7c6b8ec60e", ""),
     "chain multiplicativity --spec l2.json --perturb": (1, "694dbcdd8524db3195e012275a17cef26628b80bdc6ca6edb2d3658ffaef8d59", ""),
     "chain spectrum --spec l1.json --sector 0": (0, "b8cbdb14571058c99ccccecab772bff2335ca5ff62fe285c339036bbf846b92f", ""),
     "chain spectrum --spec l2.json": (0, "41eb0424c9abfd28e818eae06af4b57ce3829910c3aaf39e51770d00088fe1a4", ""),
@@ -58,6 +60,7 @@ JSON_PINS = {
     "cluster mutate --quiver example.json --at 1 --at 1": (0, "1a629e893f4a1296be26280293d0e567aa7a3c88098fbe59b5d102d9a1e88fbf", ""),
     "cluster mutate --quiver example.json --at 2": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: vertex 2 is frozen or out of range"),
     "cluster explore --quiver example.json --depth 4": (0, "5d1e0db8e0a1fd80b55d9843e9633a17e30fa54db54d3496d435f3e9ce35492c", ""),
+    "cluster explore --quiver d4.json --depth 12": (0, "d97e6cbc1fe739d3e07059018558f3888147bc6644b3c40ccc4c05d01086c8b0", ""),
     "cluster laurent --quiver example.json": (0, "48aa6a2329eef1242f69264ecf88188199724a89bb061d23f0f09369cdc231d8", ""),
     "cluster laurent --quiver example.json --perturb": (1, "331735933056508a5c99bd2c7820a5b27e8663c570c158ed7b6b96ff582709e5", ""),
     "cluster explore --quiver missing.json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: cannot read missing.json: [Errno 2] No such file or directory: 'missing.json'"),
@@ -67,11 +70,13 @@ JSON_PINS = {
     "stab order --n 1": (0, "f3cb2a10dddad24f2840c4176c2281cd5de2470029a38b26e3cfdca5ec023935", ""),
     "stab matrix --n 1 --chamber plus": (0, "ce5120c85c6b3f3d3d6782de19f5fc6cbc61d2cee61a034849da4aba6704c98f", ""),
     "stab matrix --n 2 --chamber 1,0,2 --polarization 1,-1,1": (0, "8d0e76eecc8d8e9a3c926542d5b4b7993c26205689c960ed137c870f9ab67df3", ""),
+    "stab matrix --n 3 --chamber 2,0,3,1": (0, "87f56928ae22728bbc40d026264897d204107881464aafa5753ee1f256accc27", ""),
     "stab matrix --n 2": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: --chamber is required for n >= 2"),
     "stab matrix --n 2 --chamber p0>p1>p1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: chamber order must be a permutation of 0..n"),
     "stab rmatrix --n 1": (0, "467922a5f20153b9dee32eaadf8a5c97e4c4a011fe2c1352459779e7421658c8", ""),
     "stab rmatrix --n 2 --chamber 0,1,2 --to 1,0,2": (0, "3cd74e9346663bfb25354308c31e737433ec75c9c52943a01dac393ef0506d2b", ""),
     "stab cycle --n 2 --face u1=u2": (0, "bbe0ae312d71c7c371e6a3e15c17ff23076649e2db88ede97c86e0656a6caa00", ""),
+    "stab cycle --n 2": (0, "bbe0ae312d71c7c371e6a3e15c17ff23076649e2db88ede97c86e0656a6caa00", ""),
     "stab cycle --n 2 --perturb": (1, "3d40840cb9ebbadeb434214b64b0959590c3cba5177c3f7aa1e793cfc00ab6ce", ""),
     "stab cycle --n 3": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the cycle walk is implemented for n=2"),
 }
@@ -342,6 +347,11 @@ def inputs(tmp_path, monkeypatch):
     )
     (tmp_path / "example.json").write_text(
         json.dumps({"r": 3, "frozen": [2, 3], "arrows": [[3, 1, 1], [1, 2, 1]]})
+    )
+    # benchmark sizes: exact L=3 with symbolic q, and the seed-0 D4 quiver
+    (tmp_path / "sym3.json").write_text(json.dumps({"L": 3, "q": "q", "twist": "u"}))
+    (tmp_path / "d4.json").write_text(
+        json.dumps({"r": 4, "frozen": [], "arrows": [[1, 2], [2, 3], [2, 4]]})
     )
 
 

@@ -89,11 +89,15 @@ def test_exchange_identity():
     # new variable times the old one equals the two neighbor products summed
     for quiver_json, k in ((EXAMPLE_QUIVER, 1), (A2_QUIVER, 1), (A2_QUIVER, 2)):
         s = initial_seed(Quiver.from_json(quiver_json))
-        from qilab.cluster import _exchange_parts
-
-        out, inn = _exchange_parts(s, k)
+        out = inn = RatFun(1)
+        for j, arrows in enumerate(s.quiver.B[k - 1]):
+            if arrows > 0:
+                out = out * s.variables[j] ** arrows
+            elif arrows < 0:
+                inn = inn * s.variables[j] ** -arrows
         m = mutate_seed(s, k)
         assert m.variables[k - 1] * s.variables[k - 1] == out + inn
+        assert m.exchange[2] == out + inn
 
 
 def test_seed_mutation_involutive():

@@ -3,10 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 
-from qilab.field import MPoly, NotDivisible, normalize_var, poly_gcd, var_rank
+from qilab.field import MPoly, NotDivisible, mat_mul, normalize_var, poly_gcd, var_rank
 from qilab.field import poly as poly_mod
 
 
@@ -168,7 +168,7 @@ def _schoolbook(a: MPoly, b: MPoly) -> tuple[tuple, dict]:
     def spread(p):
         return [
             (tuple(dict(zip(p.vars, e)).get(v, 0) for v in names), c)
-            for e, c in p.terms.items()
+            for e, c in p.terms().items()
         ]
 
     out: dict[tuple, Fraction] = {}
@@ -202,16 +202,73 @@ def test_packed_product_equals_schoolbook(pair):
     names, ref = _schoolbook(a, b)
     expected = MPoly(names, ref)
     got = a * b
-    assert got.terms == expected.terms
+    assert got.terms() == expected.terms()
     support = {v for e in ref for v, k in zip(names, e) if k}
     assert got.vars == tuple(v for v in names if v in support)
     assert hash(got) == hash(expected)
     assert b * a == got
 
 
+def _stored(p: MPoly) -> tuple:
+    """The stored form, checked canonical: exact rank-ordered support, a
+    primitive int vector with positive leading coefficient, guard bits clear."""
+    if p.is_zero():
+        assert p.vars == () and p._ints == {} and p._content == 0
+        return p.vars, p._ints, p._content
+    assert p.vars == tuple(sorted(p.vars, key=var_rank))
+    assert all(p.degree_in(v) > 0 for v in p.vars)
+    assert poly_mod.gcd(*p._ints.values()) == 1
+    assert p._ints[max(p._ints)] > 0 and p._content != 0
+    guard = poly_mod._masks(len(p.vars))[0]
+    assert not any(k & guard for k in p._ints)
+    return p.vars, p._ints, p._content
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_polys(), wide_polys(), small_fracs.filter(bool))
+def test_every_route_gives_one_stored_form(a, b, s):
+    names = list(a.vars) + ["t"]  # shuffled and with an unused variable
+    rebuilt = MPoly(names[::-1], {(0,) + e[::-1]: c for e, c in a.terms().items()})
+    ab = a * b
+    routes = [
+        rebuilt,
+        (a + b) - b,
+        -(b - a) + b,
+        a * s * (1 / s),
+        a * 1,
+        a.substitute({}),
+    ]
+    if not b.is_zero():
+        routes.append(ab.div_exact(b))
+        routes.append((ab + b).div_exact(b) - 1)
+    for p in routes:
+        assert _stored(p) == _stored(a)
+        assert hash(p) == hash(a)
+    names, ref = _schoolbook(a, b)
+    assert _stored(ab) == _stored(MPoly(names, ref))
+
+
+def test_exponent_at_the_guard_limit_raises():
+    limit = 2**31  # the guard bit of a 32-bit slot
+    z, q = MPoly.var("z"), MPoly.var("q")
+    top = MPoly(("q", "z"), {(1, limit - 1): 3})
+    assert top.degree_in("z") == limit - 1 and str(top) == f"3*z^{limit - 1}*q"
+    assert top.div_exact(z ** (limit - 1)) == 3 * q
+    for build in (
+        lambda: MPoly(("z",), {(limit,): 1}),
+        lambda: MPoly(("z",), {(-1,): 1}),
+        lambda: top * z,
+        lambda: (z + q) * (top + 1),
+        lambda: z**limit,
+        lambda: mat_mul([[top]], [[z + 1]]),
+    ):
+        with pytest.raises(ValueError, match="exponent"):
+            build()
+
+
 def test_constructors_give_canonical_data():
-    assert MPoly.const(0).terms == {} and MPoly.const(0).vars == ()
-    assert MPoly.const(Fraction(-2, 4)).terms == {(): Fraction(-1, 2)}
+    assert MPoly.const(0).terms() == {} and MPoly.const(0).vars == ()
+    assert MPoly.const(Fraction(-2, 4)).terms() == {(): Fraction(-1, 2)}
     assert MPoly.var("u_2").vars == ("u2",)
     z = MPoly.var("z")
     assert z**0 == MPoly.const(1)
@@ -321,18 +378,54 @@ def division_pairs(draw):
     return f, g
 
 
+def _long_division(f: MPoly, g: MPoly):
+    """f / g by leading terms over Fractions on exponent tuples of the
+    union of the supports; None when a remainder is left."""
+    names = tuple(sorted(set(f.vars) | set(g.vars), key=var_rank))
+
+    def spread(p):
+        return {
+            tuple(dict(zip(p.vars, e)).get(v, 0) for v in names): c
+            for e, c in p.terms().items()
+        }
+
+    rem, tb = spread(f), spread(g)
+    eb = max(tb)
+    quo = {}
+    while rem:
+        er = max(rem)
+        eq = tuple(a - b for a, b in zip(er, eb))
+        if any(x < 0 for x in eq):
+            return None
+        cq = quo[eq] = rem[er] / tb[eb]
+        for e, c in tb.items():
+            tgt = tuple(a + b for a, b in zip(e, eq))
+            acc = rem.get(tgt, 0) - c * cq
+            if acc:
+                rem[tgt] = acc
+            else:
+                rem.pop(tgt, None)
+    return MPoly(names, quo)
+
+
 @settings(max_examples=200, deadline=None)
 @given(division_pairs())
+# a remainder key past the guard bit: z*q^(2^31 + 2) after the first step
+@example(
+    (MPoly(("z", "q"), {(2, 2**31 - 3): 1}), MPoly(("z", "q"), {(1, 0): 1, (0, 5): 1}))
+)
 def test_packed_division_test_matches_div_exact(pair):
     f, g = pair
     if f.is_const() or g.is_const():
         return
-    zeros = ([0] * len(f.vars), [0] * len(g.vars))
-    layout = poly_mod._GcdLayout((f, zeros[0]), (g, zeros[1]))
-    pf, pg = layout.pack(f, zeros[0]), layout.pack(g, zeros[1])
-    try:
-        f.div_exact(g)  # over Q, which for primitive parts means over Z (Gauss)
-        expected = True
-    except NotDivisible:
-        expected = False
-    assert poly_mod._divides(pf, pg, layout.guards[layout.n]) == expected
+    # the guard-bit division on the stored ints against long division over Q,
+    # which for primitive parts means over Z (Gauss)
+    vars, pf, pg = poly_mod._align(f, g)
+    quotient = poly_mod._quotient(pf, pg, poly_mod._masks(len(vars))[0])
+    expected = _long_division(f, g)
+    assert (quotient is not None) == (expected is not None)
+    if expected is None:
+        with pytest.raises(NotDivisible):
+            f.div_exact(g)
+    else:
+        assert f.div_exact(g) == expected

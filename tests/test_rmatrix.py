@@ -17,6 +17,7 @@ from qilab.rmatrix import (
     normalize,
     perm_p,
     pole_limit,
+    pole_limit_holds,
     trig_r,
     yang_limit,
 )
@@ -129,6 +130,30 @@ def test_pole_order_and_residue():
     assert pole_limit([[RatFun(0)]], "z", 1) == (0, [[RatFun(0)]])
     with pytest.raises(ValueError, match="contains t"):
         pole_limit([[RatFun.var("t")]], "z", 1)
+
+
+def test_pole_limit_holds_rejects_a_wrong_order_or_entry():
+    # the arguments of the pole_limit inputs pinned for `rmat limit`
+    for a, b, point in (
+        (RatFun(2), RatFun(3), Fraction(3, 2)),
+        (RatFun(1), Q, 1),
+        (RatFun(1), RatFun(1), 1),
+        (Q, RatFun(1), 1),
+        (RatFun(1), Z, 1),
+        (Z**2, Q, 1),
+        (RatFun(0), RatFun(1), 1),
+    ):
+        M = trig_r(Z * a / b)
+        order, lim = pole_limit(M, "z", point)
+        assert pole_limit_holds(M, "z", point, order, lim)
+        assert not pole_limit_holds(M, "z", point, order - 1, lim)
+        assert not pole_limit_holds(M, "z", point, order + 1, lim)
+        for i, j in ((1, 1), (0, 3)):  # a nonzero and a zero limit entry
+            wrong = [list(row) for row in lim]
+            wrong[i][j] = wrong[i][j] + 1
+            assert not pole_limit_holds(M, "z", point, order, wrong)
+    zero = [[RatFun(0)] * 2]
+    assert pole_limit_holds(zero, "z", 1, 0, zero)
 
 
 def test_pole_limit_rank_one():
