@@ -2,16 +2,20 @@
 
 A chain is a list of L two-dimensional sites with parameters b_1..b_L, an
 auxiliary space with parameter a, a deformation parameter q, and a diagonal
-twist diag(u, u^-1).  The monodromy over aux (x) sites is the ordered
+twist diag(u, u^-1).  The monodromy of an auxiliary line is the ordered
 product of fundamental solutions on (aux, site_l) at arguments z*a/b_l,
 site L leftmost.  The transfer matrix is the twisted auxiliary trace
 u*A(z) + u^-1*D(z).
 
-Exact checks run on cleared polynomial matrices (every factor scaled by its
-corner denominator, the twist scaled by u); both sides of each identity
-carry the same overall scalar, so equality is polynomial equality.  Numeric
-products are streamed in place: a spin-conserving 4x4 factor updates two
-quarters of the matrix via two quarter-size temporaries, O(L*4^L) per transfer.
+Each identity is written once, as its two sides over a ring.  ``_Exact``
+compares cleared polynomial matrices at symbolic z, w: every factor is
+scaled by its corner denominator and the twist by u, so both sides carry
+the same scalar.  It multiplies each line's monodromy out once per check
+and takes dense products of whole lines, which measured faster than
+streaming the factors of two lines site by site.  ``_Numeric`` takes the
+worst residual over seeded sample points; it streams every factor in place,
+site by site, each spin-conserving 4x4 factor updating two quarters of the
+matrix, O(L*4^L) per transfer.
 """
 
 from __future__ import annotations
@@ -20,13 +24,14 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 from ..field import (
     MPoly,
     RatFun,
+    kron,
     mat_eq,
     mat_mul,
     np_apply_conserving,
@@ -42,18 +47,13 @@ __all__ = [
     "ChainSpec",
     "parse_complex",
     "numeric_r",
-    "monodromy_cleared",
     "transfer_cleared",
-    "monodromy_numeric",
     "transfer_numeric",
     "sample_point",
     "check_rtt",
     "check_commute",
     "check_multiplicativity",
 ]
-
-
-_FLOATISH = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
 def parse_complex(text: str) -> complex:
@@ -71,6 +71,14 @@ def parse_complex(text: str) -> complex:
         return complex(s2)
     except ValueError:
         raise ValueError(f"cannot read numeric value {text!r}") from None
+
+
+def _rational(text: str, error: str) -> Fraction:
+    """Exact literal that must be a rational constant; ``error`` otherwise."""
+    v = RatFun.parse(text)
+    if not v.is_const():
+        raise ValueError(error)
+    return v.as_fraction()
 
 
 @dataclass(frozen=True)
@@ -113,40 +121,19 @@ class ChainSpec:
             twist=str(d.get("twist", "u")),
         )
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "L": self.L,
-                "q": self.q,
-                "a": self.a,
-                "sites": list(self.sites),
-                "twist": self.twist,
-            },
-            sort_keys=True,
-        )
-
     # exact accessors
 
     def q_is_symbolic(self) -> bool:
         return self.q.strip() == "q"
 
     def q_fraction(self) -> Fraction:
-        v = RatFun.parse(self.q)
-        if not v.is_const():
-            raise ValueError("q is not a rational constant in this chain")
-        return v.as_fraction()
+        return _rational(self.q, "q is not a rational constant in this chain")
 
     def a_fraction(self) -> Fraction:
-        v = RatFun.parse(self.a)
-        if not v.is_const():
-            raise ValueError("aux parameter must be a rational constant")
-        return v.as_fraction()
+        return _rational(self.a, "aux parameter must be a rational constant")
 
     def site_fraction(self, l: int) -> Fraction:
-        v = RatFun.parse(self.sites[l])
-        if not v.is_const():
-            raise ValueError("site parameters must be rational constants")
-        f = v.as_fraction()
+        f = _rational(self.sites[l], "site parameters must be rational constants")
         if f == 0:
             raise ValueError("site parameters must be nonzero")
         return f
@@ -159,10 +146,7 @@ class ChainSpec:
         return self.twist.strip() == "u"
 
     def twist_fraction(self) -> Fraction:
-        v = RatFun.parse(self.twist)
-        if not v.is_const():
-            raise ValueError("twist is not a rational constant in this chain")
-        f = v.as_fraction()
+        f = _rational(self.twist, "twist is not a rational constant in this chain")
         if f == 0:
             raise ValueError("twist must be invertible")
         return f
@@ -223,114 +207,166 @@ def numeric_r(zeta: complex, q: complex) -> np.ndarray:
     )
 
 
-def _q_poly(spec: ChainSpec) -> dict:
-    """Substitution pinning q when the spec fixes it to a rational."""
-    if spec.q_is_symbolic():
-        return {}
-    return {"q": MPoly.const(spec.q_fraction())}
+def _dims(M, slots, L: int) -> list:
+    """Slot sizes of a matrix on the auxiliary slots, then the L sites.
 
-
-def _maybe_fix_q(M, subs: dict):
-    if not subs:
-        return M
-    return [[e.substitute(subs) for e in row] for row in M]
-
-
-def monodromy_cleared(
-    spec: ChainSpec,
-    zbase: MPoly,
-    dims: list,
-    aux_slot: int,
-    site_slots: list,
-    a_override: Fraction | None = None,
-):
-    """Ordered cleared product over sites; site L leftmost.
-
-    ``zbase`` is the polynomial spectral variable (z, or z*w); the argument
-    on site l is zbase * a / b_l folded into the cleared factor.
+    Every slot has size 2.  ``M=None`` stands for the identity on aux slots
+    0..max(slots), the aux slots used.
     """
-    subs = _q_poly(spec)
-    ratios = spec.ratios(a_override)
-    factors = []
-    for l in range(spec.L - 1, -1, -1):
-        r4 = cleared_r(zbase * ratios[l], 1)
-        r4 = _maybe_fix_q(r4, subs)
-        factors.append(op_on_slots(r4, (aux_slot, site_slots[l]), dims))
-    M = factors[0]
-    for f in factors[1:]:
-        M = mat_mul(M, f)
-    return M
+    n = len(M).bit_length() - 1 if M is not None else max(slots) + 1 + L
+    return [2] * n
 
 
-def _cleared_twist(spec: ChainSpec):
-    """diag(u^2, 1) for the symbolic twist, diag(p^2, r^2) for u = p/r."""
-    if spec.twist_is_symbolic():
-        u = MPoly.var("u")
-        return [[u * u, MPoly.zero()], [MPoly.zero(), MPoly.const(1)]]
-    t = spec.twist_fraction()
-    return [
-        [MPoly.const(t.numerator**2), MPoly.zero()],
-        [MPoly.zero(), MPoly.const(t.denominator**2)],
-    ]
+class _Exact:
+    """Cleared polynomial matrices, q pinned when the spec fixes it."""
+
+    mode = "exact"
+    mul = staticmethod(mat_mul)
+    kron = staticmethod(kron)
+    partial_trace = staticmethod(partial_trace)
+
+    def __init__(self, spec: ChainSpec):
+        self.spec = spec
+        self._q = {} if spec.q_is_symbolic() else {"q": MPoly.const(spec.q_fraction())}
+        self._lines = {}  # (slot, z, a, slot count) -> that line's monodromy
+
+    def a(self) -> Fraction:
+        return self.spec.a_fraction()
+
+    def r(self, zeta):
+        r4 = cleared_r(zeta, 1)
+        if not self._q:
+            return r4
+        return [[e.substitute(self._q) for e in row] for row in r4]
+
+    def twist(self):
+        """diag(u, 1/u) cleared by u: diag(u^2, 1), or diag(p^2, r^2) for u = p/r."""
+        if self.spec.twist_is_symbolic():
+            p, r = MPoly.var("u"), MPoly.const(1)
+        else:
+            t = self.spec.twist_fraction()
+            p, r = MPoly.const(t.numerator), MPoly.const(t.denominator)
+        return [[p * p, MPoly.zero()], [MPoly.zero(), r * r]]
+
+    def apply(self, M, F, slots):
+        F = op_on_slots(F, slots, _dims(M, slots, self.spec.L))
+        return F if M is None else mat_mul(M, F)
+
+    def lines(self, M, lines):
+        """``M`` times each line's monodromy, built once per check."""
+        dims = _dims(M, [slot for slot, _, _ in lines], self.spec.L)
+        first = len(dims) - self.spec.L
+        for slot, z, a in lines:
+            key = (slot, z, a, len(dims))
+            if key not in self._lines:
+                ratios = self.spec.ratios(a)
+                self._lines[key] = reduce(
+                    mat_mul,
+                    [
+                        op_on_slots(self.r(z * ratios[l]), (slot, first + l), dims)
+                        for l in range(self.spec.L - 1, -1, -1)
+                    ],
+                )
+            M = self._lines[key] if M is None else mat_mul(M, self._lines[key])
+        return M
+
+    def transfer(self, z, a=None):
+        """Cleared transfer matrix: u * prod(corners) times the true one."""
+        M = self.lines(None, [(0, z, a)])
+        H = 1 << self.spec.L
+        (t0, _), (_, t1) = self.twist()
+        return [
+            [t0 * M[i][j] + t1 * M[H + i][H + j] for j in range(H)] for i in range(H)
+        ]
+
+    def compare(self, sides, points, details, seed, samples, tol):
+        """Polynomial equality of the two sides at symbolic z (and w)."""
+        return mat_eq(*sides(*[MPoly.var(v) for v in "zw"[:points]])), details
 
 
-def transfer_cleared(
-    spec: ChainSpec,
-    zbase: MPoly,
-    a_override: Fraction | None = None,
-):
-    """Cleared transfer matrix on the site space.
+class _Numeric:
+    """complex128 arrays, built in place."""
+
+    mode = "numeric"
+    mul = staticmethod(np.matmul)
+    kron = staticmethod(np.kron)
+    partial_trace = staticmethod(np_partial_trace)
+
+    def __init__(self, spec: ChainSpec):
+        self.spec = spec
+
+    def a(self) -> complex:
+        return self.spec.a_complex()
+
+    def r(self, zeta) -> np.ndarray:
+        return numeric_r(zeta, self.spec.q_complex())
+
+    def twist(self) -> np.ndarray:
+        u = self.spec.twist_complex()
+        return np.diag([u, 1 / u]).astype(complex)
+
+    def apply(self, M, F, slots) -> np.ndarray:
+        dims = _dims(M, slots, self.spec.L)
+        M = np.eye(1 << len(dims), dtype=complex) if M is None else M
+        return np_apply_conserving(M, F, slots, dims)
+
+    def lines(self, M, lines) -> np.ndarray:
+        """``M`` times the lines' factors in place, interleaved site by site.
+
+        At each site the lines apply in the order given; factors of
+        different lines on different sites commute, so this equals the
+        product of whole line monodromies.
+        """
+        dims = _dims(M, [slot for slot, _, _ in lines], self.spec.L)
+        if M is None:
+            M = np.eye(1 << len(dims), dtype=complex)
+        first = len(dims) - self.spec.L
+        q = self.spec.q_complex()
+        ratios = [self.spec.site_ratios_complex(a) for _, _, a in lines]
+        for l in range(self.spec.L - 1, -1, -1):
+            for (slot, z, _), rho in zip(lines, ratios):
+                r = numeric_r(z * rho[l], q)
+                np_apply_conserving(M, r, (slot, first + l), dims)
+        return M
+
+    def transfer(self, z, a=None) -> np.ndarray:
+        M = self.lines(None, [(0, z, a)])
+        H = 1 << self.spec.L
+        u = self.spec.twist_complex()
+        return u * M[:H, :H] + (1 / u) * M[H:, H:]
+
+    def compare(self, sides, points, details, seed, samples, tol):
+        """Worst residual of the two sides over seeded sample points."""
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(samples):
+            z = [sample_point(self.spec, rng) for _ in range(points)]
+            worst = max(worst, np_residual(*sides(*z)))
+        return worst < tol, {"residual": worst, "tolerance": tol}
+
+
+def _ring(spec: ChainSpec, mode: str):
+    if mode == "exact":
+        return _Exact(spec)
+    if mode == "numeric":
+        return _Numeric(spec)
+    raise ValueError("mode must be exact or numeric")
+
+
+def transfer_cleared(spec: ChainSpec, z: MPoly, a: Fraction | None = None):
+    """Cleared transfer matrix on the site space, ``a=None`` the spec's a.
 
     With the twist cleared to diag(u^2, 1) this equals u * prod(corners)
     times the true transfer matrix; identical scalars cancel in every
     comparison the package makes.
     """
-    dims = [2] + [2] * spec.L
-    M = monodromy_cleared(
-        spec, zbase, dims, 0, list(range(1, spec.L + 1)), a_override
-    )
-    H = 1 << spec.L
-    A = [row[:H] for row in M[:H]]
-    D = [row[H:] for row in M[H:]]
-    tw = _cleared_twist(spec)
-    return [
-        [tw[0][0] * A[i][j] + tw[1][1] * D[i][j] for j in range(H)] for i in range(H)
-    ]
-
-
-def monodromy_numeric(
-    spec: ChainSpec, z: complex, a_val: complex | None = None
-) -> np.ndarray:
-    """Numeric monodromy over aux (x) sites, the auxiliary space in slot 0."""
-    return _np_monodromy(spec, np.eye(2 << spec.L, dtype=complex), [(0, z, a_val)])
-
-
-def _np_monodromy(spec: ChainSpec, M: np.ndarray, lines) -> np.ndarray:
-    """``M`` times the ordered site factors, site L leftmost, in place.
-
-    The columns of ``M`` carry the auxiliary slots, then the L sites.  Each
-    line ``(aux_slot, z, a)`` puts numeric_r(z * a / b_l, q) on (aux_slot,
-    site l), ``a=None`` meaning the spec's a; at each site the lines apply in
-    the order given.  ``M`` is overwritten, so callers pass a fresh start.
-    """
-    dims = [2] * (M.shape[1].bit_length() - 1)
-    first_site = len(dims) - spec.L
-    q = spec.q_complex()
-    ratios = [spec.site_ratios_complex(a) for _, _, a in lines]
-    for l in range(spec.L - 1, -1, -1):
-        for (slot, z, _), rho in zip(lines, ratios):
-            r = numeric_r(z * rho[l], q)
-            np_apply_conserving(M, r, (slot, first_site + l), dims)
-    return M
+    return _Exact(spec).transfer(z, a)
 
 
 def transfer_numeric(
-    spec: ChainSpec, z: complex, a_val: complex | None = None
+    spec: ChainSpec, z: complex, a: complex | None = None
 ) -> np.ndarray:
-    M = monodromy_numeric(spec, z, a_val=a_val)
-    H = 1 << spec.L
-    u = spec.twist_complex()
-    return u * M[:H, :H] + (1 / u) * M[H:, H:]
+    return _Numeric(spec).transfer(z, a)
 
 
 def sample_point(spec: ChainSpec, rng) -> complex:
@@ -352,6 +388,20 @@ def sample_point(spec: ChainSpec, rng) -> complex:
     raise RuntimeError("could not sample away from the poles")
 
 
+def _doubled(M, i, j):
+    """A copy of ``M`` with entry (i, j) doubled: the --perturb controls."""
+    M = M.copy() if isinstance(M, np.ndarray) else [row[:] for row in M]
+    M[i][j] *= 2
+    return M
+
+
+def _verdict(name, ring, sides, points, seed, perturb, samples, tol, details):
+    """Run one identity in ``ring``; ``details`` are reported in exact mode."""
+    ok, details = ring.compare(sides, points, details, seed, samples, tol)
+    details.update(mode=ring.mode, L=ring.spec.L, perturbed=bool(perturb))
+    return CheckResult(name=name, ok=ok, details=details)
+
+
 def check_rtt(
     spec: ChainSpec,
     mode: str = "exact",
@@ -360,66 +410,24 @@ def check_rtt(
     samples: int = 2,
     tol: float = 1e-10,
 ) -> CheckResult:
-    """Exchange of two monodromies through one fundamental factor."""
-    if mode == "exact":
-        z = MPoly.var("z")
-        w = MPoly.var("w")
-        dims = [2, 2] + [2] * spec.L
-        subs = _q_poly(spec)
-        r12 = _maybe_fix_q(cleared_r(z, 1), subs)
+    """Exchange of two monodromies through one fundamental factor:
+    R12 T13(z*w) T23(w) = T23(w) T13(z*w) R12(z).
+
+    ``perturb`` doubles the entry (1,2) of R12.
+    """
+    ring = _ring(spec, mode)
+
+    def sides(z, w):
+        r = ring.r(z)
         if perturb:
-            r12 = [row[:] for row in r12]
-            r12[1][2] = 2 * r12[1][2]
-        R12 = op_on_slots(r12, (0, 1), dims)
-        site_slots = list(range(2, spec.L + 2))
-        T13 = monodromy_cleared(spec, z * w, dims, 0, site_slots)
-        T23 = monodromy_cleared(spec, w, dims, 1, site_slots)
-        lhs = mat_mul(mat_mul(R12, T13), T23)
-        rhs = mat_mul(mat_mul(T23, T13), R12)
-        ok = mat_eq(lhs, rhs)
-        return CheckResult(
-            name="rtt",
-            ok=ok,
-            details={
-                "mode": "exact",
-                "L": spec.L,
-                "entries_compared": (4 * (1 << spec.L)) ** 2,
-                "perturbed": bool(perturb),
-            },
-        )
-    if mode != "numeric":
-        raise ValueError("mode must be exact or numeric")
-    rng = np.random.default_rng(seed)
-    q = spec.q_complex()
-    dims = [2, 2] + [2] * spec.L
-    worst = 0.0
-    for _ in range(samples):
-        z0 = sample_point(spec, rng)
-        w0 = sample_point(spec, rng)
-        r = numeric_r(z0, q)
-        if perturb:
-            r = r.copy()
-            r[1, 2] *= 2
-        # T13 and T23 factors on different sites commute, so each side is
-        # one stream interleaving the two lines site by site
-        t13, t23 = (0, z0 * w0, None), (1, w0, None)
-        lhs = np_apply_conserving(np.eye(4 << spec.L, dtype=complex), r, (0, 1), dims)
-        lhs = _np_monodromy(spec, lhs, [t13, t23])
-        rhs = _np_monodromy(spec, np.eye(4 << spec.L, dtype=complex), [t23, t13])
-        np_apply_conserving(rhs, r, (0, 1), dims)
-        worst = max(worst, np_residual(lhs, rhs))
-    ok = worst < tol
-    return CheckResult(
-        name="rtt",
-        ok=ok,
-        details={
-            "mode": "numeric",
-            "L": spec.L,
-            "residual": worst,
-            "tolerance": tol,
-            "perturbed": bool(perturb),
-        },
-    )
+            r = _doubled(r, 1, 2)
+        t13, t23 = (0, z * w, None), (1, w, None)
+        lhs = ring.lines(ring.apply(None, r, (0, 1)), [t13, t23])
+        rhs = ring.apply(ring.lines(None, [t23, t13]), r, (0, 1))
+        return lhs, rhs
+
+    exact = {"entries_compared": (4 * (1 << spec.L)) ** 2}
+    return _verdict("rtt", ring, sides, 2, seed, perturb, samples, tol, exact)
 
 
 def check_commute(
@@ -437,51 +445,17 @@ def check_commute(
     """
     if perturb and spec.L < 2:
         raise ValueError("the perturbed entry exists only for L >= 2")
-    if mode == "exact":
-        z = MPoly.var("z")
-        w = MPoly.var("w")
-        Tz = transfer_cleared(spec, z)
-        Tw = transfer_cleared(spec, w)
+    ring = _ring(spec, mode)
+
+    def sides(z, w):
+        Tz = ring.transfer(z)
+        Tw = ring.transfer(w)
         if perturb:
-            Tw = [row[:] for row in Tw]
-            Tw[1][2] = 2 * Tw[1][2]
-        ok = mat_eq(mat_mul(Tz, Tw), mat_mul(Tw, Tz))
-        return CheckResult(
-            name="commute",
-            ok=ok,
-            details={
-                "mode": "exact",
-                "L": spec.L,
-                "q": spec.q,
-                "twist": spec.twist,
-                "perturbed": bool(perturb),
-            },
-        )
-    if mode != "numeric":
-        raise ValueError("mode must be exact or numeric")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        z0 = sample_point(spec, rng)
-        w0 = sample_point(spec, rng)
-        Tz = transfer_numeric(spec, z0)
-        Tw = transfer_numeric(spec, w0)
-        if perturb:
-            Tw = Tw.copy()
-            Tw[1, 2] *= 2
-        worst = max(worst, np_residual(Tz @ Tw, Tw @ Tz))
-    ok = worst < tol
-    return CheckResult(
-        name="commute",
-        ok=ok,
-        details={
-            "mode": "numeric",
-            "L": spec.L,
-            "residual": worst,
-            "tolerance": tol,
-            "perturbed": bool(perturb),
-        },
-    )
+            Tw = _doubled(Tw, 1, 2)
+        return ring.mul(Tz, Tw), ring.mul(Tw, Tz)
+
+    exact = {"q": spec.q, "twist": spec.twist}
+    return _verdict("commute", ring, sides, 2, seed, perturb, samples, tol, exact)
 
 
 def check_multiplicativity(
@@ -495,77 +469,24 @@ def check_multiplicativity(
 ) -> CheckResult:
     """Transfer over a tensor pair of auxiliary spaces factorizes.
 
-    The combined monodromy interleaves both auxiliary factors site by site;
-    tracing the twisted pair must equal the product of the two transfer
-    matrices.  ``perturb`` omits the twist on the second auxiliary slot.
+    The twisted trace over both auxiliary lines, the second at a2 (2a by
+    default), must equal the product of the two transfer matrices.
+    ``perturb`` omits the twist on the second auxiliary slot.
     """
-    H = 1 << spec.L
-    if mode == "exact":
-        z = MPoly.var("z")
-        a1 = spec.a_fraction()
-        a2 = a1 * 2 if a2 is None else Fraction(a2)
-        dims = [2, 2] + [2] * spec.L
-        subs = _q_poly(spec)
-        ratios1 = spec.ratios()
-        ratios2 = spec.ratios(a2)
-        M = None
-        for l in range(spec.L - 1, -1, -1):
-            f1 = op_on_slots(
-                _maybe_fix_q(cleared_r(z * ratios1[l], 1), subs), (0, l + 2), dims
-            )
-            f2 = op_on_slots(
-                _maybe_fix_q(cleared_r(z * ratios2[l], 1), subs), (1, l + 2), dims
-            )
-            g = mat_mul(f1, f2)
-            M = g if M is None else mat_mul(M, g)
-        tw = _cleared_twist(spec)
-        tw2 = [[MPoly.const(1), MPoly.zero()], [MPoly.zero(), MPoly.const(1)]] if perturb else tw
-        big_twist = op_on_slots(tw, (0,), dims)
-        big_twist2 = op_on_slots(tw2, (1,), dims)
-        twisted = mat_mul(mat_mul(big_twist, big_twist2), M)
-        pair = partial_trace(partial_trace(twisted, 0, dims), 0, [2] + [2] * spec.L)
-        t1 = transfer_cleared(spec, z)
-        t2 = transfer_cleared(spec, z, a_override=a2)
-        prod = mat_mul(t1, t2)
-        ok = mat_eq(pair, prod)
-        return CheckResult(
-            name="multiplicativity",
-            ok=ok,
-            details={
-                "mode": "exact",
-                "L": spec.L,
-                "a1": str(a1),
-                "a2": str(a2),
-                "perturbed": bool(perturb),
-            },
-        )
-    if mode != "numeric":
-        raise ValueError("mode must be exact or numeric")
-    rng = np.random.default_rng(seed)
-    a2c = spec.a_complex() * 2 if a2 is None else complex(a2)
-    u = spec.twist_complex()
-    dims = [2, 2] + [2] * spec.L
-    tw = np.diag([u, 1 / u]).astype(complex)
-    tw12 = np.kron(tw, np.eye(2, dtype=complex) if perturb else tw)
-    worst = 0.0
-    for _ in range(samples):
-        z0 = sample_point(spec, rng)
-        twists = np_apply_conserving(np.eye(4 * H, dtype=complex), tw12, (0, 1), dims)
-        big = _np_monodromy(spec, twists, [(0, z0, None), (1, z0, a2c)])
-        pair = np_partial_trace(np_partial_trace(big, 0, dims), 0, [2] + [2] * spec.L)
-        t1 = transfer_numeric(spec, z0)
-        t2 = transfer_numeric(spec, z0, a_val=a2c)
-        worst = max(worst, np_residual(pair, t1 @ t2))
-    ok = worst < tol
-    return CheckResult(
-        name="multiplicativity",
-        ok=ok,
-        details={
-            "mode": "numeric",
-            "L": spec.L,
-            "residual": worst,
-            "tolerance": tol,
-            "perturbed": bool(perturb),
-        },
-    )
+    ring = _ring(spec, mode)
+    a1 = ring.a()
+    a2 = a1 * 2 if a2 is None else type(a1)(a2)
+    tw = ring.twist()
+    tw12 = ring.kron(tw, [[1, 0], [0, 1]] if perturb else tw)
 
+    dims = [2] * (spec.L + 2)
+
+    def sides(z):
+        pair = ring.lines(ring.apply(None, tw12, (0, 1)), [(0, z, None), (1, z, a2)])
+        pair = ring.partial_trace(ring.partial_trace(pair, 0, dims), 0, dims[1:])
+        return pair, ring.mul(ring.transfer(z), ring.transfer(z, a2))
+
+    exact = {"a1": str(a1), "a2": str(a2)}
+    return _verdict(
+        "multiplicativity", ring, sides, 1, seed, perturb, samples, tol, exact
+    )

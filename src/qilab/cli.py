@@ -32,7 +32,7 @@ from .chain import (
     check_tq,
     compute_spectrum,
 )
-from .field import MPoly, RatFun, mat_mul, rref
+from .field import MPoly, RatFun, identity, mat_eq, mat_mul, rref
 from .verdict import CheckResult
 
 
@@ -449,10 +449,7 @@ def _cmd_stab_rmatrix(args):
     sa, sb = st.stab_matrix(chamber), st.stab_matrix(to)
     R = st.geometric_r(sa, sb)
     prod = mat_mul(R, st.geometric_r(sb, sa))
-    m = len(prod)
-    ident = all(
-        prod[i][j] == RatFun(1 if i == j else 0) for i in range(m) for j in range(m)
-    )
+    ident = mat_eq(prod, identity(len(prod)))
     got = tuple(tuple(str(x) for x in row) for row in R)
     details = {
         "from": chamber.order_string(),
@@ -547,7 +544,8 @@ _COMMANDS = (
     ("rmat", "ybe", "triple exchange identity",
      (_scale(1), _scale(2), _scale(3), _JSON, _PERTURB), _cmd_rmat_ybe),
     ("rmat", "yang", "additive degeneration of the solution",
-     (_flag("--cutoff", type=int, default=6, help="series truncation order"),
+     (_flag("--cutoff", type=int, default=6,
+            help="bound on the leading degree of each denominator"),
       _JSON, _PERTURB), _cmd_rmat_yang),
     ("rmat", "normalize", "rescale the cleared matrix to corner 1",
      (_scale(1), _scale(2), _JSON), _cmd_rmat_normalize),

@@ -290,13 +290,17 @@ def explore(seed: Seed, depth: int) -> Atlas:
     atlas.seed_keys.append(k0)
     atlas.seeds.append(seed)
     seen = {k0}
-    frontier = [seed]
+    # (seed, the vertex it was found by): mutation is an involution, so
+    # mutating back along that edge gives the parent, already recorded
+    frontier = [(seed, None)]
     for _ in range(depth):
         if not frontier:
             break
         nxt = []
-        for s in frontier:
+        for s, found_by in frontier:
             for k in range(1, s.quiver.n + 1):
+                if k == found_by:
+                    continue
                 child = mutate_seed(s, k)
                 _record_relation(s, atlas, k, child)
                 ck = _canonical_key(child)
@@ -304,7 +308,7 @@ def explore(seed: Seed, depth: int) -> Atlas:
                     seen.add(ck)
                     atlas.seed_keys.append(ck)
                     atlas.seeds.append(child)
-                    nxt.append(child)
+                    nxt.append((child, k))
         frontier = nxt
     atlas.closed = not frontier
     return atlas

@@ -143,6 +143,16 @@ def _zeta_pair(scale: Fraction, *poly_factors):
     return zn, MPoly.const(1)
 
 
+def _exchange_holds(m12, m13, m23) -> bool:
+    """M12*M13*M23 == M23*M13*M12 for three 4x4 factors on [2, 2, 2]."""
+    dims = [2, 2, 2]
+    M12 = op_on_slots(m12, (0, 1), dims)
+    M13 = op_on_slots(m13, (0, 2), dims)
+    M23 = op_on_slots(m23, (1, 2), dims)
+    lhs = mat_mul(mat_mul(M12, M13), M23)
+    return mat_eq(lhs, mat_mul(mat_mul(M23, M13), M12))
+
+
 def check_ybe(a=Fraction(1), b=Fraction(1), c=Fraction(1), perturb=False) -> CheckResult:
     """Triple exchange identity on three spaces with parameters a, b, c.
 
@@ -156,16 +166,9 @@ def check_ybe(a=Fraction(1), b=Fraction(1), c=Fraction(1), perturb=False) -> Che
     if perturb:
         r12 = [row[:] for row in r12]
         r12[1][2] = 2 * r12[1][2]
-    dims = [2, 2, 2]
-    R12 = op_on_slots(r12, (0, 1), dims)
-    R13 = op_on_slots(r13, (0, 2), dims)
-    R23 = op_on_slots(r23, (1, 2), dims)
-    lhs = mat_mul(mat_mul(R12, R13), R23)
-    rhs = mat_mul(mat_mul(R23, R13), R12)
-    ok = mat_eq(lhs, rhs)
     return CheckResult(
         name="ybe",
-        ok=ok,
+        ok=_exchange_holds(r12, r13, r23),
         details={
             "params": {"a": str(a), "b": str(b), "c": str(c)},
             "symbolic": ["z", "w"],
@@ -255,13 +258,7 @@ def check_yang(cutoff: int = 6, perturb=False) -> CheckResult:
         m13 = [
             [e.substitute({"h": 2 * MPoly.var("h")}) for e in row] for row in m13
         ]
-    dims = [2, 2, 2]
-    M12 = op_on_slots(m12, (0, 1), dims)
-    M13 = op_on_slots(m13, (0, 2), dims)
-    M23 = op_on_slots(m23, (1, 2), dims)
-    additive = mat_eq(
-        mat_mul(mat_mul(M12, M13), M23), mat_mul(mat_mul(M23, M13), M12)
-    )
+    additive = _exchange_holds(m12, m13, m23)
     return CheckResult(
         name="yang",
         ok=closed_form and additive,

@@ -29,7 +29,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .field import MPoly, NotDivisible, RatFun, mat_mul, rref, solve_unique
+from .field import (
+    MPoly,
+    NotDivisible,
+    RatFun,
+    identity,
+    mat_eq,
+    mat_mul,
+    rref,
+    solve_unique,
+)
 from .verdict import CheckResult
 
 __all__ = [
@@ -411,13 +420,9 @@ def check_n1(perturb: bool = False) -> CheckResult:
     got_r = tuple(tuple(str(e) for e in row) for row in r)
     rt = geometric_r(sm, sp)
     prod = mat_mul(r, rt)
-    ident = all(
-        prod[i][j] == RatFun(1 if i == j else 0) for i in range(2) for j in range(2)
-    )
+    ident = mat_eq(prod, identity(2))
     same = geometric_r(sp, sp)
-    refl = all(
-        same[i][j] == RatFun(1 if i == j else 0) for i in range(2) for j in range(2)
-    )
+    refl = mat_eq(same, identity(2))
     ok = (
         got_plus == N1_PLUS
         and got_minus == N1_MINUS
@@ -491,11 +496,7 @@ def check_cycle_identity(chambers=None, perturb: bool = False) -> CheckResult:
             )
         factor = geometric_r(src, stabs[i])
         prod = factor if prod is None else mat_mul(prod, factor)
-    ident = all(
-        prod[i][j] == RatFun(1 if i == j else 0)
-        for i in range(size)
-        for j in range(size)
-    )
+    ident = mat_eq(prod, identity(size))
     return CheckResult(
         name="stab-cycle",
         ok=ident,

@@ -10,7 +10,6 @@ from qilab.chain import (
     check_commute,
     check_multiplicativity,
     check_rtt,
-    monodromy_numeric,
     numeric_r,
     parse_complex,
     sample_point,
@@ -167,15 +166,27 @@ def test_multiplicativity_numeric_fresh_start_per_sample():
     ).ok
 
 
-def test_monodromy_numeric_returns_fresh_array():
+def test_transfer_numeric_returns_fresh_array():
     s = ChainSpec.from_json({"L": 3, "q": "0.83+0.21*i", "twist": "0.64+0.13*i"})
-    first = monodromy_numeric(s, 0.7 + 0.2j)
+    first = transfer_numeric(s, 0.7 + 0.2j)
     kept = first.copy()
-    second = monodromy_numeric(s, 0.7 + 0.2j)
+    second = transfer_numeric(s, 0.7 + 0.2j)
     assert second is not first and not np.shares_memory(first, second)
     second[:] = 0
     assert np.array_equal(first, kept)
-    assert np.array_equal(monodromy_numeric(s, 0.7 + 0.2j), kept)
+    assert np.array_equal(transfer_numeric(s, 0.7 + 0.2j), kept)
+
+
+def test_exact_checks_in_one_process_keep_line_monodromies_apart():
+    # the transfer (one auxiliary slot) and the fused pair (two) share the
+    # line (slot 0, z, a); a monodromy kept for one must not serve the other
+    s = ChainSpec.from_json({"L": 2, "q": "3/5", "sites": ["1", "2"]})
+    assert check_commute(s, mode="exact").ok
+    assert check_rtt(s, mode="exact").ok
+    assert check_multiplicativity(s, mode="exact").ok
+    assert not check_rtt(s, mode="exact", perturb=True).ok
+    assert not check_multiplicativity(s, mode="exact", perturb=True).ok
+    assert check_commute(s, mode="exact").ok
 
 
 def test_transfer_numeric_matches_cleared_at_rational_point():

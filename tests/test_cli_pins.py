@@ -48,6 +48,10 @@ JSON_PINS = {
     "chain rtt --spec sym3.json --mode exact": (0, "c6d1c7e408f0a052190fbbc4c6a3bee67f74596cadb84438ba5e0cb06abe1dce", ""),
     "chain multiplicativity --spec sym3.json --mode exact": (0, "e0cf74c669c4a4d840ffa4cee8e852f0dc8ab3dffd936da7ea734b7c6b8ec60e", ""),
     "chain multiplicativity --spec l2.json --perturb": (1, "694dbcdd8524db3195e012275a17cef26628b80bdc6ca6edb2d3658ffaef8d59", ""),
+    "chain rtt --spec generic8.json --mode numeric --samples 1": (0, "9833cc3aa30d914b0f616ad421d4c05ff6f12a18e2f1d4ec89899f0f84bdb523", ""),
+    "chain commute --spec generic8.json --mode numeric": (0, "fb0069861eee54927c5f162f43c901644ed07b53b611c1e3ee97f57b65035615", ""),
+    "chain multiplicativity --spec generic6.json --mode numeric": (0, "60c9bb3c8b69e6cd92bff0440b2ccb54f9ee51132274716d664e4b4832e7a2f0", ""),
+    "chain commute --spec q35-5.json --mode exact": (0, "648a020aeb9eb2547cabe74214ebe713506ef6074145c5b00b6d0001c8d0162a", ""),
     "chain spectrum --spec l1.json --sector 0": (0, "b8cbdb14571058c99ccccecab772bff2335ca5ff62fe285c339036bbf846b92f", ""),
     "chain spectrum --spec l2.json": (0, "41eb0424c9abfd28e818eae06af4b57ce3829910c3aaf39e51770d00088fe1a4", ""),
     "chain tq --spec l2.json --seed 3": (0, "7251126db06a2e92c653a4efd7b205e76dbb80d7b512d22106f3ac0f1a20f9fa", ""),
@@ -79,6 +83,76 @@ JSON_PINS = {
     "stab cycle --n 2": (0, "bbe0ae312d71c7c371e6a3e15c17ff23076649e2db88ede97c86e0656a6caa00", ""),
     "stab cycle --n 2 --perturb": (1, "3d40840cb9ebbadeb434214b64b0959590c3cba5177c3f7aa1e793cfc00ab6ce", ""),
     "stab cycle --n 3": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the cycle walk is implemented for n=2"),
+}
+
+# Chain specs with one field outside the exact or the numeric domain.
+EDGE_SPECS = {
+    "twist-complex": {"L": 2, "q": "3/5", "twist": "0.5+0.2*i"},
+    "twist-zero": {"L": 2, "q": "3/5", "twist": "0"},
+    "q-complex": {"L": 2, "q": "0.83+0.21*i", "twist": "2"},
+    "a-complex": {"L": 2, "q": "3/5", "a": "0.5+0.5*i", "twist": "2"},
+    "site-zero": {"L": 2, "q": "3/5", "sites": ["1", "0"], "twist": "2"},
+    "twist-symbolic": {"L": 2, "q": "3/5", "twist": "u"},
+}
+
+# "<check> <edge spec> <mode>" -> (exit code, sha256 of the --json stdout,
+# last line of stderr): which field each check and mode reads, and the
+# error it gives when that field is out of its domain
+EDGE_PINS = {
+    "rtt twist-complex exact": (0, "ed0d1e1c9932d473393027d8c288f9b914d02a6c9b7aca66d1e18788e646dd96", ""),
+    "rtt twist-complex numeric": (0, "dfaa5b979f69f26d93c87c26b208a8f754424fe7aa17c2ef4f5c7227074b6229", ""),
+    "rtt twist-complex auto": (0, "dfaa5b979f69f26d93c87c26b208a8f754424fe7aa17c2ef4f5c7227074b6229", ""),
+    "commute twist-complex exact": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: unexpected character '.' in '0.5+0.2*i'"),
+    "commute twist-complex numeric": (0, "d26b2565be862dbcf8b4b03fe63ce9aea83b529477222b23575c93cff8ae19fb", ""),
+    "commute twist-complex auto": (0, "d26b2565be862dbcf8b4b03fe63ce9aea83b529477222b23575c93cff8ae19fb", ""),
+    "multiplicativity twist-complex exact": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: unexpected character '.' in '0.5+0.2*i'"),
+    "multiplicativity twist-complex numeric": (0, "9e813ab2b21893a648bab98caa6b4cce2be9c90cb3388c4b29d7dfee90b24c5e", ""),
+    "multiplicativity twist-complex auto": (0, "9e813ab2b21893a648bab98caa6b4cce2be9c90cb3388c4b29d7dfee90b24c5e", ""),
+    "rtt twist-zero exact": (0, "56241f143bfa3473b032d7d3b4bc621be862cd87b000be6b29fa1b20a4cab74b", ""),
+    "rtt twist-zero numeric": (0, "a3139497c88894ffff198cdf3d1649d14fcc7773a16f32b09b5a9daa3416ae4d", ""),
+    "rtt twist-zero auto": (0, "a3139497c88894ffff198cdf3d1649d14fcc7773a16f32b09b5a9daa3416ae4d", ""),
+    "commute twist-zero exact": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: twist must be invertible"),
+    "commute twist-zero numeric": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: twist must be invertible"),
+    "commute twist-zero auto": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: twist must be invertible"),
+    "multiplicativity twist-zero exact": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: twist must be invertible"),
+    "multiplicativity twist-zero numeric": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: twist must be invertible"),
+    "multiplicativity twist-zero auto": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: twist must be invertible"),
+    "rtt q-complex exact": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: unexpected character '.' in '0.83+0.21*i'"),
+    "rtt q-complex numeric": (0, "8fb9b0a83e463fcf694458e576c13a56bda7a04d6f06a6e25eeeee1249902e97", ""),
+    "rtt q-complex auto": (0, "8fb9b0a83e463fcf694458e576c13a56bda7a04d6f06a6e25eeeee1249902e97", ""),
+    "commute q-complex exact": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: unexpected character '.' in '0.83+0.21*i'"),
+    "commute q-complex numeric": (0, "cc5318d75fe2004a8a920bf7aef3630728cbbf0d04cbd608a01fbb4383a5b84b", ""),
+    "commute q-complex auto": (0, "cc5318d75fe2004a8a920bf7aef3630728cbbf0d04cbd608a01fbb4383a5b84b", ""),
+    "multiplicativity q-complex exact": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: unexpected character '.' in '0.83+0.21*i'"),
+    "multiplicativity q-complex numeric": (0, "2f2ec817c1aafcf82bcaa5b2f8da76c6696c5a24abf7755c4d8bf2aa24a9aab9", ""),
+    "multiplicativity q-complex auto": (0, "2f2ec817c1aafcf82bcaa5b2f8da76c6696c5a24abf7755c4d8bf2aa24a9aab9", ""),
+    "rtt a-complex exact": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: unexpected character '.' in '0.5+0.5*i'"),
+    "rtt a-complex numeric": (0, "5624bd5828de00720032a463c8841f168511ce6964eaf3d96af4dce2959145f6", ""),
+    "rtt a-complex auto": (0, "5624bd5828de00720032a463c8841f168511ce6964eaf3d96af4dce2959145f6", ""),
+    "commute a-complex exact": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: unexpected character '.' in '0.5+0.5*i'"),
+    "commute a-complex numeric": (0, "7d4584ea7bdc249df64e32aaa2bb4fff7708a7bbac6980b2444a7ccea02643c4", ""),
+    "commute a-complex auto": (0, "7d4584ea7bdc249df64e32aaa2bb4fff7708a7bbac6980b2444a7ccea02643c4", ""),
+    "multiplicativity a-complex exact": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: unexpected character '.' in '0.5+0.5*i'"),
+    "multiplicativity a-complex numeric": (0, "542a66124b5bdfaf6da6fdae673fc116fb628c2eb4663c9c4bc7ad58bea7a79a", ""),
+    "multiplicativity a-complex auto": (0, "542a66124b5bdfaf6da6fdae673fc116fb628c2eb4663c9c4bc7ad58bea7a79a", ""),
+    "rtt site-zero exact": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: site parameters must be nonzero"),
+    "rtt site-zero numeric": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: complex division by zero"),
+    "rtt site-zero auto": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: complex division by zero"),
+    "commute site-zero exact": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: site parameters must be nonzero"),
+    "commute site-zero numeric": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: complex division by zero"),
+    "commute site-zero auto": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: complex division by zero"),
+    "multiplicativity site-zero exact": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: site parameters must be nonzero"),
+    "multiplicativity site-zero numeric": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: complex division by zero"),
+    "multiplicativity site-zero auto": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: complex division by zero"),
+    "rtt twist-symbolic exact": (0, "641f54f7b5d94ea02214a65354c8e04f4b646b1fad616eedccc009cfc03caf20", ""),
+    "rtt twist-symbolic numeric": (0, "405dce5a56e9e3d61e4a43060ebac9f36c97ec4a0a04906e1f59846c27e985ec", ""),
+    "rtt twist-symbolic auto": (0, "641f54f7b5d94ea02214a65354c8e04f4b646b1fad616eedccc009cfc03caf20", ""),
+    "commute twist-symbolic exact": (0, "f787d0d1a992ab2f3d6f0b1736dae543940b0a5438afe2fc8c25155e56af31e9", ""),
+    "commute twist-symbolic numeric": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: cannot read numeric value 'u'"),
+    "commute twist-symbolic auto": (0, "f787d0d1a992ab2f3d6f0b1736dae543940b0a5438afe2fc8c25155e56af31e9", ""),
+    "multiplicativity twist-symbolic exact": (0, "9d7f13ca830fc231345250249c1b3a3893d1e541e24ffaddbc3a911604493fe4", ""),
+    "multiplicativity twist-symbolic numeric": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: cannot read numeric value 'u'"),
+    "multiplicativity twist-symbolic auto": (0, "9d7f13ca830fc231345250249c1b3a3893d1e541e24ffaddbc3a911604493fe4", ""),
 }
 
 # "<group> <command>" -> (help, option rows); a group maps to its help.
@@ -115,7 +189,7 @@ PARSER_SURFACE = {
     "rmat yang": (
         "additive degeneration of the solution",
         [
-            (["--cutoff"], "store:int", 6, False, None, "series truncation order"),
+            (["--cutoff"], "store:int", 6, False, None, "bound on the leading degree of each denominator"),
             JSON,
             PERTURB,
         ],
@@ -353,6 +427,12 @@ def inputs(tmp_path, monkeypatch):
     (tmp_path / "d4.json").write_text(
         json.dumps({"r": 4, "frozen": [], "arrows": [[1, 2], [2, 3], [2, 4]]})
     )
+    generic = {"q": "0.83+0.21*i", "twist": "0.64+0.13*i"}
+    (tmp_path / "generic8.json").write_text(json.dumps({"L": 8, **generic}))
+    (tmp_path / "generic6.json").write_text(json.dumps({"L": 6, **generic}))
+    (tmp_path / "q35-5.json").write_text(json.dumps({"L": 5, "q": "3/5", "twist": "u"}))
+    for name, spec in EDGE_SPECS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(spec))
 
 
 def test_every_command_json_bytes_are_pinned(inputs, capsys):
@@ -360,6 +440,13 @@ def test_every_command_json_bytes_are_pinned(inputs, capsys):
     assert len(commands) == 21
     for argv, pin in JSON_PINS.items():
         assert _run(argv.split() + ["--json"], capsys) == pin, argv
+
+
+def test_chain_identity_edge_inputs_are_pinned(inputs, capsys):
+    for key, pin in EDGE_PINS.items():
+        cmd, spec, mode = key.split()
+        argv = ["chain", cmd, "--spec", f"{spec}.json", "--mode", mode, "--json"]
+        assert _run(argv, capsys) == pin, key
 
 
 def test_every_subcommand_parser_surface_is_pinned():

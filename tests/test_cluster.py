@@ -117,6 +117,18 @@ def test_seed_mutation_involutive_random(upper, k):
     assert mutate_seed(mutate_seed(s, k), k) == s
 
 
+def test_mutation_back_along_each_edge_returns_the_seed():
+    # explore skips the edge a seed was found by; that needs mu_k mu_k = id
+    # on every seed it reaches
+    d4 = Quiver.from_json({"r": 4, "frozen": [], "arrows": [[1, 2], [2, 3], [2, 4]]})
+    for quiver in (d4, Quiver.from_json(EXAMPLE_QUIVER)):
+        atlas = explore(initial_seed(quiver), 6)
+        assert len(atlas.seeds) > 1
+        for s in atlas.seeds:
+            for k in range(1, quiver.n + 1):
+                assert mutate_seed(mutate_seed(s, k), k) == s
+
+
 def test_explore_example_quiver():
     atlas = explore(initial_seed(Quiver.from_json(EXAMPLE_QUIVER)), 4)
     assert atlas.closed
