@@ -51,6 +51,7 @@ JSON_PINS = {
     "chain rtt --spec generic8.json --mode numeric --samples 1": (0, "9833cc3aa30d914b0f616ad421d4c05ff6f12a18e2f1d4ec89899f0f84bdb523", ""),
     "chain commute --spec generic8.json --mode numeric": (0, "fb0069861eee54927c5f162f43c901644ed07b53b611c1e3ee97f57b65035615", ""),
     "chain multiplicativity --spec generic6.json --mode numeric": (0, "60c9bb3c8b69e6cd92bff0440b2ccb54f9ee51132274716d664e4b4832e7a2f0", ""),
+    "chain commute --spec generic9.json --mode numeric --samples 1": (0, "9d015d2fbc476f264bf5db6b1e6d9337fbb6232d88799d80dc484a6f77024ff7", ""),
     "chain commute --spec q35-5.json --mode exact": (0, "648a020aeb9eb2547cabe74214ebe713506ef6074145c5b00b6d0001c8d0162a", ""),
     "chain spectrum --spec l1.json --sector 0": (0, "b8cbdb14571058c99ccccecab772bff2335ca5ff62fe285c339036bbf846b92f", ""),
     "chain spectrum --spec l2.json": (0, "41eb0424c9abfd28e818eae06af4b57ce3829910c3aaf39e51770d00088fe1a4", ""),
@@ -58,6 +59,9 @@ JSON_PINS = {
     "chain tq --spec l2.json --perturb": (1, "f77a871c0e4ee7136aac724ef9189684d2575b4a27777932431af904dde6a1c3", ""),
     "chain bethe --spec l2.json --sector 1": (0, "c5bfd3b47b243902ee657b17ff94c93141529b66e2bc5560241b27ec8c69bc85", ""),
     "chain bethe --spec l2.json --sector 1 --perturb": (1, "73d2ba6b2dc081a8c5ae7d458fc90beab83bf2dda2e093ec3cae1ff63a6e7149", ""),
+    "chain spectrum --spec generic8.json": (0, "8afbac2a3aaaab51facde8da72e92f33cb6d705126d59c08fa42ba2572a51231", ""),
+    "chain tq --spec generic7.json --seed 0": (0, "a5a285d7afef95da4668f7ed9fd7d0fca732b4633d7ab3adbd90dd9e52478864", ""),
+    "chain bethe --spec generic6.json --sector 2": (0, "88a90033d4545cdc8344cad09e8d7c8e3a9d75003c3c3b3ac5703f59625d161b", ""),
     "chain bethe --spec l2.json --sector 9": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: sector must lie between 0 and L"),
     "chain bethe --spec l2.json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "qilab chain bethe: error: the following arguments are required: --sector"),
     "chain rtt --spec l2.json --mode bogus": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "qilab chain rtt: error: argument --mode: invalid choice: 'bogus' (choose from 'auto', 'exact', 'numeric')"),
@@ -428,8 +432,8 @@ def inputs(tmp_path, monkeypatch):
         json.dumps({"r": 4, "frozen": [], "arrows": [[1, 2], [2, 3], [2, 4]]})
     )
     generic = {"q": "0.83+0.21*i", "twist": "0.64+0.13*i"}
-    (tmp_path / "generic8.json").write_text(json.dumps({"L": 8, **generic}))
-    (tmp_path / "generic6.json").write_text(json.dumps({"L": 6, **generic}))
+    for L in (6, 7, 8, 9):
+        (tmp_path / f"generic{L}.json").write_text(json.dumps({"L": L, **generic}))
     (tmp_path / "q35-5.json").write_text(json.dumps({"L": 5, "q": "3/5", "twist": "u"}))
     for name, spec in EDGE_SPECS.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(spec))
