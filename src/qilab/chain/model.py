@@ -13,9 +13,14 @@ scaled by its corner denominator and the twist by u, so both sides carry
 the same scalar.  It multiplies each line's monodromy out once per check
 and takes dense products of whole lines, which measured faster than
 streaming the factors of two lines site by site.  ``_Numeric`` takes the
-worst residual over seeded sample points; it streams every factor in place,
-site by site, each spin-conserving 4x4 factor updating two quarters of the
-matrix, O(L*4^L) per transfer.
+worst residual over seeded sample points.  Every factor conserves aux plus
+site spin, so it keeps a monodromy on n = L+1 slots (L+2 for two lines) as
+its popcount blocks and streams every factor into them in place, site by
+site: O(L*C(2L+2, L+1)) per transfer instead of O(L*4^L).  The transfer's
+sector of m flipped sites is u times the aux-0 corner of block m plus u^-1
+times the aux-1 corner of block m+1; ``transfer_sectors`` hands these to
+the spectrum, and ``transfer_numeric`` spreads them into the dense matrix
+that ``commute`` and ``multiplicativity`` multiply.
 """
 
 from __future__ import annotations
@@ -34,9 +39,12 @@ from ..field import (
     kron,
     mat_eq,
     mat_mul,
-    np_apply_conserving,
     np_partial_trace,
     np_residual,
+    np_spin_apply,
+    np_spin_dense,
+    np_spin_identity,
+    np_spin_trace_first,
     op_on_slots,
     partial_trace,
 )
@@ -49,6 +57,7 @@ __all__ = [
     "numeric_r",
     "transfer_cleared",
     "transfer_numeric",
+    "transfer_sectors",
     "sample_point",
     "check_rtt",
     "check_commute",
@@ -222,6 +231,7 @@ class _Exact:
 
     mode = "exact"
     mul = staticmethod(mat_mul)
+    dense = staticmethod(lambda M: M)
     kron = staticmethod(kron)
     partial_trace = staticmethod(partial_trace)
 
@@ -285,11 +295,12 @@ class _Exact:
 
 
 class _Numeric:
-    """complex128 arrays, built in place."""
+    """complex128 spin blocks, built in place; transfers are dense."""
 
     mode = "numeric"
     mul = staticmethod(np.matmul)
     kron = staticmethod(np.kron)
+    dense = staticmethod(np_spin_dense)
     partial_trace = staticmethod(np_partial_trace)
 
     def __init__(self, spec: ChainSpec):
@@ -305,35 +316,36 @@ class _Numeric:
         u = self.spec.twist_complex()
         return np.diag([u, 1 / u]).astype(complex)
 
-    def apply(self, M, F, slots) -> np.ndarray:
-        dims = _dims(M, slots, self.spec.L)
-        M = np.eye(1 << len(dims), dtype=complex) if M is None else M
-        return np_apply_conserving(M, F, slots, dims)
+    def _start(self, M, slots) -> list:
+        """``M``, or the identity blocks on aux slots 0..max(slots) and the sites."""
+        return np_spin_identity(max(slots) + 1 + self.spec.L) if M is None else M
 
-    def lines(self, M, lines) -> np.ndarray:
+    def apply(self, M, F, slots) -> list:
+        return np_spin_apply(self._start(M, slots), F, slots)
+
+    def lines(self, M, lines) -> list:
         """``M`` times the lines' factors in place, interleaved site by site.
 
         At each site the lines apply in the order given; factors of
         different lines on different sites commute, so this equals the
         product of whole line monodromies.
         """
-        dims = _dims(M, [slot for slot, _, _ in lines], self.spec.L)
-        if M is None:
-            M = np.eye(1 << len(dims), dtype=complex)
-        first = len(dims) - self.spec.L
+        M = self._start(M, [slot for slot, _, _ in lines])
+        first = len(M) - 1 - self.spec.L
         q = self.spec.q_complex()
         ratios = [self.spec.site_ratios_complex(a) for _, _, a in lines]
         for l in range(self.spec.L - 1, -1, -1):
             for (slot, z, _), rho in zip(lines, ratios):
-                r = numeric_r(z * rho[l], q)
-                np_apply_conserving(M, r, (slot, first + l), dims)
+                np_spin_apply(M, numeric_r(z * rho[l], q), (slot, first + l))
         return M
 
-    def transfer(self, z, a=None) -> np.ndarray:
-        M = self.lines(None, [(0, z, a)])
-        H = 1 << self.spec.L
+    def sectors(self, z, a=None) -> list:
+        """Spin blocks of the transfer matrix, u * A(z) + u^-1 * D(z)."""
         u = self.spec.twist_complex()
-        return u * M[:H, :H] + (1 / u) * M[H:, H:]
+        return np_spin_trace_first(self.lines(None, [(0, z, a)]), u, 1 / u)
+
+    def transfer(self, z, a=None) -> np.ndarray:
+        return np_spin_dense(self.sectors(z, a))
 
     def compare(self, sides, points, details, seed, samples, tol):
         """Worst residual of the two sides over seeded sample points."""
@@ -367,6 +379,15 @@ def transfer_numeric(
     spec: ChainSpec, z: complex, a: complex | None = None
 ) -> np.ndarray:
     return _Numeric(spec).transfer(z, a)
+
+
+def transfer_sectors(spec: ChainSpec, z: complex, a: complex | None = None) -> list:
+    """The blocks of ``transfer_numeric`` by magnon number m = 0..L.
+
+    Block m is the transfer matrix on the site states of popcount m, in
+    increasing index order, C-contiguous.
+    """
+    return [np.ascontiguousarray(B.T) for B in _Numeric(spec).sectors(z, a)]
 
 
 def sample_point(spec: ChainSpec, rng) -> complex:
@@ -483,7 +504,8 @@ def check_multiplicativity(
 
     def sides(z):
         pair = ring.lines(ring.apply(None, tw12, (0, 1)), [(0, z, None), (1, z, a2)])
-        pair = ring.partial_trace(ring.partial_trace(pair, 0, dims), 0, dims[1:])
+        pair = ring.partial_trace(ring.dense(pair), 0, dims)
+        pair = ring.partial_trace(pair, 0, dims[1:])
         return pair, ring.mul(ring.transfer(z), ring.transfer(z, a2))
 
     exact = {"a1": str(a1), "a2": str(a2)}

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..verdict import CheckResult
-from .model import ChainSpec, sample_point, transfer_numeric
+from .model import ChainSpec, sample_point, transfer_sectors
 
 __all__ = [
     "Branch",
@@ -34,10 +34,6 @@ __all__ = [
     "check_tq",
     "check_bethe",
 ]
-
-
-def _popcount(n: int) -> int:
-    return bin(n).count("1")
 
 
 @dataclass(frozen=True)
@@ -80,17 +76,11 @@ def compute_spectrum(spec: ChainSpec, seed: int = 0) -> Spectrum:
     n_samples = L + 2
     z0 = sample_point(spec, rng)
     samples = [sample_point(spec, rng) for _ in range(n_samples)]
-    T0 = transfer_numeric(spec, z0)
-    Ts = [transfer_numeric(spec, z) for z in samples]
+    S0 = transfer_sectors(spec, z0)
+    Ss = [transfer_sectors(spec, z) for z in samples]
     dens = list(map(Spectrum(spec, [], z0, seed).denominator, samples))
-    dim = 1 << L
-    sectors = {}
-    for i in range(dim):
-        sectors.setdefault(_popcount(i), []).append(i)
     branches = []
-    for m in sorted(sectors):
-        idx = np.array(sectors[m])
-        B0 = T0[np.ix_(idx, idx)]
+    for m, B0 in enumerate(S0):
         w0, V = np.linalg.eig(B0)
         scale = max(1.0, float(np.max(np.abs(w0))))
         k = len(w0)
@@ -103,8 +93,8 @@ def compute_spectrum(spec: ChainSpec, seed: int = 0) -> Spectrum:
                     )
         Vinv = np.linalg.inv(V)
         lam_table = np.empty((k, n_samples), dtype=complex)
-        for s, Tz in enumerate(Ts):
-            Ds = Vinv @ Tz[np.ix_(idx, idx)] @ V
+        for s, Sz in enumerate(Ss):
+            Ds = Vinv @ Sz[m] @ V
             off = Ds - np.diag(np.diag(Ds))
             if np.max(np.abs(off)) > 1e-8 * max(1.0, np.max(np.abs(Ds))):
                 raise RuntimeError(
@@ -409,7 +399,11 @@ def check_bethe(
     perturb: bool = False,
     tol: float = 1e-8,
 ) -> CheckResult:
-    """Root systems from collocation agree with direct Newton solving."""
+    """Root systems from collocation agree with direct Newton solving.
+
+    A branch whose collocation breaks down is reported with its error and
+    fails the check.
+    """
     if not 0 <= sector <= spec.L:
         raise ValueError("sector must lie between 0 and L")
     spectrum = compute_spectrum(spec, seed=seed)
@@ -419,7 +413,12 @@ def check_bethe(
     for i, branch in enumerate(spectrum.branches):
         if branch.sector != sector:
             continue
-        coeffs = solve_shift_poly(spectrum, branch, seed=seed + 1)
+        try:
+            coeffs = solve_shift_poly(spectrum, branch, seed=seed + 1)
+        except RuntimeError as e:
+            reports.append({"branch": i, "error": str(e)})
+            ok = False
+            continue
         roots = refine_roots(coeffs, poly_roots(coeffs))
         rr = root_residuals(spec, sector, roots, perturb=perturb)
         entry = {

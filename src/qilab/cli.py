@@ -5,9 +5,10 @@ report: the command, echoed inputs, one verdict per check, and timing.
 ``--json`` switches to a machine-stable document: keys sorted, timing
 null, so identical inputs and seed give byte-identical output.
 
-Exit codes: 0 when every verdict passes, 1 when any fails, 2 on
-malformed input (bad scalars, unreadable files, schema violations,
-orders on a wall, genericity-guard failures).
+Exit codes: 0 when every verdict passes, 1 when any fails (a numerical
+breakdown inside a check is a failed verdict), 2 on malformed input (bad
+scalars, unreadable files, schema violations, orders on a wall,
+genericity-guard failures).
 """
 
 from __future__ import annotations

@@ -8,13 +8,22 @@ each entry's packed integer terms are rekeyed once to the union of all
 supports, and only the (i, t, j) with A[i][t] and B[t][j] both nonzero are
 visited, with one int multiply-add per pair of their terms.  Other entry
 types take the generic loop over all n*k*m index triples with one ring
-product and sum per nonzero pair.  Numeric matrices are numpy arrays:
-``np_apply_conserving`` applies a spin-conserving 4x4 factor on two tensor
-slots in place with two quarter-matrix updates and two quarter-size
-temporaries.
+product and sum per nonzero pair.
+
+Numeric matrices are numpy arrays.  A spin-conserving matrix on n slots of
+size 2 is kept as its spin blocks, one per popcount k, of size C(n, k):
+their entries are C(2n, n) in all instead of 4^n.  ``np_spin_apply``
+multiplies by a spin-conserving 4x4 factor on two slots in place; in each
+block it gathers the rows whose two slots read 01 and their 10 partners,
+mixes them with the factor's middle 2x2, and scatters them back.
+``np_spin_trace_first`` takes the weighted trace over slot 0 block by block
+and ``np_spin_dense`` spreads blocks into a dense matrix.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -31,9 +40,12 @@ __all__ = [
     "partial_trace",
     "rref",
     "solve_unique",
-    "np_apply_conserving",
     "np_partial_trace",
     "np_residual",
+    "np_spin_apply",
+    "np_spin_dense",
+    "np_spin_identity",
+    "np_spin_trace_first",
 ]
 
 
@@ -238,32 +250,116 @@ def solve_unique(A, b):
 
 
 # numeric counterparts
+#
+# A matrix on n slots of size 2 that conserves the total spin is block
+# diagonal by popcount.  Its spin blocks are a list of n + 1 arrays: block k
+# holds the rows and columns of the C(n, k) states of popcount k in increasing
+# index order (slot 0 is the leading bit) and is stored transposed, so a
+# factor acting from the right updates whole rows of it.
 
 
-def np_apply_conserving(M: np.ndarray, F: np.ndarray, slots, dims) -> np.ndarray:
-    """``M`` times ``F`` on ``slots`` (identity elsewhere), in place; returns ``M``.
+@lru_cache(maxsize=None)
+def _spin_layout(n: int) -> tuple:
+    """Popcount and position in its block of every state on ``n`` slots, and
+    the states of each block, ascending."""
+    states = np.arange(1 << n)
+    pc = np.zeros_like(states)
+    for b in range(n):
+        pc += (states >> b) & 1
+    order = np.argsort(pc, kind="stable")
+    sizes = np.bincount(pc, minlength=n + 1)
+    pos = np.empty_like(pc)
+    pos[order] = states - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return pc, pos, tuple(np.split(order, np.cumsum(sizes)[:-1]))
 
-    ``F`` must conserve the spin sum of its two size-2 slots and ``M`` must be
-    C-contiguous; otherwise ValueError is raised before ``M`` changes."""
-    if F.shape != (4, 4) or any(dims[s] != 2 for s in slots):
-        raise ValueError("a conserving factor is 4x4 on two slots of size 2")
-    off = F.copy()  # the entries that would move spin between the slots
-    off[0, 0] = off[3, 3] = off[1:3, 1:3] = 0
-    if np.count_nonzero(off) or not M.flags.c_contiguous:
-        raise ValueError("needs a spin-conserving F and a C-contiguous M")
-    axes = [1 + s for s in slots]
-    T = M.reshape([M.shape[0]] + list(dims))  # a view of M
-    V = T.transpose(axes + [k for k in range(T.ndim) if k not in axes])
-    X01, X10 = V[0, 1], V[1, 0]  # V[a, s] is the quarter with slot values a, s
-    t01, t10 = X10 * F[2, 1], X01 * F[1, 2]
-    X01 *= F[1, 1]
-    X01 += t01
-    X10 *= F[2, 2]
-    X10 += t10
-    for i in (0, 1):
-        if F[3 * i, 3 * i] != 1:
-            np.multiply(V[i, i], F[3 * i, 3 * i], out=V[i, i])
-    return M
+
+@lru_cache(maxsize=None)
+def _spin_pair_rows(n: int, s0: int, s1: int) -> tuple:
+    """Per block: its rows ordered by the values of slots (s0, s1) as
+    01 | 10 | 00 | 11, the 01 count and the 00 count.
+
+    A 01 state and its 10 partner differ by a fixed offset, so each group in
+    ascending order lines the partners up row by row."""
+    pc, pos, _ = _spin_layout(n)
+    states = np.arange(1 << n)
+    a, b = (states >> (n - 1 - s0)) & 1, (states >> (n - 1 - s1)) & 1
+    kind = np.where(a != b, a, 2 + a)
+    rows = pos[np.lexsort((kind, pc))]
+    counts = np.bincount(4 * pc + kind, minlength=4 * n + 4).reshape(n + 1, 4)
+    ends = np.cumsum(counts.sum(axis=1)).tolist()
+    return tuple(
+        (rows[end - sum(c) : end], c[0], c[2]) for end, c in zip(ends, counts.tolist())
+    )
+
+
+def np_spin_identity(n: int) -> list:
+    """Spin blocks of the identity on ``n`` slots."""
+    return [np.eye(len(states), dtype=complex) for states in _spin_layout(n)[2]]
+
+
+@lru_cache(maxsize=None)
+def _spin_entries(n: int) -> np.ndarray:
+    """Flat indices into the dense 2^n-square matrix of the raveled blocks."""
+    N = 1 << n
+    return np.concatenate([(s * N + s[:, None]).ravel() for s in _spin_layout(n)[2]])
+
+
+def np_spin_dense(blocks) -> np.ndarray:
+    """The dense matrix of a list of spin blocks."""
+    n = len(blocks) - 1
+    out = np.zeros((1 << n, 1 << n), dtype=complex)
+    np.put(out, _spin_entries(n), np.concatenate([B.ravel() for B in blocks]))
+    return out
+
+
+def np_spin_trace_first(blocks, w0, w1) -> list:
+    """Spin blocks of the trace over slot 0 weighted by diag(w0, w1).
+
+    Slot 0 is the leading bit, so block k lists its C(n-1, k) states with
+    slot 0 empty first: block m of the result is w0 times the first corner
+    of block m plus w1 times the last corner of block m + 1."""
+    out = []
+    for m in range(len(blocks) - 1):
+        c = comb(len(blocks) - 2, m)
+        out.append(w0 * blocks[m][:c, :c] + w1 * blocks[m + 1][-c:, -c:])
+    return out
+
+
+# the entries of a 4x4 factor on two slots that move spin between them
+_SPIN_MOVES = ~np.array(
+    [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]], dtype=bool
+)
+
+
+def np_spin_apply(blocks, F: np.ndarray, slots):
+    """Spin blocks of ``M`` times ``F`` on two ``slots`` (identity elsewhere),
+    in place; returns ``blocks``.
+
+    ``F`` is 4x4 and must conserve the spin sum of its slots; otherwise
+    ValueError is raised before any block changes."""
+    n = len(blocks) - 1
+    s0, s1 = slots
+    if F.shape != (4, 4) or s0 == s1 or not (0 <= s0 < n and 0 <= s1 < n):
+        raise ValueError("a conserving factor is 4x4 on two distinct slots")
+    if F[_SPIN_MOVES].any():
+        raise ValueError("needs a spin-conserving F")
+    # the 01 and 10 halves of a gather: each times its own diagonal entry
+    # of F's middle block (F11, F22) plus the other half times F21, F12
+    diag, cross = F.take([5, 10, 9, 6]).reshape(2, 2, 1, 1)
+    f00, f33 = F[0, 0], F[3, 3]
+    for B, (rows, h, c00) in zip(blocks, _spin_pair_rows(n, s0, s1)):
+        if h:
+            pair = rows[: 2 * h]
+            g = B.take(pair, axis=0).reshape(2, h, -1)  # 01 rows, then 10 partners
+            t = g[::-1] * cross
+            g *= diag
+            g += t
+            B[pair] = g.reshape(2 * h, -1)
+        if f00 != 1 and c00:
+            B[rows[2 * h : 2 * h + c00]] *= f00
+        if f33 != 1 and len(rows) > 2 * h + c00:
+            B[rows[2 * h + c00 :]] *= f33
+    return blocks
 
 
 def np_partial_trace(M: np.ndarray, slot: int, dims) -> np.ndarray:
@@ -277,9 +373,13 @@ def np_partial_trace(M: np.ndarray, slot: int, dims) -> np.ndarray:
     return T.reshape(N, N)
 
 
-def np_residual(A: np.ndarray, B: np.ndarray) -> float:
+def np_residual(A, B) -> float:
+    """Largest entry of |A - B| over max(1, largest |A| or |B| entry).
+
+    ``A`` and ``B`` are arrays or matching lists of spin blocks."""
+    if isinstance(A, list):
+        A, B = (np.concatenate([X.ravel() for X in M]) for M in (A, B))
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
     scale = max(1.0, float(np.max(np.abs(A))), float(np.max(np.abs(B))))
     return float(np.max(np.abs(A - B))) / scale
-

@@ -15,6 +15,7 @@ from qilab.chain import (
     sample_point,
     transfer_cleared,
     transfer_numeric,
+    transfer_sectors,
 )
 from qilab.chain.spectrum import vacuum_ratio
 from qilab.field import MPoly, RatFun, np_residual
@@ -275,3 +276,28 @@ def test_transfer_numeric_matches_general_slot_stream_l8():
     H = 1 << L
     ref = u * M[:H, :H] + M[H:, H:] / u
     assert np_residual(transfer_numeric(s, z), ref) < 1e-14
+
+
+def test_transfer_sectors_are_the_sector_slices_of_transfer_numeric():
+    # compute_spectrum reads these blocks; the dense transfer is zero between
+    # magnon numbers and equals them bit for bit on them
+    L = 6
+    s = ChainSpec.from_json(
+        {
+            "L": L,
+            "q": "0.83+0.21*i",
+            "twist": "0.64+0.13*i",
+            "a": "0.7+0.2*i",
+            "sites": ["1", "2", "1/3", "0.9+0.1*i", "5/4", "1.1-0.2*i"],
+        }
+    )
+    z = sample_point(s, np.random.default_rng(4))
+    T = transfer_numeric(s, z)
+    pieces = transfer_sectors(s, z)
+    pc = np.array([bin(i).count("1") for i in range(1 << L)])
+    assert len(pieces) == L + 1
+    for m, piece in enumerate(pieces):
+        idx = np.flatnonzero(pc == m)
+        assert piece.flags.c_contiguous
+        assert np.array_equal(piece, T[np.ix_(idx, idx)])
+    assert not np.any(T[pc[:, None] != pc[None, :]])

@@ -62,6 +62,7 @@ JSON_PINS = {
     "chain spectrum --spec generic8.json": (0, "8afbac2a3aaaab51facde8da72e92f33cb6d705126d59c08fa42ba2572a51231", ""),
     "chain tq --spec generic7.json --seed 0": (0, "a5a285d7afef95da4668f7ed9fd7d0fca732b4633d7ab3adbd90dd9e52478864", ""),
     "chain bethe --spec generic6.json --sector 2": (0, "88a90033d4545cdc8344cad09e8d7c8e3a9d75003c3c3b3ac5703f59625d161b", ""),
+    "chain bethe --spec generic7.json --sector 7 --seed 1": (1, "49403e4245dabfc9452edd8851e92b8aff48cdd00cb6ba8af3bfdd9ec327d38e", ""),
     "chain bethe --spec l2.json --sector 9": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: sector must lie between 0 and L"),
     "chain bethe --spec l2.json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "qilab chain bethe: error: the following arguments are required: --sector"),
     "chain rtt --spec l2.json --mode bogus": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "qilab chain rtt: error: argument --mode: invalid choice: 'bogus' (choose from 'auto', 'exact', 'numeric')"),

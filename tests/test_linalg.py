@@ -13,9 +13,10 @@ from qilab.field import (
     kron,
     mat_eq,
     mat_mul,
-    np_apply_conserving,
     np_partial_trace,
     np_residual,
+    np_spin_apply,
+    np_spin_dense,
     op_on_slots,
     partial_trace,
     rref,
@@ -220,15 +221,29 @@ def test_np_apply_on_slots_equals_product_with_embedding(problem):
     assert np_residual(applied, M @ exact) < 1e-14
 
 
+def _spin_blocks(M, n):
+    # the popcount blocks of a dense spin-conserving M, transposed, built
+    # without the package's state tables
+    states = [[s for s in range(1 << n) if bin(s).count("1") == k] for k in range(n + 1)]
+    return [M[np.ix_(st_, st_)].T.copy() for st_ in states]
+
+
+def _random_conserving(rng, n):
+    # a random dense matrix on n slots of size 2, zero between popcounts
+    N = 1 << n
+    pc = np.array([bin(s).count("1") for s in range(N)])
+    M = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+    return np.where(pc[:, None] == pc[None, :], M, 0)
+
+
 @st.composite
 def _conserving_problems(draw):
-    # 2..5 slots of size 2, two of them in either order (adjacent or not), a
+    # 2..6 slots of size 2, two of them in either order (adjacent or not), a
     # random spin-conserving complex factor whose corners may each be 1
-    n = draw(st.integers(2, 5))
+    n = draw(st.integers(2, 6))
     slots = tuple(draw(st.permutations(range(n)))[:2])
-    rows = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    M = rng.normal(size=(rows, 1 << n)) + 1j * rng.normal(size=(rows, 1 << n))
+    M = _random_conserving(rng, n)
     F = np.zeros((4, 4), dtype=complex)
     F[1:3, 1:3] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     for i in (0, 3):
@@ -239,26 +254,30 @@ def _conserving_problems(draw):
 @settings(max_examples=80, deadline=None)
 @given(_conserving_problems())
 def test_np_apply_conserving_equals_product_with_embedding(problem):
+    # np_spin_apply on the popcount blocks of M equals M times the embedding
     M, F, slots, dims = problem
+    blocks = _spin_blocks(M, len(dims))
+    assert np.array_equal(np_spin_dense(blocks), M)
     expected = M @ np_op_on_slots(F, slots, dims)
-    out = np_apply_conserving(M, F, slots, dims)
-    assert out is M
-    assert np_residual(M, expected) < 1e-14
+    out = np_spin_apply(blocks, F, slots)
+    assert out is blocks
+    assert np_residual(np_spin_dense(out), expected) < 1e-14
+    assert np_residual(out, _spin_blocks(expected, len(dims))) < 1e-14
 
 
 @pytest.mark.parametrize("entry", [(0, 1), (0, 3), (1, 3), (3, 0), (2, 0)])
 def test_np_apply_conserving_rejects_spin_changing_factor(entry):
-    rng = np.random.default_rng(1)
-    M = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))
-    before = M.copy()
+    # np_spin_apply raises before any block changes
+    blocks = _spin_blocks(_random_conserving(np.random.default_rng(1), 4), 4)
+    before = [B.copy() for B in blocks]
     F = np.eye(4, dtype=complex)
     F[entry] = 0.5
     with pytest.raises(ValueError):
-        np_apply_conserving(M, F, (2, 0), [2, 2, 2, 2])
-    assert np.array_equal(M, before)
-    # an in-place update needs M's columns to reshape as a view
-    with pytest.raises(ValueError):
-        np_apply_conserving(np.asfortranarray(M), np.eye(4), (2, 0), [2, 2, 2, 2])
+        np_spin_apply(blocks, F, (2, 0))
+    for slots in ((2, 2), (0, 4)):
+        with pytest.raises(ValueError):
+            np_spin_apply(blocks, np.eye(4, dtype=complex), slots)
+    assert all(np.array_equal(B, b) for B, b in zip(blocks, before))
 
 
 def test_np_identity_embedding_and_partial_trace():

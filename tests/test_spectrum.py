@@ -115,6 +115,17 @@ def test_check_bethe_newton_agreement():
         check_bethe(L2, 5)
 
 
+def test_check_bethe_reports_a_collocation_breakdown_as_a_failure():
+    # at seed 1 the one sector-7 branch of this chain has no one-dimensional
+    # collocation null space; that is a failed verdict, not bad input
+    spec = ChainSpec.from_json({"L": 7, "q": "0.83+0.21*i", "twist": "0.64+0.13*i"})
+    cr = check_bethe(spec, 7, seed=1)
+    assert not cr.ok
+    assert cr.details["branches"] == [
+        {"branch": 127, "error": "collocation null space is not one-dimensional"}
+    ]
+
+
 def test_newton_basin_from_perturbed_start():
     sp = compute_spectrum(L2)
     branch = next(b for b in sp.branches if b.sector == 1)
