@@ -23,6 +23,7 @@ __all__ = [
     "Branch",
     "Spectrum",
     "compute_spectrum",
+    "validate_sector",
     "solve_shift_poly",
     "poly_eval",
     "poly_roots",
@@ -70,40 +71,60 @@ class Spectrum:
 
 
 def compute_spectrum(spec: ChainSpec, seed: int = 0) -> Spectrum:
-    """Diagonalize once, follow every branch, fit each one rationally."""
+    """Diagonalize once, follow every branch, fit each one rationally.
+
+    The base point is diagonalized first.  Then one sample transfer at a
+    time fills its column of every sector's eigenvalue table and is
+    dropped, so only one sample transfer is alive at once.  A sector's
+    failures are raised lowest sector first and, within a sector, in stage
+    order: degenerate base point, joint eigenbasis, rational fit.
+    """
     rng = np.random.default_rng(seed)
     L = spec.L
     n_samples = L + 2
     z0 = sample_point(spec, rng)
     samples = [sample_point(spec, rng) for _ in range(n_samples)]
-    S0 = transfer_sectors(spec, z0)
-    Ss = [transfer_sectors(spec, z) for z in samples]
-    dens = list(map(Spectrum(spec, [], z0, seed).denominator, samples))
-    branches = []
-    for m, B0 in enumerate(S0):
+    errors = {}
+    bases = []
+    for m, B0 in enumerate(transfer_sectors(spec, z0)):
         w0, V = np.linalg.eig(B0)
         scale = max(1.0, float(np.max(np.abs(w0))))
         k = len(w0)
-        for i in range(k):
-            for j in range(i + 1, k):
-                if abs(w0[i] - w0[j]) < 1e-8 * scale:
-                    raise RuntimeError(
-                        f"degenerate base-point spectrum in sector {m}; "
-                        "pick more generic parameters or another seed"
-                    )
-        Vinv = np.linalg.inv(V)
-        lam_table = np.empty((k, n_samples), dtype=complex)
-        for s, Sz in enumerate(Ss):
-            Ds = Vinv @ Sz[m] @ V
+        if any(
+            abs(w0[i] - w0[j]) < 1e-8 * scale
+            for i in range(k)
+            for j in range(i + 1, k)
+        ):
+            errors[m] = (
+                f"degenerate base-point spectrum in sector {m}; "
+                "pick more generic parameters or another seed"
+            )
+            bases.append(None)
+            continue
+        table = np.empty((k, n_samples), dtype=complex)
+        bases.append((w0, V, np.linalg.inv(V), table))
+    for s, z in enumerate(samples):
+        for m, Bz in enumerate(transfer_sectors(spec, z)):
+            if m in errors:
+                continue
+            _, V, Vinv, table = bases[m]
+            Ds = Vinv @ Bz @ V
             off = Ds - np.diag(np.diag(Ds))
             if np.max(np.abs(off)) > 1e-8 * max(1.0, np.max(np.abs(Ds))):
-                raise RuntimeError(
+                errors[m] = (
                     f"joint eigenbasis failed in sector {m}; "
                     "transfer matrices did not stay diagonal"
                 )
-            lam_table[:, s] = np.diag(Ds)
-        A = np.array([[z**j for j in range(L + 1)] for z in samples])
-        for i in range(k):
+                continue
+            table[:, s] = np.diag(Ds)
+    dens = list(map(Spectrum(spec, [], z0, seed).denominator, samples))
+    A = np.array([[z**j for j in range(L + 1)] for z in samples])
+    branches = []
+    for m, base in enumerate(bases):
+        if m in errors:
+            raise RuntimeError(errors[m])
+        w0, _, _, lam_table = base
+        for i in range(len(w0)):
             rhs = np.array([lam_table[i, s] * dens[s] for s in range(n_samples)])
             coeffs, *_ = np.linalg.lstsq(A, rhs, rcond=None)
             pred = A @ coeffs
@@ -124,6 +145,12 @@ def compute_spectrum(spec: ChainSpec, seed: int = 0) -> Spectrum:
             )
     branches.sort(key=lambda b: (b.sector, round(b.lam0.real, 9), round(b.lam0.imag, 9)))
     return Spectrum(spec, branches, z0, seed)
+
+
+def validate_sector(spec: ChainSpec, sector: int | None) -> None:
+    """Reject a magnon number outside 0..L (None means every sector)."""
+    if sector is not None and not 0 <= sector <= spec.L:
+        raise ValueError("sector must lie between 0 and L")
 
 
 def shift_terms(spec: ChainSpec, m: int, z: complex):
@@ -334,6 +361,7 @@ def check_tq(
     restricts the polynomial solves to that magnon number; the branch
     count is still taken over the whole spectrum.
     """
+    validate_sector(spec, sector)
     spectrum = compute_spectrum(spec, seed=seed)
     total = len(spectrum.branches)
     expected = 1 << spec.L
@@ -404,8 +432,7 @@ def check_bethe(
     A branch whose collocation breaks down is reported with its error and
     fails the check.
     """
-    if not 0 <= sector <= spec.L:
-        raise ValueError("sector must lie between 0 and L")
+    validate_sector(spec, sector)
     spectrum = compute_spectrum(spec, seed=seed)
     rng = np.random.default_rng(seed + 31)
     reports = []

@@ -32,6 +32,7 @@ from .chain import (
     check_rtt,
     check_tq,
     compute_spectrum,
+    validate_sector,
 )
 from .field import MPoly, RatFun, identity, mat_eq, mat_mul, rref
 from .verdict import CheckResult
@@ -295,6 +296,7 @@ def _fmt_complex(v) -> str:
 
 def _cmd_chain_spectrum(args):
     spec = _chain_spec(args.spec)
+    validate_sector(spec, args.sector)
     spectrum = compute_spectrum(spec, seed=args.seed)
     qinv2 = 1 / spec.q_complex() ** 2
     den_str = "".join(

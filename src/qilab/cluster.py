@@ -16,7 +16,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-from .field import RatFun
+from .field import MPoly, NotDivisible, RatFun
 from .verdict import CheckResult
 
 __all__ = [
@@ -30,6 +30,8 @@ __all__ = [
     "laurent_check",
     "check_examples",
 ]
+
+_ONE = MPoly.const(1)
 
 
 @dataclass(frozen=True)
@@ -158,20 +160,43 @@ def initial_seed(q: Quiver) -> Seed:
 
 def _exchange(seed: Seed, k: int):
     """``(out exponents, in exponents, out-product + in-product)`` at vertex
-    k; the exponents map a 0-based neighbor index to its arrow count."""
+    k; the exponents map a 0-based neighbor index to its arrow count.
+
+    Each product is kept as a numerator and denominator pair of MPolys, so
+    the sum is the only RatFun built.
+    """
     out, inn = {}, {}
     for j, m in enumerate(seed.quiver.B[k - 1]):
         if m > 0:
             out[j] = m
         elif m < 0:
             inn[j] = -m
-    products = []
+    parts = []
     for exps in (out, inn):
-        p = RatFun(1)
+        num = den = _ONE
         for j, e in exps.items():
-            p = p * seed.variables[j] ** e
-        products.append(p)
-    return out, inn, products[0] + products[1]
+            v = seed.variables[j]
+            num = num * v.num**e
+            den = den * v.den**e
+        parts.append((num, den))
+    (n0, d0), (n1, d1) = parts
+    return out, inn, RatFun(n0 * d1 + n1 * d0, d0 * d1)
+
+
+def _divide(rhs: RatFun, v: RatFun) -> RatFun:
+    """``rhs / v`` for the exchange at a vertex holding ``v``.
+
+    By the Laurent phenomenon both denominators are monomials and ``v.num``
+    divides ``rhs.num * v.den`` exactly, which leaves only a gcd with a
+    monomial operand.  Any other input, or a division that is not exact,
+    takes the generic quotient, so a non-Laurent value comes out as it is.
+    """
+    if rhs.den.n_terms() == 1 and v.den.n_terms() == 1:
+        try:
+            return RatFun((rhs.num * v.den).div_exact(v.num), rhs.den)
+        except NotDivisible:
+            pass
+    return rhs / v
 
 
 def mutate_seed(seed: Seed, k: int) -> Seed:
@@ -180,7 +205,7 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
         raise ValueError(f"vertex {k} is frozen or out of range")
     exchange = _exchange(seed, k)
     vs = list(seed.variables)
-    vs[k - 1] = exchange[2] / vs[k - 1]
+    vs[k - 1] = _divide(exchange[2], vs[k - 1])
     return Seed(tuple(vs), mutate_quiver(seed.quiver, k), exchange)
 
 

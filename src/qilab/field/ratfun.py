@@ -36,7 +36,7 @@ def _as_poly(x):
 class RatFun:
     """Quotient of two MPoly values, canonicalized on construction."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den", "_hash", "_str")
 
     def __init__(self, num, den=1):
         num = _as_poly(num)
@@ -229,6 +229,15 @@ class RatFun:
         return _Parser(text).run()
 
     def __str__(self):
+        # canonical strings are compared and used as keys over and over
+        # (cluster exploration); like the hash, render once per object
+        try:
+            return self._str
+        except AttributeError:
+            object.__setattr__(self, "_str", self._render())
+            return self._str
+
+    def _render(self) -> str:
         if self.den == 1:
             return str(self.num)
         ns = str(self.num)

@@ -64,6 +64,8 @@ JSON_PINS = {
     "chain bethe --spec generic6.json --sector 2": (0, "88a90033d4545cdc8344cad09e8d7c8e3a9d75003c3c3b3ac5703f59625d161b", ""),
     "chain bethe --spec generic7.json --sector 7 --seed 1": (1, "49403e4245dabfc9452edd8851e92b8aff48cdd00cb6ba8af3bfdd9ec327d38e", ""),
     "chain bethe --spec l2.json --sector 9": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: sector must lie between 0 and L"),
+    "chain tq --spec l2.json --sector 9": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: sector must lie between 0 and L"),
+    "chain spectrum --spec l2.json --sector 9": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: sector must lie between 0 and L"),
     "chain bethe --spec l2.json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "qilab chain bethe: error: the following arguments are required: --sector"),
     "chain rtt --spec l2.json --mode bogus": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "qilab chain rtt: error: argument --mode: invalid choice: 'bogus' (choose from 'auto', 'exact', 'numeric')"),
     "cluster mutate --quiver example.json --at 1 --at 1": (0, "1a629e893f4a1296be26280293d0e567aa7a3c88098fbe59b5d102d9a1e88fbf", ""),

@@ -1,8 +1,10 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qilab import cluster
 from qilab.cluster import (
     A2_QUIVER,
     A2_VARIABLES,
@@ -15,7 +17,7 @@ from qilab.cluster import (
     mutate_quiver,
     mutate_seed,
 )
-from qilab.field import RatFun
+from qilab.field import MPoly, NotDivisible, RatFun, poly
 
 
 def test_quiver_validation():
@@ -163,3 +165,103 @@ def test_check_examples():
     bad = check_examples(perturb=True)
     assert not bad.ok
     assert bad.details["laurent_all"] is False
+
+
+def _tree_quiver(edges, rng):
+    """A tree quiver on 4 vertices with each edge flipped when ``rng`` draws
+    below 1/2, as the rational-canonical benchmark orients it (no rng keeps
+    ``edges`` as given)."""
+    arrows = []
+    for i, j in edges:
+        if rng is not None and rng.random() < 0.5:
+            i, j = j, i
+        arrows.append([i, j])
+    return Quiver.from_json({"r": 4, "frozen": [], "arrows": arrows})
+
+
+D4_EDGES = [(1, 2), (2, 3), (2, 4)]
+A4_EDGES = [(1, 2), (2, 3), (3, 4)]
+
+
+def _benchmark_explorations():
+    # D4 at depth 12 then A4 at depth 14, oriented from one rng per seed
+    for seed in range(4):
+        rng = random.Random(seed) if seed else None
+        yield _tree_quiver(D4_EDGES, rng), 12
+        yield _tree_quiver(A4_EDGES, rng), 14
+
+
+def test_laurent_division_equals_the_generic_quotient(monkeypatch):
+    # every exchange of the benchmark explorations: the exact-division value
+    # is the generic rhs / v, printed the same
+    divide = cluster._divide
+    seen = []
+
+    def checked(rhs, v):
+        new = divide(rhs, v)
+        generic = rhs / v
+        assert new == generic
+        assert str(new) == str(generic)
+        assert laurent_check(new)
+        seen.append(new)
+        return new
+
+    monkeypatch.setattr(cluster, "_divide", checked)
+    for quiver, depth in _benchmark_explorations():
+        explore(initial_seed(quiver), depth)
+    assert len(seen) > 1000
+
+
+def test_non_laurent_exchange_takes_the_generic_quotient(monkeypatch):
+    div_exact = MPoly.div_exact
+    refused = []
+
+    def spy(self, other):
+        try:
+            return div_exact(self, other)
+        except NotDivisible:
+            refused.append((str(self), str(other)))
+            raise
+
+    monkeypatch.setattr(MPoly, "div_exact", spy)
+    q = Quiver.from_json(A2_QUIVER)
+    x2 = RatFun.var("X2")
+    # a polynomial that is not a monomial: both denominators are monomials,
+    # the exact division is tried and refused
+    s = cluster.Seed((RatFun.parse("1 + X1"), x2), q)
+    new = mutate_seed(s, 1).variables[0]
+    assert refused == [("X2 + 1", "X1 + 1")]
+    assert new == RatFun.parse("(1 + X2)/(1 + X1)")
+    assert not laurent_check(new)
+    # a non-monomial denominator skips the division altogether
+    v = RatFun.parse("(1 + X1)/(1 + X2)")
+    new = mutate_seed(cluster.Seed((v, x2), q), 1).variables[0]
+    assert refused == [("X2 + 1", "X1 + 1")]
+    assert new == RatFun(v.den * (1 + x2).num, v.num)
+    assert str(new) == str((1 + x2) / v)
+    assert not laurent_check(new)
+
+
+def test_benchmark_explorations_run_no_heuristic_or_prs_gcd(monkeypatch):
+    # by the Laurent phenomenon every exchange is an exact division with a
+    # monomial denominator, so no gcd of two multi-term operands is needed
+    calls = {"heuristic": 0, "prs": 0}
+    heuristic, prs = poly._heuristic_gcd, poly._prs_gcd
+
+    def counted_heuristic(*args):
+        calls["heuristic"] += 1
+        return heuristic(*args)
+
+    def counted_prs(*args):
+        calls["prs"] += 1
+        return prs(*args)
+
+    monkeypatch.setattr(poly, "_heuristic_gcd", counted_heuristic)
+    monkeypatch.setattr(poly, "_prs_gcd", counted_prs)
+    x1, x2 = MPoly.var("X1"), MPoly.var("X2")
+    poly.poly_gcd(x1 * x1 - 1, x1 * x2 + x2)  # the counters see a real gcd
+    assert calls["heuristic"] > 0
+    calls.update(heuristic=0)
+    for edges, depth in ((D4_EDGES, 12), (A4_EDGES, 14)):
+        explore(initial_seed(_tree_quiver(edges, None)), depth)
+    assert calls == {"heuristic": 0, "prs": 0}

@@ -64,6 +64,29 @@ def test_print_parenthesizes_composite_denominator():
     assert str(RatFun.zero()) == "0"
 
 
+def test_printed_form_is_kept_and_matches_a_fresh_render():
+    # str is cached on first use; every way of making a value must still
+    # print exactly what a newly built copy of it prints
+    z = RatFun.var("z")
+    q = RatFun.var("q")
+    made = [
+        (z - 1) / (z + 1),
+        (z * q + 1) * (z - q) / q**2,
+        RatFun.parse("(1 + X1)/(1 + X2)"),
+        RatFun.parse("-3/5*z^2 + z/q^2"),
+        RatFun.const(Fraction(-7, 3)),
+        RatFun.zero(),
+    ]
+    for f in made:
+        first = str(f)
+        neg = -f
+        assert str(neg) == str(RatFun(neg.num, neg.den))
+        assert str(f) == first == str(RatFun(f.num, f.den))
+        assert str(f + neg) == "0"
+        assert str(RatFun.parse(first)) == first
+    assert str(-RatFun.parse("(z + 1)/q")) == "(-z - 1)/q"
+
+
 def test_substitute_and_eval():
     z = RatFun.var("z")
     q = RatFun.var("q")

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qilab.chain import spectrum as spectrum_module
 from qilab.chain import (
     Branch,
     ChainSpec,
@@ -115,6 +116,17 @@ def test_check_bethe_newton_agreement():
         check_bethe(L2, 5)
 
 
+def test_out_of_range_sector_is_refused_before_any_spectrum(monkeypatch):
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("a spectrum was built")
+
+    monkeypatch.setattr(spectrum_module, "compute_spectrum", no_spectrum)
+    for bad in (-1, 3, 9):
+        for check in (check_tq, check_bethe):
+            with pytest.raises(ValueError, match="sector must lie between 0 and L"):
+                check(L2, sector=bad)
+
+
 def test_check_bethe_reports_a_collocation_breakdown_as_a_failure():
     # at seed 1 the one sector-7 branch of this chain has no one-dimensional
     # collocation null space; that is a failed verdict, not bad input
@@ -150,3 +162,67 @@ def test_seed_invariance_of_branches():
         )
 
     assert profile(a) == profile(b)
+
+
+def _fake_transfers(monkeypatch, base, sample):
+    """Make ``compute_spectrum`` read L=2 sector blocks from ``base`` (at the
+    base point) and ``sample(z)`` (at each sample point); returns the sizes
+    of the matrices it inverts."""
+    calls = []
+
+    def sectors(spec, z, a=None):
+        calls.append(z)
+        blocks = base if len(calls) == 1 else sample(z)
+        return [np.array(b, dtype=complex) for b in blocks]
+
+    inverted = []
+    inv = np.linalg.inv
+
+    def counted_inv(M):
+        inverted.append(len(M))
+        return inv(M)
+
+    monkeypatch.setattr(spectrum_module, "transfer_sectors", sectors)
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    return inverted
+
+
+FINE = [[[2.0]], [[1.0, 0.0], [0.0, 3.0]], [[5.0]]]
+
+
+def test_spectrum_failures_raise_lowest_sector_first(monkeypatch):
+    # constant eigenvalues fit; exp(z) does not fit a degree-L numerator
+    def sample(z):
+        return [[[np.exp(z)]], [[1.0, 1.0], [0.0, 3.0]], [[5.0]]]
+
+    degenerate = [FINE[0], [[1.0, 0.0], [0.0, 1.0]], FINE[2]]
+    inverted = _fake_transfers(monkeypatch, degenerate, sample)
+    with pytest.raises(RuntimeError, match="rational fit failed in sector 0"):
+        compute_spectrum(L2)
+    assert inverted == [1, 1]  # never the degenerate sector 1
+
+
+def test_spectrum_failures_raise_in_stage_order_within_a_sector(monkeypatch):
+    def tilted(z):
+        return [FINE[0], [[np.exp(z), 1.0], [0.0, 3.0]], [[np.exp(z)]]]
+
+    degenerate = [FINE[0], [[1.0, 0.0], [0.0, 1.0]], FINE[2]]
+    _fake_transfers(monkeypatch, degenerate, tilted)
+    with pytest.raises(RuntimeError, match="degenerate base-point spectrum in sector 1"):
+        compute_spectrum(L2)
+    monkeypatch.undo()
+    _fake_transfers(monkeypatch, FINE, tilted)
+    with pytest.raises(RuntimeError, match="joint eigenbasis failed in sector 1"):
+        compute_spectrum(L2)
+    monkeypatch.undo()
+
+    def unfit(z):
+        return [FINE[0], [[np.exp(z), 0.0], [0.0, 3.0]], [[np.exp(z)]]]
+
+    _fake_transfers(monkeypatch, FINE, unfit)
+    with pytest.raises(RuntimeError, match="rational fit failed in sector 1"):
+        compute_spectrum(L2)
+    monkeypatch.undo()
+    _fake_transfers(monkeypatch, FINE, lambda z: FINE)
+    sp = compute_spectrum(L2)
+    assert [b.lam0 for b in sp.branches] == [2, 1, 3, 5]
