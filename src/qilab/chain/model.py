@@ -16,11 +16,13 @@ streaming the factors of two lines site by site.  ``_Numeric`` takes the
 worst residual over seeded sample points.  Every factor conserves aux plus
 site spin, so it keeps a monodromy on n = L+1 slots (L+2 for two lines) as
 its popcount blocks and streams every factor into them in place, site by
-site: O(L*C(2L+2, L+1)) per transfer instead of O(L*4^L).  The transfer's
-sector of m flipped sites is u times the aux-0 corner of block m plus u^-1
-times the aux-1 corner of block m+1; ``transfer_sectors`` hands these to
-the spectrum, and ``transfer_numeric`` spreads them into the dense matrix
-that ``commute`` and ``multiplicativity`` multiply.
+site: O(L*C(2L+2, L+1)) per transfer instead of O(L*4^L).  Each ring has
+one auxiliary trace, ``trace_first``, over slot 0 weighted by diag(w0, w1);
+the transfer is that trace of one line weighted by the twist, so its
+numeric sector of m flipped sites is u times the aux-0 corner of block m
+plus u^-1 times the aux-1 corner of block m+1.  ``transfer_sectors`` hands
+these blocks to the spectrum; ``commute`` and ``multiplicativity`` multiply
+their dense form.
 """
 
 from __future__ import annotations
@@ -39,14 +41,12 @@ from ..field import (
     kron,
     mat_eq,
     mat_mul,
-    np_partial_trace,
     np_residual,
     np_spin_apply,
     np_spin_dense,
     np_spin_identity,
     np_spin_trace_first,
     op_on_slots,
-    partial_trace,
 )
 from ..verdict import CheckResult
 from ..rmatrix import cleared_r
@@ -217,23 +217,30 @@ def numeric_r(zeta: complex, q: complex) -> np.ndarray:
 
 
 def _dims(M, slots, L: int) -> list:
-    """Slot sizes of a matrix on the auxiliary slots, then the L sites.
-
-    Every slot has size 2.  ``M=None`` stands for the identity on aux slots
-    0..max(slots), the aux slots used.
-    """
+    """Slot sizes (all 2) of ``M`` on aux slots, then L sites; ``M=None`` is
+    the identity on aux slots 0..max(slots)."""
     n = len(M).bit_length() - 1 if M is not None else max(slots) + 1 + L
     return [2] * n
 
 
-class _Exact:
+class _Ring:
+    """What the two rings share: the transfer matrix as a twisted trace."""
+
+    def transfer(self, z, a=None):
+        """u * A(z) + u^-1 * D(z): one line's monodromy traced over its slot 0
+        with the twist's diagonal as weights.  Exact mode clears it by
+        u * prod(corners); numeric mode returns its spin blocks."""
+        tw = self.twist()
+        return self.trace_first(self.lines(None, [(0, z, a)]), tw[0][0], tw[1][1])
+
+
+class _Exact(_Ring):
     """Cleared polynomial matrices, q pinned when the spec fixes it."""
 
     mode = "exact"
     mul = staticmethod(mat_mul)
     dense = staticmethod(lambda M: M)
     kron = staticmethod(kron)
-    partial_trace = staticmethod(partial_trace)
 
     def __init__(self, spec: ChainSpec):
         self.spec = spec
@@ -280,13 +287,12 @@ class _Exact:
             M = self._lines[key] if M is None else mat_mul(M, self._lines[key])
         return M
 
-    def transfer(self, z, a=None):
-        """Cleared transfer matrix: u * prod(corners) times the true one."""
-        M = self.lines(None, [(0, z, a)])
-        H = 1 << self.spec.L
-        (t0, _), (_, t1) = self.twist()
+    @staticmethod
+    def trace_first(M, w0, w1):
+        """Trace over slot 0 (the leading bit) weighted by diag(w0, w1)."""
+        H = len(M) // 2
         return [
-            [t0 * M[i][j] + t1 * M[H + i][H + j] for j in range(H)] for i in range(H)
+            [w0 * M[i][j] + w1 * M[H + i][H + j] for j in range(H)] for i in range(H)
         ]
 
     def compare(self, sides, points, details, seed, samples, tol):
@@ -294,14 +300,14 @@ class _Exact:
         return mat_eq(*sides(*[MPoly.var(v) for v in "zw"[:points]])), details
 
 
-class _Numeric:
-    """complex128 spin blocks, built in place; transfers are dense."""
+class _Numeric(_Ring):
+    """complex128 spin blocks, built in place; products are dense."""
 
     mode = "numeric"
     mul = staticmethod(np.matmul)
     kron = staticmethod(np.kron)
     dense = staticmethod(np_spin_dense)
-    partial_trace = staticmethod(np_partial_trace)
+    trace_first = staticmethod(np_spin_trace_first)
 
     def __init__(self, spec: ChainSpec):
         self.spec = spec
@@ -339,14 +345,6 @@ class _Numeric:
                 np_spin_apply(M, numeric_r(z * rho[l], q), (slot, first + l))
         return M
 
-    def sectors(self, z, a=None) -> list:
-        """Spin blocks of the transfer matrix, u * A(z) + u^-1 * D(z)."""
-        u = self.spec.twist_complex()
-        return np_spin_trace_first(self.lines(None, [(0, z, a)]), u, 1 / u)
-
-    def transfer(self, z, a=None) -> np.ndarray:
-        return np_spin_dense(self.sectors(z, a))
-
     def compare(self, sides, points, details, seed, samples, tol):
         """Worst residual of the two sides over seeded sample points."""
         rng = np.random.default_rng(seed)
@@ -378,7 +376,7 @@ def transfer_cleared(spec: ChainSpec, z: MPoly, a: Fraction | None = None):
 def transfer_numeric(
     spec: ChainSpec, z: complex, a: complex | None = None
 ) -> np.ndarray:
-    return _Numeric(spec).transfer(z, a)
+    return np_spin_dense(_Numeric(spec).transfer(z, a))
 
 
 def transfer_sectors(spec: ChainSpec, z: complex, a: complex | None = None) -> list:
@@ -387,7 +385,7 @@ def transfer_sectors(spec: ChainSpec, z: complex, a: complex | None = None) -> l
     Block m is the transfer matrix on the site states of popcount m, in
     increasing index order, C-contiguous.
     """
-    return [np.ascontiguousarray(B.T) for B in _Numeric(spec).sectors(z, a)]
+    return [np.ascontiguousarray(B.T) for B in _Numeric(spec).transfer(z, a)]
 
 
 def sample_point(spec: ChainSpec, rng) -> complex:
@@ -469,8 +467,8 @@ def check_commute(
     ring = _ring(spec, mode)
 
     def sides(z, w):
-        Tz = ring.transfer(z)
-        Tw = ring.transfer(w)
+        Tz = ring.dense(ring.transfer(z))
+        Tw = ring.dense(ring.transfer(w))
         if perturb:
             Tw = _doubled(Tw, 1, 2)
         return ring.mul(Tz, Tw), ring.mul(Tw, Tz)
@@ -500,13 +498,11 @@ def check_multiplicativity(
     tw = ring.twist()
     tw12 = ring.kron(tw, [[1, 0], [0, 1]] if perturb else tw)
 
-    dims = [2] * (spec.L + 2)
-
     def sides(z):
         pair = ring.lines(ring.apply(None, tw12, (0, 1)), [(0, z, None), (1, z, a2)])
-        pair = ring.partial_trace(ring.dense(pair), 0, dims)
-        pair = ring.partial_trace(pair, 0, dims[1:])
-        return pair, ring.mul(ring.transfer(z), ring.transfer(z, a2))
+        pair = ring.dense(ring.trace_first(ring.trace_first(pair, 1, 1), 1, 1))
+        t1, t2 = (ring.dense(ring.transfer(z, a)) for a in (None, a2))
+        return pair, ring.mul(t1, t2)
 
     exact = {"a1": str(a1), "a2": str(a2)}
     return _verdict(

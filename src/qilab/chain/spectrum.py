@@ -4,14 +4,16 @@ The transfer matrices at different arguments commute, so one seeded base
 point fixes a joint eigenbasis; every branch of eigenvalues is then read
 off diagonally at further sample points.  Each branch is fitted as
 N(z) / D(z) with D the product of the cleared-factor denominators, which
-the fit residual verifies.  For each branch a one-variable polynomial
-satisfying the two-term shift functional equation is recovered by
-collocation, its roots are polished, and the root-level residuals close
-the loop.
+the fit residual verifies.  For each branch, ``solved_branches`` recovers
+by collocation a polynomial Q with Lambda(z) Q(z) = t1 Q(zq^-2) +
+t2(z) Q(zq^2), Baxter's relation; its roots are polished, and the
+root-level residuals close the loop.  ``vacuum`` gives D, P = prod(zeta - 1)
+and the vacuum ratio d in one loop; ``Spectrum.point`` gives Lambda, t1, t2.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,11 +29,10 @@ __all__ = [
     "solve_shift_poly",
     "poly_eval",
     "poly_roots",
-    "shift_terms",
-    "vacuum_ratio",
+    "vacuum",
+    "solved_branches",
     "functional_residual",
     "root_residuals",
-    "refine_roots",
     "check_tq",
     "check_bethe",
 ]
@@ -56,18 +57,33 @@ class Spectrum:
         self.z0 = z0
         self.seed = seed
 
-    def denominator(self, z: complex) -> complex:
-        qinv2 = self.spec.q_complex() ** -2
-        out = 1.0 + 0j
-        for rho in self.spec.site_ratios_complex():
-            out *= z * rho - qinv2
-        return out
-
-    def lam(self, branch: Branch, z: complex) -> complex:
+    def point(self, branch: Branch, z: complex):
+        """(Lambda(z), t1, t2): the eigenvalue and the weights u q^m and
+        u^-1 q^-m d(z) of Q(zq^-2) and Q(zq^2) in the branch's relation."""
+        q = self.spec.q_complex()
+        u = self.spec.twist_complex()
+        m = branch.sector
+        den, _, d = vacuum(self.spec, z)
         num = 0j
         for k, c in enumerate(branch.ncoeffs):
             num += c * z**k
-        return num / self.denominator(z)
+        return num / den, u * q**m, (1 / u) * q ** (-m) * d
+
+
+def vacuum(spec: ChainSpec, z: complex):
+    """(D, P, d) at z on the all-up state, with zeta = z * rho_l:
+    D = prod(zeta - q^-2), P = prod(zeta - 1) and d(z) / a(z) =
+    prod((zeta - 1) / (q (zeta - q^-2))), a product of R[1][1] per site."""
+    q = spec.q_complex()
+    qinv2 = q**-2
+    D = P = d = 1.0 + 0j
+    for rho in spec.site_ratios_complex():
+        zeta = z * rho
+        den, num = zeta - qinv2, zeta - 1
+        D *= den
+        P *= num
+        d *= num / (q * den)
+    return D, P, d
 
 
 def compute_spectrum(spec: ChainSpec, seed: int = 0) -> Spectrum:
@@ -117,7 +133,7 @@ def compute_spectrum(spec: ChainSpec, seed: int = 0) -> Spectrum:
                 )
                 continue
             table[:, s] = np.diag(Ds)
-    dens = list(map(Spectrum(spec, [], z0, seed).denominator, samples))
+    dens = [vacuum(spec, z)[0] for z in samples]
     A = np.array([[z**j for j in range(L + 1)] for z in samples])
     branches = []
     for m, base in enumerate(bases):
@@ -153,26 +169,6 @@ def validate_sector(spec: ChainSpec, sector: int | None) -> None:
         raise ValueError("sector must lie between 0 and L")
 
 
-def shift_terms(spec: ChainSpec, m: int, z: complex):
-    """Coefficients of the down-shifted and up-shifted polynomial values."""
-    q = spec.q_complex()
-    u = spec.twist_complex()
-    t1 = u * q**m
-    t2 = (1 / u) * q ** (-m) * vacuum_ratio(spec, z)
-    return t1, t2
-
-
-def vacuum_ratio(spec: ChainSpec, z: complex) -> complex:
-    """Numeric d(z) / a(z) on the all-up reference state."""
-    q = spec.q_complex()
-    qinv2 = q**-2
-    d = 1.0 + 0j
-    for rho in spec.site_ratios_complex():
-        zeta = z * rho
-        d *= (zeta - 1) / (q * (zeta - qinv2))
-    return d
-
-
 def solve_shift_poly(spectrum: Spectrum, branch: Branch, seed: int = 1):
     """Monic polynomial solving the branch functional equation, by collocation.
 
@@ -189,8 +185,7 @@ def solve_shift_poly(spectrum: Spectrum, branch: Branch, seed: int = 1):
     scale = 1.0
     for _ in range(npts):
         z = sample_point(spec, rng)
-        lam = spectrum.lam(branch, z)
-        t1, t2 = shift_terms(spec, m, z)
+        lam, t1, t2 = spectrum.point(branch, z)
         row = []
         for k in range(m + 1):
             pieces = (lam * z**k, t1 * (z * q**-2) ** k, t2 * (z * q**2) ** k)
@@ -223,20 +218,18 @@ def poly_eval(coeffs, z: complex) -> complex:
     return out
 
 
+_POLISH_STEPS = 8  # Newton steps on each root of ``poly_roots``
+
+
 def poly_roots(coeffs) -> list:
-    """Roots of a monic coefficient tuple (constant first)."""
-    deg = len(coeffs) - 1
-    if deg == 0:
-        return []
+    """Roots of a monic coefficient tuple (constant first), each polished
+    by up to ``_POLISH_STEPS`` Newton steps on the polynomial."""
     arr = np.array(list(coeffs)[::-1], dtype=complex)
-    return [complex(r) for r in np.roots(arr)]
-
-
-def refine_roots(coeffs, roots, iters: int = 8) -> list:
     dcoeffs = [k * coeffs[k] for k in range(1, len(coeffs))]
     out = []
-    for w in roots:
-        for _ in range(iters):
+    for w in np.roots(arr):
+        w = complex(w)
+        for _ in range(_POLISH_STEPS):
             f = poly_eval(coeffs, w)
             df = poly_eval(dcoeffs, w)
             if abs(df) < 1e-14:
@@ -245,7 +238,7 @@ def refine_roots(coeffs, roots, iters: int = 8) -> list:
             w = w - step
             if abs(step) < 1e-14 * max(1.0, abs(w)):
                 break
-        out.append(complex(w))
+        out.append(w)
     return out
 
 
@@ -264,8 +257,7 @@ def functional_residual(
     worst = 0.0
     for _ in range(points):
         z = sample_point(spec, rng)
-        lam = spectrum.lam(branch, z)
-        t1, t2 = shift_terms(spec, branch.sector, z)
+        lam, t1, t2 = spectrum.point(branch, z)
         if perturb:
             t2 = 2 * t2
         lhs = lam * poly_eval(coeffs, z)
@@ -294,14 +286,9 @@ def _root_terms(spec: ChainSpec, m: int, coeffs, w: complex):
     """The two cleared terms of the root system at ``w``; they cancel at a root."""
     q = spec.q_complex()
     u = spec.twist_complex()
-    qinv2 = q**-2
-    p1 = p2 = 1.0 + 0j
-    for rho in spec.site_ratios_complex():
-        zeta = w * rho
-        p1 *= zeta - qinv2
-        p2 *= zeta - 1
-    term1 = u * q**m * p1 * poly_eval(coeffs, w * qinv2)
-    term2 = (1 / u) * q ** (-m) * q ** (-spec.L) * p2 * poly_eval(coeffs, w * q**2)
+    D, P, _ = vacuum(spec, w)
+    term1 = u * q**m * D * poly_eval(coeffs, w * q**-2)
+    term2 = (1 / u) * q ** (-m) * q ** (-spec.L) * P * poly_eval(coeffs, w * q**2)
     return term1, term2
 
 
@@ -346,6 +333,20 @@ def solve_roots_newton(
     return [complex(w) for w in ws], float(np.max(np.abs(F)))
 
 
+def solved_branches(spectrum: Spectrum, sector: int | None, seed: int):
+    """Per branch of ``sector`` (every branch for None), in spectrum order:
+    (index, branch, its polynomial or its collocation RuntimeError), the
+    collocation seeded at ``seed + 1``."""
+    for i, branch in enumerate(spectrum.branches):
+        if sector is not None and branch.sector != sector:
+            continue
+        try:
+            coeffs = solve_shift_poly(spectrum, branch, seed=seed + 1)
+        except RuntimeError as e:
+            coeffs = e
+        yield i, branch, coeffs
+
+
 def check_tq(
     spec: ChainSpec,
     seed: int = 0,
@@ -367,23 +368,18 @@ def check_tq(
     expected = 1 << spec.L
     worst_fun = 0.0
     worst_root = 0.0
-    per_sector = {}
+    per_sector = Counter(b.sector for b in spectrum.branches)
     failures = []
     solved = []
-    for i, branch in enumerate(spectrum.branches):
-        per_sector[branch.sector] = per_sector.get(branch.sector, 0) + 1
-        if sector is not None and branch.sector != sector:
-            continue
-        try:
-            coeffs = solve_shift_poly(spectrum, branch, seed=seed + 1)
-        except RuntimeError as e:
-            failures.append({"branch": i, "error": str(e)})
+    for i, branch, coeffs in solved_branches(spectrum, sector, seed):
+        if isinstance(coeffs, RuntimeError):
+            failures.append({"branch": i, "error": str(coeffs)})
             continue
         fr = functional_residual(
             spectrum, branch, coeffs, points=20, seed=seed + 2, perturb=perturb
         )
         worst_fun = max(worst_fun, fr)
-        roots = refine_roots(coeffs, poly_roots(coeffs))
+        roots = poly_roots(coeffs)
         rr = root_residuals(spec, branch.sector, roots, perturb=perturb)
         if rr:
             worst_root = max(worst_root, max(rr))
@@ -437,16 +433,12 @@ def check_bethe(
     rng = np.random.default_rng(seed + 31)
     reports = []
     ok = True
-    for i, branch in enumerate(spectrum.branches):
-        if branch.sector != sector:
-            continue
-        try:
-            coeffs = solve_shift_poly(spectrum, branch, seed=seed + 1)
-        except RuntimeError as e:
-            reports.append({"branch": i, "error": str(e)})
+    for i, _, coeffs in solved_branches(spectrum, sector, seed):
+        if isinstance(coeffs, RuntimeError):
+            reports.append({"branch": i, "error": str(coeffs)})
             ok = False
             continue
-        roots = refine_roots(coeffs, poly_roots(coeffs))
+        roots = poly_roots(coeffs)
         rr = root_residuals(spec, sector, roots, perturb=perturb)
         entry = {
             "branch": i,

@@ -12,7 +12,6 @@ JSON format {"r": int, "frozen": [int...], "arrows": [[i, j, mult]...]}.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -210,24 +209,15 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
 
 
 def _canonical_key(seed: Seed) -> str:
-    """Unordered-cluster form: sort mutable slots by variable, then pick
-    the arrow matrix minimal over permutations of equal variables."""
-    n = seed.quiver.n
-    r = seed.quiver.r
+    """Unordered-cluster form: mutable slots sorted by variable, the arrow
+    matrix permuted to match.  A seed's variables are algebraically
+    independent, so no two are equal and the sort fixes the permutation."""
+    n, r = seed.quiver.n, seed.quiver.r
     names = [str(v) for v in seed.variables]
-    tagged = sorted(range(n), key=names.__getitem__)
-    groups = [list(g) for _, g in itertools.groupby(tagged, key=names.__getitem__)]
-    var_part = tuple(names[i] for i in tagged) + tuple(names[n:r])
-    best = None
-    for choice in itertools.product(*(itertools.permutations(g) for g in groups)):
-        perm = [i for g in choice for i in g] + list(range(n, r))
-        Bp = tuple(
-            tuple(seed.quiver.B[perm[i]][perm[j]] for j in range(r)) for i in range(r)
-        )
-        s = repr(Bp)
-        if best is None or s < best:
-            best = s
-    return repr(var_part) + "|" + best
+    perm = sorted(range(n), key=names.__getitem__) + list(range(n, r))
+    B = seed.quiver.B
+    Bp = tuple(tuple(B[i][j] for j in perm) for i in perm)
+    return repr(tuple(names[i] for i in perm)) + "|" + repr(Bp)
 
 
 class Atlas:

@@ -9,14 +9,12 @@ from .linalg import (
     mat_eq,
     mat_mul,
     mat_scale,
-    np_partial_trace,
     np_residual,
     np_spin_apply,
     np_spin_dense,
     np_spin_identity,
     np_spin_trace_first,
     op_on_slots,
-    partial_trace,
     rref,
     solve_unique,
 )
@@ -35,14 +33,12 @@ __all__ = [
     "mat_eq",
     "mat_mul",
     "mat_scale",
-    "np_partial_trace",
     "np_residual",
     "np_spin_apply",
     "np_spin_dense",
     "np_spin_identity",
     "np_spin_trace_first",
     "op_on_slots",
-    "partial_trace",
     "rref",
     "solve_unique",
 ]

@@ -37,10 +37,8 @@ __all__ = [
     "identity",
     "kron",
     "op_on_slots",
-    "partial_trace",
     "rref",
     "solve_unique",
-    "np_partial_trace",
     "np_residual",
     "np_spin_apply",
     "np_spin_dense",
@@ -169,36 +167,6 @@ def op_on_slots(M, slots, dims):
                     row_digits[r] = rd[t]
                     col_digits[r] = rd[t]
                 out[_index(row_digits, dims)][_index(col_digits, dims)] = entry
-    return out
-
-
-def partial_trace(M, slot: int, dims):
-    """Trace out one tensor slot of an exact matrix."""
-    n = len(dims)
-    keep = [i for i in range(n) if i != slot]
-    keep_dims = [dims[i] for i in keep]
-    kn = 1
-    for d in keep_dims:
-        kn *= d
-    out = [[0] * kn for _ in range(kn)]
-    for r in range(kn):
-        rk = _digits(r, keep_dims)
-        for c in range(kn):
-            ck = _digits(c, keep_dims)
-            acc = None
-            for s in range(dims[slot]):
-                row_digits = [0] * n
-                col_digits = [0] * n
-                for t, i in enumerate(keep):
-                    row_digits[i] = rk[t]
-                    col_digits[i] = ck[t]
-                row_digits[slot] = s
-                col_digits[slot] = s
-                e = M[_index(row_digits, dims)][_index(col_digits, dims)]
-                if not e:
-                    continue
-                acc = e if acc is None else acc + e
-            out[r][c] = 0 if acc is None else acc
     return out
 
 
@@ -360,17 +328,6 @@ def np_spin_apply(blocks, F: np.ndarray, slots):
         if f33 != 1 and len(rows) > 2 * h + c00:
             B[rows[2 * h + c00 :]] *= f33
     return blocks
-
-
-def np_partial_trace(M: np.ndarray, slot: int, dims) -> np.ndarray:
-    n = len(dims)
-    T = np.asarray(M, dtype=complex).reshape(list(dims) * 2)
-    T = np.trace(T, axis1=slot, axis2=n + slot)
-    keep = [d for i, d in enumerate(dims) if i != slot]
-    N = 1
-    for d in keep:
-        N *= d
-    return T.reshape(N, N)
 
 
 def np_residual(A, B) -> float:

@@ -18,12 +18,11 @@ from .field import RatFun
 from .verdict import CheckResult
 from .chain.model import ChainSpec
 from .chain.spectrum import (
-    Spectrum,
     compute_spectrum,
     poly_eval,
     sample_point,
     solve_shift_poly,
-    vacuum_ratio,
+    vacuum,
 )
 
 import numpy as np
@@ -205,7 +204,7 @@ def vacuum_prefactors(spec: ChainSpec):
     lab_hi = a_expr * q
     return {
         (1, lab_lo): lambda z: u,
-        (1, lab_hi): lambda z: u / vacuum_ratio(spec, z),
+        (1, lab_hi): lambda z: u / vacuum(spec, z)[2],
     }
 
 
@@ -255,7 +254,7 @@ def check_conjecture_sl2(
         for _ in range(points):
             z = sample_point(spec, rng)
             pred = baxter_substitute(chi, sub, z)
-            meas = spectrum.lam(branch, z)
+            meas = spectrum.point(branch, z)[0]
             worst = max(worst, abs(pred - meas) / max(1.0, abs(meas)))
     trivial = SubstitutionSpec(
         q_poly={1: (1.0 + 0j,)},

@@ -17,8 +17,9 @@ from qilab.chain import (
     transfer_numeric,
     transfer_sectors,
 )
-from qilab.chain.spectrum import vacuum_ratio
-from qilab.field import MPoly, RatFun, np_residual
+from qilab.chain.model import _Exact
+from qilab.chain.spectrum import vacuum
+from qilab.field import MPoly, RatFun, kron, mat_eq, np_residual
 from slot_oracles import np_apply_on_slots
 
 
@@ -66,7 +67,46 @@ def test_vacuum_ratio_golden():
     for q, z in points:
         s = ChainSpec.from_json({"L": 1, "q": f"{q.real}{q.imag:+}*i"})
         want = golden.eval_complex({"q": q, "z": z})
-        assert abs(vacuum_ratio(s, z) - want) < 1e-14 * abs(want)
+        assert abs(vacuum(s, z)[2] - want) < 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"L": 6, "q": "0.83+0.21*i", "twist": "0.64+0.13*i"},
+        {
+            "L": 4,
+            "q": "0.83+0.21*i",
+            "a": "1.1-0.3*i",
+            "sites": ["1", "0.7+0.2*i", "1.9", "-1.2+0.5*i"],
+        },
+    ],
+    ids=["generic", "inhomogeneous"],
+)
+def test_vacuum_is_the_r_matrix_corner_product(spec):
+    # d(z) is the product over sites of the all-up entry R[1][1] of the
+    # fundamental solution, and the cleared products obey q^L D d = P
+    s = ChainSpec.from_json(spec)
+    q = s.q_complex()
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        z = sample_point(s, rng)
+        D, P, d = vacuum(s, z)
+        want = 1.0 + 0j
+        for rho in s.site_ratios_complex():
+            want *= numeric_r(z * rho, q)[1, 1]
+        assert abs(d - want) <= 1e-15 * abs(want)
+        assert abs(q**s.L * D * d - P) <= 1e-13 * abs(P)
+
+
+def test_exact_trace_first_of_product_state():
+    # the weighted trace over slot 0 of A (x) B is (w0 A00 + w1 A11) B
+    A = [[MPoly.const(a) for a in row] for row in [[1, 2], [3, 4]]]
+    B = [[MPoly.var("z"), MPoly.const(5)], [MPoly.zero(), MPoly.var("q") + 7]]
+    w0, w1 = MPoly.var("u"), MPoly.const(Fraction(2, 3))
+    scale = w0 * A[0][0] + w1 * A[1][1]
+    want = [[scale * e for e in row] for row in B]
+    assert mat_eq(_Exact.trace_first(kron(A, B), w0, w1), want)
 
 
 def test_numeric_r_unitarity_point():

@@ -13,12 +13,12 @@ from qilab.field import (
     kron,
     mat_eq,
     mat_mul,
-    np_partial_trace,
     np_residual,
     np_spin_apply,
     np_spin_dense,
+    np_spin_identity,
+    np_spin_trace_first,
     op_on_slots,
-    partial_trace,
     rref,
     solve_unique,
 )
@@ -44,17 +44,6 @@ def test_op_on_slots_reorders_slots():
     S = _frac_mat([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
     oracle = mat_mul(mat_mul(S, M), S)
     assert mat_eq(got, oracle)
-
-
-def test_partial_trace_of_product_state():
-    A = _frac_mat([[1, 2], [3, 4]])
-    B = _frac_mat([[5, 0], [0, 7]])
-    big = kron(A, B)
-    # tracing out a factor of a product leaves the other scaled by its trace
-    tr_first = partial_trace(big, 0, [2, 2])
-    assert mat_eq(tr_first, [[MPoly.const(5) * e for e in row] for row in B])
-    tr_second = partial_trace(big, 1, [2, 2])
-    assert mat_eq(tr_second, [[MPoly.const(12) * e for e in row] for row in A])
 
 
 def test_rref_rank_and_nullspace():
@@ -283,14 +272,17 @@ def test_np_apply_conserving_rejects_spin_changing_factor(entry):
 def test_np_identity_embedding_and_partial_trace():
     pattern = np_op_on_slots(np.eye(4, dtype=complex), (0, 2), [2, 2, 2])
     assert np_residual(pattern, np.eye(8, dtype=complex)) < 1e-14
-    tr = np_partial_trace(
-        np.kron(np.eye(2, dtype=complex), np.eye(2, dtype=complex)), 1, [2, 2]
-    )
+    tr = np_spin_dense(np_spin_trace_first(np_spin_identity(2), 1, 1))
     assert np_residual(tr, 2 * np.eye(2, dtype=complex)) < 1e-14
 
 
-def test_np_partial_trace_dims():
-    A = np.diag([1.0, 2.0]).astype(complex)
-    B = np.array([[0, 1], [1, 0]], dtype=complex)
-    tr0 = np_partial_trace(np.kron(A, B), 0, [2, 2])
-    assert np_residual(tr0, 3 * B) < 1e-14
+def test_np_spin_trace_first_is_the_weighted_corner_sum():
+    # the blocks' trace over slot 0 against the two corners of their dense form
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 5):
+        blocks = _spin_blocks(_random_conserving(rng, n), n)
+        w0, w1 = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
+        M = np_spin_dense(blocks)
+        H = 1 << (n - 1)
+        got = np_spin_dense(np_spin_trace_first(blocks, w0, w1))
+        assert np.array_equal(got, w0 * M[:H, :H] + w1 * M[H:, H:])

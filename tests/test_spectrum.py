@@ -14,9 +14,7 @@ from qilab.chain import (
     compute_spectrum,
     functional_residual,
     poly_roots,
-    refine_roots,
     root_residuals,
-    shift_terms,
     solve_roots_newton,
     solve_shift_poly,
 )
@@ -46,7 +44,7 @@ def test_l1_golden_root():
     sp = compute_spectrum(L1)
     branch = next(b for b in sp.branches if b.sector == 1)
     coeffs = solve_shift_poly(sp, branch)
-    roots = refine_roots(coeffs, poly_roots(coeffs))
+    roots = poly_roots(coeffs)
     assert len(roots) == 1
     assert abs(roots[0] - float(Fraction(7, 34))) < 1e-10
     rr = root_residuals(L1, 1, roots)
@@ -54,10 +52,15 @@ def test_l1_golden_root():
 
 
 def test_shift_terms_weights():
-    t1, t2 = shift_terms(L1, 1, 0.9 + 0.1j)
-    # first weight u q^m, second u^-1 q^-m d(z)
+    sp = compute_spectrum(L1)
+    branch = next(b for b in sp.branches if b.sector == 1)
+    z = 0.9 + 0.1j
+    lam, t1, t2 = sp.point(branch, z)
+    # first weight u q^m, second u^-1 q^-m d(z); d(z) = (z - 1)/(2 (z - 1/4))
     assert abs(t1 - 3 * 2) < 1e-12
-    assert t2 != 0
+    assert abs(t2 - (z - 1) / (2 * (z - 0.25)) / 6) < 1e-12
+    num = sum(c * z**k for k, c in enumerate(branch.ncoeffs))
+    assert abs(lam - num / (z - 0.25)) < 1e-12
 
 
 def test_vacuum_polynomial_is_constant():
@@ -142,7 +145,7 @@ def test_newton_basin_from_perturbed_start():
     sp = compute_spectrum(L2)
     branch = next(b for b in sp.branches if b.sector == 1)
     coeffs = solve_shift_poly(sp, branch)
-    roots = refine_roots(coeffs, poly_roots(coeffs))
+    roots = poly_roots(coeffs)
     start = [w * 1.01 for w in roots]
     solved, final = solve_roots_newton(L2, 1, start)
     assert final < 1e-10
@@ -157,8 +160,9 @@ def test_seed_invariance_of_branches():
 
     def profile(sp):
         return sorted(
-            (br.sector, round(sp.lam(br, zt).real, 7), round(sp.lam(br, zt).imag, 7))
+            (br.sector, round(lam.real, 7), round(lam.imag, 7))
             for br in sp.branches
+            for lam in [sp.point(br, zt)[0]]
         )
 
     assert profile(a) == profile(b)
