@@ -21,8 +21,8 @@ one auxiliary trace, ``trace_first``, over slot 0 weighted by diag(w0, w1);
 the transfer is that trace of one line weighted by the twist, so its
 numeric sector of m flipped sites is u times the aux-0 corner of block m
 plus u^-1 times the aux-1 corner of block m+1.  ``transfer_sectors`` hands
-these blocks to the spectrum; ``commute`` and ``multiplicativity`` multiply
-their dense form.
+these blocks to the spectrum; ``commute`` multiplies them block by block
+and ``multiplicativity`` multiplies their dense form.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from ..field import (
     np_spin_apply,
     np_spin_dense,
     np_spin_identity,
+    np_spin_index,
     np_spin_trace_first,
     op_on_slots,
 )
@@ -59,6 +60,7 @@ __all__ = [
     "transfer_numeric",
     "transfer_sectors",
     "sample_point",
+    "off_poles",
     "check_rtt",
     "check_commute",
     "check_multiplicativity",
@@ -238,7 +240,7 @@ class _Exact(_Ring):
     """Cleared polynomial matrices, q pinned when the spec fixes it."""
 
     mode = "exact"
-    mul = staticmethod(mat_mul)
+    mul = transfer_mul = staticmethod(mat_mul)
     dense = staticmethod(lambda M: M)
     kron = staticmethod(kron)
 
@@ -301,7 +303,8 @@ class _Exact(_Ring):
 
 
 class _Numeric(_Ring):
-    """complex128 spin blocks, built in place; products are dense."""
+    """complex128 spin blocks, built in place; ``mul`` is dense and
+    ``transfer_mul`` multiplies block by block."""
 
     mode = "numeric"
     mul = staticmethod(np.matmul)
@@ -314,6 +317,12 @@ class _Numeric(_Ring):
 
     def a(self) -> complex:
         return self.spec.a_complex()
+
+    @staticmethod
+    def transfer_mul(A, B) -> list:
+        """Spin blocks of A times B, block by block; blocks are stored
+        transposed, so each is B's block times A's."""
+        return [Y @ X for X, Y in zip(A, B)]
 
     def r(self, zeta) -> np.ndarray:
         return numeric_r(zeta, self.spec.q_complex())
@@ -388,27 +397,39 @@ def transfer_sectors(spec: ChainSpec, z: complex, a: complex | None = None) -> l
     return [np.ascontiguousarray(B.T) for B in _Numeric(spec).transfer(z, a)]
 
 
+def off_poles(spec: ChainSpec, z: complex) -> bool:
+    """Whether every zeta = z * rho_l keeps clear of the factor pole q^-2
+    (by 1e-3) and of the permutation point 1 (by 1e-6)."""
+    qinv2 = spec.q_complex() ** -2
+    for rho in spec.site_ratios_complex():
+        zeta = z * rho
+        if abs(zeta - qinv2) < 1e-3 or abs(zeta - 1) < 1e-6:
+            return False
+    return True
+
+
 def sample_point(spec: ChainSpec, rng) -> complex:
     """Seeded sample in an annulus, kept away from the factor poles."""
-    qinv2 = spec.q_complex() ** -2
-    ratios = spec.site_ratios_complex()
     for _ in range(1000):
         r = 0.5 + rng.random()
         theta = 2 * np.pi * rng.random()
         z = r * np.exp(1j * theta)
-        ok = True
-        for rho in ratios:
-            zeta = z * rho
-            if abs(zeta - qinv2) < 1e-3 or abs(zeta - 1) < 1e-6:
-                ok = False
-                break
-        if ok:
+        if off_poles(spec, z):
             return complex(z)
     raise RuntimeError("could not sample away from the poles")
 
 
 def _doubled(M, i, j):
-    """A copy of ``M`` with entry (i, j) doubled: the --perturb controls."""
+    """A copy of ``M`` with entry (i, j) doubled: the --perturb controls.
+
+    Numeric spin blocks (stored transposed) double that entry of their
+    dense form, which is zero unless states i and j share a block."""
+    if isinstance(M, list) and isinstance(M[0], np.ndarray):
+        (m, r), (mj, c) = (np_spin_index(len(M) - 1, k) for k in (i, j))
+        M = [B.copy() for B in M]
+        if m == mj:
+            M[m][c, r] *= 2
+        return M
     M = M.copy() if isinstance(M, np.ndarray) else [row[:] for row in M]
     M[i][j] *= 2
     return M
@@ -467,11 +488,10 @@ def check_commute(
     ring = _ring(spec, mode)
 
     def sides(z, w):
-        Tz = ring.dense(ring.transfer(z))
-        Tw = ring.dense(ring.transfer(w))
+        Tz, Tw = ring.transfer(z), ring.transfer(w)
         if perturb:
             Tw = _doubled(Tw, 1, 2)
-        return ring.mul(Tz, Tw), ring.mul(Tw, Tz)
+        return ring.transfer_mul(Tz, Tw), ring.transfer_mul(Tw, Tz)
 
     exact = {"q": spec.q, "twist": spec.twist}
     return _verdict("commute", ring, sides, 2, seed, perturb, samples, tol, exact)

@@ -1,14 +1,23 @@
-"""Numeric transfer-matrix spectra and their finite-difference functional data.
+"""Numeric transfer-matrix spectra and Baxter's TQ relation in coefficient space.
 
 The transfer matrices at different arguments commute, so one seeded base
-point fixes a joint eigenbasis; every branch of eigenvalues is then read
-off diagonally at further sample points.  Each branch is fitted as
-N(z) / D(z) with D the product of the cleared-factor denominators, which
-the fit residual verifies.  For each branch, ``solved_branches`` recovers
-by collocation a polynomial Q with Lambda(z) Q(z) = t1 Q(zq^-2) +
-t2(z) Q(zq^2), Baxter's relation; its roots are polished, and the
-root-level residuals close the loop.  ``vacuum`` gives D, P = prod(zeta - 1)
-and the vacuum ratio d in one loop; ``Spectrum.point`` gives Lambda, t1, t2.
+point fixes a joint eigenbasis V per magnon sector, and every eigenvalue
+branch is read at any z as diag(V^-1 T(z) V) (``Spectrum.eigenvalues``).
+With D(z) = prod(zeta - q^-2), zeta = z * rho_l, each branch's numerator
+N = Lambda * D is a polynomial of degree <= L.  ``compute_spectrum``
+interpolates it from L+1 points on the unit circle (one FFT per sector);
+the known base-point eigenvalue checks the interpolation, and that error
+is the branch's ``fit_residual``.
+
+Baxter's relation Lambda(z) Q(z) = t1 Q(zq^-2) + t2(z) Q(zq^2), with
+t1 = u q^m and t2 = u^-1 q^-m d(z), cleared by D, is the coefficient
+identity N Q = u q^m D Q(.q^-2) + u^-1 q^(-m-L) P Q(.q^2), P = prod(zeta - 1):
+an (L+m+1) x (m+1) linear system on the coefficients of Q.
+``solved_branches`` solves it for every branch of a sector by one stacked
+SVD, with no sample point and no pole.  ``functional_residual`` checks each
+Q against the transfer matrix itself at fresh points, and the root-level
+residuals close the loop.  ``vacuum`` gives D, P and the vacuum ratio d in
+one loop.
 """
 
 from __future__ import annotations
@@ -19,20 +28,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..verdict import CheckResult
-from .model import ChainSpec, sample_point, transfer_sectors
+from .model import ChainSpec, off_poles, sample_point, transfer_sectors
 
 __all__ = [
     "Branch",
     "Spectrum",
+    "SpectrumBreakdown",
     "compute_spectrum",
     "validate_sector",
-    "solve_shift_poly",
     "poly_eval",
     "poly_roots",
     "vacuum",
     "solved_branches",
     "functional_residual",
     "root_residuals",
+    "solve_roots_newton",
     "check_tq",
     "check_bethe",
 ]
@@ -48,26 +58,36 @@ class Branch:
     lam0: complex
 
 
-class Spectrum:
-    """All eigenvalue branches of one chain, rationally interpolated."""
+class SpectrumBreakdown(RuntimeError):
+    """The joint eigenbasis or the interpolation broke down: a defect of the
+    transfer matrices, reported as a failed verdict, not as bad input."""
 
-    def __init__(self, spec: ChainSpec, branches, z0: complex, seed: int):
+
+class Spectrum:
+    """All eigenvalue branches of one chain, sorted by sector, with the
+    joint eigenbases that read them and the coefficients of D and P."""
+
+    def __init__(self, spec: ChainSpec, branches, bases, vacuum_coeffs):
         self.spec = spec
         self.branches = list(branches)
-        self.z0 = z0
-        self.seed = seed
+        self._bases = bases  # sector -> (first branch index, V, V^-1)
+        self.vacuum_coeffs = vacuum_coeffs  # (D, P), constant first
 
     def point(self, branch: Branch, z: complex):
-        """(Lambda(z), t1, t2): the eigenvalue and the weights u q^m and
-        u^-1 q^-m d(z) of Q(zq^-2) and Q(zq^2) in the branch's relation."""
-        q = self.spec.q_complex()
-        u = self.spec.twist_complex()
-        m = branch.sector
-        den, _, d = vacuum(self.spec, z)
-        num = 0j
-        for k, c in enumerate(branch.ncoeffs):
-            num += c * z**k
-        return num / den, u * q**m, (1 / u) * q ** (-m) * d
+        """(Lambda(z), t1, t2): the branch's interpolated eigenvalue N/D and
+        the weights of Q(zq^-2) and Q(zq^2) in its relation."""
+        lam = poly_eval(branch.ncoeffs, z) / vacuum(self.spec, z)[0]
+        return (lam, *_weights(self.spec, branch.sector, z))
+
+    def eigenvalues(self, z: complex, sectors) -> np.ndarray:
+        """Lambda(z) of every branch, in branch order, as diag(V^-1 T(z) V)
+        from one transfer build; NaN outside ``sectors``."""
+        out = np.full(len(self.branches), np.nan, dtype=complex)
+        blocks = transfer_sectors(self.spec, z)
+        for m in sectors:
+            first, V, Vinv = self._bases[m]
+            out[first : first + len(V)] = np.einsum("ij,ji->i", Vinv @ blocks[m], V)
+        return out
 
 
 def vacuum(spec: ChainSpec, z: complex):
@@ -86,81 +106,107 @@ def vacuum(spec: ChainSpec, z: complex):
     return D, P, d
 
 
-def compute_spectrum(spec: ChainSpec, seed: int = 0) -> Spectrum:
-    """Diagonalize once, follow every branch, fit each one rationally.
+def _weights(spec: ChainSpec, m: int, z: complex):
+    """t1 = u q^m and t2 = u^-1 q^-m d(z), the weights of Q(zq^-2) and
+    Q(zq^2) in the relation of sector m."""
+    q = spec.q_complex()
+    u = spec.twist_complex()
+    return u * q**m, (1 / u) * q ** (-m) * vacuum(spec, z)[2]
 
-    The base point is diagonalized first.  Then one sample transfer at a
-    time fills its column of every sector's eigenvalue table and is
-    dropped, so only one sample transfer is alive at once.  A sector's
-    failures are raised lowest sector first and, within a sector, in stage
-    order: degenerate base point, joint eigenbasis, rational fit.
+
+def _circle(spec: ChainSpec, rng) -> np.ndarray:
+    """The (L+1)-th roots of unity turned by a seeded phase, clear of poles."""
+    n = spec.L + 1
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    for _ in range(1000):
+        pts = np.exp(2j * np.pi * rng.random()) * roots
+        if all(off_poles(spec, complex(z)) for z in pts):
+            return pts
+    raise RuntimeError("could not place the interpolation points away from the poles")
+
+
+def _coefficients(values: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Coefficients (constant first, last axis) of the polynomials of degree
+    < n taking ``values`` at the n points ``pts`` = c * (n-th roots of unity)."""
+    n = len(pts)
+    return np.fft.fft(values, axis=-1) / (n * pts[0] ** np.arange(n))
+
+
+def compute_spectrum(spec: ChainSpec, seed: int = 0) -> Spectrum:
+    """Diagonalize once, read every branch on a circle, interpolate N.
+
+    The base point is diagonalized first.  Then one transfer at a time, at
+    each of the L+1 circle points, fills its column of every sector's
+    eigenvalue table and is dropped.  A sector's failures are raised lowest
+    sector first and, within a sector, in stage order: degenerate base point
+    (RuntimeError, a genericity condition), then joint eigenbasis and base-
+    point interpolation (SpectrumBreakdown).
     """
     rng = np.random.default_rng(seed)
-    L = spec.L
-    n_samples = L + 2
     z0 = sample_point(spec, rng)
-    samples = [sample_point(spec, rng) for _ in range(n_samples)]
+    pts = _circle(spec, rng)
     errors = {}
     bases = []
     for m, B0 in enumerate(transfer_sectors(spec, z0)):
         w0, V = np.linalg.eig(B0)
         scale = max(1.0, float(np.max(np.abs(w0))))
-        k = len(w0)
-        if any(
-            abs(w0[i] - w0[j]) < 1e-8 * scale
-            for i in range(k)
-            for j in range(i + 1, k)
-        ):
-            errors[m] = (
+        gaps = np.abs(w0[:, None] - w0)
+        np.fill_diagonal(gaps, np.inf)
+        if np.min(gaps) < 1e-8 * scale:
+            errors[m] = RuntimeError(
                 f"degenerate base-point spectrum in sector {m}; "
                 "pick more generic parameters or another seed"
             )
             bases.append(None)
             continue
-        table = np.empty((k, n_samples), dtype=complex)
+        order = sorted(
+            range(len(w0)), key=lambda i: (round(w0[i].real, 9), round(w0[i].imag, 9))
+        )
+        w0, V = w0[order], V[:, order]
+        table = np.empty((len(w0), len(pts)), dtype=complex)
         bases.append((w0, V, np.linalg.inv(V), table))
-    for s, z in enumerate(samples):
-        for m, Bz in enumerate(transfer_sectors(spec, z)):
+    for s, z in enumerate(pts):
+        for m, Bz in enumerate(transfer_sectors(spec, complex(z))):
             if m in errors:
                 continue
             _, V, Vinv, table = bases[m]
             Ds = Vinv @ Bz @ V
             off = Ds - np.diag(np.diag(Ds))
             if np.max(np.abs(off)) > 1e-8 * max(1.0, np.max(np.abs(Ds))):
-                errors[m] = (
+                errors[m] = SpectrumBreakdown(
                     f"joint eigenbasis failed in sector {m}; "
                     "transfer matrices did not stay diagonal"
                 )
                 continue
             table[:, s] = np.diag(Ds)
-    dens = [vacuum(spec, z)[0] for z in samples]
-    A = np.array([[z**j for j in range(L + 1)] for z in samples])
+    vac = np.array([vacuum(spec, complex(z))[:2] for z in pts]).T
+    D0 = vacuum(spec, z0)[0]
     branches = []
+    kept = {}
     for m, base in enumerate(bases):
         if m in errors:
-            raise RuntimeError(errors[m])
-        w0, _, _, lam_table = base
-        for i in range(len(w0)):
-            rhs = np.array([lam_table[i, s] * dens[s] for s in range(n_samples)])
-            coeffs, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-            pred = A @ coeffs
-            resid = float(
-                np.max(np.abs(pred - rhs)) / max(1.0, float(np.max(np.abs(rhs))))
+            raise errors[m]
+        w0, V, Vinv, table = base
+        values = table * vac[0]
+        ncoeffs = _coefficients(values, pts)
+        scale = np.maximum(np.max(np.abs(values), axis=1), np.abs(w0 * D0))
+        resid = np.abs(poly_eval(ncoeffs.T, z0) - w0 * D0) / np.maximum(1.0, scale)
+        if np.max(resid) > 1e-8:
+            raise SpectrumBreakdown(
+                f"rational fit failed in sector {m} (base-point interpolation "
+                f"error {np.max(resid):.2e})"
             )
-            if resid > 1e-8:
-                raise RuntimeError(
-                    f"rational fit failed in sector {m} (residual {resid:.2e})"
-                )
-            branches.append(
-                Branch(
-                    sector=m,
-                    ncoeffs=tuple(complex(c) for c in coeffs),
-                    fit_residual=resid,
-                    lam0=complex(w0[i]),
-                )
+        kept[m] = (len(branches), V, Vinv)
+        branches += [
+            Branch(
+                sector=m,
+                ncoeffs=tuple(complex(c) for c in ncoeffs[i]),
+                fit_residual=float(resid[i]),
+                lam0=complex(w0[i]),
             )
-    branches.sort(key=lambda b: (b.sector, round(b.lam0.real, 9), round(b.lam0.imag, 9)))
-    return Spectrum(spec, branches, z0, seed)
+            for i in range(len(w0))
+        ]
+    return Spectrum(spec, branches, kept, tuple(_coefficients(vac, pts)))
 
 
 def validate_sector(spec: ChainSpec, sector: int | None) -> None:
@@ -169,49 +215,67 @@ def validate_sector(spec: ChainSpec, sector: int | None) -> None:
         raise ValueError("sector must lie between 0 and L")
 
 
-def solve_shift_poly(spectrum: Spectrum, branch: Branch, seed: int = 1):
-    """Monic polynomial solving the branch functional equation, by collocation.
+def _solve_sector(spectrum: Spectrum, m: int, ncoeffs: np.ndarray) -> list:
+    """Monic Q of degree m (constant first) or a RuntimeError, for each row
+    of numerator coefficients ``ncoeffs``, by one stacked SVD.
 
-    Returns the coefficient tuple (constant first, monic leading 1).  The
-    collocation null space must be one-dimensional; anything else means the
-    branch does not carry a polynomial of the expected degree.
+    Row r of the system is the z^r coefficient of N Q - c1 D Q(.q^-2) -
+    c2 P Q(.q^2); it is scaled by the largest of its pieces, so one large
+    row does not hide the others, and the null space must then be exactly
+    one-dimensional at level 1e-8.
     """
     spec = spectrum.spec
-    m = branch.sector
+    L = spec.L
     q = spec.q_complex()
-    rng = np.random.default_rng(seed + 7919 * m)
-    npts = 2 * spec.L + 2 * m + 4
-    rows = []
-    scale = 1.0
-    for _ in range(npts):
-        z = sample_point(spec, rng)
-        lam, t1, t2 = spectrum.point(branch, z)
-        row = []
-        for k in range(m + 1):
-            pieces = (lam * z**k, t1 * (z * q**-2) ** k, t2 * (z * q**2) ** k)
-            scale = max(scale, *(abs(p) for p in pieces))
-            row.append(pieces[0] - pieces[1] - pieces[2])
-        rows.append(row)
-    A = np.array(rows, dtype=complex)
+    u = spec.twist_complex()
+    D, P = spectrum.vacuum_coeffs
+    k = len(ncoeffs)
+    pieces = np.zeros((3, k, L + m + 1, m + 1), dtype=complex)
+    for j in range(m + 1):
+        pieces[0, :, j : j + L + 1, j] = ncoeffs
+        pieces[1, :, j : j + L + 1, j] = u * q**m * q ** (-2 * j) * D
+        pieces[2, :, j : j + L + 1, j] = (1 / u) * q ** (-m - L) * q ** (2 * j) * P
+    scale = np.max(np.abs(pieces), axis=(0, 3))
+    A = (pieces[0] - pieces[1] - pieces[2]) / np.where(scale > 0, scale, 1.0)[..., None]
     _, s, vh = np.linalg.svd(A)
-    level = 1e-8 * scale
-    if m >= 1 and s[m - 1] <= level:
-        raise RuntimeError("collocation null space is not one-dimensional")
-    if s[m] > level:
-        raise RuntimeError(
-            f"no polynomial solution at degree {m} (smallest singular value "
-            f"{s[m]:.2e} vs scale {scale:.2e})"
-        )
-    coeffs = np.conj(vh[-1])
-    lead = coeffs[-1]
-    if abs(lead) < 1e-6 * float(np.max(np.abs(coeffs))):
-        raise RuntimeError("polynomial solution has unexpected lower degree")
-    coeffs = coeffs / lead
-    return tuple(complex(c) for c in coeffs)
+    out = []
+    for i in range(k):
+        if m >= 1 and s[i, m - 1] <= 1e-8:
+            out.append(RuntimeError("coefficient null space is not one-dimensional"))
+            continue
+        if s[i, m] > 1e-8:
+            out.append(
+                RuntimeError(
+                    f"no polynomial solution at degree {m} (smallest scaled "
+                    f"singular value {s[i, m]:.2e})"
+                )
+            )
+            continue
+        coeffs = np.conj(vh[i, -1])
+        lead = coeffs[-1]
+        if abs(lead) < 1e-6 * float(np.max(np.abs(coeffs))):
+            out.append(RuntimeError("polynomial solution has unexpected lower degree"))
+            continue
+        out.append(tuple(complex(c) for c in coeffs / lead))
+    return out
+
+
+def solved_branches(spectrum: Spectrum, sector: int | None):
+    """Per branch of ``sector`` (every branch for None), in spectrum order:
+    (index, branch, its polynomial Q or the RuntimeError of its solve)."""
+    by_sector = {}
+    for i, branch in enumerate(spectrum.branches):
+        if sector is None or branch.sector == sector:
+            by_sector.setdefault(branch.sector, []).append(i)
+    for m, idxs in by_sector.items():
+        ncoeffs = np.array([spectrum.branches[i].ncoeffs for i in idxs])
+        for i, coeffs in zip(idxs, _solve_sector(spectrum, m, ncoeffs)):
+            yield i, spectrum.branches[i], coeffs
 
 
 def poly_eval(coeffs, z: complex) -> complex:
-    """Horner value at ``z`` of a coefficient sequence, constant first."""
+    """Horner value at ``z`` of a coefficient sequence, constant first; an
+    array with coefficients along axis 0 gives the values of its columns."""
     out = 0j
     for c in reversed(coeffs):
         out = out * z + c
@@ -244,27 +308,41 @@ def poly_roots(coeffs) -> list:
 
 def functional_residual(
     spectrum: Spectrum,
-    branch: Branch,
-    coeffs,
+    solved,
     points: int = 20,
     seed: int = 2,
     perturb: bool = False,
-) -> float:
-    """Relative residual of the two-term shift identity on fresh samples."""
+) -> dict:
+    """Relative residual of Baxter's relation on fresh seeded samples, per
+    branch index of ``solved`` (pairs of branch index and Q).
+
+    At each sample one transfer build serves every sector: Lambda is read
+    from the transfer matrix as diag(V^-1 T V), not from the interpolant.
+    ``perturb`` doubles t2.
+    """
     spec = spectrum.spec
     q = spec.q_complex()
-    rng = np.random.default_rng(seed + 104729 * branch.sector)
-    worst = 0.0
-    for _ in range(points):
+    groups = {}
+    for i, coeffs in solved:
+        groups.setdefault(spectrum.branches[i].sector, []).append((i, coeffs))
+    groups = {
+        m: ([i for i, _ in items], np.array([c for _, c in items]).T)
+        for m, items in groups.items()
+    }
+    worst = np.zeros(len(spectrum.branches))
+    rng = np.random.default_rng(seed)
+    for _ in range(points if groups else 0):
         z = sample_point(spec, rng)
-        lam, t1, t2 = spectrum.point(branch, z)
-        if perturb:
-            t2 = 2 * t2
-        lhs = lam * poly_eval(coeffs, z)
-        rhs = t1 * poly_eval(coeffs, z * q**-2) + t2 * poly_eval(coeffs, z * q**2)
-        denom = max(1.0, abs(lhs), abs(rhs))
-        worst = max(worst, abs(lhs - rhs) / denom)
-    return worst
+        lam = spectrum.eigenvalues(z, groups)
+        for m, (idxs, Q) in groups.items():
+            t1, t2 = _weights(spec, m, z)
+            if perturb:
+                t2 = 2 * t2
+            lhs = lam[idxs] * poly_eval(Q, z)
+            rhs = t1 * poly_eval(Q, z * q**-2) + t2 * poly_eval(Q, z * q**2)
+            denom = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+            worst[idxs] = np.maximum(worst[idxs], np.abs(lhs - rhs) / denom)
+    return {i: float(worst[i]) for i, _ in solved}
 
 
 def root_residuals(
@@ -303,48 +381,91 @@ def _monic_from_roots(roots) -> tuple:
     return tuple(coeffs)
 
 
+def _all_but_one(X: np.ndarray) -> np.ndarray:
+    """out[j, k] = product of X[j, l] over l != k, without division."""
+    ones = np.ones((len(X), 1), dtype=complex)
+    left = np.cumprod(np.hstack([ones, X[:, :-1]]), axis=1)
+    right = np.cumprod(np.hstack([ones, X[:, :0:-1]]), axis=1)[:, ::-1]
+    return left * right
+
+
+@dataclass(frozen=True)
+class NewtonResult:
+    """Roots, the final max |F|, the steps taken and the smallest singular
+    value of the Jacobian at the roots."""
+
+    roots: list
+    residual: float
+    iterations: int
+    min_singular: float
+
+
+def _root_system(spec: ChainSpec, m: int, ws: np.ndarray):
+    """F and its closed-form Jacobian for the product form of the root system,
+    F_j = u q^m D(w_j) prod_k (w_j q^-2 - w_k)
+        + u^-1 q^(-m-L) P(w_j) prod_k (w_j q^2 - w_k)."""
+    q = spec.q_complex()
+    u = spec.twist_complex()
+    rho = np.array(spec.site_ratios_complex())
+    eye = np.eye(m, dtype=bool)
+    F = np.zeros(m, dtype=complex)
+    J = np.zeros((m, m), dtype=complex)
+    for c, shift, corner in (
+        (u * q**m, q**-2, q**-2),  # with D: zeta - q^-2
+        ((1 / u) * q ** (-m - spec.L), q**2, 1.0),  # with P: zeta - 1
+    ):
+        Y = ws[:, None] * rho - corner
+        V, dV = np.prod(Y, axis=1), _all_but_one(Y) @ rho
+        X = ws[:, None] * shift - ws[None, :]
+        Q, dQ = np.prod(X, axis=1), -_all_but_one(X)
+        dQ[eye] -= shift * dQ.sum(axis=1)
+        F += c * V * Q
+        J += c * V[:, None] * dQ
+        J[eye] += c * dV * Q
+    return F, J
+
+
 def solve_roots_newton(
-    spec: ChainSpec, m: int, start, max_iter: int = 200, tol: float = 1e-12
-):
-    """Newton iteration on the cleared root system from a starting guess."""
+    spec: ChainSpec, m: int, start, max_iter: int = 200
+) -> NewtonResult:
+    """Newton iteration on the product form of the root system, with its
+    closed-form Jacobian (``_root_system``), from a starting guess.
 
-    def residvec(ws):
-        coeffs = _monic_from_roots(ws)
-        terms = [_root_terms(spec, m, coeffs, w) for w in ws]
-        return np.array([t1 + t2 for t1, t2 in terms], dtype=complex)
-
+    It stops on the step size: once a relative step falls below 1e-14, or
+    below 1e-8 without shrinking (the roundoff floor).  Stopping on |F|
+    instead leaves roots off by |F| over the smallest singular value.
+    """
     ws = np.array(list(start), dtype=complex)
-    for _ in range(max_iter):
-        F = residvec(ws)
-        if float(np.max(np.abs(F))) < tol:
-            return [complex(w) for w in ws], float(np.max(np.abs(F)))
-        J = np.empty((m, m), dtype=complex)
-        for j in range(m):
-            h = 1e-7 * max(1.0, abs(ws[j]))
-            bumped = ws.copy()
-            bumped[j] += h
-            J[:, j] = (residvec(bumped) - F) / h
+    prev = np.inf
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        F, J = _root_system(spec, m, ws)
         try:
             step = np.linalg.solve(J, F)
         except np.linalg.LinAlgError:
             break
         ws = ws - step
-    F = residvec(ws)
-    return [complex(w) for w in ws], float(np.max(np.abs(F)))
+        size = float(np.max(np.abs(step) / np.maximum(1.0, np.abs(ws))))
+        if size < 1e-14 or (size < 1e-8 and size >= prev):
+            break
+        prev = size
+    F, J = _root_system(spec, m, ws)
+    smin = float(np.linalg.svd(J, compute_uv=False)[-1]) if m else 0.0
+    final = float(np.max(np.abs(F), initial=0.0))
+    return NewtonResult([complex(w) for w in ws], final, iterations, smin)
 
 
-def solved_branches(spectrum: Spectrum, sector: int | None, seed: int):
-    """Per branch of ``sector`` (every branch for None), in spectrum order:
-    (index, branch, its polynomial or its collocation RuntimeError), the
-    collocation seeded at ``seed + 1``."""
-    for i, branch in enumerate(spectrum.branches):
-        if sector is not None and branch.sector != sector:
-            continue
-        try:
-            coeffs = solve_shift_poly(spectrum, branch, seed=seed + 1)
-        except RuntimeError as e:
-            coeffs = e
-        yield i, branch, coeffs
+def _failed(name: str, spec: ChainSpec, error: SpectrumBreakdown, tol, perturb):
+    return CheckResult(
+        name=name,
+        ok=False,
+        details={
+            "L": spec.L,
+            "error": str(error),
+            "tolerance": tol,
+            "perturbed": bool(perturb),
+        },
+    )
 
 
 def check_tq(
@@ -357,38 +478,43 @@ def check_tq(
     """Every branch carries a polynomial solving the shift identity.
 
     Completeness means: the number of recovered branches equals the full
-    state-space dimension, every collocation succeeds, and both the
+    state-space dimension, every coefficient solve succeeds, and both the
     functional and root-level residuals stay below ``tol``.  A ``sector``
     restricts the polynomial solves to that magnon number; the branch
-    count is still taken over the whole spectrum.
+    count is still taken over the whole spectrum.  A breakdown of the
+    spectrum itself fails the check.
     """
     validate_sector(spec, sector)
-    spectrum = compute_spectrum(spec, seed=seed)
+    try:
+        spectrum = compute_spectrum(spec, seed=seed)
+    except SpectrumBreakdown as e:
+        return _failed("tq", spec, e, tol, perturb)
     total = len(spectrum.branches)
     expected = 1 << spec.L
-    worst_fun = 0.0
-    worst_root = 0.0
     per_sector = Counter(b.sector for b in spectrum.branches)
     failures = []
-    solved = []
-    for i, branch, coeffs in solved_branches(spectrum, sector, seed):
+    good = []
+    for i, _, coeffs in solved_branches(spectrum, sector):
         if isinstance(coeffs, RuntimeError):
             failures.append({"branch": i, "error": str(coeffs)})
-            continue
-        fr = functional_residual(
-            spectrum, branch, coeffs, points=20, seed=seed + 2, perturb=perturb
-        )
-        worst_fun = max(worst_fun, fr)
-        roots = poly_roots(coeffs)
-        rr = root_residuals(spec, branch.sector, roots, perturb=perturb)
-        if rr:
-            worst_root = max(worst_root, max(rr))
+        else:
+            good.append((i, coeffs))
+    fun = functional_residual(
+        spectrum, good, points=20, seed=seed + 2, perturb=perturb
+    )
+    worst_fun = max(fun.values(), default=0.0)
+    worst_root = 0.0
+    solved = []
+    for i, coeffs in good:
+        m = spectrum.branches[i].sector
+        rr = root_residuals(spec, m, poly_roots(coeffs), perturb=perturb)
+        worst_root = max([worst_root, *rr])
         solved.append(
             {
                 "branch": i,
-                "sector": branch.sector,
+                "sector": m,
                 "q_coeffs": [[c.real, c.imag] for c in coeffs],
-                "functional_residual": fr,
+                "functional_residual": fun[i],
                 "root_residuals": rr,
             }
         )
@@ -423,17 +549,21 @@ def check_bethe(
     perturb: bool = False,
     tol: float = 1e-8,
 ) -> CheckResult:
-    """Root systems from collocation agree with direct Newton solving.
+    """Root systems from the coefficient solve agree with direct Newton
+    solving from a perturbed start.
 
-    A branch whose collocation breaks down is reported with its error and
-    fails the check.
+    A branch whose solve breaks down is reported with its error and fails
+    the check, and so does a breakdown of the spectrum itself.
     """
     validate_sector(spec, sector)
-    spectrum = compute_spectrum(spec, seed=seed)
+    try:
+        spectrum = compute_spectrum(spec, seed=seed)
+    except SpectrumBreakdown as e:
+        return _failed("bethe", spec, e, tol, perturb)
     rng = np.random.default_rng(seed + 31)
     reports = []
     ok = True
-    for i, _, coeffs in solved_branches(spectrum, sector, seed):
+    for i, _, coeffs in solved_branches(spectrum, sector):
         if isinstance(coeffs, RuntimeError):
             reports.append({"branch": i, "error": str(coeffs)})
             ok = False
@@ -447,11 +577,13 @@ def check_bethe(
         }
         if sector >= 1:
             start = [w * (1 + 0.01 * (rng.random() - 0.5)) for w in roots]
-            solved, final = solve_roots_newton(spec, sector, start)
-            match = _roots_match(roots, solved)
-            entry["newton_final_residual"] = final
+            newton = solve_roots_newton(spec, sector, start)
+            match = _roots_match(roots, newton.roots)
+            entry["newton_final_residual"] = newton.residual
+            entry["newton_iterations"] = newton.iterations
+            entry["newton_min_singular_value"] = newton.min_singular
             entry["newton_matches"] = match
-            if not match or final > tol:
+            if not match or newton.residual > tol:
                 ok = False
         if rr and max(rr) > tol:
             ok = False

@@ -6,9 +6,10 @@ report: the command, echoed inputs, one verdict per check, and timing.
 null, so identical inputs and seed give byte-identical output.
 
 Exit codes: 0 when every verdict passes, 1 when any fails (a numerical
-breakdown inside a check is a failed verdict), 2 on malformed input (bad
-scalars, unreadable files, schema violations, orders on a wall,
-genericity-guard failures).
+breakdown inside a check, such as a joint eigenbasis that does not stay
+diagonal, is a failed verdict), 2 on malformed input (bad scalars,
+unreadable files, schema violations, orders on a wall, genericity-guard
+failures such as a degenerate base-point spectrum).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from . import rmatrix as rm
 from . import stab as st
 from .chain import (
     ChainSpec,
+    SpectrumBreakdown,
     check_bethe,
     check_commute,
     check_multiplicativity,
@@ -297,7 +299,12 @@ def _fmt_complex(v) -> str:
 def _cmd_chain_spectrum(args):
     spec = _chain_spec(args.spec)
     validate_sector(spec, args.sector)
-    spectrum = compute_spectrum(spec, seed=args.seed)
+    inputs = {**_chain_inputs(args, spec), "sector": args.sector}
+    try:
+        spectrum = compute_spectrum(spec, seed=args.seed)
+    except SpectrumBreakdown as e:
+        details = {"L": spec.L, "error": str(e)}
+        return inputs, [CheckResult(name="spectrum", ok=False, details=details)]
     qinv2 = 1 / spec.q_complex() ** 2
     den_str = "".join(
         f"(z*{_fmt_complex(r)} - {_fmt_complex(qinv2)})"
@@ -333,7 +340,7 @@ def _cmd_chain_spectrum(args):
             "denominator": den_str,
         },
     )
-    return {**_chain_inputs(args, spec), "sector": args.sector}, [cr]
+    return inputs, [cr]
 
 
 def _cmd_chain_tq(args):

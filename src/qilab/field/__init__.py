@@ -13,6 +13,7 @@ from .linalg import (
     np_spin_apply,
     np_spin_dense,
     np_spin_identity,
+    np_spin_index,
     np_spin_trace_first,
     op_on_slots,
     rref,
@@ -37,6 +38,7 @@ __all__ = [
     "np_spin_apply",
     "np_spin_dense",
     "np_spin_identity",
+    "np_spin_index",
     "np_spin_trace_first",
     "op_on_slots",
     "rref",

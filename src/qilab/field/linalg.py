@@ -43,6 +43,7 @@ __all__ = [
     "np_spin_apply",
     "np_spin_dense",
     "np_spin_identity",
+    "np_spin_index",
     "np_spin_trace_first",
 ]
 
@@ -265,6 +266,12 @@ def np_spin_identity(n: int) -> list:
     return [np.eye(len(states), dtype=complex) for states in _spin_layout(n)[2]]
 
 
+def np_spin_index(n: int, state: int) -> tuple:
+    """(block, position in the block) of a basis state on ``n`` slots."""
+    pc, pos, _ = _spin_layout(n)
+    return int(pc[state]), int(pos[state])
+
+
 @lru_cache(maxsize=None)
 def _spin_entries(n: int) -> np.ndarray:
     """Flat indices into the dense 2^n-square matrix of the raveled blocks."""
@@ -333,10 +340,12 @@ def np_spin_apply(blocks, F: np.ndarray, slots):
 def np_residual(A, B) -> float:
     """Largest entry of |A - B| over max(1, largest |A| or |B| entry).
 
-    ``A`` and ``B`` are arrays or matching lists of spin blocks."""
-    if isinstance(A, list):
-        A, B = (np.concatenate([X.ravel() for X in M]) for M in (A, B))
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(A))), float(np.max(np.abs(B))))
-    return float(np.max(np.abs(A - B))) / scale
+    ``A`` and ``B`` are arrays or matching lists of spin blocks; blocks are
+    compared one at a time, never joined into one array."""
+    if not isinstance(A, list):
+        A, B = [np.asarray(A, dtype=complex)], [np.asarray(B, dtype=complex)]
+    scale, diff = 1.0, 0.0
+    for X, Y in zip(A, B):
+        scale = max(scale, float(np.max(np.abs(X))), float(np.max(np.abs(Y))))
+        diff = max(diff, float(np.max(np.abs(X - Y))))
+    return diff / scale

@@ -17,9 +17,9 @@ from qilab.chain import (
     transfer_numeric,
     transfer_sectors,
 )
-from qilab.chain.model import _Exact
+from qilab.chain.model import _Exact, _Numeric, _doubled
 from qilab.chain.spectrum import vacuum
-from qilab.field import MPoly, RatFun, kron, mat_eq, np_residual
+from qilab.field import MPoly, RatFun, kron, mat_eq, np_residual, np_spin_dense
 from slot_oracles import np_apply_on_slots
 
 
@@ -341,3 +341,21 @@ def test_transfer_sectors_are_the_sector_slices_of_transfer_numeric():
         assert piece.flags.c_contiguous
         assert np.array_equal(piece, T[np.ix_(idx, idx)])
     assert not np.any(T[pc[:, None] != pc[None, :]])
+
+
+def test_numeric_perturb_doubles_the_dense_entry_of_the_blocks():
+    # numeric commute doubles entry (1, 2) of its transfer's spin blocks; it
+    # must be the entry the dense --perturb control doubles
+    s = ChainSpec.from_json({"L": 3, "q": "0.83+0.21*i", "twist": "0.64+0.13*i"})
+    blocks = _Numeric(s).transfer(0.7 + 0.2j)
+    dense = np_spin_dense(blocks)
+    for i, j in ((1, 2), (3, 5), (1, 6)):
+        doubled = np_spin_dense(_doubled(blocks, i, j))
+        assert np.array_equal(doubled, _doubled(dense, i, j))
+    assert np.array_equal(np_spin_dense(blocks), dense)
+
+
+def test_block_residual_matches_the_dense_one():
+    s = ChainSpec.from_json({"L": 4, "q": "0.83+0.21*i", "twist": "0.64+0.13*i"})
+    a, b = (_Numeric(s).transfer(z) for z in (0.7 + 0.2j, -0.3 + 0.8j))
+    assert np_residual(a, b) == np_residual(np_spin_dense(a), np_spin_dense(b))

@@ -41,28 +41,28 @@ JSON_PINS = {
     "chain rtt --spec l2.json --mode numeric --samples 1 --tol 1e-9": (0, "1c129468fa0530099b2634fbe18ff1e290edd1370a9f266834dee86dfbd1d08f", ""),
     "chain rtt --spec nope.json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: cannot read nope.json: [Errno 2] No such file or directory: 'nope.json'"),
     "chain commute --spec l1.json": (0, "13155e069ae5d573ea4b05db6e1548cb59c5da5d965407a7d94b62dc5eccbcb4", ""),
-    "chain commute --spec l2.json": (0, "05677a887cbb934d0db9780f1f7e7a1961aed1e073ecf8c0ad3a6eaac8625c85", ""),
-    "chain commute --spec l2.json --perturb": (1, "967539e374ce2d8b2153771ae69c12769e0deef5608b00156bfea2eefd35528f", ""),
+    "chain commute --spec l2.json": (0, "630ae9563ae246f8e086234405ab34a1d341e1139c49323c54e16385c5acbcfb", ""),
+    "chain commute --spec l2.json --perturb": (1, "0f1b974256e7751ba937392b4962b2f2c75e1efa0836f4c2cddd07f5140a1c77", ""),
     "chain multiplicativity --spec l1.json": (0, "d0b9a790975173e225fdc46ef2e9f30935059e909a688cc2410af647e25e5e9e", ""),
     "chain multiplicativity --spec l2.json": (0, "1c52810c5db51cda9b9a9375a65c6381f07f81aa369dd16990961cb4c3cc6506", ""),
     "chain rtt --spec sym3.json --mode exact": (0, "c6d1c7e408f0a052190fbbc4c6a3bee67f74596cadb84438ba5e0cb06abe1dce", ""),
     "chain multiplicativity --spec sym3.json --mode exact": (0, "e0cf74c669c4a4d840ffa4cee8e852f0dc8ab3dffd936da7ea734b7c6b8ec60e", ""),
     "chain multiplicativity --spec l2.json --perturb": (1, "694dbcdd8524db3195e012275a17cef26628b80bdc6ca6edb2d3658ffaef8d59", ""),
     "chain rtt --spec generic8.json --mode numeric --samples 1": (0, "9833cc3aa30d914b0f616ad421d4c05ff6f12a18e2f1d4ec89899f0f84bdb523", ""),
-    "chain commute --spec generic8.json --mode numeric": (0, "fb0069861eee54927c5f162f43c901644ed07b53b611c1e3ee97f57b65035615", ""),
+    "chain commute --spec generic8.json --mode numeric": (0, "085db981e4eaf3b92e6fb1884bd2ef8c77846e278f107b89b76e9f1ee08c6011", ""),
     "chain multiplicativity --spec generic6.json --mode numeric": (0, "60c9bb3c8b69e6cd92bff0440b2ccb54f9ee51132274716d664e4b4832e7a2f0", ""),
-    "chain commute --spec generic9.json --mode numeric --samples 1": (0, "9d015d2fbc476f264bf5db6b1e6d9337fbb6232d88799d80dc484a6f77024ff7", ""),
+    "chain commute --spec generic9.json --mode numeric --samples 1": (0, "8d2841d738deba0ffec1d819448e94cac23e0f98c6bf66d6c049a1e7b0fab07c", ""),
     "chain commute --spec q35-5.json --mode exact": (0, "648a020aeb9eb2547cabe74214ebe713506ef6074145c5b00b6d0001c8d0162a", ""),
-    "chain spectrum --spec l1.json --sector 0": (0, "b8cbdb14571058c99ccccecab772bff2335ca5ff62fe285c339036bbf846b92f", ""),
-    "chain spectrum --spec l2.json": (0, "41eb0424c9abfd28e818eae06af4b57ce3829910c3aaf39e51770d00088fe1a4", ""),
-    "chain tq --spec l2.json --seed 3": (0, "7251126db06a2e92c653a4efd7b205e76dbb80d7b512d22106f3ac0f1a20f9fa", ""),
-    "chain tq --spec l2.json --perturb": (1, "f77a871c0e4ee7136aac724ef9189684d2575b4a27777932431af904dde6a1c3", ""),
-    "chain bethe --spec l2.json --sector 1": (0, "c5bfd3b47b243902ee657b17ff94c93141529b66e2bc5560241b27ec8c69bc85", ""),
-    "chain bethe --spec l2.json --sector 1 --perturb": (1, "73d2ba6b2dc081a8c5ae7d458fc90beab83bf2dda2e093ec3cae1ff63a6e7149", ""),
-    "chain spectrum --spec generic8.json": (0, "8afbac2a3aaaab51facde8da72e92f33cb6d705126d59c08fa42ba2572a51231", ""),
-    "chain tq --spec generic7.json --seed 0": (0, "a5a285d7afef95da4668f7ed9fd7d0fca732b4633d7ab3adbd90dd9e52478864", ""),
-    "chain bethe --spec generic6.json --sector 2": (0, "88a90033d4545cdc8344cad09e8d7c8e3a9d75003c3c3b3ac5703f59625d161b", ""),
-    "chain bethe --spec generic7.json --sector 7 --seed 1": (1, "49403e4245dabfc9452edd8851e92b8aff48cdd00cb6ba8af3bfdd9ec327d38e", ""),
+    "chain spectrum --spec l1.json --sector 0": (0, "8bf31a46fd1aaa0de0d327b8ba104613a9b05f193b1bb2a00dec3ba6cd4b28da", ""),
+    "chain spectrum --spec l2.json": (0, "a2cd3377c09c9be2f88071d26fee012fbbfba09ab425bc52e36f69c5d1a979c2", ""),
+    "chain tq --spec l2.json --seed 3": (0, "c0d89bb238d377a27c7e9ba9c96fc39cdad0602b0c5fd069ec8b5892242ea304", ""),
+    "chain tq --spec l2.json --perturb": (1, "68cae995975c48fee4cdb80a73db155a407aa12e1356ecbf9c4ef4bae1f6bacd", ""),
+    "chain bethe --spec l2.json --sector 1": (0, "78cc70e01ba86128c5bdb87d8aa53f901ed233c834c7b8259d4bb37d98188298", ""),
+    "chain bethe --spec l2.json --sector 1 --perturb": (1, "cff9f9fb5694ac480017fefdbff5ac3c91355c83027d9703bcf46294d57223c0", ""),
+    "chain spectrum --spec generic8.json": (0, "6f6e782989114a26e767923746071f5741c9cacaaa9470fa05fa65272b0e043e", ""),
+    "chain tq --spec generic7.json --seed 0": (0, "66076f17e571887c9731bd0c9a5241e3579e3a7056f8d9315c0c79542fba2a9b", ""),
+    "chain bethe --spec generic6.json --sector 2": (0, "0463dd4363819c52441337fa4f36be1affaa2c55de13b37cb76d537cf52e4589", ""),
+    "chain bethe --spec generic7.json --sector 7 --seed 1": (1, "cab56e634c61e9d35d56037e4aaa049cb943a35b5ad61bf8ad3f07890dd5b5c2", ""),
     "chain bethe --spec l2.json --sector 9": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: sector must lie between 0 and L"),
     "chain tq --spec l2.json --sector 9": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: sector must lie between 0 and L"),
     "chain spectrum --spec l2.json --sector 9": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: sector must lie between 0 and L"),
@@ -110,8 +110,8 @@ EDGE_PINS = {
     "rtt twist-complex numeric": (0, "dfaa5b979f69f26d93c87c26b208a8f754424fe7aa17c2ef4f5c7227074b6229", ""),
     "rtt twist-complex auto": (0, "dfaa5b979f69f26d93c87c26b208a8f754424fe7aa17c2ef4f5c7227074b6229", ""),
     "commute twist-complex exact": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: unexpected character '.' in '0.5+0.2*i'"),
-    "commute twist-complex numeric": (0, "d26b2565be862dbcf8b4b03fe63ce9aea83b529477222b23575c93cff8ae19fb", ""),
-    "commute twist-complex auto": (0, "d26b2565be862dbcf8b4b03fe63ce9aea83b529477222b23575c93cff8ae19fb", ""),
+    "commute twist-complex numeric": (0, "362ed2c7d3851a8132e0fb586af4e3f18fc0b35a57fd06dd76bd076dad773460", ""),
+    "commute twist-complex auto": (0, "362ed2c7d3851a8132e0fb586af4e3f18fc0b35a57fd06dd76bd076dad773460", ""),
     "multiplicativity twist-complex exact": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: unexpected character '.' in '0.5+0.2*i'"),
     "multiplicativity twist-complex numeric": (0, "9e813ab2b21893a648bab98caa6b4cce2be9c90cb3388c4b29d7dfee90b24c5e", ""),
     "multiplicativity twist-complex auto": (0, "9e813ab2b21893a648bab98caa6b4cce2be9c90cb3388c4b29d7dfee90b24c5e", ""),
@@ -128,8 +128,8 @@ EDGE_PINS = {
     "rtt q-complex numeric": (0, "8fb9b0a83e463fcf694458e576c13a56bda7a04d6f06a6e25eeeee1249902e97", ""),
     "rtt q-complex auto": (0, "8fb9b0a83e463fcf694458e576c13a56bda7a04d6f06a6e25eeeee1249902e97", ""),
     "commute q-complex exact": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: unexpected character '.' in '0.83+0.21*i'"),
-    "commute q-complex numeric": (0, "cc5318d75fe2004a8a920bf7aef3630728cbbf0d04cbd608a01fbb4383a5b84b", ""),
-    "commute q-complex auto": (0, "cc5318d75fe2004a8a920bf7aef3630728cbbf0d04cbd608a01fbb4383a5b84b", ""),
+    "commute q-complex numeric": (0, "87bb5a68f629848f32648bea785feb867a2a9558a9492f3a2ff7b362f15d4f7f", ""),
+    "commute q-complex auto": (0, "87bb5a68f629848f32648bea785feb867a2a9558a9492f3a2ff7b362f15d4f7f", ""),
     "multiplicativity q-complex exact": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: unexpected character '.' in '0.83+0.21*i'"),
     "multiplicativity q-complex numeric": (0, "2f2ec817c1aafcf82bcaa5b2f8da76c6696c5a24abf7755c4d8bf2aa24a9aab9", ""),
     "multiplicativity q-complex auto": (0, "2f2ec817c1aafcf82bcaa5b2f8da76c6696c5a24abf7755c4d8bf2aa24a9aab9", ""),
@@ -137,8 +137,8 @@ EDGE_PINS = {
     "rtt a-complex numeric": (0, "5624bd5828de00720032a463c8841f168511ce6964eaf3d96af4dce2959145f6", ""),
     "rtt a-complex auto": (0, "5624bd5828de00720032a463c8841f168511ce6964eaf3d96af4dce2959145f6", ""),
     "commute a-complex exact": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: unexpected character '.' in '0.5+0.5*i'"),
-    "commute a-complex numeric": (0, "7d4584ea7bdc249df64e32aaa2bb4fff7708a7bbac6980b2444a7ccea02643c4", ""),
-    "commute a-complex auto": (0, "7d4584ea7bdc249df64e32aaa2bb4fff7708a7bbac6980b2444a7ccea02643c4", ""),
+    "commute a-complex numeric": (0, "43e7e455bb3a647fedd2b04793415c7116752d249fe293dbc3f81cceea9bbace", ""),
+    "commute a-complex auto": (0, "43e7e455bb3a647fedd2b04793415c7116752d249fe293dbc3f81cceea9bbace", ""),
     "multiplicativity a-complex exact": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: unexpected character '.' in '0.5+0.5*i'"),
     "multiplicativity a-complex numeric": (0, "542a66124b5bdfaf6da6fdae673fc116fb628c2eb4663c9c4bc7ad58bea7a79a", ""),
     "multiplicativity a-complex auto": (0, "542a66124b5bdfaf6da6fdae673fc116fb628c2eb4663c9c4bc7ad58bea7a79a", ""),

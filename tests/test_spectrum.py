@@ -1,10 +1,13 @@
 """Joint eigenbranches, shift-identity polynomials, root systems."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qilab import cli
+from qilab.chain import model as model_module
 from qilab.chain import spectrum as spectrum_module
 from qilab.chain import (
     Branch,
@@ -15,12 +18,20 @@ from qilab.chain import (
     functional_residual,
     poly_roots,
     root_residuals,
+    sample_point,
     solve_roots_newton,
-    solve_shift_poly,
+    solved_branches,
+    vacuum,
 )
+from qilab.qchar import check_conjecture_sl2
 
+GENERIC = {"q": "0.83+0.21*i", "twist": "0.64+0.13*i"}
 L1 = ChainSpec.from_json({"L": 1, "q": "2", "twist": "3"})
-L2 = ChainSpec.from_json({"L": 2, "q": "0.83+0.21*i", "twist": "0.64+0.13*i"})
+L2 = ChainSpec.from_json({"L": 2, **GENERIC})
+
+
+def _generic(L):
+    return ChainSpec.from_json({"L": L, **GENERIC})
 
 
 def test_branch_count_and_sectors():
@@ -39,11 +50,16 @@ def test_branches_are_rational_in_z():
         assert len(b.ncoeffs) == L2.L + 1
 
 
+def _solved(sp, sector):
+    """(index, Q) of the first branch of ``sector``."""
+    i, _, coeffs = next(solved_branches(sp, sector))
+    return i, coeffs
+
+
 def test_l1_golden_root():
     # at q=2, u=3 the one-excitation state has its root at exactly 7/34
     sp = compute_spectrum(L1)
-    branch = next(b for b in sp.branches if b.sector == 1)
-    coeffs = solve_shift_poly(sp, branch)
+    _, coeffs = _solved(sp, 1)
     roots = poly_roots(coeffs)
     assert len(roots) == 1
     assert abs(roots[0] - float(Fraction(7, 34))) < 1e-10
@@ -65,24 +81,27 @@ def test_shift_terms_weights():
 
 def test_vacuum_polynomial_is_constant():
     sp = compute_spectrum(L1)
-    vac = next(b for b in sp.branches if b.sector == 0)
-    coeffs = solve_shift_poly(sp, vac)
+    i, coeffs = _solved(sp, 0)
     assert len(coeffs) == 1
     assert abs(coeffs[0] - 1) < 1e-12
-    assert functional_residual(sp, vac, coeffs) < 1e-10
+    assert functional_residual(sp, [(i, coeffs)])[i] < 1e-10
 
 
 def test_garbage_branch_has_no_polynomial():
     sp = compute_spectrum(L1)
-    branch = next(b for b in sp.branches if b.sector == 1)
-    bad = Branch(
-        sector=1,
+    i = next(i for i, b in enumerate(sp.branches) if b.sector == 1)
+    sp.branches[i] = _garbled(sp.branches[i])
+    assert isinstance(_solved(sp, 1)[1], RuntimeError)
+
+
+def _garbled(branch):
+    """``branch`` with a numerator that carries no Baxter polynomial."""
+    return Branch(
+        sector=branch.sector,
         ncoeffs=tuple(c * 1.37 + 0.1 for c in branch.ncoeffs),
         fit_residual=branch.fit_residual,
         lam0=branch.lam0,
     )
-    with pytest.raises(RuntimeError):
-        solve_shift_poly(sp, bad)
 
 
 def test_degenerate_family_is_refused():
@@ -130,26 +149,31 @@ def test_out_of_range_sector_is_refused_before_any_spectrum(monkeypatch):
                 check(L2, sector=bad)
 
 
-def test_check_bethe_reports_a_collocation_breakdown_as_a_failure():
-    # at seed 1 the one sector-7 branch of this chain has no one-dimensional
-    # collocation null space; that is a failed verdict, not bad input
-    spec = ChainSpec.from_json({"L": 7, "q": "0.83+0.21*i", "twist": "0.64+0.13*i"})
-    cr = check_bethe(spec, 7, seed=1)
+def test_check_bethe_reports_a_collocation_breakdown_as_a_failure(monkeypatch):
+    # a branch whose coefficient system has no polynomial solution is a
+    # failed verdict, not bad input
+    def garbled_spectrum(spec, seed=0):
+        sp = compute_spectrum(spec, seed)
+        sp.branches[1] = _garbled(sp.branches[1])
+        return sp
+
+    monkeypatch.setattr(spectrum_module, "compute_spectrum", garbled_spectrum)
+    cr = check_bethe(L2, 1)
     assert not cr.ok
-    assert cr.details["branches"] == [
-        {"branch": 127, "error": "collocation null space is not one-dimensional"}
-    ]
+    report = cr.details["branches"][0]
+    assert report["branch"] == 1
+    assert report["error"].startswith("no polynomial solution at degree 1")
+    assert cr.details["branches"][1]["newton_matches"]
 
 
 def test_newton_basin_from_perturbed_start():
     sp = compute_spectrum(L2)
-    branch = next(b for b in sp.branches if b.sector == 1)
-    coeffs = solve_shift_poly(sp, branch)
+    _, coeffs = _solved(sp, 1)
     roots = poly_roots(coeffs)
     start = [w * 1.01 for w in roots]
-    solved, final = solve_roots_newton(L2, 1, start)
-    assert final < 1e-10
-    assert min(abs(solved[0] - w) for w in roots) < 1e-8
+    newton = solve_roots_newton(L2, 1, start)
+    assert newton.residual < 1e-10
+    assert min(abs(newton.roots[0] - w) for w in roots) < 1e-8
 
 
 def test_seed_invariance_of_branches():
@@ -230,3 +254,125 @@ def test_spectrum_failures_raise_in_stage_order_within_a_sector(monkeypatch):
     _fake_transfers(monkeypatch, FINE, lambda z: FINE)
     sp = compute_spectrum(L2)
     assert [b.lam0 for b in sp.branches] == [2, 1, 3, 5]
+
+
+@pytest.mark.parametrize("L", range(2, 8))
+def test_interpolated_numerator_matches_a_sampled_fit(L):
+    # the least-squares fit of Lambda * D on L+2 annulus samples, the route
+    # the circle interpolation replaced, finds the same numerators
+    spec = _generic(L)
+    sp = compute_spectrum(spec)
+    rng = np.random.default_rng(11)
+    zs = [sample_point(spec, rng) for _ in range(L + 2)]
+    lam = np.array([sp.eigenvalues(z, range(L + 1)) for z in zs])
+    dens = np.array([vacuum(spec, z)[0] for z in zs])
+    fit, *_ = np.linalg.lstsq(
+        np.vander(zs, L + 1, increasing=True), lam * dens[:, None], rcond=None
+    )
+    interpolated = np.array([b.ncoeffs for b in sp.branches]).T
+    scale = max(1.0, float(np.max(np.abs(interpolated))))
+    assert np.max(np.abs(fit - interpolated)) / scale < 1e-9
+    assert max(b.fit_residual for b in sp.branches) < 1e-12
+
+
+def test_root_system_jacobian_is_the_derivative():
+    spec = ChainSpec.from_json(
+        {"L": 4, **GENERIC, "a": "3/2", "sites": ["1", "2", "1/3", "0.9+0.1*i"]}
+    )
+    ws = np.array([0.7 + 0.2j, -0.4 + 0.9j, 1.3 - 0.5j])
+    F, J = spectrum_module._root_system(spec, 3, ws)
+    h = 1e-6
+    for k in range(3):
+        e = np.zeros(3)
+        e[k] = h
+        up, down = (spectrum_module._root_system(spec, 3, ws + e)[0] for e in (e, -e))
+        assert np.allclose(J[:, k], (up - down) / (2 * h), rtol=1e-7, atol=1e-9)
+    coeffs = spectrum_module._monic_from_roots(ws)
+    terms = [sum(spectrum_module._root_terms(spec, 3, coeffs, w)) for w in ws]
+    assert np.allclose(F, terms)
+
+
+def _broken_numeric_r(monkeypatch):
+    """Scale R[2][1] of the numeric R-matrix by (1 + 0.3 zeta)."""
+    good = model_module.numeric_r
+
+    def broken(zeta, q):
+        R = good(zeta, q)
+        R[2][1] *= 1 + 0.3 * zeta
+        return R
+
+    monkeypatch.setattr(model_module, "numeric_r", broken)
+
+
+def _exit_code(argv, capsys):
+    try:
+        code = cli.main(argv + ["--json"])
+    except SystemExit as e:
+        code = e.code
+    out = capsys.readouterr().out
+    return code, json.loads(out) if out else None
+
+
+def test_a_broken_r_matrix_fails_spectrum_tq_and_bethe_with_exit_1(
+    monkeypatch, tmp_path, capsys
+):
+    path = tmp_path / "l4.json"
+    path.write_text(json.dumps({"L": 4, **GENERIC}))
+    _broken_numeric_r(monkeypatch)
+    for argv in (["spectrum"], ["tq"], ["bethe", "--sector", "2"]):
+        code, report = _exit_code(["chain", *argv, "--spec", str(path)], capsys)
+        assert code == 1, argv
+        error = report["verdicts"][0]["details"]["error"]
+        assert error.startswith("joint eigenbasis failed in sector 2"), argv
+
+
+def test_a_failed_interpolation_exits_1_and_a_degenerate_base_point_exits_2(
+    monkeypatch, tmp_path, capsys
+):
+    path = tmp_path / "l2.json"
+    path.write_text(json.dumps({"L": 2, **GENERIC}))
+    _fake_transfers(monkeypatch, FINE, lambda z: [[[np.exp(z)]], FINE[1], FINE[2]])
+    for argv in (["spectrum"], ["tq"], ["bethe", "--sector", "1"]):
+        code, report = _exit_code(["chain", *argv, "--spec", str(path)], capsys)
+        assert code == 1, argv
+        error = report["verdicts"][0]["details"]["error"]
+        assert error.startswith("rational fit failed in sector 0"), argv
+    monkeypatch.undo()
+    flat = tmp_path / "flat.json"
+    flat.write_text(json.dumps({"L": 2, "q": "1", "twist": GENERIC["twist"]}))
+    for argv in (["spectrum"], ["tq"], ["bethe", "--sector", "1"]):
+        assert _exit_code(["chain", *argv, "--spec", str(flat)], capsys) == (2, None)
+
+
+@pytest.mark.parametrize("L", [2, 6])
+def test_every_perturb_control_of_the_baxter_stages_fails(L, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"L": L, **GENERIC}))
+    for argv in (
+        ["tq"],
+        ["bethe", "--sector", "1"],
+        ["commute", "--mode", "numeric"],
+    ):
+        code, _ = _exit_code(["chain", *argv, "--spec", str(path), "--perturb"], capsys)
+        assert code == 1, argv
+    assert check_conjecture_sl2(_generic(L), perturb=True).exit_code == 1
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("L, seeds", [(8, range(6)), (9, range(6)), (10, [0])])
+def test_check_tq_holds_at_long_chains(L, seeds):
+    spec = _generic(L)
+    for seed in seeds:
+        cr = check_tq(spec, seed=seed)
+        assert cr.ok, (seed, cr.details["worst_functional_residual"])
+        assert cr.details["tolerance"] == 1e-8
+
+
+@pytest.mark.slow
+def test_bethe_sector_3_of_six_sites_holds_at_every_seed():
+    spec = _generic(6)
+    for seed in range(10):
+        cr = check_bethe(spec, 3, seed=seed)
+        assert cr.ok, seed
+        for entry in cr.details["branches"]:
+            assert entry["newton_matches"] and entry["newton_iterations"] < 200
