@@ -283,9 +283,9 @@ def test_root_system_jacobian_is_the_derivative():
     F, J = spectrum_module._root_system(spec, 3, ws)
     h = 1e-6
     for k in range(3):
-        e = np.zeros(3)
-        e[k] = h
-        up, down = (spectrum_module._root_system(spec, 3, ws + e)[0] for e in (e, -e))
+        step = np.zeros(3)
+        step[k] = h
+        up, down = (spectrum_module._root_system(spec, 3, ws + d)[0] for d in (step, -step))
         assert np.allclose(J[:, k], (up - down) / (2 * h), rtol=1e-7, atol=1e-9)
     coeffs = spectrum_module._monic_from_roots(ws)
     terms = [sum(spectrum_module._root_terms(spec, 3, coeffs, w)) for w in ws]
@@ -353,8 +353,8 @@ def test_every_perturb_control_of_the_baxter_stages_fails(L, tmp_path, capsys):
         ["bethe", "--sector", "1"],
         ["commute", "--mode", "numeric"],
     ):
-        code, _ = _exit_code(["chain", *argv, "--spec", str(path), "--perturb"], capsys)
-        assert code == 1, argv
+        argv = ["chain", *argv, "--spec", str(path), "--perturb"]
+        assert _exit_code(argv, capsys)[0] == 1, argv
     assert check_conjecture_sl2(_generic(L), perturb=True).exit_code == 1
 
 
