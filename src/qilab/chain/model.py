@@ -14,15 +14,22 @@ the same scalar.  It multiplies each line's monodromy out once per check
 and takes dense products of whole lines, which measured faster than
 streaming the factors of two lines site by site.  ``_Numeric`` takes the
 worst residual over seeded sample points.  Every factor conserves aux plus
-site spin, so it keeps a monodromy on n = L+1 slots (L+2 for two lines) as
-its popcount blocks and streams every factor into them in place, site by
-site: O(L*C(2L+2, L+1)) per transfer instead of O(L*4^L).  Each ring has
-one auxiliary trace, ``trace_first``, over slot 0 weighted by diag(w0, w1);
-the transfer is that trace of one line weighted by the twist, so its
-numeric sector of m flipped sites is u times the aux-0 corner of block m
-plus u^-1 times the aux-1 corner of block m+1.  ``transfer_sectors`` hands
-these blocks to the spectrum; ``commute`` multiplies them block by block
-and ``multiplicativity`` multiplies their dense form.
+site spin, so numeric matrices are kept as popcount blocks.  The numeric
+transfer is built from the monodromy's aux corners A, B, C, D site by site
+(``field.np_spin_transfer``): each new site is the leading bit, so each new
+block is a 2x2 arrangement of old ones scaled by R entries, about
+(4/3)*C(2L, L) entries per transfer instead of the L*C(2L+2, L+1) of
+streaming every factor through the (L+1)-slot monodromy.  Products of lines
+on L+1 or L+2 slots (``rtt``, the fused pair of ``multiplicativity``) are
+``SpinProduct``s: they keep their factors and build each spin block by all
+of them when it is read, so a comparison holds one block of each side.
+Each ring has one auxiliary trace, ``trace_first``, over slot 0 weighted by
+diag(w0, w1).  The exact transfer is that trace of one line weighted by the
+twist; the numeric sector of m flipped sites equals u times the aux-0
+corner of block m plus u^-1 times the aux-1 corner of block m+1 of the
+traced line, which a test checks.  ``transfer_sectors`` hands the sectors
+to the spectrum; ``commute`` multiplies them block by block and
+``multiplicativity`` multiplies their dense form.
 """
 
 from __future__ import annotations
@@ -38,15 +45,15 @@ import numpy as np
 from ..field import (
     MPoly,
     RatFun,
+    SpinProduct,
     kron,
     mat_eq,
     mat_mul,
     np_residual,
-    np_spin_apply,
     np_spin_dense,
-    np_spin_identity,
     np_spin_index,
     np_spin_trace_first,
+    np_spin_transfer,
     op_on_slots,
 )
 from ..verdict import CheckResult
@@ -225,18 +232,7 @@ def _dims(M, slots, L: int) -> list:
     return [2] * n
 
 
-class _Ring:
-    """What the two rings share: the transfer matrix as a twisted trace."""
-
-    def transfer(self, z, a=None):
-        """u * A(z) + u^-1 * D(z): one line's monodromy traced over its slot 0
-        with the twist's diagonal as weights.  Exact mode clears it by
-        u * prod(corners); numeric mode returns its spin blocks."""
-        tw = self.twist()
-        return self.trace_first(self.lines(None, [(0, z, a)]), tw[0][0], tw[1][1])
-
-
-class _Exact(_Ring):
+class _Exact:
     """Cleared polynomial matrices, q pinned when the spec fixes it."""
 
     mode = "exact"
@@ -266,6 +262,12 @@ class _Exact(_Ring):
             t = self.spec.twist_fraction()
             p, r = MPoly.const(t.numerator), MPoly.const(t.denominator)
         return [[p * p, MPoly.zero()], [MPoly.zero(), r * r]]
+
+    def transfer(self, z, a=None):
+        """u * A(z) + u^-1 * D(z), cleared by u * prod(corners): one line's
+        monodromy traced over its slot 0 with the twist's diagonal as weights."""
+        tw = self.twist()
+        return self.trace_first(self.lines(None, [(0, z, a)]), tw[0][0], tw[1][1])
 
     def apply(self, M, F, slots):
         F = op_on_slots(F, slots, _dims(M, slots, self.spec.L))
@@ -302,15 +304,15 @@ class _Exact(_Ring):
         return mat_eq(*sides(*[MPoly.var(v) for v in "zw"[:points]])), details
 
 
-class _Numeric(_Ring):
-    """complex128 spin blocks, built in place; ``mul`` is dense and
-    ``transfer_mul`` multiplies block by block."""
+class _Numeric:
+    """complex128 spin blocks: a transfer is built from its corners, a
+    product of lines is a ``SpinProduct`` read one block at a time; ``mul``
+    is dense and ``transfer_mul`` multiplies block by block."""
 
     mode = "numeric"
     mul = staticmethod(np.matmul)
     kron = staticmethod(np.kron)
     dense = staticmethod(np_spin_dense)
-    trace_first = staticmethod(np_spin_trace_first)
 
     def __init__(self, spec: ChainSpec):
         self.spec = spec
@@ -319,10 +321,15 @@ class _Numeric(_Ring):
         return self.spec.a_complex()
 
     @staticmethod
-    def transfer_mul(A, B) -> list:
-        """Spin blocks of A times B, block by block; blocks are stored
-        transposed, so each is B's block times A's."""
-        return [Y @ X for X, Y in zip(A, B)]
+    def trace_first(M, w0, w1) -> list:
+        """Trace over slot 0 weighted by diag(w0, w1), block by block."""
+        return np_spin_trace_first(list(M), w0, w1)
+
+    @staticmethod
+    def transfer_mul(A, B):
+        """Spin blocks of A times B, made one at a time as they are read;
+        blocks are stored transposed, so each is B's block times A's."""
+        return (Y @ X for X, Y in zip(A, B))
 
     def r(self, zeta) -> np.ndarray:
         return numeric_r(zeta, self.spec.q_complex())
@@ -331,27 +338,32 @@ class _Numeric(_Ring):
         u = self.spec.twist_complex()
         return np.diag([u, 1 / u]).astype(complex)
 
-    def _start(self, M, slots) -> list:
-        """``M``, or the identity blocks on aux slots 0..max(slots) and the sites."""
-        return np_spin_identity(max(slots) + 1 + self.spec.L) if M is None else M
+    def transfer(self, z, a=None) -> list:
+        """Spin blocks of u * A(z) + u^-1 * D(z): the transposed views of
+        ``transfer_sectors``."""
+        return [B.T for B in transfer_sectors(self.spec, z, a)]
 
-    def apply(self, M, F, slots) -> list:
-        return np_spin_apply(self._start(M, slots), F, slots)
+    def _start(self, M, slots):
+        """``M``, or the identity on aux slots 0..max(slots) and the sites."""
+        return SpinProduct(max(slots) + 1 + self.spec.L) if M is None else M
 
-    def lines(self, M, lines) -> list:
-        """``M`` times the lines' factors in place, interleaved site by site.
+    def apply(self, M, F, slots) -> SpinProduct:
+        return self._start(M, slots).times(F, slots)
+
+    def lines(self, M, lines) -> SpinProduct:
+        """``M`` times the lines' factors, interleaved site by site.
 
         At each site the lines apply in the order given; factors of
         different lines on different sites commute, so this equals the
         product of whole line monodromies.
         """
         M = self._start(M, [slot for slot, _, _ in lines])
-        first = len(M) - 1 - self.spec.L
+        first = M.n - self.spec.L
         q = self.spec.q_complex()
         ratios = [self.spec.site_ratios_complex(a) for _, _, a in lines]
         for l in range(self.spec.L - 1, -1, -1):
             for (slot, z, _), rho in zip(lines, ratios):
-                np_spin_apply(M, numeric_r(z * rho[l], q), (slot, first + l))
+                M = M.times(numeric_r(z * rho[l], q), (slot, first + l))
         return M
 
     def compare(self, sides, points, details, seed, samples, tol):
@@ -394,7 +406,9 @@ def transfer_sectors(spec: ChainSpec, z: complex, a: complex | None = None) -> l
     Block m is the transfer matrix on the site states of popcount m, in
     increasing index order, C-contiguous.
     """
-    return [np.ascontiguousarray(B.T) for B in _Numeric(spec).transfer(z, a)]
+    q, u = spec.q_complex(), spec.twist_complex()
+    factors = [numeric_r(z * rho, q) for rho in spec.site_ratios_complex(a)]
+    return np_spin_transfer(factors, u, 1 / u)
 
 
 def off_poles(spec: ChainSpec, z: complex) -> bool:

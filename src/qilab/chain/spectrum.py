@@ -391,8 +391,9 @@ def _all_but_one(X: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NewtonResult:
-    """Roots, the final max |F|, the steps taken and the smallest singular
-    value of the Jacobian at the roots."""
+    """Roots, the final max |F_j| relative to its terms (the scaling of
+    ``root_residuals``), the steps taken and the smallest singular value of
+    the Jacobian at the roots."""
 
     roots: list
     residual: float
@@ -401,15 +402,19 @@ class NewtonResult:
 
 
 def _root_system(spec: ChainSpec, m: int, ws: np.ndarray):
-    """F and its closed-form Jacobian for the product form of the root system,
+    """F, its closed-form Jacobian and the scale of each F_j for the product
+    form of the root system,
     F_j = u q^m D(w_j) prod_k (w_j q^-2 - w_k)
-        + u^-1 q^(-m-L) P(w_j) prod_k (w_j q^2 - w_k)."""
+        + u^-1 q^(-m-L) P(w_j) prod_k (w_j q^2 - w_k);
+    the scale is max(1, |first term|, |second term|), as in
+    ``root_residuals``."""
     q = spec.q_complex()
     u = spec.twist_complex()
     rho = np.array(spec.site_ratios_complex())
     eye = np.eye(m, dtype=bool)
     F = np.zeros(m, dtype=complex)
     J = np.zeros((m, m), dtype=complex)
+    scale = np.ones(m)
     for c, shift, corner in (
         (u * q**m, q**-2, q**-2),  # with D: zeta - q^-2
         ((1 / u) * q ** (-m - spec.L), q**2, 1.0),  # with P: zeta - 1
@@ -419,10 +424,12 @@ def _root_system(spec: ChainSpec, m: int, ws: np.ndarray):
         X = ws[:, None] * shift - ws[None, :]
         Q, dQ = np.prod(X, axis=1), -_all_but_one(X)
         dQ[eye] -= shift * dQ.sum(axis=1)
-        F += c * V * Q
+        term = c * V * Q
+        F += term
+        scale = np.maximum(scale, np.abs(term))
         J += c * V[:, None] * dQ
         J[eye] += c * dV * Q
-    return F, J
+    return F, J, scale
 
 
 def solve_roots_newton(
@@ -439,7 +446,7 @@ def solve_roots_newton(
     prev = np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        F, J = _root_system(spec, m, ws)
+        F, J, _ = _root_system(spec, m, ws)
         try:
             step = np.linalg.solve(J, F)
         except np.linalg.LinAlgError:
@@ -449,9 +456,9 @@ def solve_roots_newton(
         if size < 1e-14 or (size < 1e-8 and size >= prev):
             break
         prev = size
-    F, J = _root_system(spec, m, ws)
+    F, J, scale = _root_system(spec, m, ws)
     smin = float(np.linalg.svd(J, compute_uv=False)[-1]) if m else 0.0
-    final = float(np.max(np.abs(F), initial=0.0))
+    final = float(np.max(np.abs(F) / scale, initial=0.0))
     return NewtonResult([complex(w) for w in ws], final, iterations, smin)
 
 

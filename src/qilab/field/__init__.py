@@ -3,6 +3,7 @@
 from .poly import MPoly, NotDivisible, normalize_var, poly_gcd, var_rank
 from .ratfun import ParseError, RatFun
 from .linalg import (
+    SpinProduct,
     identity,
     kron,
     mat_add,
@@ -12,9 +13,9 @@ from .linalg import (
     np_residual,
     np_spin_apply,
     np_spin_dense,
-    np_spin_identity,
     np_spin_index,
     np_spin_trace_first,
+    np_spin_transfer,
     op_on_slots,
     rref,
     solve_unique,
@@ -28,6 +29,7 @@ __all__ = [
     "var_rank",
     "ParseError",
     "RatFun",
+    "SpinProduct",
     "identity",
     "kron",
     "mat_add",
@@ -37,9 +39,9 @@ __all__ = [
     "np_residual",
     "np_spin_apply",
     "np_spin_dense",
-    "np_spin_identity",
     "np_spin_index",
     "np_spin_trace_first",
+    "np_spin_transfer",
     "op_on_slots",
     "rref",
     "solve_unique",

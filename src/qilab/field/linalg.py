@@ -15,7 +15,12 @@ size 2 is kept as its spin blocks, one per popcount k, of size C(n, k):
 their entries are C(2n, n) in all instead of 4^n.  ``np_spin_apply``
 multiplies by a spin-conserving 4x4 factor on two slots in place; in each
 block it gathers the rows whose two slots read 01 and their 10 partners,
-mixes them with the factor's middle 2x2, and scatters them back.
+mixes them with the factor's middle 2x2, and scatters them back.  A
+``SpinProduct`` keeps such factors and builds its blocks one at a time.
+``np_spin_transfer`` builds the weighted auxiliary trace of a one-line
+monodromy from its corners, adding one leading site at a time with a
+contiguous slice per entry: about (4/3) C(2L, L) entries for L sites,
+against L passes over C(2L+2, L+1) for streaming factors through blocks.
 ``np_spin_trace_first`` takes the weighted trace over slot 0 block by block
 and ``np_spin_dense`` spreads blocks into a dense matrix.
 """
@@ -40,11 +45,12 @@ __all__ = [
     "rref",
     "solve_unique",
     "np_residual",
+    "SpinProduct",
     "np_spin_apply",
     "np_spin_dense",
-    "np_spin_identity",
     "np_spin_index",
     "np_spin_trace_first",
+    "np_spin_transfer",
 ]
 
 
@@ -261,11 +267,6 @@ def _spin_pair_rows(n: int, s0: int, s1: int) -> tuple:
     )
 
 
-def np_spin_identity(n: int) -> list:
-    """Spin blocks of the identity on ``n`` slots."""
-    return [np.eye(len(states), dtype=complex) for states in _spin_layout(n)[2]]
-
-
 def np_spin_index(n: int, state: int) -> tuple:
     """(block, position in the block) of a basis state on ``n`` slots."""
     pc, pos, _ = _spin_layout(n)
@@ -306,13 +307,12 @@ _SPIN_MOVES = ~np.array(
 )
 
 
-def np_spin_apply(blocks, F: np.ndarray, slots):
-    """Spin blocks of ``M`` times ``F`` on two ``slots`` (identity elsewhere),
-    in place; returns ``blocks``.
+def _spin_factor(F: np.ndarray, slots, n: int):
+    """The in-place action act(B, k) on spin block k of right multiplication
+    by the 4x4 ``F`` on two of ``n`` slots.
 
-    ``F`` is 4x4 and must conserve the spin sum of its slots; otherwise
-    ValueError is raised before any block changes."""
-    n = len(blocks) - 1
+    ``F`` must conserve the spin sum of its slots; otherwise ValueError is
+    raised here, before any block changes."""
     s0, s1 = slots
     if F.shape != (4, 4) or s0 == s1 or not (0 <= s0 < n and 0 <= s1 < n):
         raise ValueError("a conserving factor is 4x4 on two distinct slots")
@@ -322,7 +322,10 @@ def np_spin_apply(blocks, F: np.ndarray, slots):
     # of F's middle block (F11, F22) plus the other half times F21, F12
     diag, cross = F.take([5, 10, 9, 6]).reshape(2, 2, 1, 1)
     f00, f33 = F[0, 0], F[3, 3]
-    for B, (rows, h, c00) in zip(blocks, _spin_pair_rows(n, s0, s1)):
+    pair_rows = _spin_pair_rows(n, s0, s1)
+
+    def act(B, k):
+        rows, h, c00 = pair_rows[k]
         if h:
             pair = rows[: 2 * h]
             g = B.take(pair, axis=0).reshape(2, h, -1)  # 01 rows, then 10 partners
@@ -334,15 +337,179 @@ def np_spin_apply(blocks, F: np.ndarray, slots):
             B[rows[2 * h : 2 * h + c00]] *= f00
         if f33 != 1 and len(rows) > 2 * h + c00:
             B[rows[2 * h + c00 :]] *= f33
+
+    return act
+
+
+def np_spin_apply(blocks, F: np.ndarray, slots):
+    """Spin blocks of ``M`` times ``F`` on two ``slots`` (identity elsewhere),
+    in place; returns ``blocks``.
+
+    ``F`` is 4x4 and must conserve the spin sum of its slots; otherwise
+    ValueError is raised before any block changes."""
+    act = _spin_factor(F, slots, len(blocks) - 1)
+    for k, B in enumerate(blocks):
+        act(B, k)
     return blocks
+
+
+class SpinProduct:
+    """The identity on ``n`` slots times spin-conserving 4x4 factors on pairs
+    of slots, kept as its factors.
+
+    Iterating it builds its spin blocks (stored transposed) one at a time,
+    each by every factor in turn with the arithmetic of ``np_spin_apply``,
+    so a reader that compares two products block by block holds one block
+    of each.  ``times`` checks a factor at once, as ``np_spin_apply`` does.
+    """
+
+    def __init__(self, n: int, acts: tuple = ()):
+        self.n = n
+        self._acts = acts
+
+    def times(self, F: np.ndarray, slots) -> "SpinProduct":
+        return SpinProduct(self.n, self._acts + (_spin_factor(F, slots, self.n),))
+
+    def __iter__(self):
+        for k, states in enumerate(_spin_layout(self.n)[2]):
+            B = np.eye(len(states), dtype=complex)
+            for act in self._acts:
+                act(B, k)
+            yield B
+
+
+_DENSE_SITES = 6  # sites built as dense slabs before the spin blocks take over
+
+
+def _slab_step(O, Op, cut: int, mid: int, r) -> np.ndarray:
+    """A row slab [Pa0 | Pa1] times the factor ``r`` on (aux, new site), the
+    new site leading: its rows are those of ``O`` (new site empty) over
+    those of ``Op`` (new site full), and its columns are
+
+        [[r00 O[:, :cut], r21 O[:, cut:], r22 O[:, cut:], 0              ],
+         [0,              r11 Op[:, :mid], r12 Op[:, :mid], r33 Op[:, mid:]]]
+
+    where ``O`` has columns [cut | mid], ``Op`` has [mid | right] and ``r``
+    lists (r00, r21, r22, r11, r12, r33).  A leading axis, if any, stacks
+    slabs of one shape."""
+    top, bottom = O.shape[-2], Op.shape[-2]
+    right = Op.shape[-1] - mid
+    X = np.empty(O.shape[:-2] + (top + bottom, cut + 2 * mid + right), dtype=complex)
+    if top:
+        np.multiply(O[..., :cut], r[0], out=X[..., :top, :cut])
+        np.multiply(O[..., cut:], r[1], out=X[..., :top, cut : cut + mid])
+        np.multiply(O[..., cut:], r[2], out=X[..., :top, cut + mid : cut + 2 * mid])
+        X[..., :top, cut + 2 * mid :] = 0
+    if bottom:
+        X[..., top:, :cut] = 0
+        np.multiply(Op[..., :mid], r[3], out=X[..., top:, cut : cut + mid])
+        np.multiply(Op[..., :mid], r[4], out=X[..., top:, cut + mid : cut + 2 * mid])
+        np.multiply(Op[..., mid:], r[5], out=X[..., top:, cut + 2 * mid :])
+    return X
+
+
+@lru_cache(maxsize=None)
+def _slab_index(n: int) -> tuple:
+    """Index pairs that cut a dense slab on n sites into spin blocks, per aux
+    row a and total spin N = 0..n+1; and, with n sites as a whole transfer,
+    those of its sectors."""
+    states = _spin_layout(n)[2]
+    nil = states[0][:0]
+
+    def st(k):
+        return states[k] if 0 <= k <= n else nil
+
+    slabs = tuple(
+        tuple(
+            np.ix_(st(N - a), np.concatenate([st(N), (1 << n) + st(N - 1)]))
+            for N in range(n + 2)
+        )
+        for a in (0, 1)
+    )
+    return slabs, tuple(np.ix_(s, s) for s in states)
+
+
+def _binomials(n: int) -> list:
+    """C(n, k) for k = -1..n+2, at list position k + 1."""
+    return [comb(n, k) if k >= 0 else 0 for k in range(-1, n + 3)]
+
+
+def np_spin_transfer(factors, w0, w1) -> list:
+    """Sectors of w0 * A + w1 * D, the weighted trace over the auxiliary
+    slot of the monodromy factors[L-1] ... factors[0].
+
+    ``factors[l]`` is the 4x4 factor on (aux, site l), aux the leading bit
+    of its index; site 0 is the leading site bit.  Factors multiply from
+    the right and mix only columns, so each aux row of the monodromy, the
+    row slab [A | B] or [C | D] of its corners, grows on its own from the
+    row w0 e_0 or w1 e_1.  Sites are added from L-1 down to 0, each as the
+    new leading bit, so a new slab is a 2x2 arrangement of pieces of the
+    old one, each one product written into a contiguous slice
+    (``_slab_step``).  Up to ``_DENSE_SITES`` sites the slabs are dense;
+    a longer chain then cuts them into spin blocks by total spin N (rows
+    of site popcount N - a, columns of aux b and site popcount N - b), and
+    block N of a new slab is built from the old blocks N and N - 1: about
+    (4/3) C(2L, L) entries in all, no gather or scatter per factor.  The
+    last site writes sector m, the transfer on the site states of
+    popcount m, directly.  The sectors are listed by m = 0..L in natural
+    orientation, C-contiguous.  A factor that moves spin raises ValueError
+    before any block is built.
+    """
+    factors = [np.asarray(F) for F in factors]
+    for F in factors:
+        if F.shape != (4, 4) or F[_SPIN_MOVES].any():
+            raise ValueError("needs spin-conserving 4x4 factors")
+    coeffs = [F.take([0, 9, 10, 5, 6, 15]).tolist() for F in factors]
+    L = len(factors)
+    k = min(L, _DENSE_SITES)
+    slabs = np.array([[[w0, 0]], [[0, w1]]], dtype=complex)  # both aux rows
+    for n in range(k):
+        slabs = _slab_step(slabs, slabs, 1 << n, 1 << n, coeffs[L - 1 - n])
+    if k == L:
+        T = slabs[0, :, : 1 << L] + slabs[1, :, 1 << L :]
+        return [T[idx] for idx in _slab_index(L)[1]]
+    # block N of each slab at list position N + 1, between two empty blocks;
+    # an old block is dropped as soon as no new block needs it
+    nil = np.empty((0, 0), dtype=complex)
+    rows = [
+        [nil, *(S[idx] for idx in index), nil]
+        for S, index in zip(slabs, _slab_index(k)[0])
+    ]
+    for n in range(k, L - 1):
+        c, r = _binomials(n), coeffs[L - 1 - n]
+        for a, B in enumerate(rows):
+            new = [nil]
+            for N in range(n + 3):
+                new.append(_slab_step(B[N + 1], B[N], c[N + 1], c[N], r))
+                B[N] = None
+            rows[a] = new + [nil]
+    r00, r21, r22, r11, r12, r33 = coeffs[0]
+    c = _binomials(L - 1)
+    S0, S1 = rows  # [A | B] and [C | D]
+    out = []
+    for m in range(L + 1):
+        top, bottom = c[m + 1], c[m]
+        T = np.empty((top + bottom, top + bottom), dtype=complex)
+        if top:
+            np.multiply(S0[m + 1][:, :top], r00, out=T[:top, :top])
+            T[:top, :top] += r22 * S1[m + 2][:, c[m + 2] :]
+            np.multiply(S0[m + 1][:, top:], r21, out=T[:top, top:])
+        if bottom:
+            np.multiply(S1[m + 1][:, :top], r12, out=T[top:, :top])
+            np.multiply(S0[m][:, :bottom], r11, out=T[top:, top:])
+            T[top:, top:] += r33 * S1[m + 1][:, top:]
+        S0[m] = S1[m + 1] = None
+        out.append(T)
+    return out
 
 
 def np_residual(A, B) -> float:
     """Largest entry of |A - B| over max(1, largest |A| or |B| entry).
 
-    ``A`` and ``B`` are arrays or matching lists of spin blocks; blocks are
-    compared one at a time, never joined into one array."""
-    if not isinstance(A, list):
+    ``A`` and ``B`` are arrays or matching lists or iterators of spin
+    blocks; blocks are compared one at a time, never joined into one array,
+    so iterators that make their blocks on demand hold one pair at a time."""
+    if isinstance(A, np.ndarray):
         A, B = [np.asarray(A, dtype=complex)], [np.asarray(B, dtype=complex)]
     scale, diff = 1.0, 0.0
     for X, Y in zip(A, B):

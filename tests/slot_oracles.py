@@ -1,8 +1,9 @@
 """Dense numeric slot embeddings, kept as test oracles.
 
 ``np_apply_on_slots`` and ``np_op_on_slots`` embed a factor on chosen tensor
-slots with one general ``tensordot``; the package's spin-block kernel
-``np_spin_apply`` and its transfer build are checked against them.
+slots with one general ``tensordot``.  The package's spin-block kernel
+``np_spin_apply`` and its corner-built transfer ``np_spin_transfer`` are
+checked against them.
 """
 
 import numpy as np

@@ -17,6 +17,7 @@ from qilab.chain import (
     transfer_numeric,
     transfer_sectors,
 )
+from qilab.chain import model as model_module
 from qilab.chain.model import _Exact, _Numeric, _doubled
 from qilab.chain.spectrum import vacuum
 from qilab.field import MPoly, RatFun, kron, mat_eq, np_residual, np_spin_dense
@@ -359,3 +360,43 @@ def test_block_residual_matches_the_dense_one():
     s = ChainSpec.from_json({"L": 4, "q": "0.83+0.21*i", "twist": "0.64+0.13*i"})
     a, b = (_Numeric(s).transfer(z) for z in (0.7 + 0.2j, -0.3 + 0.8j))
     assert np_residual(a, b) == np_residual(np_spin_dense(a), np_spin_dense(b))
+
+
+SITES = ["1", "2", "1/3", "0.9+0.1*i", "5/4", "3/2", "2/3", "1.1-0.2*i", "0.7"]
+
+
+@pytest.mark.parametrize("L", range(1, 10))
+def test_corner_built_transfer_equals_the_traced_line(L):
+    # the corner kernel against the factor stream that rtt and
+    # multiplicativity use: one line on aux slot 0, traced with the twist
+    s = ChainSpec.from_json(
+        {"L": L, "q": "0.83+0.21*i", "twist": "0.64+0.13*i", "a": "0.7+0.2*i", "sites": SITES[:L]}
+    )
+    ring = _Numeric(s)
+    u = s.twist_complex()
+    for z, a in ((sample_point(s, np.random.default_rng(L)), None), (0.4 - 0.9j, 1.3 + 0.1j)):
+        traced = ring.trace_first(ring.lines(None, [(0, z, a)]), u, 1 / u)
+        assert np_residual(ring.transfer(z, a), traced) < 1e-14
+
+
+def test_a_spin_moving_r_matrix_entry_stops_the_transfer_build(monkeypatch):
+    good = model_module.numeric_r
+
+    def moving(zeta, q):
+        R = good(zeta, q)
+        R[0][3] = 0.1
+        return R
+
+    s = ChainSpec.from_json({"L": 7, "q": "0.83+0.21*i", "twist": "0.64+0.13*i"})
+    monkeypatch.setattr(model_module, "numeric_r", moving)
+    for build in (transfer_sectors, transfer_numeric):
+        with pytest.raises(ValueError, match="spin-conserving"):
+            build(s, 0.7 + 0.2j)
+    with pytest.raises(ValueError, match="spin-conserving"):
+        check_commute(s, mode="numeric")
+
+
+def test_the_transfer_build_keeps_the_pole_error():
+    s = ChainSpec.from_json({"L": 3, "q": "0.83+0.21*i", "twist": "0.64+0.13*i"})
+    with pytest.raises(ZeroDivisionError):
+        transfer_sectors(s, s.q_complex() ** -2)

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from qilab.field import (
     MPoly,
     RatFun,
+    SpinProduct,
     identity,
     kron,
     mat_eq,
@@ -16,8 +17,8 @@ from qilab.field import (
     np_residual,
     np_spin_apply,
     np_spin_dense,
-    np_spin_identity,
     np_spin_trace_first,
+    np_spin_transfer,
     op_on_slots,
     rref,
     solve_unique,
@@ -272,7 +273,7 @@ def test_np_apply_conserving_rejects_spin_changing_factor(entry):
 def test_np_identity_embedding_and_partial_trace():
     pattern = np_op_on_slots(np.eye(4, dtype=complex), (0, 2), [2, 2, 2])
     assert np_residual(pattern, np.eye(8, dtype=complex)) < 1e-14
-    tr = np_spin_dense(np_spin_trace_first(np_spin_identity(2), 1, 1))
+    tr = np_spin_dense(np_spin_trace_first(list(SpinProduct(2)), 1, 1))
     assert np_residual(tr, 2 * np.eye(2, dtype=complex)) < 1e-14
 
 
@@ -286,3 +287,64 @@ def test_np_spin_trace_first_is_the_weighted_corner_sum():
         H = 1 << (n - 1)
         got = np_spin_dense(np_spin_trace_first(blocks, w0, w1))
         assert np.array_equal(got, w0 * M[:H, :H] + w1 * M[H:, H:])
+
+
+def _random_factor(rng):
+    # a spin-conserving 4x4 factor with all six entries random
+    F = np.zeros((4, 4), dtype=complex)
+    for i, j in ((0, 0), (1, 1), (1, 2), (2, 1), (2, 2), (3, 3)):
+        F[i, j] = complex(*rng.normal(size=2))
+    return F
+
+
+@pytest.mark.parametrize("L", range(1, 9))
+def test_np_spin_transfer_is_the_weighted_trace_of_the_dense_monodromy(L):
+    # every entry of the factors random (numeric_r has r00 = r33 = 1), and
+    # L = 7, 8 pass the dense start into the spin-block steps
+    rng = np.random.default_rng(L)
+    factors = [_random_factor(rng) for _ in range(L)]
+    w0, w1 = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
+    dims = [2] * (L + 1)
+    M = np.eye(2 << L, dtype=complex)
+    for l in range(L - 1, -1, -1):
+        M = np_apply_on_slots(M, factors[l], (0, 1 + l), dims)
+    H = 1 << L
+    T = w0 * M[:H, :H] + w1 * M[H:, H:]
+    pc = np.array([bin(s).count("1") for s in range(H)])
+    sectors = np_spin_transfer(factors, w0, w1)
+    assert len(sectors) == L + 1
+    for m, S in enumerate(sectors):
+        idx = np.flatnonzero(pc == m)
+        assert S.flags.c_contiguous
+        assert np_residual(S, T[np.ix_(idx, idx)]) < 1e-13
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (0, 3), (1, 3), (3, 0), (2, 0)])
+def test_np_spin_transfer_rejects_a_spin_moving_factor(entry):
+    rng = np.random.default_rng(3)
+    factors = [_random_factor(rng) for _ in range(8)]
+    factors[5][entry] = 0.5
+    with pytest.raises(ValueError):
+        np_spin_transfer(factors, 1, 1)
+    with pytest.raises(ValueError):
+        np_spin_transfer([np.eye(3, dtype=complex)], 1, 1)
+
+
+def test_spin_product_blocks_equal_np_spin_apply_on_the_identity():
+    # the blocks one at a time, each by every factor, bit for bit against
+    # every factor on all blocks; a spin-moving factor is refused at once
+    rng = np.random.default_rng(7)
+    n = 5
+    steps = [(_random_factor(rng), slots) for slots in ((0, 3), (4, 1), (2, 0), (1, 2))]
+    product = SpinProduct(n)
+    blocks = list(SpinProduct(n))
+    for F, slots in steps:
+        product = product.times(F, slots)
+        np_spin_apply(blocks, F, slots)
+    got = list(product)
+    assert len(got) == n + 1
+    assert all(np.array_equal(X, Y) for X, Y in zip(got, blocks))
+    bad = np.eye(4, dtype=complex)
+    bad[0, 3] = 1
+    with pytest.raises(ValueError):
+        product.times(bad, (0, 1))

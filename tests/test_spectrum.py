@@ -149,6 +149,26 @@ def test_out_of_range_sector_is_refused_before_any_spectrum(monkeypatch):
                 check(L2, sector=bad)
 
 
+def test_newton_residual_is_relative_and_still_catches_shifted_roots(monkeypatch):
+    # at L=7 sector 7 the terms of the root system reach ~6e13, so an
+    # absolute |F| of a few hundredths is roundoff; scaled like
+    # root_residuals the check passes, and roots off by 1e-6 still fail
+    spec = _generic(7)
+    cr = check_bethe(spec, 7, seed=1)
+    assert cr.ok
+    assert cr.details["branches"][0]["newton_final_residual"] < 1e-12
+    real = spectrum_module.solve_roots_newton
+
+    def shifted(spec, m, start, max_iter=200):
+        roots = real(spec, m, start, max_iter).roots
+        return real(spec, m, [w * (1 + 1e-6) for w in roots], max_iter=0)
+
+    monkeypatch.setattr(spectrum_module, "solve_roots_newton", shifted)
+    cr = check_bethe(spec, 7, seed=1)
+    assert not cr.ok
+    assert cr.details["branches"][0]["newton_final_residual"] > cr.details["tolerance"]
+
+
 def test_check_bethe_reports_a_collocation_breakdown_as_a_failure(monkeypatch):
     # a branch whose coefficient system has no polynomial solution is a
     # failed verdict, not bad input
@@ -280,7 +300,7 @@ def test_root_system_jacobian_is_the_derivative():
         {"L": 4, **GENERIC, "a": "3/2", "sites": ["1", "2", "1/3", "0.9+0.1*i"]}
     )
     ws = np.array([0.7 + 0.2j, -0.4 + 0.9j, 1.3 - 0.5j])
-    F, J = spectrum_module._root_system(spec, 3, ws)
+    F, J, _ = spectrum_module._root_system(spec, 3, ws)
     h = 1e-6
     for k in range(3):
         step = np.zeros(3)
