@@ -20,9 +20,8 @@ transfer is built from the monodromy's aux corners A, B, C, D site by site
 block is a 2x2 arrangement of old ones scaled by R entries, about
 (4/3)*C(2L, L) entries per transfer instead of the L*C(2L+2, L+1) of
 streaming every factor through the (L+1)-slot monodromy.  Products of lines
-on L+1 or L+2 slots (``rtt``, the fused pair of ``multiplicativity``) are
-``SpinProduct``s: they keep their factors and build each spin block by all
-of them when it is read, so a comparison holds one block of each side.
+(``rtt``, the fused pair of ``multiplicativity``) still stream every factor
+into the popcount blocks of their L+1 or L+2 slots in place, site by site.
 Each ring has one auxiliary trace, ``trace_first``, over slot 0 weighted by
 diag(w0, w1).  The exact transfer is that trace of one line weighted by the
 twist; the numeric sector of m flipped sites equals u times the aux-0
@@ -45,12 +44,13 @@ import numpy as np
 from ..field import (
     MPoly,
     RatFun,
-    SpinProduct,
     kron,
     mat_eq,
     mat_mul,
     np_residual,
+    np_spin_apply,
     np_spin_dense,
+    np_spin_identity,
     np_spin_index,
     np_spin_trace_first,
     np_spin_transfer,
@@ -306,13 +306,14 @@ class _Exact:
 
 class _Numeric:
     """complex128 spin blocks: a transfer is built from its corners, a
-    product of lines is a ``SpinProduct`` read one block at a time; ``mul``
-    is dense and ``transfer_mul`` multiplies block by block."""
+    product of lines in place; ``mul`` is dense and ``transfer_mul``
+    multiplies block by block."""
 
     mode = "numeric"
     mul = staticmethod(np.matmul)
     kron = staticmethod(np.kron)
     dense = staticmethod(np_spin_dense)
+    trace_first = staticmethod(np_spin_trace_first)
 
     def __init__(self, spec: ChainSpec):
         self.spec = spec
@@ -321,15 +322,10 @@ class _Numeric:
         return self.spec.a_complex()
 
     @staticmethod
-    def trace_first(M, w0, w1) -> list:
-        """Trace over slot 0 weighted by diag(w0, w1), block by block."""
-        return np_spin_trace_first(list(M), w0, w1)
-
-    @staticmethod
-    def transfer_mul(A, B):
-        """Spin blocks of A times B, made one at a time as they are read;
-        blocks are stored transposed, so each is B's block times A's."""
-        return (Y @ X for X, Y in zip(A, B))
+    def transfer_mul(A, B) -> list:
+        """Spin blocks of A times B, block by block; blocks are stored
+        transposed, so each is B's block times A's."""
+        return [Y @ X for X, Y in zip(A, B)]
 
     def r(self, zeta) -> np.ndarray:
         return numeric_r(zeta, self.spec.q_complex())
@@ -343,27 +339,27 @@ class _Numeric:
         ``transfer_sectors``."""
         return [B.T for B in transfer_sectors(self.spec, z, a)]
 
-    def _start(self, M, slots):
-        """``M``, or the identity on aux slots 0..max(slots) and the sites."""
-        return SpinProduct(max(slots) + 1 + self.spec.L) if M is None else M
+    def _start(self, M, slots) -> list:
+        """``M``, or the identity blocks on aux slots 0..max(slots) and the sites."""
+        return np_spin_identity(max(slots) + 1 + self.spec.L) if M is None else M
 
-    def apply(self, M, F, slots) -> SpinProduct:
-        return self._start(M, slots).times(F, slots)
+    def apply(self, M, F, slots) -> list:
+        return np_spin_apply(self._start(M, slots), F, slots)
 
-    def lines(self, M, lines) -> SpinProduct:
-        """``M`` times the lines' factors, interleaved site by site.
+    def lines(self, M, lines) -> list:
+        """``M`` times the lines' factors in place, interleaved site by site.
 
         At each site the lines apply in the order given; factors of
         different lines on different sites commute, so this equals the
         product of whole line monodromies.
         """
         M = self._start(M, [slot for slot, _, _ in lines])
-        first = M.n - self.spec.L
+        first = len(M) - 1 - self.spec.L
         q = self.spec.q_complex()
         ratios = [self.spec.site_ratios_complex(a) for _, _, a in lines]
         for l in range(self.spec.L - 1, -1, -1):
             for (slot, z, _), rho in zip(lines, ratios):
-                M = M.times(numeric_r(z * rho[l], q), (slot, first + l))
+                np_spin_apply(M, numeric_r(z * rho[l], q), (slot, first + l))
         return M
 
     def compare(self, sides, points, details, seed, samples, tol):

@@ -3,7 +3,6 @@
 from .poly import MPoly, NotDivisible, normalize_var, poly_gcd, var_rank
 from .ratfun import ParseError, RatFun
 from .linalg import (
-    SpinProduct,
     identity,
     kron,
     mat_add,
@@ -13,6 +12,7 @@ from .linalg import (
     np_residual,
     np_spin_apply,
     np_spin_dense,
+    np_spin_identity,
     np_spin_index,
     np_spin_trace_first,
     np_spin_transfer,
@@ -29,7 +29,6 @@ __all__ = [
     "var_rank",
     "ParseError",
     "RatFun",
-    "SpinProduct",
     "identity",
     "kron",
     "mat_add",
@@ -39,6 +38,7 @@ __all__ = [
     "np_residual",
     "np_spin_apply",
     "np_spin_dense",
+    "np_spin_identity",
     "np_spin_index",
     "np_spin_trace_first",
     "np_spin_transfer",

@@ -15,8 +15,7 @@ size 2 is kept as its spin blocks, one per popcount k, of size C(n, k):
 their entries are C(2n, n) in all instead of 4^n.  ``np_spin_apply``
 multiplies by a spin-conserving 4x4 factor on two slots in place; in each
 block it gathers the rows whose two slots read 01 and their 10 partners,
-mixes them with the factor's middle 2x2, and scatters them back.  A
-``SpinProduct`` keeps such factors and builds its blocks one at a time.
+mixes them with the factor's middle 2x2, and scatters them back.
 ``np_spin_transfer`` builds the weighted auxiliary trace of a one-line
 monodromy from its corners, adding one leading site at a time with a
 contiguous slice per entry: about (4/3) C(2L, L) entries for L sites,
@@ -45,9 +44,9 @@ __all__ = [
     "rref",
     "solve_unique",
     "np_residual",
-    "SpinProduct",
     "np_spin_apply",
     "np_spin_dense",
+    "np_spin_identity",
     "np_spin_index",
     "np_spin_trace_first",
     "np_spin_transfer",
@@ -267,6 +266,11 @@ def _spin_pair_rows(n: int, s0: int, s1: int) -> tuple:
     )
 
 
+def np_spin_identity(n: int) -> list:
+    """Spin blocks of the identity on ``n`` slots."""
+    return [np.eye(len(states), dtype=complex) for states in _spin_layout(n)[2]]
+
+
 def np_spin_index(n: int, state: int) -> tuple:
     """(block, position in the block) of a basis state on ``n`` slots."""
     pc, pos, _ = _spin_layout(n)
@@ -307,12 +311,13 @@ _SPIN_MOVES = ~np.array(
 )
 
 
-def _spin_factor(F: np.ndarray, slots, n: int):
-    """The in-place action act(B, k) on spin block k of right multiplication
-    by the 4x4 ``F`` on two of ``n`` slots.
+def np_spin_apply(blocks, F: np.ndarray, slots):
+    """Spin blocks of ``M`` times ``F`` on two ``slots`` (identity elsewhere),
+    in place; returns ``blocks``.
 
-    ``F`` must conserve the spin sum of its slots; otherwise ValueError is
-    raised here, before any block changes."""
+    ``F`` is 4x4 and must conserve the spin sum of its slots; otherwise
+    ValueError is raised before any block changes."""
+    n = len(blocks) - 1
     s0, s1 = slots
     if F.shape != (4, 4) or s0 == s1 or not (0 <= s0 < n and 0 <= s1 < n):
         raise ValueError("a conserving factor is 4x4 on two distinct slots")
@@ -322,10 +327,7 @@ def _spin_factor(F: np.ndarray, slots, n: int):
     # of F's middle block (F11, F22) plus the other half times F21, F12
     diag, cross = F.take([5, 10, 9, 6]).reshape(2, 2, 1, 1)
     f00, f33 = F[0, 0], F[3, 3]
-    pair_rows = _spin_pair_rows(n, s0, s1)
-
-    def act(B, k):
-        rows, h, c00 = pair_rows[k]
+    for B, (rows, h, c00) in zip(blocks, _spin_pair_rows(n, s0, s1)):
         if h:
             pair = rows[: 2 * h]
             g = B.take(pair, axis=0).reshape(2, h, -1)  # 01 rows, then 10 partners
@@ -337,48 +339,10 @@ def _spin_factor(F: np.ndarray, slots, n: int):
             B[rows[2 * h : 2 * h + c00]] *= f00
         if f33 != 1 and len(rows) > 2 * h + c00:
             B[rows[2 * h + c00 :]] *= f33
-
-    return act
-
-
-def np_spin_apply(blocks, F: np.ndarray, slots):
-    """Spin blocks of ``M`` times ``F`` on two ``slots`` (identity elsewhere),
-    in place; returns ``blocks``.
-
-    ``F`` is 4x4 and must conserve the spin sum of its slots; otherwise
-    ValueError is raised before any block changes."""
-    act = _spin_factor(F, slots, len(blocks) - 1)
-    for k, B in enumerate(blocks):
-        act(B, k)
     return blocks
 
 
-class SpinProduct:
-    """The identity on ``n`` slots times spin-conserving 4x4 factors on pairs
-    of slots, kept as its factors.
-
-    Iterating it builds its spin blocks (stored transposed) one at a time,
-    each by every factor in turn with the arithmetic of ``np_spin_apply``,
-    so a reader that compares two products block by block holds one block
-    of each.  ``times`` checks a factor at once, as ``np_spin_apply`` does.
-    """
-
-    def __init__(self, n: int, acts: tuple = ()):
-        self.n = n
-        self._acts = acts
-
-    def times(self, F: np.ndarray, slots) -> "SpinProduct":
-        return SpinProduct(self.n, self._acts + (_spin_factor(F, slots, self.n),))
-
-    def __iter__(self):
-        for k, states in enumerate(_spin_layout(self.n)[2]):
-            B = np.eye(len(states), dtype=complex)
-            for act in self._acts:
-                act(B, k)
-            yield B
-
-
-_DENSE_SITES = 6  # sites built as dense slabs before the spin blocks take over
+_DENSE_SITES = 6  # sites built as dense slabs: fewer numpy calls than blocks (BENCH_18.json)
 
 
 def _slab_step(O, Op, cut: int, mid: int, r) -> np.ndarray:
@@ -506,10 +470,9 @@ def np_spin_transfer(factors, w0, w1) -> list:
 def np_residual(A, B) -> float:
     """Largest entry of |A - B| over max(1, largest |A| or |B| entry).
 
-    ``A`` and ``B`` are arrays or matching lists or iterators of spin
-    blocks; blocks are compared one at a time, never joined into one array,
-    so iterators that make their blocks on demand hold one pair at a time."""
-    if isinstance(A, np.ndarray):
+    ``A`` and ``B`` are arrays or matching lists of spin blocks; blocks are
+    compared one at a time, never joined into one array."""
+    if not isinstance(A, list):
         A, B = [np.asarray(A, dtype=complex)], [np.asarray(B, dtype=complex)]
     scale, diff = 1.0, 0.0
     for X, Y in zip(A, B):

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from qilab.field import (
     MPoly,
     RatFun,
-    SpinProduct,
     identity,
     kron,
     mat_eq,
@@ -17,6 +16,7 @@ from qilab.field import (
     np_residual,
     np_spin_apply,
     np_spin_dense,
+    np_spin_identity,
     np_spin_trace_first,
     np_spin_transfer,
     op_on_slots,
@@ -273,7 +273,7 @@ def test_np_apply_conserving_rejects_spin_changing_factor(entry):
 def test_np_identity_embedding_and_partial_trace():
     pattern = np_op_on_slots(np.eye(4, dtype=complex), (0, 2), [2, 2, 2])
     assert np_residual(pattern, np.eye(8, dtype=complex)) < 1e-14
-    tr = np_spin_dense(np_spin_trace_first(list(SpinProduct(2)), 1, 1))
+    tr = np_spin_dense(np_spin_trace_first(np_spin_identity(2), 1, 1))
     assert np_residual(tr, 2 * np.eye(2, dtype=complex)) < 1e-14
 
 
@@ -329,22 +329,3 @@ def test_np_spin_transfer_rejects_a_spin_moving_factor(entry):
     with pytest.raises(ValueError):
         np_spin_transfer([np.eye(3, dtype=complex)], 1, 1)
 
-
-def test_spin_product_blocks_equal_np_spin_apply_on_the_identity():
-    # the blocks one at a time, each by every factor, bit for bit against
-    # every factor on all blocks; a spin-moving factor is refused at once
-    rng = np.random.default_rng(7)
-    n = 5
-    steps = [(_random_factor(rng), slots) for slots in ((0, 3), (4, 1), (2, 0), (1, 2))]
-    product = SpinProduct(n)
-    blocks = list(SpinProduct(n))
-    for F, slots in steps:
-        product = product.times(F, slots)
-        np_spin_apply(blocks, F, slots)
-    got = list(product)
-    assert len(got) == n + 1
-    assert all(np.array_equal(X, Y) for X, Y in zip(got, blocks))
-    bad = np.eye(4, dtype=complex)
-    bad[0, 3] = 1
-    with pytest.raises(ValueError):
-        product.times(bad, (0, 1))

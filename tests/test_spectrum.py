@@ -1,11 +1,15 @@
 """Joint eigenbranches, shift-identity polynomials, root systems."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import qilab
 from qilab import cli
 from qilab.chain import model as model_module
 from qilab.chain import spectrum as spectrum_module
@@ -386,6 +390,53 @@ def test_check_tq_holds_at_long_chains(L, seeds):
         cr = check_tq(spec, seed=seed)
         assert cr.ok, (seed, cr.details["worst_functional_residual"])
         assert cr.details["tolerance"] == 1e-8
+
+
+def _check_tq_on_one_blas_thread(L, seed):
+    # the L=10 margin is thin enough that the BLAS thread count moves the
+    # verdict (seed 1: 1.03e-8 on one thread, 9.5e-9 on two), so the check
+    # runs in a child process pinned to one thread, as the benchmark runs
+    code = (
+        "import json; from qilab.chain import ChainSpec, check_tq; "
+        f"cr = check_tq(ChainSpec.from_json({json.dumps({'L': L, **GENERIC})!r}), seed={seed}); "
+        "d = cr.details; "
+        "print(json.dumps([cr.ok, d['tolerance'], d['worst_functional_residual']]))"
+    )
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+        "PYTHONPATH": os.path.dirname(os.path.dirname(qilab.__file__)),
+    }
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(out.stdout)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "seed",
+    [
+        pytest.param(
+            1,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="functional residual 1.03e-8 against 1e-8: the Baxter "
+                "stages lose about 7 digits at L=10 (FOUND on check_tq in CHANGES.md)",
+            ),
+        ),
+        2,
+        3,
+        4,
+        5,
+    ],
+)
+def test_check_tq_holds_at_ten_sites(seed):
+    # seed 0 is in test_check_tq_holds_at_long_chains
+    ok, tol, residual = _check_tq_on_one_blas_thread(10, seed)
+    assert tol == 1e-8
+    assert ok, residual
 
 
 @pytest.mark.slow
