@@ -7,27 +7,33 @@ product of fundamental solutions on (aux, site_l) at arguments z*a/b_l,
 site L leftmost.  The transfer matrix is the twisted auxiliary trace
 u*A(z) + u^-1*D(z).
 
-Each identity is written once, as its two sides over a ring.  ``_Exact``
-compares cleared polynomial matrices at symbolic z, w: every factor is
-scaled by its corner denominator and the twist by u, so both sides carry
-the same scalar.  It multiplies each line's monodromy out once per check
-and takes dense products of whole lines, which measured faster than
-streaming the factors of two lines site by site.  ``_Numeric`` takes the
-worst residual over seeded sample points.  Every factor conserves aux plus
-site spin, so numeric matrices are kept as popcount blocks.  The numeric
-transfer is built from the monodromy's aux corners A, B, C, D site by site
-(``field.np_spin_transfer``): each new site is the leading bit, so each new
-block is a 2x2 arrangement of old ones scaled by R entries, about
+Each identity is written once, as its two sides over a ring, and one
+builder serves both rings: ``_Ring.lines`` streams the factors of one or
+two auxiliary lines into a matrix in place, site by site, through the
+ring's two-slot kernel, ``field.apply_on_slots`` on exact lists of rows or
+``field.np_spin_apply`` on numeric popcount blocks.  No factor is embedded
+as a dense matrix and no line is kept between checks.  ``_Exact`` compares
+cleared polynomial matrices at symbolic z, w: every factor is scaled by its
+corner denominator and the twist by u, so both sides carry the same scalar.
+Against dense products of whole line monodromies cached per check,
+streaming the exact factors in place ran the exact-cleared benchmark's
+commute and multiplicativity cases 6-31% faster and its rtt cases 4-23%
+slower, since rtt now builds each of its two lines on both sides (seed 0,
+2-core VM, two batches of five paired runs; BENCH_19.json).  ``_Numeric``
+takes the worst residual over seeded sample points.  Every factor conserves
+aux plus site spin, so numeric matrices are kept as popcount blocks.  The
+numeric transfer is built from the monodromy's aux corners A, B, C, D site
+by site (``field.np_spin_transfer``): each new site is the leading bit, so
+each new block is a 2x2 arrangement of old ones scaled by R entries, about
 (4/3)*C(2L, L) entries per transfer instead of the L*C(2L+2, L+1) of
-streaming every factor through the (L+1)-slot monodromy.  Products of lines
-(``rtt``, the fused pair of ``multiplicativity``) still stream every factor
-into the popcount blocks of their L+1 or L+2 slots in place, site by site.
-Each ring has one auxiliary trace, ``trace_first``, over slot 0 weighted by
-diag(w0, w1).  The exact transfer is that trace of one line weighted by the
-twist; the numeric sector of m flipped sites equals u times the aux-0
-corner of block m plus u^-1 times the aux-1 corner of block m+1 of the
-traced line, which a test checks.  ``transfer_sectors`` hands the sectors
-to the spectrum; ``commute`` multiplies them block by block and
+streaming every factor through the (L+1)-slot monodromy; numeric products
+of lines (``rtt``, the fused pair of ``multiplicativity``) go through
+``lines``.  Each ring has one auxiliary trace, ``trace_first``, over slot 0
+weighted by diag(w0, w1).  The exact transfer is that trace of one line
+weighted by the twist; the numeric sector of m flipped sites equals u times
+the aux-0 corner of block m plus u^-1 times the aux-1 corner of block m+1
+of the traced line, which a test checks.  ``transfer_sectors`` hands the
+sectors to the spectrum; ``commute`` multiplies them block by block and
 ``multiplicativity`` multiplies their dense form.
 """
 
@@ -37,13 +43,15 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
 from ..field import (
     MPoly,
     RatFun,
+    apply_on_slots,
+    identity,
     kron,
     mat_eq,
     mat_mul,
@@ -54,7 +62,6 @@ from ..field import (
     np_spin_index,
     np_spin_trace_first,
     np_spin_transfer,
-    op_on_slots,
 )
 from ..verdict import CheckResult
 from ..rmatrix import cleared_r
@@ -225,28 +232,60 @@ def numeric_r(zeta: complex, q: complex) -> np.ndarray:
     )
 
 
-def _dims(M, slots, L: int) -> list:
-    """Slot sizes (all 2) of ``M`` on aux slots, then L sites; ``M=None`` is
-    the identity on aux slots 0..max(slots)."""
-    n = len(M).bit_length() - 1 if M is not None else max(slots) + 1 + L
-    return [2] * n
+class _Ring:
+    """The factor stream both rings share; a ring supplies ``identity`` on n
+    slots, ``apply_slots`` (a 4x4 factor on two slots, in place), the site
+    ``ratios`` a / b_l and the factor ``r``."""
+
+    def __init__(self, spec: ChainSpec):
+        self.spec = spec
+
+    def apply(self, M, F, slots):
+        """``M`` times ``F`` on ``slots`` in place; ``M=None`` starts from the
+        identity on aux slots 0..max(slots) and the sites."""
+        if M is None:
+            M = self.identity(max(slots) + 1 + self.spec.L)
+        return self.apply_slots(M, F, slots)
+
+    def lines(self, M, lines):
+        """``M`` times the lines' factors in place, interleaved site by site.
+
+        ``M`` (the identity if None) acts on the aux slots 0..max(slot) of
+        the lines and the sites.  At each site the lines apply in the order
+        given; factors of different lines on different sites commute, so
+        this equals the product of whole line monodromies.
+        """
+        first = max(slot for slot, _, _ in lines) + 1
+        if M is None:
+            M = self.identity(first + self.spec.L)
+        ratios = [self.ratios(a) for _, _, a in lines]
+        for l in range(self.spec.L - 1, -1, -1):
+            for (slot, z, _), rho in zip(lines, ratios):
+                self.apply_slots(M, self.r(z * rho[l]), (slot, first + l))
+        return M
 
 
-class _Exact:
+class _Exact(_Ring):
     """Cleared polynomial matrices, q pinned when the spec fixes it."""
 
     mode = "exact"
     mul = transfer_mul = staticmethod(mat_mul)
     dense = staticmethod(lambda M: M)
     kron = staticmethod(kron)
+    identity = staticmethod(lambda n: identity(1 << n))
+    # the kernels are looked up at call time, so perfbench's tracer, which
+    # rebinds module names, sees their calls
+    apply_slots = staticmethod(lambda M, F, slots: apply_on_slots(M, F, slots))
 
     def __init__(self, spec: ChainSpec):
-        self.spec = spec
+        super().__init__(spec)
         self._q = {} if spec.q_is_symbolic() else {"q": MPoly.const(spec.q_fraction())}
-        self._lines = {}  # (slot, z, a, slot count) -> that line's monodromy
 
     def a(self) -> Fraction:
         return self.spec.a_fraction()
+
+    def ratios(self, a) -> list:
+        return self.spec.ratios(a)
 
     def r(self, zeta):
         r4 = cleared_r(zeta, 1)
@@ -269,28 +308,6 @@ class _Exact:
         tw = self.twist()
         return self.trace_first(self.lines(None, [(0, z, a)]), tw[0][0], tw[1][1])
 
-    def apply(self, M, F, slots):
-        F = op_on_slots(F, slots, _dims(M, slots, self.spec.L))
-        return F if M is None else mat_mul(M, F)
-
-    def lines(self, M, lines):
-        """``M`` times each line's monodromy, built once per check."""
-        dims = _dims(M, [slot for slot, _, _ in lines], self.spec.L)
-        first = len(dims) - self.spec.L
-        for slot, z, a in lines:
-            key = (slot, z, a, len(dims))
-            if key not in self._lines:
-                ratios = self.spec.ratios(a)
-                self._lines[key] = reduce(
-                    mat_mul,
-                    [
-                        op_on_slots(self.r(z * ratios[l]), (slot, first + l), dims)
-                        for l in range(self.spec.L - 1, -1, -1)
-                    ],
-                )
-            M = self._lines[key] if M is None else mat_mul(M, self._lines[key])
-        return M
-
     @staticmethod
     def trace_first(M, w0, w1):
         """Trace over slot 0 (the leading bit) weighted by diag(w0, w1)."""
@@ -304,7 +321,7 @@ class _Exact:
         return mat_eq(*sides(*[MPoly.var(v) for v in "zw"[:points]])), details
 
 
-class _Numeric:
+class _Numeric(_Ring):
     """complex128 spin blocks: a transfer is built from its corners, a
     product of lines in place; ``mul`` is dense and ``transfer_mul``
     multiplies block by block."""
@@ -314,12 +331,14 @@ class _Numeric:
     kron = staticmethod(np.kron)
     dense = staticmethod(np_spin_dense)
     trace_first = staticmethod(np_spin_trace_first)
-
-    def __init__(self, spec: ChainSpec):
-        self.spec = spec
+    identity = staticmethod(np_spin_identity)
+    apply_slots = staticmethod(lambda M, F, slots: np_spin_apply(M, F, slots))
 
     def a(self) -> complex:
         return self.spec.a_complex()
+
+    def ratios(self, a) -> tuple:
+        return self.spec.site_ratios_complex(a)
 
     @staticmethod
     def transfer_mul(A, B) -> list:
@@ -338,29 +357,6 @@ class _Numeric:
         """Spin blocks of u * A(z) + u^-1 * D(z): the transposed views of
         ``transfer_sectors``."""
         return [B.T for B in transfer_sectors(self.spec, z, a)]
-
-    def _start(self, M, slots) -> list:
-        """``M``, or the identity blocks on aux slots 0..max(slots) and the sites."""
-        return np_spin_identity(max(slots) + 1 + self.spec.L) if M is None else M
-
-    def apply(self, M, F, slots) -> list:
-        return np_spin_apply(self._start(M, slots), F, slots)
-
-    def lines(self, M, lines) -> list:
-        """``M`` times the lines' factors in place, interleaved site by site.
-
-        At each site the lines apply in the order given; factors of
-        different lines on different sites commute, so this equals the
-        product of whole line monodromies.
-        """
-        M = self._start(M, [slot for slot, _, _ in lines])
-        first = len(M) - 1 - self.spec.L
-        q = self.spec.q_complex()
-        ratios = [self.spec.site_ratios_complex(a) for _, _, a in lines]
-        for l in range(self.spec.L - 1, -1, -1):
-            for (slot, z, _), rho in zip(lines, ratios):
-                np_spin_apply(M, numeric_r(z * rho[l], q), (slot, first + l))
-        return M
 
     def compare(self, sides, points, details, seed, samples, tol):
         """Worst residual of the two sides over seeded sample points."""

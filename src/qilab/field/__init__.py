@@ -3,6 +3,7 @@
 from .poly import MPoly, NotDivisible, normalize_var, poly_gcd, var_rank
 from .ratfun import ParseError, RatFun
 from .linalg import (
+    apply_on_slots,
     identity,
     kron,
     mat_add,
@@ -16,7 +17,6 @@ from .linalg import (
     np_spin_index,
     np_spin_trace_first,
     np_spin_transfer,
-    op_on_slots,
     rref,
     solve_unique,
 )
@@ -29,6 +29,7 @@ __all__ = [
     "var_rank",
     "ParseError",
     "RatFun",
+    "apply_on_slots",
     "identity",
     "kron",
     "mat_add",
@@ -42,7 +43,6 @@ __all__ = [
     "np_spin_index",
     "np_spin_trace_first",
     "np_spin_transfer",
-    "op_on_slots",
     "rref",
     "solve_unique",
 ]

@@ -8,14 +8,19 @@ each entry's packed integer terms are rekeyed once to the union of all
 supports, and only the (i, t, j) with A[i][t] and B[t][j] both nonzero are
 visited, with one int multiply-add per pair of their terms.  Other entry
 types take the generic loop over all n*k*m index triples with one ring
-product and sum per nonzero pair.
+product and sum per nonzero pair.  ``apply_on_slots`` multiplies a matrix
+on n slots of size 2 by a spin-conserving 4x4 factor on two slots in place:
+in each row it mixes every 01 column with its 10 partner by the factor's
+middle block and scales the 00 and 11 columns by its corners, skipping zero
+entries, so no 2^n-square embedding of the factor is formed.
 
 Numeric matrices are numpy arrays.  A spin-conserving matrix on n slots of
 size 2 is kept as its spin blocks, one per popcount k, of size C(n, k):
-their entries are C(2n, n) in all instead of 4^n.  ``np_spin_apply``
-multiplies by a spin-conserving 4x4 factor on two slots in place; in each
-block it gathers the rows whose two slots read 01 and their 10 partners,
-mixes them with the factor's middle 2x2, and scatters them back.
+their entries are C(2n, n) in all instead of 4^n.  ``np_spin_apply``, the
+twin of ``apply_on_slots`` on spin blocks, multiplies them by such a factor
+in place; in each block it gathers the rows whose two slots read 01 and
+their 10 partners, mixes them with the factor's middle 2x2, and scatters
+them back.
 ``np_spin_transfer`` builds the weighted auxiliary trace of a one-line
 monodromy from its corners, adding one leading site at a time with a
 contiguous slice per entry: about (4/3) C(2L, L) entries for L sites,
@@ -40,7 +45,7 @@ __all__ = [
     "mat_eq",
     "identity",
     "kron",
-    "op_on_slots",
+    "apply_on_slots",
     "rref",
     "solve_unique",
     "np_residual",
@@ -118,62 +123,63 @@ def kron(A, B):
     return out
 
 
-def _digits(index: int, dims) -> list[int]:
-    out = [0] * len(dims)
-    for pos in range(len(dims) - 1, -1, -1):
-        out[pos] = index % dims[pos]
-        index //= dims[pos]
-    return out
+# the entries of a 4x4 factor on two slots that move spin between them
+_SPIN_MOVES = ~np.array(
+    [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]], dtype=bool
+)
+_MOVES = np.argwhere(_SPIN_MOVES).tolist()  # as (row, column) pairs
 
 
-def _index(digits, dims) -> int:
-    idx = 0
-    for d, n in zip(digits, dims):
-        idx = idx * n + d
-    return idx
+@lru_cache(maxsize=None)
+def _slot_columns(n: int, s0: int, s1: int) -> tuple:
+    """Columns on ``n`` slots of size 2 by the values of slots (s0, s1), slot
+    0 the leading bit: each 01 column with its 10 partner, then the 00 and
+    the 11 columns."""
+    b0, b1 = 1 << (n - 1 - s0), 1 << (n - 1 - s1)
+    both = b0 | b1
+    cols = range(1 << n)
+    return (
+        tuple((c, c ^ both) for c in cols if c & both == b1),
+        tuple(c for c in cols if not c & both),
+        tuple(c for c in cols if c & both == both),
+    )
 
 
-def op_on_slots(M, slots, dims):
-    """Embed an operator on the chosen tensor slots, identity elsewhere.
+def apply_on_slots(M, F, slots):
+    """``M`` times ``F`` on two ``slots`` (identity elsewhere), in place;
+    returns ``M``.
 
-    ``M`` acts on the product of ``dims[s] for s in slots`` with the slots in
-    the order given; repeated slots are rejected.
+    ``M`` is a list of rows whose columns are the states of n slots of size
+    2, slot 0 the leading bit; ``F`` is 4x4, indexed by the values of the
+    slots in the order given.  In each row the 01 column and its 10 partner
+    are mixed by F's middle block and the 00 and 11 columns are scaled by
+    F's corners; zero entries are skipped.  ``F`` must conserve the spin
+    sum of its slots and the slots must be distinct and in range; otherwise
+    ValueError is raised before ``M`` changes.
     """
-    slots = tuple(slots)
-    if len(set(slots)) != len(slots):
-        raise ValueError("repeated tensor slots")
-    sub_dims = [dims[s] for s in slots]
-    sub_n = 1
-    for d in sub_dims:
-        sub_n *= d
-    if len(M) != sub_n:
-        raise ValueError("operator size does not match the chosen slots")
-    rest = [i for i in range(len(dims)) if i not in slots]
-    rest_dims = [dims[i] for i in rest]
-    rest_n = 1
-    for d in rest_dims:
-        rest_n *= d
-    N = sub_n * rest_n
-    out = [[0] * N for _ in range(N)]
-    for sr in range(sub_n):
-        row_sub = _digits(sr, sub_dims)
-        for sc in range(sub_n):
-            entry = M[sr][sc]
-            if not entry:
-                continue
-            col_sub = _digits(sc, sub_dims)
-            for rest_idx in range(rest_n):
-                rd = _digits(rest_idx, rest_dims)
-                row_digits = [0] * len(dims)
-                col_digits = [0] * len(dims)
-                for t, s in enumerate(slots):
-                    row_digits[s] = row_sub[t]
-                    col_digits[s] = col_sub[t]
-                for t, r in enumerate(rest):
-                    row_digits[r] = rd[t]
-                    col_digits[r] = rd[t]
-                out[_index(row_digits, dims)][_index(col_digits, dims)] = entry
-    return out
+    n = len(M[0]).bit_length() - 1
+    s0, s1 = slots
+    if len(F) != 4 or s0 == s1 or not (0 <= s0 < n and 0 <= s1 < n):
+        raise ValueError("a conserving factor is 4x4 on two distinct slots")
+    if any(F[i][j] for i, j in _MOVES):
+        raise ValueError("needs a spin-conserving F")
+    pairs, c00, c11 = _slot_columns(n, s0, s1)
+    f11, f12, f21, f22 = F[1][1], F[1][2], F[2][1], F[2][2]
+    corners = [(cols, f) for cols, f in ((c00, F[0][0]), (c11, F[3][3])) if f != 1]
+    for row in M:
+        for a, b in pairs:
+            x, y = row[a], row[b]
+            if x and y:
+                row[a], row[b] = x * f11 + y * f21, x * f12 + y * f22
+            elif x:
+                row[a], row[b] = x * f11, x * f12
+            elif y:
+                row[a], row[b] = y * f21, y * f22
+        for cols, f in corners:
+            for c in cols:
+                if row[c]:
+                    row[c] = row[c] * f
+    return M
 
 
 # exact elimination
@@ -303,12 +309,6 @@ def np_spin_trace_first(blocks, w0, w1) -> list:
         c = comb(len(blocks) - 2, m)
         out.append(w0 * blocks[m][:c, :c] + w1 * blocks[m + 1][-c:, -c:])
     return out
-
-
-# the entries of a 4x4 factor on two slots that move spin between them
-_SPIN_MOVES = ~np.array(
-    [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]], dtype=bool
-)
 
 
 def np_spin_apply(blocks, F: np.ndarray, slots):

@@ -28,13 +28,13 @@ import numpy as np
 from .field import (
     MPoly,
     RatFun,
+    apply_on_slots,
     identity,
     kron,
     mat_add,
     mat_eq,
     mat_mul,
     mat_scale,
-    op_on_slots,
     rref,
 )
 from .verdict import CheckResult
@@ -143,14 +143,19 @@ def _zeta_pair(scale: Fraction, *poly_factors):
     return zn, MPoly.const(1)
 
 
+def _on_three(*factors):
+    """The 8x8 product of 4x4 factors, each given with its two of three
+    slots, in order."""
+    M = identity(8)
+    for F, slots in factors:
+        apply_on_slots(M, F, slots)
+    return M
+
+
 def _exchange_holds(m12, m13, m23) -> bool:
-    """M12*M13*M23 == M23*M13*M12 for three 4x4 factors on [2, 2, 2]."""
-    dims = [2, 2, 2]
-    M12 = op_on_slots(m12, (0, 1), dims)
-    M13 = op_on_slots(m13, (0, 2), dims)
-    M23 = op_on_slots(m23, (1, 2), dims)
-    lhs = mat_mul(mat_mul(M12, M13), M23)
-    return mat_eq(lhs, mat_mul(mat_mul(M23, M13), M12))
+    """M12*M13*M23 == M23*M13*M12 for three 4x4 factors on three slots."""
+    f12, f13, f23 = (m12, (0, 1)), (m13, (0, 2)), (m23, (1, 2))
+    return mat_eq(_on_three(f12, f13, f23), _on_three(f23, f13, f12))
 
 
 def check_ybe(a=Fraction(1), b=Fraction(1), c=Fraction(1), perturb=False) -> CheckResult:
@@ -401,7 +406,6 @@ def check_hexagon(seed: int = 0, points: int = 3, perturb=False) -> CheckResult:
                 random_rational(rng),
             )
         )
-    dims = [2, 2, 2]
     all_ok = True
     rows = []
     for a, b, c in draws:
@@ -412,14 +416,8 @@ def check_hexagon(seed: int = 0, points: int = 3, perturb=False) -> CheckResult:
         if perturb:
             pr_ac_mid = [row[:] for row in pr_ac]
             pr_ac_mid[1][2] = 2 * pr_ac_mid[1][2]
-        F_ab_low = op_on_slots(pr_ab, (0, 1), dims)
-        F_ac_mid = op_on_slots(pr_ac_mid, (1, 2), dims)
-        F_bc_low = op_on_slots(pr_bc, (0, 1), dims)
-        F_ab_high = op_on_slots(pr_ab, (1, 2), dims)
-        F_ac_low = op_on_slots(pr_ac, (0, 1), dims)
-        F_bc_high = op_on_slots(pr_bc, (1, 2), dims)
-        lhs = mat_mul(mat_mul(F_bc_low, F_ac_mid), F_ab_low)
-        rhs = mat_mul(mat_mul(F_ab_high, F_ac_low), F_bc_high)
+        lhs = _on_three((pr_bc, (0, 1)), (pr_ac_mid, (1, 2)), (pr_ab, (0, 1)))
+        rhs = _on_three((pr_ab, (1, 2)), (pr_ac, (0, 1)), (pr_bc, (1, 2)))
         good = mat_eq(lhs, rhs)
         all_ok = all_ok and good
         rows.append({"a": str(a), "b": str(b), "c": str(c), "ok": good})

@@ -148,16 +148,11 @@ def e_neg(chamber: Chamber, j: int) -> MPoly:
 
     Base directions toward higher points contribute (v_i - v_j); the
     cotangent partners of directions toward lower points contribute
-    (v_j - v_i - h).
+    (v_j - v_i - h).  That is the stratum class through p_j restricted at
+    p_j, times (-1)^|above(j)|: the default polarization's sign.
     """
-    vs = weights(chamber.n)
-    h = MPoly.var("h")
-    out = MPoly.const(1)
-    for i in chamber.above(j):
-        out = out * (vs[i] - vs[j])
-    for i in chamber.below(j):
-        out = out * (vs[j] - vs[i] - h)
-    return out
+    sign = default_polarization(chamber)[j]
+    return sign * _stratum(chamber, j, weights(chamber.n)[j])
 
 
 def default_polarization(chamber: Chamber) -> tuple:

@@ -59,7 +59,7 @@ JSON_PINS = {
     "chain tq --spec l2.json --perturb": (1, "33b0d0e9e9cc016cdd1b5d439f39a8edd06d7ee586d28dd7d29fe730781861a1", ""),
     "chain bethe --spec l2.json --sector 1": (0, "78cc70e01ba86128c5bdb87d8aa53f901ed233c834c7b8259d4bb37d98188298", ""),
     "chain bethe --spec l2.json --sector 1 --perturb": (1, "cff9f9fb5694ac480017fefdbff5ac3c91355c83027d9703bcf46294d57223c0", ""),
-    "chain spectrum --spec generic8.json": (0, "41e9b94bbb6a81ce16a2daa443e98de650a09ad31e0dd7ecb9f70742dcb422eb", ""),
+    "chain spectrum --spec generic8.json": (0, "7375448fe17df03376b2d30c955f5d9e16de5b2c5594b3be2a86d314c3e5bc09", ""),
     "chain tq --spec generic7.json --seed 0": (0, "c20dd93929b3fd77e3ac63487cadaa2df7d750e423f4d045fbe11d165d9f945a", ""),
     "chain bethe --spec generic6.json --sector 2": (0, "7877ad25eaa88bb50b00c2fe6dc6adbbe0d97dc6e267c47f1789a40ed76f70fd", ""),
     "chain bethe --spec generic7.json --sector 7 --seed 1": (0, "f8be239a3a934ab42f7624c71e60fe5adc3db1cb2f4726e0f1c95e9e7c335303", ""),

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from qilab.field import (
     MPoly,
     RatFun,
+    apply_on_slots,
     identity,
     kron,
     mat_eq,
@@ -19,11 +20,10 @@ from qilab.field import (
     np_spin_identity,
     np_spin_trace_first,
     np_spin_transfer,
-    op_on_slots,
     rref,
     solve_unique,
 )
-from slot_oracles import np_apply_on_slots, np_op_on_slots
+from slot_oracles import np_apply_on_slots, np_op_on_slots, op_on_slots
 
 
 def _frac_mat(rows):
@@ -45,6 +45,78 @@ def test_op_on_slots_reorders_slots():
     S = _frac_mat([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
     oracle = mat_mul(mat_mul(S, M), S)
     assert mat_eq(got, oracle)
+
+
+_Z = MPoly.var("z")
+
+# the 10 entries of a 4x4 factor on two slots that move spin between them
+_SPIN_MOVING = [
+    (i, j) for i in range(4) for j in range(4) if i != j and {i, j} != {1, 2}
+]
+
+
+def _exact_value(rng, kind):
+    # 0 (an int, as in an identity start) or a small Fraction or MPoly
+    if rng.random() < 0.3:
+        return 0
+    c = Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 5)))
+    return c if kind == "fraction" else c * _Z + int(rng.integers(-2, 3))
+
+
+@st.composite
+def _exact_slot_problems(draw):
+    # 2..5 slots of size 2, two of them in either order (so reversed and
+    # non-adjacent pairs occur), a few rows of Fraction or MPoly entries and
+    # a conserving factor whose corners may each be 1
+    n = draw(st.integers(2, 5))
+    slots = tuple(draw(st.permutations(range(n)))[:2])
+    kind = draw(st.sampled_from(["fraction", "mpoly"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(1, 4))
+    M = [[_exact_value(rng, kind) for _ in range(1 << n)] for _ in range(rows)]
+    F = [[0] * 4 for _ in range(4)]
+    for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        F[i][j] = _exact_value(rng, kind)
+    for i in (0, 3):
+        F[i][i] = 1 if draw(st.booleans()) else _exact_value(rng, kind)
+    return M, F, slots, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exact_slot_problems())
+def test_apply_on_slots_equals_product_with_embedding(problem):
+    M, F, slots, n = problem
+    expected = mat_mul(M, op_on_slots(F, slots, [2] * n))
+    out = apply_on_slots(M, F, slots)
+    assert out is M
+    assert mat_eq(out, expected)
+
+
+def _rows_and_factor():
+    # rows on three slots with no zero entry, and a conserving factor
+    M = [[Fraction(3 * i - j, 1 + j) * _Z + i for j in range(8)] for i in range(8)]
+    F = _frac_mat([[2, 0, 0, 0], [0, 3, 5, 0], [0, 7, 11, 0], [0, 0, 0, 13]])
+    return M, F
+
+
+@pytest.mark.parametrize("entry", _SPIN_MOVING)
+def test_apply_on_slots_rejects_a_spin_moving_entry(entry):
+    # apply_on_slots raises before any entry of M changes
+    M, F = _rows_and_factor()
+    before = [row[:] for row in M]
+    F[entry[0]][entry[1]] = _Z
+    with pytest.raises(ValueError, match="spin-conserving"):
+        apply_on_slots(M, F, (2, 0))
+    assert M == before
+
+
+@pytest.mark.parametrize("slots", [(1, 1), (0, 3), (3, 1), (-1, 2)])
+def test_apply_on_slots_rejects_repeated_or_out_of_range_slots(slots):
+    M, F = _rows_and_factor()
+    before = [row[:] for row in M]
+    with pytest.raises(ValueError, match="two distinct slots"):
+        apply_on_slots(M, F, slots)
+    assert M == before
 
 
 def test_rref_rank_and_nullspace():
