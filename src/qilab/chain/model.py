@@ -235,7 +235,9 @@ def numeric_r(zeta: complex, q: complex) -> np.ndarray:
 class _Ring:
     """The factor stream both rings share; a ring supplies ``identity`` on n
     slots, ``apply_slots`` (a 4x4 factor on two slots, in place), the site
-    ``ratios`` a / b_l and the factor ``r``."""
+    ``ratios`` a / b_l and the factor ``r``.  The first two look their field
+    function up at call time, so perfbench's tracer, which rebinds module
+    names, sees the calls."""
 
     def __init__(self, spec: ChainSpec):
         self.spec = spec
@@ -273,8 +275,6 @@ class _Exact(_Ring):
     dense = staticmethod(lambda M: M)
     kron = staticmethod(kron)
     identity = staticmethod(lambda n: identity(1 << n))
-    # the kernels are looked up at call time, so perfbench's tracer, which
-    # rebinds module names, sees their calls
     apply_slots = staticmethod(lambda M, F, slots: apply_on_slots(M, F, slots))
 
     def __init__(self, spec: ChainSpec):
@@ -331,7 +331,7 @@ class _Numeric(_Ring):
     kron = staticmethod(np.kron)
     dense = staticmethod(np_spin_dense)
     trace_first = staticmethod(np_spin_trace_first)
-    identity = staticmethod(np_spin_identity)
+    identity = staticmethod(lambda n: np_spin_identity(n))
     apply_slots = staticmethod(lambda M, F, slots: np_spin_apply(M, F, slots))
 
     def a(self) -> complex:
