@@ -12,9 +12,12 @@ builder serves both rings: ``_Ring.lines`` streams the factors of one or
 two auxiliary lines into a matrix in place, site by site, through the
 ring's two-slot kernel, ``field.apply_on_slots`` on exact lists of rows or
 ``field.np_spin_apply`` on numeric popcount blocks.  No factor is embedded
-as a dense matrix and no line is kept between checks.  ``_Exact`` compares
-cleared polynomial matrices at symbolic z, w: every factor is scaled by its
-corner denominator and the twist by u, so both sides carry the same scalar.
+as a dense matrix and no line is kept between checks.  The factors come
+from ``rmatrix``: ``cleared_r`` at the spec's q, symbolic or pinned, for the
+exact ring and ``numeric_r`` (which lives there and is re-exported here) for
+the numeric one.  ``_Exact`` compares cleared polynomial matrices at
+symbolic z, w: every factor is scaled by its corner denominator and the
+twist by u, so both sides carry the same scalar.
 Against dense products of whole line monodromies cached per check,
 streaming the exact factors in place ran the exact-cleared benchmark's
 commute and multiplicativity cases 6-31% faster and its rtt cases 4-23%
@@ -64,12 +67,11 @@ from ..field import (
     np_spin_transfer,
 )
 from ..verdict import CheckResult
-from ..rmatrix import cleared_r
+from ..rmatrix import cleared_r, numeric_r
 
 __all__ = [
     "ChainSpec",
     "parse_complex",
-    "numeric_r",
     "transfer_cleared",
     "transfer_numeric",
     "transfer_sectors",
@@ -213,25 +215,6 @@ class ChainSpec:
         return tuple(a / self.site_complex(l) for l in range(self.L))
 
 
-def numeric_r(zeta: complex, q: complex) -> np.ndarray:
-    """Numeric fundamental solution at argument zeta."""
-    den = zeta - q**-2
-    if abs(den) < 1e-12:
-        raise ZeroDivisionError("spectral argument numerically on the pole")
-    b = (zeta - 1) / (q * den)
-    c2 = (1 - q**-2) / den
-    c1 = zeta * (1 - q**-2) / den
-    return np.array(
-        [
-            [1, 0, 0, 0],
-            [0, b, c2, 0],
-            [0, c1, b, 0],
-            [0, 0, 0, 1],
-        ],
-        dtype=complex,
-    )
-
-
 class _Ring:
     """The factor stream both rings share; a ring supplies ``identity`` on n
     slots, ``apply_slots`` (a 4x4 factor on two slots, in place), the site
@@ -279,7 +262,9 @@ class _Exact(_Ring):
 
     def __init__(self, spec: ChainSpec):
         super().__init__(spec)
-        self._q = {} if spec.q_is_symbolic() else {"q": MPoly.const(spec.q_fraction())}
+        self._q = (
+            MPoly.var("q") if spec.q_is_symbolic() else MPoly.const(spec.q_fraction())
+        )
 
     def a(self) -> Fraction:
         return self.spec.a_fraction()
@@ -288,10 +273,7 @@ class _Exact(_Ring):
         return self.spec.ratios(a)
 
     def r(self, zeta):
-        r4 = cleared_r(zeta, 1)
-        if not self._q:
-            return r4
-        return [[e.substitute(self._q) for e in row] for row in r4]
+        return cleared_r(zeta, 1, self._q)
 
     def twist(self):
         """diag(u, 1/u) cleared by u: diag(u^2, 1), or diag(p^2, r^2) for u = p/r."""

@@ -343,19 +343,12 @@ def _cmd_chain_spectrum(args):
     return inputs, [cr]
 
 
-def _cmd_chain_tq(args):
+def _cmd_chain_sector(args):
+    """``chain tq`` and ``bethe``: one spectral check, optionally per sector."""
+    check = {"tq": check_tq, "bethe": check_bethe}[args.cmd]
     spec = _chain_spec(args.spec)
-    cr = check_tq(
-        spec, seed=args.seed, perturb=args.perturb, sector=args.sector, **_tol_kw(args)
-    )
-    inputs = {**_chain_inputs(args, spec), "sector": args.sector}
-    return {**inputs, "perturb": args.perturb}, [cr]
-
-
-def _cmd_chain_bethe(args):
-    spec = _chain_spec(args.spec)
-    cr = check_bethe(
-        spec, args.sector, seed=args.seed, perturb=args.perturb, **_tol_kw(args)
+    cr = check(
+        spec, sector=args.sector, seed=args.seed, perturb=args.perturb, **_tol_kw(args)
     )
     inputs = {**_chain_inputs(args, spec), "sector": args.sector}
     return {**inputs, "perturb": args.perturb}, [cr]
@@ -578,9 +571,9 @@ _COMMANDS = (
     ("chain", "spectrum", "joint eigenvalue branches",
      _CHAIN + (_sector(False), _JSON), _cmd_chain_spectrum),
     ("chain", "tq", "shift identity with a polynomial on every branch",
-     _CHAIN + (_sector(False), _JSON, _PERTURB), _cmd_chain_tq),
+     _CHAIN + (_sector(False), _JSON, _PERTURB), _cmd_chain_sector),
     ("chain", "bethe", "root systems against direct nonlinear solving",
-     _CHAIN + (_sector(True), _JSON, _PERTURB), _cmd_chain_bethe),
+     _CHAIN + (_sector(True), _JSON, _PERTURB), _cmd_chain_sector),
     ("cluster", "mutate", "mutate the initial seed at vertices",
      (_QUIVER,
       _flag("--at", type=int, action="append", required=True,

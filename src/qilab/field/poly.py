@@ -282,12 +282,6 @@ class MPoly:
             raise ValueError(f"not a constant: {self}")
         return self._content
 
-    def degree(self) -> int:
-        """Total degree; the zero polynomial reports -1."""
-        if not self._ints:
-            return -1
-        return max(sum(_decode(k, len(self.vars))) for k in self._ints)
-
     def degree_in(self, name: str) -> int:
         name = normalize_var(name)
         if name not in self.vars:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .poly import MPoly, normalize_var, poly_gcd
+from .poly import MPoly, poly_gcd
 
 __all__ = ["RatFun", "ParseError"]
 
@@ -68,10 +68,6 @@ class RatFun:
     @classmethod
     def zero(cls) -> "RatFun":
         return cls(0)
-
-    @classmethod
-    def one(cls) -> "RatFun":
-        return cls(1)
 
     @classmethod
     def const(cls, x) -> "RatFun":
@@ -184,31 +180,7 @@ class RatFun:
             return self.inverse() ** (-n)
         return RatFun(self.num**n, self.den**n)
 
-    # evaluation and substitution
-
-    def substitute(self, mapping: dict) -> "RatFun":
-        """Substitute variables by RatFun, MPoly, or scalar values."""
-        full = {}
-        any_rational = False
-        for k, v in mapping.items():
-            if isinstance(v, RatFun):
-                full[normalize_var(k)] = v
-                if not v.is_poly():
-                    any_rational = True
-            else:
-                p = _as_poly(v)
-                if p is None:
-                    raise TypeError(f"cannot substitute value of type {type(v)}")
-                full[normalize_var(k)] = RatFun(p)
-        if not any_rational:
-            pm = {k: v.num for k, v in full.items()}
-            return RatFun(self.num.substitute(pm), self.den.substitute(pm))
-
-        def lifted(p: MPoly) -> RatFun:
-            values = {v: full.get(v, RatFun.var(v)) for v in p.vars}
-            return p.evaluate(values, RatFun.const, RatFun.zero())
-
-        return lifted(self.num) / lifted(self.den)
+    # evaluation
 
     def eval_complex(self, mapping: dict) -> complex:
         d = self.den.eval_complex(mapping)

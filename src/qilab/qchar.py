@@ -11,8 +11,7 @@ transfer-matrix eigenvalues.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .field import RatFun
 from .verdict import CheckResult
@@ -103,24 +102,6 @@ class YLaurent:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def labels(self):
-        out = set()
-        for mono in self.terms:
-            for i, lab, _ in mono:
-                out.add((i, lab))
-        return out
-
-    def to_json(self) -> str:
-        items = []
-        for mono, c in sorted(self.terms.items(), key=lambda kv: str(kv[0])):
-            items.append(
-                {
-                    "monomial": [["Y", i, str(lab), e] for i, lab, e in mono],
-                    "coeff": c,
-                }
-            )
-        return json.dumps(items, sort_keys=True)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -147,7 +128,6 @@ class SubstitutionSpec:
     q_poly: dict
     prefactor: dict
     qval: complex
-    params: dict = field(default_factory=dict)
 
     def degree(self, i: int) -> int:
         return len(self.q_poly[i]) - 1
@@ -168,8 +148,7 @@ def baxter_substitute(chi: YLaurent, sub: SubstitutionSpec, z: complex) -> compl
     evaluation.  Labels without prefactor data are an error.
     """
     qc = sub.qval
-    point = dict(sub.params)
-    point["q"] = qc
+    point = {"q": qc}
     total = 0j
     for mono, coeff in chi.terms.items():
         val = complex(coeff)

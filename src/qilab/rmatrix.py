@@ -12,6 +12,13 @@ e2(x)e2.  The normalized solution with corner entry 1 is
     c2 = (1 - q^-2)/(zeta - q^-2)
     c1 = zeta (1 - q^-2)/(zeta - q^-2)
 
+It is written once, in three forms: ``trig_r`` over rational functions,
+``numeric_r`` in complex128 (the chain's numeric factor) and ``cleared_r``,
+the polynomial matrix (q^2 zeta - 1) R(zeta) at symbolic or pinned q.  The
+first two run the one weight formula ``_weights``, all three return the one
+layout ``_layout``, and ``rmat normalize`` ties the cleared form to the
+normalized one.
+
 Identity checks run on cleared polynomial matrices: every factor is scaled
 by its corner denominator so both sides of an identity carry the same
 scalar and the comparison is pure polynomial equality, with no gcd work.
@@ -42,6 +49,7 @@ from .verdict import CheckResult
 __all__ = [
     "perm_p",
     "trig_r",
+    "numeric_r",
     "cleared_r",
     "normalize",
     "check_ybe",
@@ -73,19 +81,8 @@ def perm_p():
     ]
 
 
-def trig_r(zeta) -> list:
-    """Normalized solution at spectral argument ``zeta`` (a RatFun)."""
-    if not isinstance(zeta, RatFun):
-        zeta = RatFun(zeta)
-    q = RatFun.var("q")
-    den = zeta - q ** -2
-    if den.is_zero():
-        raise ZeroDivisionError("spectral argument sits on the pole")
-    b = q ** -1 * (zeta - 1) / den
-    c2 = (1 - q ** -2) / den
-    c1 = zeta * (1 - q ** -2) / den
-    one = RatFun(1)
-    zero = RatFun(0)
+def _layout(one, b, c2, c1, zero) -> list:
+    """The 4x4 arrangement every form of the solution shares."""
     return [
         [one, zero, zero, zero],
         [zero, b, c2, zero],
@@ -94,24 +91,50 @@ def trig_r(zeta) -> list:
     ]
 
 
-def cleared_r(zn, zd=1):
-    """Polynomial matrix ``(q^2 zn - zd) * R(zn/zd)`` for zeta = zn/zd."""
+def _weights(zeta, q, on_pole, message):
+    """Normalized weights (b, c2, c1) at argument zeta, in any field that
+    holds zeta and q (RatFun or complex); ``on_pole(den)`` is the form's own
+    pole guard."""
+    den = zeta - q**-2
+    if on_pole(den):
+        raise ZeroDivisionError(message)
+    b = (zeta - 1) / (q * den)
+    c2 = (1 - q**-2) / den
+    c1 = zeta * (1 - q**-2) / den
+    return b, c2, c1
+
+
+def trig_r(zeta) -> list:
+    """Normalized solution at spectral argument ``zeta`` (a RatFun)."""
+    if not isinstance(zeta, RatFun):
+        zeta = RatFun(zeta)
+    w = _weights(
+        zeta, RatFun.var("q"), RatFun.is_zero, "spectral argument sits on the pole"
+    )
+    return _layout(RatFun(1), *w, RatFun(0))
+
+
+def numeric_r(zeta: complex, q: complex) -> np.ndarray:
+    """Numeric fundamental solution at argument zeta."""
+    w = _weights(
+        zeta,
+        q,
+        lambda den: abs(den) < 1e-12,
+        "spectral argument numerically on the pole",
+    )
+    return np.array(_layout(1, *w, 0), dtype=complex)
+
+
+def cleared_r(zn, zd=1, q=_Q):
+    """Polynomial matrix ``(q^2 zn - zd) * R(zn/zd)`` for zeta = zn/zd, q
+    symbolic unless given."""
     if not isinstance(zn, MPoly):
         zn = MPoly.const(zn)
     if not isinstance(zd, MPoly):
         zd = MPoly.const(zd)
-    q2 = _Q * _Q
+    q2 = q * q
     corner = q2 * zn - zd
-    b = _Q * (zn - zd)
-    c2 = (q2 - 1) * zd
-    c1 = (q2 - 1) * zn
-    zero = MPoly.zero()
-    return [
-        [corner, zero, zero, zero],
-        [zero, b, c2, zero],
-        [zero, c1, b, zero],
-        [zero, zero, zero, corner],
-    ]
+    return _layout(corner, q * (zn - zd), (q2 - 1) * zd, (q2 - 1) * zn, MPoly.zero())
 
 
 def normalize(M):
@@ -231,10 +254,7 @@ def yang_limit(cutoff: int = 6):
 def _additive_cleared(s):
     """The cleared degenerate factor s*I + h*P."""
     h = MPoly.var("h")
-    P = perm_p()
-    return [
-        [s * (1 if i == j else 0) + h * P[i][j] for j in range(4)] for i in range(4)
-    ]
+    return _layout(s + h, s, h, h, MPoly.zero())
 
 
 def check_yang(cutoff: int = 6, perturb=False) -> CheckResult:
@@ -358,6 +378,7 @@ def check_inverse(seed: int = 0, points: int = 3, perturb=False) -> CheckResult:
     target = [[sigma * e for e in row] for row in identity(4)]
     symbolic_ok = mat_eq(prod, target)
     rng = np.random.default_rng(seed)
+    R = trig_r(RatFun.var("z"))
     sampled = []
     numeric_ok = True
     for _ in range(points):
@@ -366,18 +387,15 @@ def check_inverse(seed: int = 0, points: int = 3, perturb=False) -> CheckResult:
             z0 = random_rational(rng)
             if z0 not in (q0 * q0, Fraction(1) / (q0 * q0)) and z0 != 0:
                 break
-        Rz = [[x.eval_fraction({"q": q0, "z": z0}) for x in row] for row in trig_r(RatFun.var("z"))]
-        Rinv = [
-            [x.eval_fraction({"q": q0, "z": 1 / z0}) for x in row]
-            for row in trig_r(RatFun.var("z"))
-        ]
+        Rz = [[x.eval_fraction({"q": q0, "z": z0}) for x in row] for row in R]
+        Rinv = [[x.eval_fraction({"q": q0, "z": 1 / z0}) for x in row] for row in R]
         fac = mat_mul(mat_mul(P, Rinv), P)
         if perturb:
             fac = mat_scale(fac, 2)
         good = mat_eq(mat_mul(Rz, fac), identity(4))
         numeric_ok = numeric_ok and good
         sampled.append({"q": str(q0), "z": str(z0), "ok": good})
-    _, f = normalize(trig_r(RatFun.var("z")))
+    _, f = normalize(R)
     unit_ok = f == 1
     ok = symbolic_ok and numeric_ok and unit_ok
     return CheckResult(
@@ -428,6 +446,17 @@ def check_hexagon(seed: int = 0, points: int = 3, perturb=False) -> CheckResult:
     )
 
 
+def _blocks():
+    """E, the identity, q*K and q*K^-1 on one two-dimensional space, K =
+    diag(q, q^-1)."""
+    q2 = _Q * _Q
+    zero = MPoly.zero()
+    one = MPoly.const(1)
+    E = [[zero, one], [zero, zero]]
+    I2 = [[one, zero], [zero, one]]
+    return E, I2, [[q2, zero], [zero, one]], [[one, zero], [zero, q2]]
+
+
 def coproduct_action():
     """Cleared tensor-square actions of the three generators.
 
@@ -441,11 +470,8 @@ def coproduct_action():
     q2 = q * q
     zero = MPoly.zero()
     one = MPoly.const(1)
-    E = [[zero, one], [zero, zero]]
+    E, I2, qK, qKinv = _blocks()
     F = [[zero, zero], [one, zero]]
-    I2 = [[one, zero], [zero, one]]
-    qK = [[q2, zero], [zero, one]]
-    qKinv = [[one, zero], [zero, q2]]
     dE = mat_add(kron(E, qKinv), mat_scale(kron(I2, E), q))
     dF = mat_add(mat_scale(kron(F, I2), q), kron(qK, F))
     dK = [[zero] * 4 for _ in range(4)]
@@ -464,21 +490,14 @@ def check_intertwiner(perturb=False) -> CheckResult:
     Also records that the natural rival conventions fail, which is what
     pins the convention down empirically.
     """
-    q = _Q
-    q2 = q * q
     P = perm_p()
     PC = mat_mul(P, cleared_r(_Z, 1))
     target = [[MPoly.const(x) for x in row] for row in P] if perturb else PC
     acts = coproduct_action()
     good = {name: _commutes(target, X) for name, X in acts.items()}
-    zero = MPoly.zero()
-    one = MPoly.const(1)
-    E = [[zero, one], [zero, zero]]
-    I2 = [[one, zero], [zero, one]]
-    qK = [[q2, zero], [zero, one]]
-    qKinv = [[one, zero], [zero, q2]]
-    rival_a = mat_add(kron(E, qK), mat_scale(kron(I2, E), q))
-    rival_b = mat_add(mat_scale(kron(E, I2), q), kron(qKinv, E))
+    E, I2, qK, qKinv = _blocks()
+    rival_a = mat_add(kron(E, qK), mat_scale(kron(I2, E), _Q))
+    rival_b = mat_add(mat_scale(kron(E, I2), _Q), kron(qKinv, E))
     rivals_fail = (not _commutes(PC, rival_a)) and (not _commutes(PC, rival_b))
     # the flip alone is not an intertwiner for the E action
     p_mat = [[MPoly.const(x) for x in row] for row in P]

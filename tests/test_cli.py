@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -66,6 +67,25 @@ def test_limit_wrong_result_fails(capsys, monkeypatch, shift):
     code, out, _ = run(argv, capsys)
     assert code == 1
     assert report_of(out)["verdicts"][0]["status"] == "fail"
+
+
+def test_weight_defect_fails_normalize_and_numeric_rtt(capsys, monkeypatch, specs):
+    # trig_r and numeric_r share one weight formula, so a wrong c1 fails the
+    # exact normalize check and the numeric exchange relation
+    from qilab import rmatrix
+
+    rtt = ["chain", "rtt", "--spec", str(specs / "l2.json"), "--mode", "numeric"]
+    assert run(["rmat", "normalize"], capsys)[0] == 0
+    assert run(rtt, capsys)[0] == 0
+    true_weights = rmatrix._weights
+
+    def wrong_c1(zeta, *rest):
+        b, c2, c1 = true_weights(zeta, *rest)
+        return b, c2, c1 * (1 + Fraction(3, 10) * zeta)
+
+    monkeypatch.setattr(rmatrix, "_weights", wrong_c1)
+    assert run(["rmat", "normalize"], capsys)[0] == 1
+    assert run(rtt, capsys)[0] == 1
 
 
 def test_limit_exponent_past_the_slot_limit_exits_2(capsys):

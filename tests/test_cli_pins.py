@@ -5,6 +5,7 @@ surface of every subcommand, and one parser per process."""
 import argparse
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -465,6 +466,23 @@ def test_chain_identity_edge_inputs_are_pinned(inputs, capsys):
 
 def test_every_subcommand_parser_surface_is_pinned():
     assert parser_surface(cli._parser()) == PARSER_SURFACE
+
+
+def test_every_benchmark_argv_parses(tmp_path, monkeypatch):
+    # the benchmark runs these argvs in-process; a change to the command
+    # surface that would stop it (say, dropping ``rmat yang --cutoff``, which
+    # a warm-up passes) fails here first
+    here = os.path.dirname(os.path.abspath(__file__))
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(here), "perfbench"))
+    import cases
+
+    parser = cli._parser()
+    for workload in cases.WORKLOADS:
+        built, warmup = cases.build(workload, 0, cases.Inputs(str(tmp_path), workload))
+        argvs = [c.argv for c in built if c.argv] + warmup
+        assert len(argvs) > len(warmup)
+        for argv in argvs:
+            parser.parse_args(list(argv) + ["--json"])
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):

@@ -24,17 +24,6 @@ def test_fundamental_character_display():
     assert str(chi2) == "Y[1,q] + Y[1,q^3]^-1"
 
 
-def test_character_json_shape():
-    import json
-
-    chi = chi_fund_sl2(RatFun.parse("1"))
-    data = json.loads(chi.to_json())
-    assert data == [
-        {"coeff": 1, "monomial": [["Y", 1, "1/q", 1]]},
-        {"coeff": 1, "monomial": [["Y", 1, "q", -1]]},
-    ]
-
-
 def test_laurent_algebra():
     a = YLaurent.symbol(1, RatFun.parse("q"), 1)
     b = YLaurent.symbol(1, RatFun.parse("q"), -1)

