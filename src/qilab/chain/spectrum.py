@@ -18,6 +18,13 @@ SVD, with no sample point and no pole.  ``functional_residual`` checks each
 Q against the transfer matrix itself at fresh points, and the root-level
 residuals close the loop.  ``vacuum`` gives D, P and the vacuum ratio d in
 one loop.
+
+The root stages take a sector's branches as one stack of rows:
+``poly_roots`` (one stacked companion eigensolve and polish),
+``root_residuals`` and ``solve_roots_newton`` (one stacked linear solve per
+Newton step) each run once per sector.  Each row still stops on its own
+rules, so every branch reports its own roots, root residuals, Newton
+iteration count and smallest singular value.
 """
 
 from __future__ import annotations
@@ -275,7 +282,8 @@ def solved_branches(spectrum: Spectrum, sector: int | None):
 
 def poly_eval(coeffs, z: complex) -> complex:
     """Horner value at ``z`` of a coefficient sequence, constant first; an
-    array with coefficients along axis 0 gives the values of its columns."""
+    array with coefficients along axis 0 gives the values of its columns,
+    broadcast against ``z``."""
     out = 0j
     for c in reversed(coeffs):
         out = out * z + c
@@ -285,25 +293,34 @@ def poly_eval(coeffs, z: complex) -> complex:
 _POLISH_STEPS = 8  # Newton steps on each root of ``poly_roots``
 
 
-def poly_roots(coeffs) -> list:
-    """Roots of a monic coefficient tuple (constant first), each polished
-    by up to ``_POLISH_STEPS`` Newton steps on the polynomial."""
-    arr = np.array(list(coeffs)[::-1], dtype=complex)
-    dcoeffs = [k * coeffs[k] for k in range(1, len(coeffs))]
-    out = []
-    for w in np.roots(arr):
-        w = complex(w)
-        for _ in range(_POLISH_STEPS):
-            f = poly_eval(coeffs, w)
-            df = poly_eval(dcoeffs, w)
-            if abs(df) < 1e-14:
-                break
-            step = f / df
-            w = w - step
-            if abs(step) < 1e-14 * max(1.0, abs(w)):
-                break
-        out.append(w)
-    return out
+def poly_roots(Q) -> np.ndarray:
+    """Roots of each row of a (k, m+1) stack of coefficient rows (constant
+    first; one row is a stack of one), as a (k, m) array.
+
+    As in ``np.roots``, each companion matrix holds its row divided by the
+    leading coefficient, and one stacked ``eigvals`` solves all k.  Every
+    root is then polished by up to ``_POLISH_STEPS`` Newton steps on its
+    polynomial; a root stops when |Q'| falls below 1e-14 or when its step
+    falls below 1e-14 relative to max(1, |root|).
+    """
+    Q = np.atleast_2d(np.asarray(Q, dtype=complex))
+    k, m = Q.shape[0], Q.shape[1] - 1
+    companion = np.zeros((k, m, m), dtype=complex)
+    companion[:, :1] = -Q[:, None, m - 1 :: -1][..., :m] / Q[:, None, m:]
+    below = np.arange(1, m)
+    companion[:, below, below - 1] = 1
+    W = np.linalg.eigvals(companion)
+    Qs, dQs = Q.T[..., None], (Q[:, 1:] * np.arange(1, m + 1)).T[..., None]
+    live = np.ones(W.shape, dtype=bool)
+    for _ in range(_POLISH_STEPS):
+        f, df = poly_eval(Qs, W), poly_eval(dQs, W)
+        live &= np.abs(df) >= 1e-14
+        step = np.where(live, f / np.where(live, df, 1), 0)
+        W = W - step
+        live &= np.abs(step) >= 1e-14 * np.maximum(1.0, np.abs(W))
+        if not live.any():
+            break
+    return W
 
 
 def functional_residual(
@@ -345,121 +362,140 @@ def functional_residual(
     return {i: float(worst[i]) for i, _ in solved}
 
 
-def root_residuals(
-    spec: ChainSpec, m: int, roots, perturb: bool = False
-) -> list:
-    """Cleared two-term residual at each root; all must vanish."""
-    coeffs = _monic_from_roots(roots)
-    out = []
-    for w in roots:
-        term1, term2 = _root_terms(spec, m, coeffs, w)
-        if perturb:
-            term2 = 2 * term2
-        denom = max(1.0, abs(term1), abs(term2))
-        out.append(abs(term1 + term2) / denom)
-    return out
+def root_residuals(spec: ChainSpec, m: int, W, perturb: bool = False) -> np.ndarray:
+    """Cleared two-term residual at each root of a (k, m) stack of root
+    sets, as a (k, m) array; all must vanish."""
+    W = np.asarray(W, dtype=complex)
+    term1, term2 = _root_terms(spec, m, _monic_from_roots(W), W)
+    if perturb:
+        term2 = 2 * term2
+    denom = np.maximum(1.0, np.maximum(np.abs(term1), np.abs(term2)))
+    return np.abs(term1 + term2) / denom
 
 
-def _root_terms(spec: ChainSpec, m: int, coeffs, w: complex):
-    """The two cleared terms of the root system at ``w``; they cancel at a root."""
+def _root_terms(spec: ChainSpec, m: int, coeffs: np.ndarray, W: np.ndarray):
+    """The two cleared terms of the root system at each point of row r of W
+    for the polynomial of row r of ``coeffs``; they cancel at a root."""
     q = spec.q_complex()
     u = spec.twist_complex()
-    D, P, _ = vacuum(spec, w)
-    term1 = u * q**m * D * poly_eval(coeffs, w * q**-2)
-    term2 = (1 / u) * q ** (-m) * q ** (-spec.L) * P * poly_eval(coeffs, w * q**2)
+    D, P, _ = vacuum(spec, W)
+    Qs = coeffs.T[..., None]
+    term1 = u * q**m * D * poly_eval(Qs, W * q**-2)
+    term2 = (1 / u) * q ** (-m) * q ** (-spec.L) * P * poly_eval(Qs, W * q**2)
     return term1, term2
 
 
-def _monic_from_roots(roots) -> tuple:
-    coeffs = [1.0 + 0j]
-    for w in roots:
-        nxt = [0j] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            nxt[k + 1] += c
-            nxt[k] -= c * w
+def _monic_from_roots(W: np.ndarray) -> np.ndarray:
+    """Coefficients (constant first) of prod_j (z - W[r, j]), per row r."""
+    coeffs = np.ones((len(W), 1), dtype=complex)
+    for j in range(W.shape[1]):
+        nxt = np.zeros((len(W), j + 2), dtype=complex)
+        nxt[:, 1:] = coeffs
+        nxt[:, :-1] -= coeffs * W[:, j, None]
         coeffs = nxt
-    return tuple(coeffs)
+    return coeffs
 
 
 def _all_but_one(X: np.ndarray) -> np.ndarray:
-    """out[j, k] = product of X[j, l] over l != k, without division."""
-    ones = np.ones((len(X), 1), dtype=complex)
-    left = np.cumprod(np.hstack([ones, X[:, :-1]]), axis=1)
-    right = np.cumprod(np.hstack([ones, X[:, :0:-1]]), axis=1)[:, ::-1]
-    return left * right
+    """out[..., j, k] = product of X[..., j, l] over l != k, without division."""
+    ones = np.ones(X.shape[:-1] + (1,), dtype=complex)
+    left = np.cumprod(np.concatenate([ones, X[..., :-1]], axis=-1), axis=-1)
+    right = np.cumprod(np.concatenate([ones, X[..., :0:-1]], axis=-1), axis=-1)
+    return left * right[..., ::-1]
 
 
 @dataclass(frozen=True)
 class NewtonResult:
-    """Roots, the final max |F_j| relative to its terms (the scaling of
-    ``root_residuals``), the steps taken and the smallest singular value of
-    the Jacobian at the roots."""
+    """Per row of a Newton stack: the (k, m) roots, the final max |F_j|
+    relative to its terms (the scaling of ``root_residuals``), the steps
+    taken and the smallest singular value of the Jacobian at the roots."""
 
-    roots: list
-    residual: float
-    iterations: int
-    min_singular: float
+    roots: np.ndarray
+    residual: np.ndarray
+    iterations: np.ndarray
+    min_singular: np.ndarray
 
 
 def _root_system(spec: ChainSpec, m: int, ws: np.ndarray):
     """F, its closed-form Jacobian and the scale of each F_j for the product
-    form of the root system,
+    form of the root system, for every row of a (k, m) stack of root sets,
     F_j = u q^m D(w_j) prod_k (w_j q^-2 - w_k)
         + u^-1 q^(-m-L) P(w_j) prod_k (w_j q^2 - w_k);
     the scale is max(1, |first term|, |second term|), as in
-    ``root_residuals``."""
+    ``root_residuals``.  F and the scale are (k, m), J is (k, m, m)."""
     q = spec.q_complex()
     u = spec.twist_complex()
     rho = np.array(spec.site_ratios_complex())
     eye = np.eye(m, dtype=bool)
-    F = np.zeros(m, dtype=complex)
-    J = np.zeros((m, m), dtype=complex)
-    scale = np.ones(m)
+    F = np.zeros(ws.shape, dtype=complex)
+    J = np.zeros(ws.shape + (m,), dtype=complex)
+    scale = np.ones(ws.shape)
     for c, shift, corner in (
         (u * q**m, q**-2, q**-2),  # with D: zeta - q^-2
         ((1 / u) * q ** (-m - spec.L), q**2, 1.0),  # with P: zeta - 1
     ):
-        Y = ws[:, None] * rho - corner
-        V, dV = np.prod(Y, axis=1), _all_but_one(Y) @ rho
-        X = ws[:, None] * shift - ws[None, :]
-        Q, dQ = np.prod(X, axis=1), -_all_but_one(X)
-        dQ[eye] -= shift * dQ.sum(axis=1)
+        Y = ws[..., None] * rho - corner
+        V, dV = np.prod(Y, axis=-1), _all_but_one(Y) @ rho
+        X = ws[..., :, None] * shift - ws[..., None, :]
+        Q, dQ = np.prod(X, axis=-1), -_all_but_one(X)
+        dQ[..., eye] -= shift * dQ.sum(axis=-1)
         term = c * V * Q
         F += term
         scale = np.maximum(scale, np.abs(term))
-        J += c * V[:, None] * dQ
-        J[eye] += c * dV * Q
+        J += c * V[..., None] * dQ
+        J[..., eye] += c * dV * Q
     return F, J, scale
 
 
+def _singular(J: np.ndarray) -> bool:
+    """Whether LAPACK's LU solve refuses the square matrix J."""
+    try:
+        np.linalg.solve(J, np.zeros(len(J), dtype=complex))
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
 def solve_roots_newton(
-    spec: ChainSpec, m: int, start, max_iter: int = 200
+    spec: ChainSpec, m: int, starts, max_iter: int = 200
 ) -> NewtonResult:
     """Newton iteration on the product form of the root system, with its
-    closed-form Jacobian (``_root_system``), from a starting guess.
+    closed-form Jacobian (``_root_system``), from each row of a (k, m)
+    stack of starting guesses; each step is one stacked solve.
 
-    It stops on the step size: once a relative step falls below 1e-14, or
-    below 1e-8 without shrinking (the roundoff floor).  Stopping on |F|
-    instead leaves roots off by |F| over the smallest singular value.
+    Each row stops on its own step size: once its relative step falls
+    below 1e-14, or below 1e-8 without shrinking (the roundoff floor).
+    Stopping on |F| instead leaves roots off by |F| over the smallest
+    singular value.  A row whose Jacobian is singular stops alone.
     """
-    ws = np.array(list(start), dtype=complex)
-    prev = np.inf
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        F, J, _ = _root_system(spec, m, ws)
+    ws = np.array(starts, dtype=complex)
+    iterations = np.zeros(len(ws), dtype=int)
+    prev = np.full(len(ws), np.inf)
+    live = np.ones(len(ws), dtype=bool)
+    for it in range(1, max_iter + 1):
+        rows = np.flatnonzero(live)
+        if not len(rows):
+            break
+        iterations[rows] = it
+        F, J, _ = _root_system(spec, m, ws[rows])
         try:
-            step = np.linalg.solve(J, F)
+            step = np.linalg.solve(J, F[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            break
-        ws = ws - step
-        size = float(np.max(np.abs(step) / np.maximum(1.0, np.abs(ws))))
-        if size < 1e-14 or (size < 1e-8 and size >= prev):
-            break
-        prev = size
+            solvable = np.array([not _singular(j) for j in J])
+            live[rows[~solvable]] = False
+            rows, F, J = rows[solvable], F[solvable], J[solvable]
+            step = np.linalg.solve(J, F[..., None])[..., 0]
+        ws[rows] -= step
+        size = np.max(
+            np.abs(step) / np.maximum(1.0, np.abs(ws[rows])), axis=1, initial=0.0
+        )
+        stop = (size < 1e-14) | ((size < 1e-8) & (size >= prev[rows]))
+        live[rows[stop]] = False
+        prev[rows] = size
     F, J, scale = _root_system(spec, m, ws)
-    smin = float(np.linalg.svd(J, compute_uv=False)[-1]) if m else 0.0
-    final = float(np.max(np.abs(F) / scale, initial=0.0))
-    return NewtonResult([complex(w) for w in ws], final, iterations, smin)
+    smin = np.linalg.svd(J, compute_uv=False)[:, -1] if m else np.zeros(len(ws))
+    final = np.max(np.abs(F) / scale, axis=1, initial=0.0)
+    return NewtonResult(ws, final, iterations, smin)
 
 
 def _failed(name: str, spec: ChainSpec, error: SpectrumBreakdown, tol, perturb):
@@ -501,30 +537,32 @@ def check_tq(
     per_sector = Counter(b.sector for b in spectrum.branches)
     failures = []
     good = []
-    for i, _, coeffs in solved_branches(spectrum, sector):
+    stacks = {}  # sector -> its solved (index, Q) pairs
+    for i, branch, coeffs in solved_branches(spectrum, sector):
         if isinstance(coeffs, RuntimeError):
             failures.append({"branch": i, "error": str(coeffs)})
         else:
             good.append((i, coeffs))
+            stacks.setdefault(branch.sector, []).append((i, coeffs))
     fun = functional_residual(
         spectrum, good, points=20, seed=seed + 2, perturb=perturb
     )
     worst_fun = max(fun.values(), default=0.0)
     worst_root = 0.0
     solved = []
-    for i, coeffs in good:
-        m = spectrum.branches[i].sector
-        rr = root_residuals(spec, m, poly_roots(coeffs), perturb=perturb)
-        worst_root = max([worst_root, *rr])
-        solved.append(
+    for m, rows in stacks.items():
+        rr = root_residuals(spec, m, poly_roots([c for _, c in rows]), perturb=perturb)
+        worst_root = max(worst_root, float(np.max(rr, initial=0.0)))
+        solved += [
             {
                 "branch": i,
                 "sector": m,
                 "q_coeffs": [[c.real, c.imag] for c in coeffs],
                 "functional_residual": fun[i],
-                "root_residuals": rr,
+                "root_residuals": r,
             }
-        )
+            for (i, coeffs), r in zip(rows, rr.tolist())
+        ]
     ok = (
         total == expected
         and not failures
@@ -568,33 +606,43 @@ def check_bethe(
     except SpectrumBreakdown as e:
         return _failed("bethe", spec, e, tol, perturb)
     rng = np.random.default_rng(seed + 31)
-    reports = []
-    ok = True
-    for i, _, coeffs in solved_branches(spectrum, sector):
-        if isinstance(coeffs, RuntimeError):
-            reports.append({"branch": i, "error": str(coeffs)})
-            ok = False
-            continue
-        roots = poly_roots(coeffs)
+    results = [(i, coeffs) for i, _, coeffs in solved_branches(spectrum, sector)]
+    good = [(i, c) for i, c in results if not isinstance(c, RuntimeError)]
+    ok = len(good) == len(results)
+    entries = {}
+    if good:
+        roots = poly_roots([c for _, c in good])
         rr = root_residuals(spec, sector, roots, perturb=perturb)
-        entry = {
-            "branch": i,
-            "roots": [[w.real, w.imag] for w in roots],
-            "root_residuals": rr,
-        }
+        ok = ok and not np.any(rr > tol)
+        for (i, _), ws, r in zip(good, roots.tolist(), rr.tolist()):
+            entries[i] = {
+                "branch": i,
+                "roots": [[w.real, w.imag] for w in ws],
+                "root_residuals": r,
+            }
         if sector >= 1:
-            start = [w * (1 + 0.01 * (rng.random() - 0.5)) for w in roots]
-            newton = solve_roots_newton(spec, sector, start)
+            # one start draw per root, in branch order
+            starts = roots * (1 + 0.01 * (rng.random(roots.shape) - 0.5))
+            newton = solve_roots_newton(spec, sector, starts)
             match = _roots_match(roots, newton.roots)
-            entry["newton_final_residual"] = newton.residual
-            entry["newton_iterations"] = newton.iterations
-            entry["newton_min_singular_value"] = newton.min_singular
-            entry["newton_matches"] = match
-            if not match or newton.residual > tol:
-                ok = False
-        if rr and max(rr) > tol:
-            ok = False
-        reports.append(entry)
+            ok = ok and bool(np.all(match)) and not np.any(newton.residual > tol)
+            for (i, _), res, its, smin, hit in zip(
+                good,
+                newton.residual.tolist(),
+                newton.iterations.tolist(),
+                newton.min_singular.tolist(),
+                match.tolist(),
+            ):
+                entries[i].update(
+                    newton_final_residual=res,
+                    newton_iterations=its,
+                    newton_min_singular_value=smin,
+                    newton_matches=hit,
+                )
+    reports = [
+        entries[i] if i in entries else {"branch": i, "error": str(c)}
+        for i, c in results
+    ]
     return CheckResult(
         name="bethe",
         ok=ok,
@@ -608,17 +656,15 @@ def check_bethe(
     )
 
 
-def _roots_match(a, b, tol: float = 1e-6) -> bool:
-    if len(a) != len(b):
-        return False
-    left = list(b)
-    for w in a:
-        best = None
-        for j, v in enumerate(left):
-            d = abs(w - v)
-            if best is None or d < best[0]:
-                best = (d, j)
-        if best is None or best[0] > tol * max(1.0, abs(w)):
-            return False
-        left.pop(best[1])
-    return True
+def _roots_match(A: np.ndarray, B: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+    """Per row of two (k, m) root stacks: whether each root of A, in order,
+    has an unused root of B within tol * max(1, |root|), taking the nearest
+    (the first of equals) each time."""
+    dist = np.abs(A[:, :, None] - B[:, None, :])
+    rows = np.arange(len(A))
+    ok = np.ones(len(A), dtype=bool)
+    for j in range(A.shape[1]):
+        best = np.argmin(dist[:, j], axis=1)
+        ok &= ~(dist[rows, j, best] > tol * np.maximum(1.0, np.abs(A[:, j])))
+        dist[rows, :, best] = np.inf
+    return ok

@@ -56,14 +56,14 @@ JSON_PINS = {
     "chain commute --spec q35-5.json --mode exact": (0, "648a020aeb9eb2547cabe74214ebe713506ef6074145c5b00b6d0001c8d0162a", ""),
     "chain spectrum --spec l1.json --sector 0": (0, "8bf31a46fd1aaa0de0d327b8ba104613a9b05f193b1bb2a00dec3ba6cd4b28da", ""),
     "chain spectrum --spec l2.json": (0, "279adf672810e47578039714b7b63dfa012ebb205b9a40f54f256bf162dd84b8", ""),
-    "chain tq --spec l2.json --seed 3": (0, "3909a3ba15f2949e572bdb8dca312542f56c89e00ab5624bb7411d04f19f9361", ""),
-    "chain tq --spec l2.json --perturb": (1, "33b0d0e9e9cc016cdd1b5d439f39a8edd06d7ee586d28dd7d29fe730781861a1", ""),
-    "chain bethe --spec l2.json --sector 1": (0, "78cc70e01ba86128c5bdb87d8aa53f901ed233c834c7b8259d4bb37d98188298", ""),
-    "chain bethe --spec l2.json --sector 1 --perturb": (1, "cff9f9fb5694ac480017fefdbff5ac3c91355c83027d9703bcf46294d57223c0", ""),
+    "chain tq --spec l2.json --seed 3": (0, "44b6955e746b7f83aa3104a8bdaf559e6964e7eadec5287a9e4dc1d76cf82f19", ""),
+    "chain tq --spec l2.json --perturb": (1, "de34e1fe181b1130fcdf3804d433d9693e711a84a58d4503e748690b8e4b2b80", ""),
+    "chain bethe --spec l2.json --sector 1": (0, "1ce9c5ae7544bec1eadeaebd7af233a39ccb47ac9940088f8c70d60d00a6b60a", ""),
+    "chain bethe --spec l2.json --sector 1 --perturb": (1, "d4897e6f1ab5b4012d49333aa76dc03ea08366384795d486563467b07b275c36", ""),
     "chain spectrum --spec generic8.json": (0, "7375448fe17df03376b2d30c955f5d9e16de5b2c5594b3be2a86d314c3e5bc09", ""),
-    "chain tq --spec generic7.json --seed 0": (0, "c20dd93929b3fd77e3ac63487cadaa2df7d750e423f4d045fbe11d165d9f945a", ""),
-    "chain bethe --spec generic6.json --sector 2": (0, "7877ad25eaa88bb50b00c2fe6dc6adbbe0d97dc6e267c47f1789a40ed76f70fd", ""),
-    "chain bethe --spec generic7.json --sector 7 --seed 1": (0, "f8be239a3a934ab42f7624c71e60fe5adc3db1cb2f4726e0f1c95e9e7c335303", ""),
+    "chain tq --spec generic7.json --seed 0": (0, "329c358ee898c6808b62476a636dcd838ea4d716ef17f554568ed2b149085e42", ""),
+    "chain bethe --spec generic6.json --sector 2": (0, "eded267b6011b1a13ef148ae5abbdd991912b552a0adae7fab3d8b78d6e95139", ""),
+    "chain bethe --spec generic7.json --sector 7 --seed 1": (0, "2308eb267053549e379d551342077355224017f0ba27a0873acdd0207e755b04", ""),
     "chain bethe --spec l2.json --sector 9": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: sector must lie between 0 and L"),
     "chain tq --spec l2.json --sector 9": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: sector must lie between 0 and L"),
     "chain spectrum --spec l2.json --sector 9": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: sector must lie between 0 and L"),

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -163,9 +164,9 @@ def test_newton_residual_is_relative_and_still_catches_shifted_roots(monkeypatch
     assert cr.details["branches"][0]["newton_final_residual"] < 1e-12
     real = spectrum_module.solve_roots_newton
 
-    def shifted(spec, m, start, max_iter=200):
-        roots = real(spec, m, start, max_iter).roots
-        return real(spec, m, [w * (1 + 1e-6) for w in roots], max_iter=0)
+    def shifted(spec, m, starts, max_iter=200):
+        roots = real(spec, m, starts, max_iter).roots
+        return real(spec, m, roots * (1 + 1e-6), max_iter=0)
 
     monkeypatch.setattr(spectrum_module, "solve_roots_newton", shifted)
     cr = check_bethe(spec, 7, seed=1)
@@ -198,6 +199,114 @@ def test_newton_basin_from_perturbed_start():
     newton = solve_roots_newton(L2, 1, start)
     assert newton.residual < 1e-10
     assert min(abs(newton.roots[0] - w) for w in roots) < 1e-8
+
+
+def _sector_stack(L, m):
+    """(spec, the (k, m+1) stack of every Q of sector m) at the generic point."""
+    spec = _generic(L)
+    sp = compute_spectrum(spec)
+    return spec, np.array([coeffs for _, _, coeffs in solved_branches(sp, m)])
+
+
+def _scalar_roots(coeffs):
+    """``np.roots`` and the Newton polish one root at a time: the loop that
+    the stacked ``poly_roots`` replaced, kept as its reference."""
+    dcoeffs = [k * coeffs[k] for k in range(1, len(coeffs))]
+    out = []
+    for w in np.roots(np.array(coeffs[::-1], dtype=complex)):
+        w = complex(w)
+        for _ in range(spectrum_module._POLISH_STEPS):
+            f = spectrum_module.poly_eval(coeffs, w)
+            df = spectrum_module.poly_eval(dcoeffs, w)
+            if abs(df) < 1e-14:
+                break
+            step = f / df
+            w = w - step
+            if abs(step) < 1e-14 * max(1.0, abs(w)):
+                break
+        out.append(w)
+    return out
+
+
+@pytest.mark.parametrize("L, m", [(6, 3), (7, 2), (7, 7)])
+def test_a_stacked_row_equals_the_row_run_alone(L, m):
+    # numpy's elementwise arithmetic and LAPACK's per-matrix calls do not
+    # depend on how many rows share the stack, so neither do the results
+    spec, Q = _sector_stack(L, m)
+    roots = poly_roots(Q)
+    rr = root_residuals(spec, m, roots)
+    starts = roots * (1 + 0.01 * (np.random.default_rng(4).random(roots.shape) - 0.5))
+    newton = solve_roots_newton(spec, m, starts)
+    for r in range(len(Q)):
+        one = slice(r, r + 1)
+        assert np.array_equal(poly_roots(Q[one]), roots[one])
+        assert np.array_equal(root_residuals(spec, m, roots[one]), rr[one])
+        alone = solve_roots_newton(spec, m, starts[one])
+        for field in ("roots", "residual", "iterations", "min_singular"):
+            assert np.array_equal(getattr(alone, field), getattr(newton, field)[one])
+
+
+@pytest.mark.parametrize("L, m", [(6, 2), (6, 3), (8, 4), (9, 1)])
+def test_poly_roots_matches_np_roots_and_the_polish_row_by_row(L, m):
+    _, Q = _sector_stack(L, m)
+    roots = poly_roots(Q)
+    assert roots.shape == (len(Q), m)
+    for row, coeffs in zip(roots, Q):
+        ref = np.array(_scalar_roots(tuple(coeffs)))
+        assert np.all(np.abs(row - ref) <= 1e-12 * np.abs(ref))
+
+
+def test_the_root_stages_take_empty_and_full_root_sets():
+    sp = compute_spectrum(L2)
+    for m in (0, L2.L):
+        Q = np.array([coeffs for _, _, coeffs in solved_branches(sp, m)])
+        roots = poly_roots(Q)
+        assert roots.shape == (1, m)
+        assert np.max(root_residuals(L2, m, roots), initial=0.0) < 1e-12
+        newton = solve_roots_newton(L2, m, roots * 1.001)
+        assert newton.roots.shape == (1, m)
+        assert newton.residual[0] < 1e-12
+        assert check_bethe(L2, m).ok
+    assert check_bethe(L2, 0).details["branches"][0]["roots"] == []
+    # and a stack of no rows at all
+    assert poly_roots(np.zeros((0, 3))).shape == (0, 2)
+    assert root_residuals(L2, 2, np.zeros((0, 2))).shape == (0, 2)
+    assert solve_roots_newton(L2, 2, np.zeros((0, 2))).iterations.shape == (0,)
+
+
+def test_a_singular_jacobian_stops_only_its_own_row():
+    spec, Q = _sector_stack(6, 2)
+    roots = poly_roots(Q[:4])
+    starts = roots * 1.005
+    # at an all-zero start every product in the Jacobian has a zero factor
+    stack = np.insert(starts, 2, 0, axis=0)
+    assert not np.any(spectrum_module._root_system(spec, 2, stack[2:3])[1])
+    newton = solve_roots_newton(spec, 2, stack)
+    assert newton.iterations[2] == 1
+    assert np.array_equal(newton.roots[2], [0, 0])
+    kept = [0, 1, 3, 4]
+    alone = solve_roots_newton(spec, 2, starts)
+    assert np.array_equal(newton.roots[kept], alone.roots)
+    assert np.array_equal(newton.iterations[kept], alone.iterations)
+    assert np.all(newton.residual[kept] < 1e-12)
+    assert np.all(spectrum_module._roots_match(roots, newton.roots[kept]))
+
+
+def test_the_root_stages_run_once_per_sector(monkeypatch):
+    calls = Counter()
+    for name in ("poly_roots", "root_residuals", "solve_roots_newton"):
+
+        def counted(*args, _real=getattr(spectrum_module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum_module, name, counted)
+    spec = _generic(6)
+    assert check_tq(spec).ok
+    assert calls == {"poly_roots": 7, "root_residuals": 7}
+    calls.clear()
+    assert check_bethe(spec, 3).ok
+    assert calls == {"poly_roots": 1, "root_residuals": 1, "solve_roots_newton": 1}
 
 
 def test_seed_invariance_of_branches():
@@ -303,16 +412,16 @@ def test_root_system_jacobian_is_the_derivative():
     spec = ChainSpec.from_json(
         {"L": 4, **GENERIC, "a": "3/2", "sites": ["1", "2", "1/3", "0.9+0.1*i"]}
     )
-    ws = np.array([0.7 + 0.2j, -0.4 + 0.9j, 1.3 - 0.5j])
+    ws = np.array([[0.7 + 0.2j, -0.4 + 0.9j, 1.3 - 0.5j]])  # a stack of one
     F, J, _ = spectrum_module._root_system(spec, 3, ws)
     h = 1e-6
     for k in range(3):
         step = np.zeros(3)
         step[k] = h
         up, down = (spectrum_module._root_system(spec, 3, ws + d)[0] for d in (step, -step))
-        assert np.allclose(J[:, k], (up - down) / (2 * h), rtol=1e-7, atol=1e-9)
+        assert np.allclose(J[0, :, k], (up[0] - down[0]) / (2 * h), rtol=1e-7, atol=1e-9)
     coeffs = spectrum_module._monic_from_roots(ws)
-    terms = [sum(spectrum_module._root_terms(spec, 3, coeffs, w)) for w in ws]
+    terms = sum(spectrum_module._root_terms(spec, 3, coeffs, ws))
     assert np.allclose(F, terms)
 
 
