@@ -13,14 +13,17 @@ Baxter's relation Lambda(z) Q(z) = t1 Q(zq^-2) + t2(z) Q(zq^2), with
 t1 = u q^m and t2 = u^-1 q^-m d(z), cleared by D, is the coefficient
 identity N Q = u q^m D Q(.q^-2) + u^-1 q^(-m-L) P Q(.q^2), P = prod(zeta - 1):
 an (L+m+1) x (m+1) linear system on the coefficients of Q.
-``solved_branches`` solves it for every branch of a sector by one stacked
+``solve_sector`` solves it for every branch of a sector by one stacked
 SVD, with no sample point and no pole.  ``functional_residual`` checks each
 Q against the transfer matrix itself at fresh points, and the root-level
 residuals close the loop.  ``vacuum`` gives D, P and the vacuum ratio d in
 one loop.
 
-The root stages take a sector's branches as one stack of rows:
-``poly_roots`` (one stacked companion eigensolve and polish),
+The magnon sector is the unit of data: ``Spectrum.sectors[m]`` holds the
+rows of sector m's branches, and every stage takes and returns one stack
+of rows per sector.  Branches are numbered across sectors, sector 0 first,
+so the branch at position p of sector m is number ``first + p``.  The root
+stages ``poly_roots`` (one stacked companion eigensolve and polish),
 ``root_residuals`` and ``solve_roots_newton`` (one stacked linear solve per
 Newton step) each run once per sector.  Each row still stops on its own
 rules, so every branch reports its own roots, root residuals, Newton
@@ -29,7 +32,6 @@ iteration count and smallest singular value.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,15 +40,16 @@ from ..verdict import CheckResult
 from .model import ChainSpec, off_poles, sample_point, transfer_sectors
 
 __all__ = [
-    "Branch",
+    "Sector",
     "Spectrum",
     "SpectrumBreakdown",
+    "breakdown_result",
     "compute_spectrum",
     "validate_sector",
     "poly_eval",
     "poly_roots",
     "vacuum",
-    "solved_branches",
+    "solve_sector",
     "functional_residual",
     "root_residuals",
     "solve_roots_newton",
@@ -56,13 +59,18 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Branch:
-    """One eigenvalue branch: sector, numerator coefficients, diagnostics."""
+class Sector:
+    """The branches of magnon sector m as rows, numbered from ``first``:
+    base-point eigenvalues, numerator coefficients (k x (L+1), constant
+    first), fit residuals, and the joint eigenbasis V with its inverse."""
 
-    sector: int
-    ncoeffs: tuple
-    fit_residual: float
-    lam0: complex
+    m: int
+    first: int
+    lam0: np.ndarray
+    ncoeffs: np.ndarray
+    fit_residual: np.ndarray
+    V: np.ndarray
+    Vinv: np.ndarray
 
 
 class SpectrumBreakdown(RuntimeError):
@@ -70,31 +78,32 @@ class SpectrumBreakdown(RuntimeError):
     transfer matrices, reported as a failed verdict, not as bad input."""
 
 
+def breakdown_result(name: str, spec: ChainSpec, error: SpectrumBreakdown, **extra):
+    """The failed verdict of a check whose spectrum broke down."""
+    details = {"L": spec.L, "error": str(error), **extra}
+    return CheckResult(name=name, ok=False, details=details)
+
+
+@dataclass(frozen=True)
 class Spectrum:
-    """All eigenvalue branches of one chain, sorted by sector, with the
-    joint eigenbases that read them and the coefficients of D and P."""
+    """Every sector of one chain, m = 0..L, and the coefficients (D, P),
+    constant first, of the vacuum polynomials."""
 
-    def __init__(self, spec: ChainSpec, branches, bases, vacuum_coeffs):
-        self.spec = spec
-        self.branches = list(branches)
-        self._bases = bases  # sector -> (first branch index, V, V^-1)
-        self.vacuum_coeffs = vacuum_coeffs  # (D, P), constant first
+    spec: ChainSpec
+    sectors: tuple
+    vacuum_coeffs: tuple
 
-    def point(self, branch: Branch, z: complex):
-        """(Lambda(z), t1, t2): the branch's interpolated eigenvalue N/D and
-        the weights of Q(zq^-2) and Q(zq^2) in its relation."""
-        lam = poly_eval(branch.ncoeffs, z) / vacuum(self.spec, z)[0]
-        return (lam, *_weights(self.spec, branch.sector, z))
+    def __len__(self) -> int:
+        return sum(len(s.lam0) for s in self.sectors)
 
-    def eigenvalues(self, z: complex, sectors) -> np.ndarray:
-        """Lambda(z) of every branch, in branch order, as diag(V^-1 T(z) V)
-        from one transfer build; NaN outside ``sectors``."""
-        out = np.full(len(self.branches), np.nan, dtype=complex)
+    def eigenvalues(self, z: complex, sectors) -> list:
+        """Lambda(z) of every branch of each sector in ``sectors``, one array
+        per sector, as diag(V^-1 T(z) V) from one transfer build."""
         blocks = transfer_sectors(self.spec, z)
-        for m in sectors:
-            first, V, Vinv = self._bases[m]
-            out[first : first + len(V)] = np.einsum("ij,ji->i", Vinv @ blocks[m], V)
-        return out
+        return [
+            np.einsum("ij,ji->i", s.Vinv @ blocks[s.m], s.V)
+            for s in (self.sectors[m] for m in sectors)
+        ]
 
 
 def vacuum(spec: ChainSpec, z: complex):
@@ -188,8 +197,8 @@ def compute_spectrum(spec: ChainSpec, seed: int = 0) -> Spectrum:
             table[:, s] = np.diag(Ds)
     vac = np.array([vacuum(spec, complex(z))[:2] for z in pts]).T
     D0 = vacuum(spec, z0)[0]
-    branches = []
-    kept = {}
+    sectors = []
+    first = 0
     for m, base in enumerate(bases):
         if m in errors:
             raise errors[m]
@@ -203,17 +212,9 @@ def compute_spectrum(spec: ChainSpec, seed: int = 0) -> Spectrum:
                 f"rational fit failed in sector {m} (base-point interpolation "
                 f"error {np.max(resid):.2e})"
             )
-        kept[m] = (len(branches), V, Vinv)
-        branches += [
-            Branch(
-                sector=m,
-                ncoeffs=tuple(complex(c) for c in ncoeffs[i]),
-                fit_residual=float(resid[i]),
-                lam0=complex(w0[i]),
-            )
-            for i in range(len(w0))
-        ]
-    return Spectrum(spec, branches, kept, tuple(_coefficients(vac, pts)))
+        sectors.append(Sector(m, first, w0, ncoeffs, resid, V, Vinv))
+        first += len(w0)
+    return Spectrum(spec, tuple(sectors), tuple(_coefficients(vac, pts)))
 
 
 def validate_sector(spec: ChainSpec, sector: int | None) -> None:
@@ -222,9 +223,10 @@ def validate_sector(spec: ChainSpec, sector: int | None) -> None:
         raise ValueError("sector must lie between 0 and L")
 
 
-def _solve_sector(spectrum: Spectrum, m: int, ncoeffs: np.ndarray) -> list:
-    """Monic Q of degree m (constant first) or a RuntimeError, for each row
-    of numerator coefficients ``ncoeffs``, by one stacked SVD.
+def solve_sector(spectrum: Spectrum, m: int):
+    """(Q, errors) for sector m by one stacked SVD: Q is the (k, m+1) stack
+    of monic Q of degree m (constant first), one row per branch, and
+    ``errors`` maps the position of each branch without one to its message.
 
     Row r of the system is the z^r coefficient of N Q - c1 D Q(.q^-2) -
     c2 P Q(.q^2); it is scaled by the largest of its pieces, so one large
@@ -236,6 +238,7 @@ def _solve_sector(spectrum: Spectrum, m: int, ncoeffs: np.ndarray) -> list:
     q = spec.q_complex()
     u = spec.twist_complex()
     D, P = spectrum.vacuum_coeffs
+    ncoeffs = spectrum.sectors[m].ncoeffs
     k = len(ncoeffs)
     pieces = np.zeros((3, k, L + m + 1, m + 1), dtype=complex)
     for j in range(m + 1):
@@ -245,39 +248,20 @@ def _solve_sector(spectrum: Spectrum, m: int, ncoeffs: np.ndarray) -> list:
     scale = np.max(np.abs(pieces), axis=(0, 3))
     A = (pieces[0] - pieces[1] - pieces[2]) / np.where(scale > 0, scale, 1.0)[..., None]
     _, s, vh = np.linalg.svd(A)
-    out = []
+    Q = np.conj(vh[:, -1])
+    lead = Q[:, -1]
+    errors = {}
     for i in range(k):
         if m >= 1 and s[i, m - 1] <= 1e-8:
-            out.append(RuntimeError("coefficient null space is not one-dimensional"))
-            continue
-        if s[i, m] > 1e-8:
-            out.append(
-                RuntimeError(
-                    f"no polynomial solution at degree {m} (smallest scaled "
-                    f"singular value {s[i, m]:.2e})"
-                )
+            errors[i] = "coefficient null space is not one-dimensional"
+        elif s[i, m] > 1e-8:
+            errors[i] = (
+                f"no polynomial solution at degree {m} (smallest scaled "
+                f"singular value {s[i, m]:.2e})"
             )
-            continue
-        coeffs = np.conj(vh[i, -1])
-        lead = coeffs[-1]
-        if abs(lead) < 1e-6 * float(np.max(np.abs(coeffs))):
-            out.append(RuntimeError("polynomial solution has unexpected lower degree"))
-            continue
-        out.append(tuple(complex(c) for c in coeffs / lead))
-    return out
-
-
-def solved_branches(spectrum: Spectrum, sector: int | None):
-    """Per branch of ``sector`` (every branch for None), in spectrum order:
-    (index, branch, its polynomial Q or the RuntimeError of its solve)."""
-    by_sector = {}
-    for i, branch in enumerate(spectrum.branches):
-        if sector is None or branch.sector == sector:
-            by_sector.setdefault(branch.sector, []).append(i)
-    for m, idxs in by_sector.items():
-        ncoeffs = np.array([spectrum.branches[i].ncoeffs for i in idxs])
-        for i, coeffs in zip(idxs, _solve_sector(spectrum, m, ncoeffs)):
-            yield i, spectrum.branches[i], coeffs
+        elif abs(lead[i]) < 1e-6 * float(np.max(np.abs(Q[i]))):
+            errors[i] = "polynomial solution has unexpected lower degree"
+    return Q / lead[:, None], errors
 
 
 def poly_eval(coeffs, z: complex) -> complex:
@@ -325,13 +309,14 @@ def poly_roots(Q) -> np.ndarray:
 
 def functional_residual(
     spectrum: Spectrum,
-    solved,
+    solved: dict,
     points: int = 20,
     seed: int = 2,
     perturb: bool = False,
 ) -> dict:
     """Relative residual of Baxter's relation on fresh seeded samples, per
-    branch index of ``solved`` (pairs of branch index and Q).
+    sector m of ``solved`` {m: (positions, Q)}: the worst residual of each
+    row of Q, the polynomial of the branch at the same place in positions.
 
     At each sample one transfer build serves every sector: Lambda is read
     from the transfer matrix as diag(V^-1 T V), not from the interpolant.
@@ -339,27 +324,19 @@ def functional_residual(
     """
     spec = spectrum.spec
     q = spec.q_complex()
-    groups = {}
-    for i, coeffs in solved:
-        groups.setdefault(spectrum.branches[i].sector, []).append((i, coeffs))
-    groups = {
-        m: ([i for i, _ in items], np.array([c for _, c in items]).T)
-        for m, items in groups.items()
-    }
-    worst = np.zeros(len(spectrum.branches))
+    worst = {m: np.zeros(len(pos)) for m, (pos, _) in solved.items()}
     rng = np.random.default_rng(seed)
-    for _ in range(points if groups else 0):
+    for _ in range(points if solved else 0):
         z = sample_point(spec, rng)
-        lam = spectrum.eigenvalues(z, groups)
-        for m, (idxs, Q) in groups.items():
+        for (m, (pos, Q)), lam in zip(solved.items(), spectrum.eigenvalues(z, solved)):
             t1, t2 = _weights(spec, m, z)
             if perturb:
                 t2 = 2 * t2
-            lhs = lam[idxs] * poly_eval(Q, z)
-            rhs = t1 * poly_eval(Q, z * q**-2) + t2 * poly_eval(Q, z * q**2)
+            lhs = lam[pos] * poly_eval(Q.T, z)
+            rhs = t1 * poly_eval(Q.T, z * q**-2) + t2 * poly_eval(Q.T, z * q**2)
             denom = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-            worst[idxs] = np.maximum(worst[idxs], np.abs(lhs - rhs) / denom)
-    return {i: float(worst[i]) for i, _ in solved}
+            worst[m] = np.maximum(worst[m], np.abs(lhs - rhs) / denom)
+    return worst
 
 
 def root_residuals(spec: ChainSpec, m: int, W, perturb: bool = False) -> np.ndarray:
@@ -498,19 +475,6 @@ def solve_roots_newton(
     return NewtonResult(ws, final, iterations, smin)
 
 
-def _failed(name: str, spec: ChainSpec, error: SpectrumBreakdown, tol, perturb):
-    return CheckResult(
-        name=name,
-        ok=False,
-        details={
-            "L": spec.L,
-            "error": str(error),
-            "tolerance": tol,
-            "perturbed": bool(perturb),
-        },
-    )
-
-
 def check_tq(
     spec: ChainSpec,
     seed: int = 0,
@@ -531,40 +495,40 @@ def check_tq(
     try:
         spectrum = compute_spectrum(spec, seed=seed)
     except SpectrumBreakdown as e:
-        return _failed("tq", spec, e, tol, perturb)
-    total = len(spectrum.branches)
+        return breakdown_result("tq", spec, e, tolerance=tol, perturbed=bool(perturb))
     expected = 1 << spec.L
-    per_sector = Counter(b.sector for b in spectrum.branches)
     failures = []
-    good = []
-    stacks = {}  # sector -> its solved (index, Q) pairs
-    for i, branch, coeffs in solved_branches(spectrum, sector):
-        if isinstance(coeffs, RuntimeError):
-            failures.append({"branch": i, "error": str(coeffs)})
-        else:
-            good.append((i, coeffs))
-            stacks.setdefault(branch.sector, []).append((i, coeffs))
+    stacks = {}  # sector -> (positions, Q) of its solved branches
+    for s in spectrum.sectors:
+        if sector is not None and s.m != sector:
+            continue
+        Q, errors = solve_sector(spectrum, s.m)
+        failures += [{"branch": s.first + p, "error": e} for p, e in errors.items()]
+        good = [p for p in range(len(Q)) if p not in errors]
+        if good:
+            stacks[s.m] = (good, Q[good])
     fun = functional_residual(
-        spectrum, good, points=20, seed=seed + 2, perturb=perturb
+        spectrum, stacks, points=20, seed=seed + 2, perturb=perturb
     )
-    worst_fun = max(fun.values(), default=0.0)
     worst_root = 0.0
     solved = []
-    for m, rows in stacks.items():
-        rr = root_residuals(spec, m, poly_roots([c for _, c in rows]), perturb=perturb)
+    for m, (good, Q) in stacks.items():
+        rr = root_residuals(spec, m, poly_roots(Q), perturb=perturb)
         worst_root = max(worst_root, float(np.max(rr, initial=0.0)))
+        first = spectrum.sectors[m].first
         solved += [
             {
-                "branch": i,
+                "branch": first + p,
                 "sector": m,
                 "q_coeffs": [[c.real, c.imag] for c in coeffs],
-                "functional_residual": fun[i],
+                "functional_residual": f,
                 "root_residuals": r,
             }
-            for (i, coeffs), r in zip(rows, rr.tolist())
+            for p, coeffs, f, r in zip(good, Q.tolist(), fun[m].tolist(), rr.tolist())
         ]
+    worst_fun = max((e["functional_residual"] for e in solved), default=0.0)
     ok = (
-        total == expected
+        len(spectrum) == expected
         and not failures
         and worst_fun < tol
         and worst_root < tol
@@ -574,9 +538,9 @@ def check_tq(
         ok=ok,
         details={
             "L": spec.L,
-            "branches": total,
+            "branches": len(spectrum),
             "expected": expected,
-            "per_sector": {str(k): v for k, v in sorted(per_sector.items())},
+            "per_sector": {str(s.m): len(s.lam0) for s in spectrum.sectors},
             "solved": solved,
             "worst_functional_residual": worst_fun,
             "worst_root_residual": worst_root,
@@ -604,19 +568,20 @@ def check_bethe(
     try:
         spectrum = compute_spectrum(spec, seed=seed)
     except SpectrumBreakdown as e:
-        return _failed("bethe", spec, e, tol, perturb)
+        return breakdown_result("bethe", spec, e, tolerance=tol, perturbed=bool(perturb))
     rng = np.random.default_rng(seed + 31)
-    results = [(i, coeffs) for i, _, coeffs in solved_branches(spectrum, sector)]
-    good = [(i, c) for i, c in results if not isinstance(c, RuntimeError)]
-    ok = len(good) == len(results)
-    entries = {}
+    first = spectrum.sectors[sector].first
+    Q, errors = solve_sector(spectrum, sector)
+    good = [p for p in range(len(Q)) if p not in errors]
+    ok = not errors
+    entries = {p: {"branch": first + p, "error": e} for p, e in errors.items()}
     if good:
-        roots = poly_roots([c for _, c in good])
+        roots = poly_roots(Q[good])
         rr = root_residuals(spec, sector, roots, perturb=perturb)
         ok = ok and not np.any(rr > tol)
-        for (i, _), ws, r in zip(good, roots.tolist(), rr.tolist()):
-            entries[i] = {
-                "branch": i,
+        for p, ws, r in zip(good, roots.tolist(), rr.tolist()):
+            entries[p] = {
+                "branch": first + p,
                 "roots": [[w.real, w.imag] for w in ws],
                 "root_residuals": r,
             }
@@ -626,30 +591,26 @@ def check_bethe(
             newton = solve_roots_newton(spec, sector, starts)
             match = _roots_match(roots, newton.roots)
             ok = ok and bool(np.all(match)) and not np.any(newton.residual > tol)
-            for (i, _), res, its, smin, hit in zip(
+            for p, res, its, smin, hit in zip(
                 good,
                 newton.residual.tolist(),
                 newton.iterations.tolist(),
                 newton.min_singular.tolist(),
                 match.tolist(),
             ):
-                entries[i].update(
+                entries[p].update(
                     newton_final_residual=res,
                     newton_iterations=its,
                     newton_min_singular_value=smin,
                     newton_matches=hit,
                 )
-    reports = [
-        entries[i] if i in entries else {"branch": i, "error": str(c)}
-        for i, c in results
-    ]
     return CheckResult(
         name="bethe",
         ok=ok,
         details={
             "L": spec.L,
             "sector": sector,
-            "branches": reports,
+            "branches": [entries[p] for p in range(len(Q))],
             "tolerance": tol,
             "perturbed": bool(perturb),
         },

@@ -28,6 +28,7 @@ from . import stab as st
 from .chain import (
     ChainSpec,
     SpectrumBreakdown,
+    breakdown_result,
     check_bethe,
     check_commute,
     check_multiplicativity,
@@ -303,8 +304,7 @@ def _cmd_chain_spectrum(args):
     try:
         spectrum = compute_spectrum(spec, seed=args.seed)
     except SpectrumBreakdown as e:
-        details = {"L": spec.L, "error": str(e)}
-        return inputs, [CheckResult(name="spectrum", ok=False, details=details)]
+        return inputs, [breakdown_result("spectrum", spec, e)]
     qinv2 = 1 / spec.q_complex() ** 2
     den_str = "".join(
         f"(z*{_fmt_complex(r)} - {_fmt_complex(qinv2)})"
@@ -318,25 +318,26 @@ def _cmd_chain_spectrum(args):
         return f"{s}*z" if k == 1 else f"{s}*z^{k}"
 
     branches = []
-    for br in spectrum.branches:
-        if args.sector is not None and br.sector != args.sector:
+    for s in spectrum.sectors:
+        if args.sector is not None and s.m != args.sector:
             continue
-        num_str = " + ".join(_term(k, co) for k, co in enumerate(br.ncoeffs))
-        branches.append(
-            {
-                "sector": br.sector,
-                "numerator_coeffs": [[co.real, co.imag] for co in br.ncoeffs],
-                "fit_residual": br.fit_residual,
-                "lam": f"({num_str}) / ({den_str})",
-            }
-        )
+        for ncoeffs, fit in zip(s.ncoeffs.tolist(), s.fit_residual.tolist()):
+            num_str = " + ".join(_term(k, co) for k, co in enumerate(ncoeffs))
+            branches.append(
+                {
+                    "sector": s.m,
+                    "numerator_coeffs": [[co.real, co.imag] for co in ncoeffs],
+                    "fit_residual": fit,
+                    "lam": f"({num_str}) / ({den_str})",
+                }
+            )
     cr = CheckResult(
         name="spectrum",
         ok=True,
         details={
             "L": spec.L,
             "branches": branches,
-            "branch_count": len(spectrum.branches),
+            "branch_count": len(spectrum),
             "denominator": den_str,
         },
     )

@@ -19,9 +19,10 @@ from .chain.model import ChainSpec
 from .chain.model import sample_point
 from .chain.spectrum import (
     SpectrumBreakdown,
+    breakdown_result,
     compute_spectrum,
     poly_eval,
-    solved_branches,
+    solve_sector,
     vacuum,
 )
 
@@ -209,43 +210,39 @@ def check_conjecture_sl2(
     try:
         spectrum = compute_spectrum(spec, seed=seed)
     except SpectrumBreakdown as e:
-        details = {"L": spec.L, "error": str(e)}
-        return CheckResult(name="qchar", ok=False, details=details)
-    polys = [coeffs for _, _, coeffs in solved_branches(spectrum, None)]
-    failures = [
-        {"branch": i, "error": str(p)}
-        for i, p in enumerate(polys)
-        if isinstance(p, RuntimeError)
-    ]
+        return breakdown_result("qchar", spec, e)
+    failures = []
+    polys = {}  # sector -> the Q of each branch, None where its solve failed
+    for s in spectrum.sectors:
+        Q, errors = solve_sector(spectrum, s.m)
+        failures += [{"branch": s.first + p, "error": e} for p, e in errors.items()]
+        polys[s.m] = [None if p in errors else tuple(q) for p, q in enumerate(Q.tolist())]
     swapped = None
     if perturb:
-        by_sector = {}
-        for i, b in enumerate(spectrum.branches):
-            by_sector.setdefault(b.sector, []).append(i)
-        for m, idxs in sorted(by_sector.items()):
-            if len(idxs) >= 2:
-                i, j = idxs[0], idxs[1]
-                polys[i], polys[j] = polys[j], polys[i]
-                swapped = [i, j]
-                break
-        if swapped is None:
+        s = next((s for s in spectrum.sectors if len(s.lam0) >= 2), None)
+        if s is None:
             raise ValueError("no two branches share a sector; nothing to swap")
+        rows = polys[s.m]
+        rows[0], rows[1] = rows[1], rows[0]
+        swapped = [s.first, s.first + 1]
     prefs = vacuum_prefactors(spec)
     qc = spec.q_complex()
     subs = {
-        i: SubstitutionSpec(q_poly={1: p}, prefactor=prefs, qval=qc)
-        for i, p in enumerate(polys)
-        if not isinstance(p, RuntimeError)
+        m: [
+            (p, SubstitutionSpec(q_poly={1: q}, prefactor=prefs, qval=qc))
+            for p, q in enumerate(rows)
+            if q is not None
+        ]
+        for m, rows in polys.items()
     }
-    sectors = {spectrum.branches[i].sector for i in subs}
     rng = np.random.default_rng(seed + 17)
     worst = 0.0
-    for _ in range(points if subs else 0):
+    for _ in range(points):
         z = sample_point(spec, rng)
-        measured = spectrum.eigenvalues(z, sectors)
-        for i, sub in subs.items():
-            pred = baxter_substitute(chi, sub, z)
-            worst = max(worst, abs(pred - measured[i]) / max(1.0, abs(measured[i])))
+        for rows, measured in zip(subs.values(), spectrum.eigenvalues(z, subs)):
+            for p, sub in rows:
+                pred = baxter_substitute(chi, sub, z)
+                worst = max(worst, abs(pred - measured[p]) / max(1.0, abs(measured[p])))
     trivial = SubstitutionSpec(
         q_poly={1: (1.0 + 0j,)},
         prefactor={k: (lambda z: 1.0 + 0j) for k in prefs},
@@ -259,7 +256,7 @@ def check_conjecture_sl2(
         ok=ok,
         details={
             "L": spec.L,
-            "branches": len(spectrum.branches),
+            "branches": len(spectrum),
             "points": points,
             "worst_residual": worst,
             "failures": failures,

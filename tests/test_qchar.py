@@ -1,5 +1,8 @@
 """Y-monomial characters and the polynomial substitution bridge."""
 
+import hashlib
+import json
+
 import pytest
 
 from qilab.chain import ChainSpec
@@ -13,7 +16,9 @@ from qilab.qchar import (
     vacuum_prefactors,
 )
 
-L2 = ChainSpec.from_json({"L": 2, "q": "0.83+0.21*i", "twist": "0.64+0.13*i"})
+GENERIC = {"q": "0.83+0.21*i", "twist": "0.64+0.13*i"}
+L2 = ChainSpec.from_json({"L": 2, **GENERIC})
+L4 = ChainSpec.from_json({"L": 4, **GENERIC})
 
 
 def test_fundamental_character_display():
@@ -64,3 +69,28 @@ def test_conjecture_swap_control():
     cr = check_conjecture_sl2(L2, perturb=True)
     assert not cr.ok
     assert cr.details["perturbed"]
+
+
+def test_conjecture_details_bytes_are_pinned():
+    # no CLI command runs qchar, so no --json pin covers these bytes
+    cr = check_conjecture_sl2(L4, seed=0)
+    assert cr.ok
+    text = json.dumps(cr.details, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "6faaef14d8c3ba7ff0539fcf3bf12df6ab5e0adcc622a0459eeda7674c69f597"
+    )
+
+
+@pytest.mark.parametrize("spec", [L2, L4])
+def test_swap_control_swaps_the_first_two_branches_of_sector_1(spec):
+    # sector 0 holds one branch, so the first shared sector is 1, whose
+    # branches are numbered from 1
+    cr = check_conjecture_sl2(spec, perturb=True)
+    assert not cr.ok
+    assert cr.details["swapped_branches"] == [1, 2]
+
+
+def test_swap_control_needs_two_branches_in_one_sector():
+    L1 = ChainSpec.from_json({"L": 1, **GENERIC})
+    with pytest.raises(ValueError, match="no two branches share a sector"):
+        check_conjecture_sl2(L1, perturb=True)

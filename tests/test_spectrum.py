@@ -6,6 +6,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from qilab import cli
 from qilab.chain import model as model_module
 from qilab.chain import spectrum as spectrum_module
 from qilab.chain import (
-    Branch,
     ChainSpec,
     check_bethe,
     check_tq,
@@ -25,7 +25,7 @@ from qilab.chain import (
     root_residuals,
     sample_point,
     solve_roots_newton,
-    solved_branches,
+    solve_sector,
     vacuum,
 )
 from qilab.qchar import check_conjecture_sl2
@@ -39,26 +39,45 @@ def _generic(L):
     return ChainSpec.from_json({"L": L, **GENERIC})
 
 
+def _sector_labels(sp):
+    """The magnon number of every branch, in branch order."""
+    return [s.m for s in sp.sectors for _ in s.lam0]
+
+
 def test_branch_count_and_sectors():
     sp = compute_spectrum(L1)
-    assert len(sp.branches) == 2
-    assert sorted(b.sector for b in sp.branches) == [0, 1]
+    assert len(sp) == 2
+    assert sorted(_sector_labels(sp)) == [0, 1]
     sp2 = compute_spectrum(L2)
-    assert len(sp2.branches) == 4
-    assert sorted(b.sector for b in sp2.branches) == [0, 1, 1, 2]
+    assert len(sp2) == 4
+    assert sorted(_sector_labels(sp2)) == [0, 1, 1, 2]
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_sectors_are_numbered_across_the_spectrum(L):
+    # branch numbers run across sectors, sector 0 first: sector m holds
+    # C(L, m) branches and starts after those of every lower sector
+    sp = compute_spectrum(_generic(L))
+    assert [s.m for s in sp.sectors] == list(range(L + 1))
+    for s in sp.sectors:
+        assert s.first == sum(comb(L, k) for k in range(s.m))
+        assert len(s.lam0) == len(s.ncoeffs) == len(s.fit_residual) == comb(L, s.m)
+        assert s.ncoeffs.shape == (comb(L, s.m), L + 1)
+    assert sum(len(s.lam0) for s in sp.sectors) == len(sp) == 2**L
 
 
 def test_branches_are_rational_in_z():
     sp = compute_spectrum(L2)
-    for b in sp.branches:
-        assert b.fit_residual < 1e-8
-        assert len(b.ncoeffs) == L2.L + 1
+    for s in sp.sectors:
+        for fit, ncoeffs in zip(s.fit_residual, s.ncoeffs):
+            assert fit < 1e-8
+            assert len(ncoeffs) == L2.L + 1
 
 
 def _solved(sp, sector):
-    """(index, Q) of the first branch of ``sector``."""
-    i, _, coeffs = next(solved_branches(sp, sector))
-    return i, coeffs
+    """(index, Q) of the first branch of ``sector``, or (index, its error)."""
+    Q, errors = solve_sector(sp, sector)
+    return sp.sectors[sector].first, errors.get(0, tuple(Q[0].tolist()))
 
 
 def test_l1_golden_root():
@@ -74,13 +93,14 @@ def test_l1_golden_root():
 
 def test_shift_terms_weights():
     sp = compute_spectrum(L1)
-    branch = next(b for b in sp.branches if b.sector == 1)
+    ncoeffs = sp.sectors[1].ncoeffs[0]
     z = 0.9 + 0.1j
-    lam, t1, t2 = sp.point(branch, z)
+    lam = spectrum_module.poly_eval(ncoeffs, z) / vacuum(L1, z)[0]
+    t1, t2 = spectrum_module._weights(L1, 1, z)
     # first weight u q^m, second u^-1 q^-m d(z); d(z) = (z - 1)/(2 (z - 1/4))
     assert abs(t1 - 3 * 2) < 1e-12
     assert abs(t2 - (z - 1) / (2 * (z - 0.25)) / 6) < 1e-12
-    num = sum(c * z**k for k, c in enumerate(branch.ncoeffs))
+    num = sum(c * z**k for k, c in enumerate(ncoeffs))
     assert abs(lam - num / (z - 0.25)) < 1e-12
 
 
@@ -89,24 +109,33 @@ def test_vacuum_polynomial_is_constant():
     i, coeffs = _solved(sp, 0)
     assert len(coeffs) == 1
     assert abs(coeffs[0] - 1) < 1e-12
-    assert functional_residual(sp, [(i, coeffs)])[i] < 1e-10
+    assert functional_residual(sp, {0: ([0], np.array([coeffs]))})[0][0] < 1e-10
 
 
 def test_garbage_branch_has_no_polynomial():
     sp = compute_spectrum(L1)
-    i = next(i for i, b in enumerate(sp.branches) if b.sector == 1)
-    sp.branches[i] = _garbled(sp.branches[i])
-    assert isinstance(_solved(sp, 1)[1], RuntimeError)
+    _garble(sp.sectors[1], 0)
+    assert isinstance(_solved(sp, 1)[1], str)
 
 
-def _garbled(branch):
-    """``branch`` with a numerator that carries no Baxter polynomial."""
-    return Branch(
-        sector=branch.sector,
-        ncoeffs=tuple(c * 1.37 + 0.1 for c in branch.ncoeffs),
-        fit_residual=branch.fit_residual,
-        lam0=branch.lam0,
-    )
+def _garble(sector, p):
+    """Give branch p of ``sector`` a numerator with no Baxter polynomial."""
+    sector.ncoeffs[p] = sector.ncoeffs[p] * 1.37 + 0.1
+
+
+def test_a_garbled_branch_fails_alone_under_its_global_number(monkeypatch):
+    spec = _generic(4)
+    sp = compute_spectrum(spec)
+    first = sp.sectors[2].first
+    _garble(sp.sectors[2], 1)
+    monkeypatch.setattr(spectrum_module, "compute_spectrum", lambda spec, seed=0: sp)
+    cr = check_tq(spec)
+    assert not cr.ok
+    assert [f["branch"] for f in cr.details["failures"]] == [first + 1]
+    assert cr.details["failures"][0]["error"].startswith("no polynomial solution")
+    solved = sorted(e["branch"] for e in cr.details["solved"])
+    assert solved == [i for i in range(2**4) if i != first + 1]
+    assert cr.details["worst_functional_residual"] < 1e-8
 
 
 def test_degenerate_family_is_refused():
@@ -179,7 +208,7 @@ def test_check_bethe_reports_a_collocation_breakdown_as_a_failure(monkeypatch):
     # failed verdict, not bad input
     def garbled_spectrum(spec, seed=0):
         sp = compute_spectrum(spec, seed)
-        sp.branches[1] = _garbled(sp.branches[1])
+        _garble(sp.sectors[1], 0)  # branch 1
         return sp
 
     monkeypatch.setattr(spectrum_module, "compute_spectrum", garbled_spectrum)
@@ -204,8 +233,9 @@ def test_newton_basin_from_perturbed_start():
 def _sector_stack(L, m):
     """(spec, the (k, m+1) stack of every Q of sector m) at the generic point."""
     spec = _generic(L)
-    sp = compute_spectrum(spec)
-    return spec, np.array([coeffs for _, _, coeffs in solved_branches(sp, m)])
+    Q, errors = solve_sector(compute_spectrum(spec), m)
+    assert not errors
+    return spec, Q
 
 
 def _scalar_roots(coeffs):
@@ -259,7 +289,7 @@ def test_poly_roots_matches_np_roots_and_the_polish_row_by_row(L, m):
 def test_the_root_stages_take_empty_and_full_root_sets():
     sp = compute_spectrum(L2)
     for m in (0, L2.L):
-        Q = np.array([coeffs for _, _, coeffs in solved_branches(sp, m)])
+        Q, _ = solve_sector(sp, m)
         roots = poly_roots(Q)
         assert roots.shape == (1, m)
         assert np.max(root_residuals(L2, m, roots), initial=0.0) < 1e-12
@@ -316,10 +346,11 @@ def test_seed_invariance_of_branches():
     zt = 1.7 + 0.3j
 
     def profile(sp):
+        D = vacuum(L2, zt)[0]
         return sorted(
-            (br.sector, round(lam.real, 7), round(lam.imag, 7))
-            for br in sp.branches
-            for lam in [sp.point(br, zt)[0]]
+            (s.m, round(lam.real, 7), round(lam.imag, 7))
+            for s in sp.sectors
+            for lam in (spectrum_module.poly_eval(n, zt) / D for n in s.ncoeffs)
         )
 
     assert profile(a) == profile(b)
@@ -386,7 +417,7 @@ def test_spectrum_failures_raise_in_stage_order_within_a_sector(monkeypatch):
     monkeypatch.undo()
     _fake_transfers(monkeypatch, FINE, lambda z: FINE)
     sp = compute_spectrum(L2)
-    assert [b.lam0 for b in sp.branches] == [2, 1, 3, 5]
+    assert [lam for s in sp.sectors for lam in s.lam0] == [2, 1, 3, 5]
 
 
 @pytest.mark.parametrize("L", range(2, 8))
@@ -397,15 +428,15 @@ def test_interpolated_numerator_matches_a_sampled_fit(L):
     sp = compute_spectrum(spec)
     rng = np.random.default_rng(11)
     zs = [sample_point(spec, rng) for _ in range(L + 2)]
-    lam = np.array([sp.eigenvalues(z, range(L + 1)) for z in zs])
+    lam = np.array([np.concatenate(sp.eigenvalues(z, range(L + 1))) for z in zs])
     dens = np.array([vacuum(spec, z)[0] for z in zs])
     fit, *_ = np.linalg.lstsq(
         np.vander(zs, L + 1, increasing=True), lam * dens[:, None], rcond=None
     )
-    interpolated = np.array([b.ncoeffs for b in sp.branches]).T
+    interpolated = np.concatenate([s.ncoeffs for s in sp.sectors]).T
     scale = max(1.0, float(np.max(np.abs(interpolated))))
     assert np.max(np.abs(fit - interpolated)) / scale < 1e-9
-    assert max(b.fit_residual for b in sp.branches) < 1e-12
+    assert max(np.max(s.fit_residual) for s in sp.sectors) < 1e-12
 
 
 def test_root_system_jacobian_is_the_derivative():
