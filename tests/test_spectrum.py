@@ -106,7 +106,7 @@ def test_shift_terms_weights():
 
 def test_vacuum_polynomial_is_constant():
     sp = compute_spectrum(L1)
-    i, coeffs = _solved(sp, 0)
+    _, coeffs = _solved(sp, 0)
     assert len(coeffs) == 1
     assert abs(coeffs[0] - 1) < 1e-12
     assert functional_residual(sp, {0: ([0], np.array([coeffs]))})[0][0] < 1e-10
