@@ -1,22 +1,21 @@
 """Laurent sums in two-parameter Y-symbols and the eigenvalue substitution.
 
 A YLaurent is an integer combination of monomials in signed symbols
-Y_{i,b}; the spectral labels b stay exact multiplicative expressions so
-that argument shifts under substitution are exact.  The substitution turns
-each symbol into a prefactor times a ratio of shifted one-variable
-polynomials; calibrating the prefactors on the reference branch and
-reusing them with each branch's own polynomial reproduces the measured
-transfer-matrix eigenvalues.
+Y_{i,b}; the spectral labels b stay exact expressions.
+``check_conjecture_sl2`` substitutes each branch's Baxter polynomial Q into
+chi(V_a) = Y_{1,a/q} + Y_{1,aq}^-1: Y_{1,b} becomes F_b q^deg Q(z b/q) /
+Q(z b q), with b valued relative to a because the spectral z already
+carries a.  The two labels are evaluated once per check; at each sample
+point one table gives both their values and prefactors F, calibrated on the
+all-up branch, and every branch of every sector reads that table with its
+own Q.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .field import RatFun
 from .verdict import CheckResult
-from .chain.model import ChainSpec
-from .chain.model import sample_point
+from .chain.model import ChainSpec, sample_point
 from .chain.spectrum import (
     SpectrumBreakdown,
     breakdown_result,
@@ -30,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "YLaurent",
-    "SubstitutionSpec",
     "chi_fund_sl2",
     "baxter_substitute",
     "check_conjecture_sl2",
@@ -116,24 +114,6 @@ class YLaurent:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class SubstitutionSpec:
-    """Per-index substitution data: monic polynomial and per-label prefactors.
-
-    ``q_poly``: index -> coefficient tuple (constant first, monic).
-    ``prefactor``: (index, label) -> callable z -> complex, calibrated on
-    the reference branch and shared by every branch.
-    ``qval``: numeric deformation parameter used for the argument shifts.
-    """
-
-    q_poly: dict
-    prefactor: dict
-    qval: complex
-
-    def degree(self, i: int) -> int:
-        return len(self.q_poly[i]) - 1
-
-
 def chi_fund_sl2(a) -> YLaurent:
     """Two-term character of the fundamental evaluation module at a."""
     av = _label_key(a)
@@ -141,52 +121,36 @@ def chi_fund_sl2(a) -> YLaurent:
     return YLaurent.symbol(1, av / q) + YLaurent.symbol(1, av * q, -1)
 
 
-def baxter_substitute(chi: YLaurent, sub: SubstitutionSpec, z: complex) -> complex:
+def baxter_substitute(
+    chi: YLaurent, coeffs, labels: dict, q: complex, z: complex
+) -> complex:
     """Evaluate the substituted character at the spectral point z.
 
-    Each Y_{i,b}^e becomes [F_{i,b}(z) q^{deg} Q_i(z b/q) / Q_i(z b q)]^e
-    with all shifts exact in the label expressions before numeric
-    evaluation.  Labels without prefactor data are an error.
+    Each Y_{1,b}^e becomes [F_b q^deg Q(z b/q) / Q(z b q)]^e, where Q has the
+    coefficients ``coeffs`` (constant first, degree ``len(coeffs) - 1``) and
+    ``labels`` maps each label's canonical string to (b, F_b): its numeric
+    value and its prefactor at z.  An index other than 1 or a label missing
+    from the table is an error.
     """
-    qc = sub.qval
-    point = {"q": qc}
+    deg = len(coeffs) - 1
     total = 0j
     for mono, coeff in chi.terms.items():
         val = complex(coeff)
         for i, lab, e in mono:
-            if i not in sub.q_poly:
+            if i != 1:
                 raise ValueError(f"no substitution data for index {i}")
-            if (i, lab) not in sub.prefactor:
+            entry = labels.get(str(lab))
+            if entry is None:
                 raise ValueError(f"no prefactor data for label {lab}")
-            coeffs = sub.q_poly[i]
-            b = lab.eval_complex(point)
-            f = sub.prefactor[(i, lab)](z)
-            num = poly_eval(coeffs, z * b / qc)
-            den = poly_eval(coeffs, z * b * qc)
+            b, f = entry
+            num = poly_eval(coeffs, z * b / q)
+            den = poly_eval(coeffs, z * b * q)
             if abs(den) < 1e-13:
                 raise ZeroDivisionError("substitution hit a polynomial zero")
-            factor = f * qc ** sub.degree(i) * num / den
+            factor = f * q**deg * num / den
             val *= factor**e
         total += val
     return total
-
-
-def vacuum_prefactors(spec: ChainSpec):
-    """Prefactor data read off the reference branch.
-
-    On that branch the polynomial is 1 and the two-term substituted shape
-    must equal u*a(z) + (1/u)*d(z); matching term by term fixes the
-    prefactor attached to each of the two labels.
-    """
-    u = spec.twist_complex()
-    a_expr = RatFun.parse(spec.a)
-    q = RatFun.var("q")
-    lab_lo = a_expr / q
-    lab_hi = a_expr * q
-    return {
-        (1, lab_lo): lambda z: u,
-        (1, lab_hi): lambda z: u / vacuum(spec, z)[2],
-    }
 
 
 def check_conjecture_sl2(
@@ -194,61 +158,51 @@ def check_conjecture_sl2(
 ) -> CheckResult:
     """Substituted characters reproduce every eigenvalue branch.
 
-    One prefactor assignment, calibrated once on the reference branch, is
-    reused verbatim for all branches; only the branch polynomial changes.
-    The measured eigenvalues are read from the transfer matrix at each
-    sample point, one build for every branch.  ``perturb`` swaps the
-    polynomials of two same-sector branches, which must break the match.
+    On the all-up branch Q = 1, so matching u a(z) + d(z) / u term by term
+    calibrates the prefactors: u for the label a/q and u / d(z) for aq.  At
+    each sample point one table holds them with the label values, and every
+    branch reads it with its own polynomial; the measured eigenvalues come
+    from one transfer build per point.  ``perturb`` swaps the polynomials of
+    the first two branches of the first sector that has two, which must
+    break the match.
     """
-    chi = chi_fund_sl2(RatFun.parse(spec.a))
-    if chi.coeff_sum() != 2:
-        return CheckResult(
-            name="qchar",
-            ok=False,
-            details={"error": "character coefficient sum is not the dimension"},
-        )
+    a = RatFun.parse(spec.a)
+    chi = chi_fund_sl2(a)
     try:
         spectrum = compute_spectrum(spec, seed=seed)
     except SpectrumBreakdown as e:
         return breakdown_result("qchar", spec, e)
     failures = []
-    polys = {}  # sector -> the Q of each branch, None where its solve failed
+    solved = {}  # sector -> (position, Q) of each branch whose solve succeeded
+    swapped = None
     for s in spectrum.sectors:
         Q, errors = solve_sector(spectrum, s.m)
         failures += [{"branch": s.first + p, "error": e} for p, e in errors.items()]
-        polys[s.m] = [None if p in errors else tuple(q) for p, q in enumerate(Q.tolist())]
-    swapped = None
-    if perturb:
-        s = next((s for s in spectrum.sectors if len(s.lam0) >= 2), None)
-        if s is None:
-            raise ValueError("no two branches share a sector; nothing to swap")
-        rows = polys[s.m]
-        rows[0], rows[1] = rows[1], rows[0]
-        swapped = [s.first, s.first + 1]
-    prefs = vacuum_prefactors(spec)
-    qc = spec.q_complex()
-    subs = {
-        m: [
-            (p, SubstitutionSpec(q_poly={1: q}, prefactor=prefs, qval=qc))
-            for p, q in enumerate(rows)
-            if q is not None
-        ]
-        for m, rows in polys.items()
-    }
+        rows = [None if p in errors else q for p, q in enumerate(Q.tolist())]
+        if perturb and swapped is None and len(rows) >= 2:
+            rows[0], rows[1] = rows[1], rows[0]
+            swapped = [s.first, s.first + 1]
+        solved[s.m] = [(p, q) for p, q in enumerate(rows) if q is not None]
+    if perturb and swapped is None:
+        raise ValueError("no two branches share a sector; nothing to swap")
+    qc, u = spec.q_complex(), spec.twist_complex()
+    # the labels a/q and aq, valued relative to a: the spectral z already
+    # carries a (zeta = z a / b_l)
+    (lo, b_lo), (hi, b_hi) = (
+        (str(lab), (lab / a).eval_complex({"q": qc}))
+        for lab in (a / RatFun.var("q"), a * RatFun.var("q"))
+    )
     rng = np.random.default_rng(seed + 17)
     worst = 0.0
     for _ in range(points):
         z = sample_point(spec, rng)
-        for rows, measured in zip(subs.values(), spectrum.eigenvalues(z, subs)):
-            for p, sub in rows:
-                pred = baxter_substitute(chi, sub, z)
+        labels = {lo: (b_lo, u), hi: (b_hi, u / vacuum(spec, z)[2])}
+        for rows, measured in zip(solved.values(), spectrum.eigenvalues(z, solved)):
+            for p, coeffs in rows:
+                pred = baxter_substitute(chi, coeffs, labels, qc, z)
                 worst = max(worst, abs(pred - measured[p]) / max(1.0, abs(measured[p])))
-    trivial = SubstitutionSpec(
-        q_poly={1: (1.0 + 0j,)},
-        prefactor={k: (lambda z: 1.0 + 0j) for k in prefs},
-        qval=qc,
-    )
-    degeneration = baxter_substitute(chi, trivial, 1.234)
+    trivial = {lo: (b_lo, 1.0 + 0j), hi: (b_hi, 1.0 + 0j)}
+    degeneration = baxter_substitute(chi, (1.0 + 0j,), trivial, qc, 1.234)
     degen_ok = abs(degeneration - 2.0) < 1e-12
     ok = worst < 1e-8 and degen_ok and not failures
     return CheckResult(

@@ -2,18 +2,18 @@
 
 import hashlib
 import json
+import os
 
 import pytest
 
+import qilab.qchar
 from qilab.chain import ChainSpec
 from qilab.field import RatFun
 from qilab.qchar import (
-    SubstitutionSpec,
     YLaurent,
     baxter_substitute,
     check_conjecture_sl2,
     chi_fund_sl2,
-    vacuum_prefactors,
 )
 
 GENERIC = {"q": "0.83+0.21*i", "twist": "0.64+0.13*i"}
@@ -42,18 +42,30 @@ def test_laurent_algebra():
 
 def test_substitution_requires_covered_labels():
     chi = chi_fund_sl2(RatFun.parse("1"))
-    sub = SubstitutionSpec(q_poly={}, prefactor={}, qval=0.8 + 0.2j)
-    with pytest.raises(ValueError):
-        baxter_substitute(chi, sub, 1.2)
+    lo, hi = str(RatFun.parse("1/q")), str(RatFun.parse("q"))
+    q = 0.8 + 0.2j
+    table = {lo: (1 / q, 1.0 + 0j), hi: (q, 1.0 + 0j)}
+    assert baxter_substitute(chi, (1.0 + 0j,), table, q, 1.2) == 2
+    # a label missing from the table
+    with pytest.raises(ValueError, match="no prefactor data for label q"):
+        baxter_substitute(chi, (1.0 + 0j,), {lo: table[lo]}, q, 1.2)
+    with pytest.raises(ValueError, match="no prefactor data"):
+        baxter_substitute(chi, (1.0 + 0j,), {}, q, 1.2)
+    # an index other than 1
+    chi2 = YLaurent.symbol(2, RatFun.parse("1/q"))
+    with pytest.raises(ValueError, match="no substitution data for index 2"):
+        baxter_substitute(chi2, (1.0 + 0j,), table, q, 1.2)
 
 
-def test_vacuum_prefactors_cover_both_labels():
-    pre = vacuum_prefactors(L2)
-    assert len(pre) == 2
-    for (i, lab), fn in pre.items():
-        assert i == 1
-        assert callable(fn)
-        assert isinstance(lab, RatFun) or isinstance(lab, str) or lab is not None
+def test_substitution_raises_at_a_zero_of_the_shifted_polynomial():
+    # Q(x) = x - z b q vanishes at the denominator's argument of label b = q
+    chi = chi_fund_sl2(RatFun.parse("1"))
+    q, z = 0.8 + 0.2j, 1.2 + 0.1j
+    table = {str(RatFun.parse("1/q")): (1 / q, 1.0 + 0j), str(RatFun.parse("q")): (q, 1.0 + 0j)}
+    with pytest.raises(ZeroDivisionError, match="polynomial zero"):
+        baxter_substitute(chi, (-(z * q * q), 1.0 + 0j), table, q, z)
+    # a root a little way off passes
+    assert baxter_substitute(chi, (-(z * q * q) + 1e-3, 1.0 + 0j), table, q, z)
 
 
 def test_conjecture_l2():
@@ -71,14 +83,65 @@ def test_conjecture_swap_control():
     assert cr.details["perturbed"]
 
 
-def test_conjecture_details_bytes_are_pinned():
+# sha256 of the details, each taken before the substitution was rewritten
+# around one label table
+DETAIL_PINS = [
+    (4, 0, False, "6faaef14d8c3ba7ff0539fcf3bf12df6ab5e0adcc622a0459eeda7674c69f597"),
+    (4, 1, False, "6b2969c6f8ab0da645f0972c8a16b32dde6bdcc55257599ce5d8eed64182432f"),
+    (4, 2, False, "54fab1a05a1101626eec91fbfba6e7adcb28ff2113cd71989513f91bff43be71"),
+    (4, 3, False, "4576e4e357848d4fead77a06c8f00b760235f18d7f571373fff2b52da8e19b7f"),
+    (2, 0, True, "86bcfbd270fe250ff90f18624a6015ab1b5690934f913d09893ada1e196a8209"),
+    (4, 0, True, "17cac01ec10d82f2a28c154cf27012abe9978d014ebf93c3c0bacc621ea8cf6e"),
+]
+
+
+@pytest.mark.parametrize(
+    "L, seed, perturb, digest",
+    DETAIL_PINS,
+    ids=[f"L{L}-seed{s}" + ("-perturb" if p else "") for L, s, p, _ in DETAIL_PINS],
+)
+def test_conjecture_details_bytes_are_pinned(L, seed, perturb, digest):
     # no CLI command runs qchar, so no --json pin covers these bytes
-    cr = check_conjecture_sl2(L4, seed=0)
-    assert cr.ok
+    spec = ChainSpec.from_json({"L": L, **GENERIC})
+    cr = check_conjecture_sl2(spec, seed=seed, perturb=perturb)
+    assert cr.ok != perturb
     text = json.dumps(cr.details, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "6faaef14d8c3ba7ff0539fcf3bf12df6ab5e0adcc622a0459eeda7674c69f597"
-    )
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("a", ["2", "3/5"])
+@pytest.mark.parametrize("sites", [None, ["1", "2", "1/3"]], ids=["homogeneous", "sites"])
+def test_conjecture_holds_away_from_a_equal_one(a, sites):
+    # the spectral z already carries a, so the labels a/q and aq are read
+    # relative to a; read absolutely, these residuals were 1.2 to 3.1
+    d = {"L": 3, "a": a, **GENERIC}
+    if sites:
+        d["sites"] = sites
+    spec = ChainSpec.from_json(d)
+    cr = check_conjecture_sl2(spec)
+    assert cr.ok
+    assert cr.details["worst_residual"] < 1e-12
+    assert cr.details["character"] == str(chi_fund_sl2(RatFun.parse(a)))
+    control = check_conjecture_sl2(spec, perturb=True)
+    assert not control.ok
+    assert control.details["worst_residual"] > 1e-2
+
+
+def test_the_benchmark_call_path_runs(tmp_path, monkeypatch):
+    # perfbench/run.py reads qilab.qchar.ChainSpec and calls the check with
+    # these arguments for each qchar case of its chain-numeric workload
+    here = os.path.dirname(os.path.abspath(__file__))
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(here), "perfbench"))
+    import cases
+
+    built, _ = cases.build("chain-numeric", 0, cases.Inputs(str(tmp_path), "work"))
+    qcases = [c for c in built if c.qchar]
+    assert [c.qchar for c in qcases] == [(4, False), (2, True)]
+    for case in qcases:
+        L, perturb = case.qchar
+        spec = qilab.qchar.ChainSpec.from_json({"L": L, **cases.GENERIC})
+        res = qilab.qchar.check_conjecture_sl2(spec, seed=0, perturb=perturb)
+        assert res.exit_code == case.expect
 
 
 @pytest.mark.parametrize("spec", [L2, L4])
