@@ -8,21 +8,18 @@ site L leftmost.  The transfer matrix is the twisted auxiliary trace
 u*A(z) + u^-1*D(z).
 
 Each identity is written once, as its two sides over a ring, and one
-builder serves both rings: ``_Ring.lines`` streams the factors of one or
-two auxiliary lines into a matrix in place, site by site, through the
-ring's two-slot kernel, ``field.apply_on_slots`` on exact lists of rows or
-``field.np_spin_apply`` on numeric popcount blocks.  No factor is embedded
-as a dense matrix and no line is kept between checks.  The factors come
-from ``rmatrix``: ``cleared_r`` at the spec's q, symbolic or pinned, for the
+builder serves both rings: ``_Ring.lines`` builds the product of one or two
+auxiliary lines, with optional factors before and after, from the identity
+as one stream of (factor, slots) steps, site by site.  The exact ring hands
+the whole stream to ``field.apply_on_slots``, one packed call on lists of
+rows; the numeric ring feeds it lazily, one factor at a time, to
+``field.np_spin_apply`` on popcount blocks.  No factor is embedded as a
+dense matrix and no line is kept between checks.  The factors come from
+``rmatrix``: ``cleared_r`` at the spec's q, symbolic or pinned, for the
 exact ring and ``numeric_r`` (which lives there and is re-exported here) for
 the numeric one.  ``_Exact`` compares cleared polynomial matrices at
 symbolic z, w: every factor is scaled by its corner denominator and the
-twist by u, so both sides carry the same scalar.
-Against dense products of whole line monodromies cached per check,
-streaming the exact factors in place ran the exact-cleared benchmark's
-commute and multiplicativity cases 6-31% faster and its rtt cases 4-23%
-slower, since rtt now builds each of its two lines on both sides (seed 0,
-2-core VM, two batches of five paired runs; BENCH_19.json).  ``_Numeric``
+twist by u, so both sides carry the same scalar.  ``_Numeric``
 takes the worst residual over seeded sample points.  Every factor conserves
 aux plus site spin, so numeric matrices are kept as popcount blocks.  The
 numeric transfer is built from the monodromy's aux corners A, B, C, D site
@@ -42,6 +39,7 @@ sectors to the spectrum; ``commute`` multiplies them block by block and
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -217,37 +215,32 @@ class ChainSpec:
 
 class _Ring:
     """The factor stream both rings share; a ring supplies ``identity`` on n
-    slots, ``apply_slots`` (a 4x4 factor on two slots, in place), the site
-    ``ratios`` a / b_l and the factor ``r``.  The first two look their field
-    function up at call time, so perfbench's tracer, which rebinds module
-    names, sees the calls."""
+    slots, ``apply_slots`` (a stream of 4x4 factors, each on two slots, in
+    place), the site ``ratios`` a / b_l and the factor ``r``.  The first two
+    look their field function up at call time, so perfbench's tracer, which
+    rebinds module names, sees the calls."""
 
     def __init__(self, spec: ChainSpec):
         self.spec = spec
 
-    def apply(self, M, F, slots):
-        """``M`` times ``F`` on ``slots`` in place; ``M=None`` starts from the
-        identity on aux slots 0..max(slots) and the sites."""
-        if M is None:
-            M = self.identity(max(slots) + 1 + self.spec.L)
-        return self.apply_slots(M, F, slots)
+    def lines(self, lines, before=(), after=()):
+        """The product of the ``before`` steps, the lines' factors and the
+        ``after`` steps, from the identity, as one stream of ``(F, slots)``.
 
-    def lines(self, M, lines):
-        """``M`` times the lines' factors in place, interleaved site by site.
-
-        ``M`` (the identity if None) acts on the aux slots 0..max(slot) of
-        the lines and the sites.  At each site the lines apply in the order
-        given; factors of different lines on different sites commute, so
-        this equals the product of whole line monodromies.
+        It acts on the aux slots 0..max(slot) of the lines and the sites.
+        At each site the lines apply in the order given; factors of
+        different lines on different sites commute, so this equals the
+        product of whole line monodromies.
         """
         first = max(slot for slot, _, _ in lines) + 1
-        if M is None:
-            M = self.identity(first + self.spec.L)
         ratios = [self.ratios(a) for _, _, a in lines]
-        for l in range(self.spec.L - 1, -1, -1):
-            for (slot, z, _), rho in zip(lines, ratios):
-                self.apply_slots(M, self.r(z * rho[l]), (slot, first + l))
-        return M
+        steps = (
+            (self.r(z * rho[l]), (slot, first + l))
+            for l in range(self.spec.L - 1, -1, -1)
+            for (slot, z, _), rho in zip(lines, ratios)
+        )
+        M = self.identity(first + self.spec.L)
+        return self.apply_slots(M, itertools.chain(before, steps, after))
 
 
 class _Exact(_Ring):
@@ -258,7 +251,7 @@ class _Exact(_Ring):
     dense = staticmethod(lambda M: M)
     kron = staticmethod(kron)
     identity = staticmethod(lambda n: identity(1 << n))
-    apply_slots = staticmethod(lambda M, F, slots: apply_on_slots(M, F, slots))
+    apply_slots = staticmethod(lambda M, steps: apply_on_slots(M, steps))
 
     def __init__(self, spec: ChainSpec):
         super().__init__(spec)
@@ -288,7 +281,7 @@ class _Exact(_Ring):
         """u * A(z) + u^-1 * D(z), cleared by u * prod(corners): one line's
         monodromy traced over its slot 0 with the twist's diagonal as weights."""
         tw = self.twist()
-        return self.trace_first(self.lines(None, [(0, z, a)]), tw[0][0], tw[1][1])
+        return self.trace_first(self.lines([(0, z, a)]), tw[0][0], tw[1][1])
 
     @staticmethod
     def trace_first(M, w0, w1):
@@ -314,7 +307,12 @@ class _Numeric(_Ring):
     dense = staticmethod(np_spin_dense)
     trace_first = staticmethod(np_spin_trace_first)
     identity = staticmethod(lambda n: np_spin_identity(n))
-    apply_slots = staticmethod(lambda M, F, slots: np_spin_apply(M, F, slots))
+
+    @staticmethod
+    def apply_slots(blocks, steps):
+        for F, slots in steps:
+            np_spin_apply(blocks, F, slots)
+        return blocks
 
     def a(self) -> complex:
         return self.spec.a_complex()
@@ -450,8 +448,8 @@ def check_rtt(
         if perturb:
             r = _doubled(r, 1, 2)
         t13, t23 = (0, z * w, None), (1, w, None)
-        lhs = ring.lines(ring.apply(None, r, (0, 1)), [t13, t23])
-        rhs = ring.apply(ring.lines(None, [t23, t13]), r, (0, 1))
+        lhs = ring.lines([t13, t23], before=[(r, (0, 1))])
+        rhs = ring.lines([t23, t13], after=[(r, (0, 1))])
         return lhs, rhs
 
     exact = {"entries_compared": (4 * (1 << spec.L)) ** 2}
@@ -507,7 +505,7 @@ def check_multiplicativity(
     tw12 = ring.kron(tw, [[1, 0], [0, 1]] if perturb else tw)
 
     def sides(z):
-        pair = ring.lines(ring.apply(None, tw12, (0, 1)), [(0, z, None), (1, z, a2)])
+        pair = ring.lines([(0, z, None), (1, z, a2)], before=[(tw12, (0, 1))])
         pair = ring.dense(ring.trace_first(ring.trace_first(pair, 1, 1), 1, 1))
         t1, t2 = (ring.dense(ring.transfer(z, a)) for a in (None, a2))
         return pair, ring.mul(t1, t2)

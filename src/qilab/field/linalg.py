@@ -9,10 +9,12 @@ supports, and only the (i, t, j) with A[i][t] and B[t][j] both nonzero are
 visited, with one int multiply-add per pair of their terms.  Other entry
 types take the generic loop over all n*k*m index triples with one ring
 product and sum per nonzero pair.  ``apply_on_slots`` multiplies a matrix
-on n slots of size 2 by a spin-conserving 4x4 factor on two slots in place:
-in each row it mixes every 01 column with its 10 partner by the factor's
-middle block and scales the 00 and 11 columns by its corners, skipping zero
-entries, so no 2^n-square embedding of the factor is formed.
+on n slots of size 2 by a stream of spin-conserving 4x4 factors, each on
+two slots, in place: in each row every factor mixes each 01 column with its
+10 partner by its middle block and scales the 00 and 11 columns by its
+corners, skipping zero entries, so no 2^n-square embedding is formed.  The
+whole stream runs on packed ints (``poly._slot_product``), and each entry
+is canonicalized once, not once per factor.
 
 Numeric matrices are numpy arrays.  A spin-conserving matrix on n slots of
 size 2 is kept as its spin blocks, one per popcount k, of size C(n, k):
@@ -36,7 +38,7 @@ from math import comb
 
 import numpy as np
 
-from .poly import MPoly
+from .poly import MPoly, _slot_product
 
 __all__ = [
     "mat_mul",
@@ -145,41 +147,26 @@ def _slot_columns(n: int, s0: int, s1: int) -> tuple:
     )
 
 
-def apply_on_slots(M, F, slots):
-    """``M`` times ``F`` on two ``slots`` (identity elsewhere), in place;
-    returns ``M``.
+def apply_on_slots(M, steps):
+    """``M`` times each ``(F, slots)`` of ``steps`` in turn, ``F`` acting on
+    its two slots (identity elsewhere), in place; returns ``M``.
 
     ``M`` is a list of rows whose columns are the states of n slots of size
-    2, slot 0 the leading bit; ``F`` is 4x4, indexed by the values of the
-    slots in the order given.  In each row the 01 column and its 10 partner
-    are mixed by F's middle block and the 00 and 11 columns are scaled by
-    F's corners; zero entries are skipped.  ``F`` must conserve the spin
-    sum of its slots and the slots must be distinct and in range; otherwise
-    ValueError is raised before ``M`` changes.
+    2, slot 0 the leading bit; each ``F`` is 4x4, indexed by the values of
+    its slots in the order given.  Entries are MPoly, Fraction or int; the
+    nonzero entries of the result are MPoly.  Every ``F`` must conserve the
+    spin sum of its slots, on distinct slots in range, and the exponents
+    must stay in bounds; otherwise ValueError is raised before ``M``
+    changes.
     """
     n = len(M[0]).bit_length() - 1
-    s0, s1 = slots
-    if len(F) != 4 or s0 == s1 or not (0 <= s0 < n and 0 <= s1 < n):
-        raise ValueError("a conserving factor is 4x4 on two distinct slots")
-    if any(F[i][j] for i, j in _MOVES):
-        raise ValueError("needs a spin-conserving F")
-    pairs, c00, c11 = _slot_columns(n, s0, s1)
-    f11, f12, f21, f22 = F[1][1], F[1][2], F[2][1], F[2][2]
-    corners = [(cols, f) for cols, f in ((c00, F[0][0]), (c11, F[3][3])) if f != 1]
-    for row in M:
-        for a, b in pairs:
-            x, y = row[a], row[b]
-            if x and y:
-                row[a], row[b] = x * f11 + y * f21, x * f12 + y * f22
-            elif x:
-                row[a], row[b] = x * f11, x * f12
-            elif y:
-                row[a], row[b] = y * f21, y * f22
-        for cols, f in corners:
-            for c in cols:
-                if row[c]:
-                    row[c] = row[c] * f
-    return M
+    steps = list(steps)
+    for F, (s0, s1) in steps:
+        if len(F) != 4 or s0 == s1 or not (0 <= s0 < n and 0 <= s1 < n):
+            raise ValueError("a conserving factor is 4x4 on two distinct slots")
+        if any(F[i][j] for i, j in _MOVES):
+            raise ValueError("needs a spin-conserving F")
+    return _slot_product(M, [(F, _slot_columns(n, *slots)) for F, slots in steps])
 
 
 # exact elimination

@@ -26,10 +26,11 @@ operands with different supports are rekeyed to the union of the two
 
 Products multiply the contents and the primitive parts.  By Gauss's lemma
 a product of primitive parts is primitive, and its leading coefficient is
-the product of two positive ones, so no gcd runs.  Sums, ``split_by`` and
-matrix products divide the gcd of the ints back out.  ``div_exact`` divides
-the primitive parts over Z by leading terms (``_quotient``); by Gauss's
-lemma the quotient is integral whenever it exists.
+the product of two positive ones, so no gcd runs.  Sums, ``split_by``,
+matrix products and slot products divide the gcd of the ints back out.
+``div_exact`` divides the primitive parts over Z by leading terms
+(``_quotient``); by Gauss's lemma the quotient is integral whenever it
+exists.
 
 ``poly_gcd`` returns the gcd with leading coefficient 1 and runs on ints:
 
@@ -590,6 +591,82 @@ class MPoly:
 
 
 _ZERO = _make((), {}, Fraction(0))
+
+
+def _slot_product(M, steps):
+    """``M`` times a stream of spin-conserving 4x4 factors in place, for
+    ``linalg.apply_on_slots``; ``steps`` lists ``(F, (pairs, c00, c11))``
+    with the columns of ``linalg._slot_columns``.
+
+    Every nonzero entry (MPoly, Fraction or int) is rekeyed once to the
+    union of all supports and scaled to ints: M's over their common
+    denominator and each factor's over its own, the denominators multiplied
+    together.  The exponents are bounded first, by the OR of M's keys plus
+    each factor's OR of keys slot by slot, so an overflow raises ValueError
+    before ``M`` changes.  Each row then runs every step on int dicts: a 01
+    column and its 10 partner become ``x*F11 + y*F21`` and ``x*F12 +
+    y*F22``, and the 00 and 11 columns take the corners, a constant one as
+    a scale.  Zero stays zero; each nonzero entry is canonicalized once.
+    """
+
+    def parts(x):
+        if isinstance(x, MPoly):
+            return x.vars, x._ints, x._content
+        if isinstance(x, (Fraction, int)):
+            return (), {0: 1}, Fraction(x)
+        raise TypeError(f"slot factors act on MPoly, Fraction or int, not {x!r}")
+
+    sides = [[x for row in M for x in row]] + [
+        [F[0][0], F[1][1], F[1][2], F[2][1], F[2][2], F[3][3]] for F, _ in steps
+    ]
+    packed = [[parts(x) if x else None for x in side] for side in sides]
+    vars = reduce(_union, [p[0] for side in packed for p in side if p], ())
+    guard = _masks(len(vars))[0]
+    bound, den = 0, 1
+    for side in packed:
+        d = lcm(*[p[2].denominator for p in side if p])
+        den *= d
+        for i, p in enumerate(side):
+            if p:
+                ints = _rekey(p[1], p[0], vars)
+                m = p[2].numerator * (d // p[2].denominator)
+                side[i] = {k: c * m for k, c in ints.items()}
+        bound += reduce(or_, [k for e in side if e for k in e], 0)
+        if bound & guard:
+            raise ValueError(f"exponent exceeds the limit {_LIMIT - 1}")
+    width = len(M[0])
+    flat, factors = packed[0], packed[1:]
+    unit = {0: 1}
+    rows = []
+    for r in range(len(M)):
+        row = flat[r * width : (r + 1) * width]
+        for (f00, f11, f12, f21, f22, f33), (_, (pairs, c00, c11)) in zip(factors, steps):
+            for a, b in pairs:
+                x, y = row[a], row[b]
+                if x or y:
+                    row[a], row[b] = _mix(x, f11, y, f21), _mix(x, f12, y, f22)
+            for cols, f in ((c00, f00), (c11, f33)):
+                if f == unit:
+                    continue
+                s = f[0] if f and len(f) == 1 and 0 in f else None  # a constant
+                for c in cols:
+                    x = row[c]
+                    if x:
+                        row[c] = {k: v * s for k, v in x.items()} if s else _mix(x, f, None, None)
+        rows.append([_canon(vars, e, 1, den) if e else 0 for e in row])
+    for row, new in zip(M, rows):
+        row[:] = new
+    return M
+
+
+def _mix(x, f, y, g):
+    """``x*f + y*g`` over int dicts, one dict filled by ``_accumulate``;
+    None or an empty dict is zero."""
+    acc = {}
+    for p, h in ((x, f), (y, g)):
+        if p and h:
+            _accumulate(acc, h.items(), p.items())
+    return acc
 
 
 def _accumulate(acc: dict, pa, pb) -> None:

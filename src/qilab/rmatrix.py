@@ -169,10 +169,7 @@ def _zeta_pair(scale: Fraction, *poly_factors):
 def _on_three(*factors):
     """The 8x8 product of 4x4 factors, each given with its two of three
     slots, in order."""
-    M = identity(8)
-    for F, slots in factors:
-        apply_on_slots(M, F, slots)
-    return M
+    return apply_on_slots(identity(8), factors)
 
 
 def _exchange_holds(m12, m13, m23) -> bool:

@@ -61,6 +61,14 @@ def test_l1_transfer_golden_strings():
     assert T[0][1].is_zero() and T[1][0].is_zero()
 
 
+def test_transfer_cleared_entries_are_all_mpoly():
+    # zeros included: callers read every entry with MPoly methods
+    for fields in ({"L": 2}, {"L": 3, "q": "3/5", "twist": "2"}):
+        T = transfer_cleared(ChainSpec.from_json(fields), MPoly.var("z"))
+        assert all(isinstance(x, MPoly) for row in T for x in row)
+        assert any(x.is_zero() for row in T for x in row)
+
+
 def test_vacuum_ratio_golden():
     # the one d(z) of the package against the exact L=1 form, a(z) = 1
     golden = RatFun.parse("(z*q - q)/(z*q^2 - 1)")
@@ -375,7 +383,7 @@ def test_corner_built_transfer_equals_the_traced_line(L):
     ring = _Numeric(s)
     u = s.twist_complex()
     for z, a in ((sample_point(s, np.random.default_rng(L)), None), (0.4 - 0.9j, 1.3 + 0.1j)):
-        traced = ring.trace_first(ring.lines(None, [(0, z, a)]), u, 1 / u)
+        traced = ring.trace_first(ring.lines([(0, z, a)]), u, 1 / u)
         assert np_residual(ring.transfer(z, a), traced) < 1e-14
 
 

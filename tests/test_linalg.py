@@ -87,9 +87,50 @@ def _exact_slot_problems(draw):
 def test_apply_on_slots_equals_product_with_embedding(problem):
     M, F, slots, n = problem
     expected = mat_mul(M, op_on_slots(F, slots, [2] * n))
-    out = apply_on_slots(M, F, slots)
+    out = apply_on_slots(M, [(F, slots)])
     assert out is M
     assert mat_eq(out, expected)
+
+
+# a small pool of values, so equal entries and opposite factor entries meet
+# often and sums cancel: int 0 and MPoly zero, ints, Fractions and MPolys
+_POOL = [0, MPoly.zero(), 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)]
+_POOL += [_Z, -_Z, _Z + 1, 2 * _Z - Fraction(1, 3)]
+_ONES = [1, Fraction(1), MPoly.const(1)]
+
+
+@st.composite
+def _exact_slot_streams(draw):
+    # 2..5 slots, a few rows drawn from the pool (some all zero), and 1..4
+    # conserving factors on pairs of slots in either order; a corner may be
+    # 1 in any of its three kinds and a middle entry may be zero
+    n = draw(st.integers(2, 5))
+    value = st.sampled_from(_POOL)
+    row = st.lists(value, min_size=1 << n, max_size=1 << n)
+    M = [draw(row) for _ in range(draw(st.integers(1, 3)))]
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        F = [[0] * 4 for _ in range(4)]
+        for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            F[i][j] = draw(value)
+        for i in (0, 3):
+            F[i][i] = draw(st.one_of(st.sampled_from(_ONES), value))
+        steps.append((F, tuple(draw(st.permutations(range(n)))[:2])))
+    return M, steps, n
+
+
+@settings(max_examples=80, deadline=None)
+@given(_exact_slot_streams())
+@example(([[0, 1, 1, 0]], [([[1, 0, 0, 0], [0, 1, 1, 0], [0, -1, -1, 0], [0, 0, 0, 1]], (0, 1))], 2))
+def test_a_stream_equals_the_product_of_its_embeddings(problem):
+    M, steps, n = problem
+    expected = M
+    for F, slots in steps:
+        expected = mat_mul(expected, op_on_slots(F, slots, [2] * n))
+    out = apply_on_slots(M, iter(steps))
+    assert out is M
+    assert mat_eq(out, expected)
+    assert all(isinstance(x, MPoly) for row in out for x in row if x)
 
 
 def _rows_and_factor():
@@ -106,7 +147,7 @@ def test_apply_on_slots_rejects_a_spin_moving_entry(entry):
     before = [row[:] for row in M]
     F[entry[0]][entry[1]] = _Z
     with pytest.raises(ValueError, match="spin-conserving"):
-        apply_on_slots(M, F, (2, 0))
+        apply_on_slots(M, [(F, (2, 0))])
     assert M == before
 
 
@@ -115,8 +156,57 @@ def test_apply_on_slots_rejects_repeated_or_out_of_range_slots(slots):
     M, F = _rows_and_factor()
     before = [row[:] for row in M]
     with pytest.raises(ValueError, match="two distinct slots"):
-        apply_on_slots(M, F, slots)
+        apply_on_slots(M, [(F, slots)])
     assert M == before
+
+
+@pytest.mark.parametrize(
+    "last, error",
+    [
+        ((None, (1, 1)), "two distinct slots"),
+        (((0, 3), (2, 0)), "spin-conserving"),
+        (((3, 0), (0, 1)), "spin-conserving"),
+    ],
+)
+def test_a_bad_last_step_raises_before_the_stream_starts(last, error):
+    # the first steps are good; the last repeats a slot or moves spin
+    M, F = _rows_and_factor()
+    before = [row[:] for row in M]
+    entry, slots = last
+    bad = [row[:] for row in F]
+    if entry:
+        bad[entry[0]][entry[1]] = 1
+    with pytest.raises(ValueError, match=error):
+        apply_on_slots(M, [(F, (0, 1)), (F, (2, 1)), (bad, slots)])
+    assert M == before
+
+
+def test_an_exponent_overflow_raises_before_the_stream_starts():
+    # z^(2^30) entries times z and then z^(2^30) would pass the limit
+    # 2^31 - 1; M stays as it was
+    big = MPoly.var("z") ** (1 << 30)
+    M = [[big, big, 1, _Z], [0, big, big, 1]]
+    before = [row[:] for row in M]
+    F = [[_Z, 0, 0, 0], [0, 1, _Z, 0], [0, 2, 3, 0], [0, 0, 0, 1]]
+    G = [[big, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    with pytest.raises(ValueError, match="exponent exceeds the limit"):
+        apply_on_slots(M, [(F, (0, 1)), (G, (1, 0))])
+    assert M == before
+    # exponents that would wrap past a whole slot are caught as well
+    near = MPoly.var("z") ** ((1 << 31) - 1)
+    M = [[near, 0, 0, 1]]
+    before = [row[:] for row in M]
+    F = [[near, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    G = [[_Z**2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    with pytest.raises(ValueError, match="exponent exceeds the limit"):
+        apply_on_slots(M, [(F, (0, 1)), (G, (0, 1))])
+    assert M == before
+    # up to the limit itself the stream runs
+    top = MPoly.var("z") ** ((1 << 30) - 1)
+    G = [[top, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    M = [[big, 1, 0, big]]
+    apply_on_slots(M, [(G, (1, 0))])
+    assert M[0][0] == big * top and M[0][0].degree_in("z") == (1 << 31) - 1
 
 
 def test_rref_rank_and_nullspace():

@@ -7,7 +7,7 @@ import os
 import pytest
 
 import qilab.qchar
-from qilab.chain import ChainSpec
+from qilab.chain import ChainSpec, compute_spectrum
 from qilab.field import RatFun
 from qilab.qchar import (
     YLaurent,
@@ -157,3 +157,18 @@ def test_swap_control_needs_two_branches_in_one_sector():
     L1 = ChainSpec.from_json({"L": 1, **GENERIC})
     with pytest.raises(ValueError, match="no two branches share a sector"):
         check_conjecture_sl2(L1, perturb=True)
+
+
+def test_a_failed_branch_is_reported_and_left_out(monkeypatch):
+    # a garbled numerator, as tests/test_spectrum.py builds for check_tq,
+    # has no Baxter polynomial: the check fails under that branch's global
+    # number, and the row is dropped rather than substituted
+    sp = compute_spectrum(L4)
+    first = sp.sectors[2].first
+    sp.sectors[2].ncoeffs[1] = sp.sectors[2].ncoeffs[1] * 1.37 + 0.1
+    monkeypatch.setattr(qilab.qchar, "compute_spectrum", lambda spec, seed=0: sp)
+    cr = check_conjecture_sl2(L4)
+    assert not cr.ok
+    assert [f["branch"] for f in cr.details["failures"]] == [first + 1]
+    assert cr.details["failures"][0]["error"].startswith("no polynomial solution")
+    assert cr.details["worst_residual"] < 1e-8
