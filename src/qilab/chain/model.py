@@ -11,15 +11,15 @@ Each identity is written once, as its two sides over a ring, and one
 builder serves both rings: ``_Ring.lines`` builds the product of one or two
 auxiliary lines, with optional factors before and after, from the identity
 as one stream of (factor, slots) steps, site by site.  The exact ring hands
-the whole stream to ``field.apply_on_slots``, one packed call on lists of
-rows; the numeric ring feeds it lazily, one factor at a time, to
-``field.np_spin_apply`` on popcount blocks.  No factor is embedded as a
-dense matrix and no line is kept between checks.  The factors come from
-``rmatrix``: ``cleared_r`` at the spec's q, symbolic or pinned, for the
-exact ring and ``numeric_r`` (which lives there and is re-exported here) for
-the numeric one.  ``_Exact`` compares cleared polynomial matrices at
-symbolic z, w: every factor is scaled by its corner denominator and the
-twist by u, so both sides carry the same scalar.  ``_Numeric``
+the whole stream and the slot count to ``field.apply_on_slots``, one packed
+call on sparse rows; the numeric ring feeds it lazily, one factor at a time,
+to ``field.np_spin_apply`` on the popcount blocks of the identity.  No
+factor is embedded as a dense matrix and no line is kept between checks.
+The factors come from ``rmatrix``: ``cleared_r`` at the spec's q, symbolic
+or pinned, for the exact ring and ``numeric_r`` (which lives there and is
+re-exported here) for the numeric one.  ``_Exact`` compares cleared
+polynomial matrices at symbolic z, w: every factor is scaled by its corner
+denominator and the twist by u, so both sides carry the same scalar.  ``_Numeric``
 takes the worst residual over seeded sample points.  Every factor conserves
 aux plus site spin, so numeric matrices are kept as popcount blocks.  The
 numeric transfer is built from the monodromy's aux corners A, B, C, D site
@@ -52,7 +52,6 @@ from ..field import (
     MPoly,
     RatFun,
     apply_on_slots,
-    identity,
     kron,
     mat_eq,
     mat_mul,
@@ -214,11 +213,11 @@ class ChainSpec:
 
 
 class _Ring:
-    """The factor stream both rings share; a ring supplies ``identity`` on n
-    slots, ``apply_slots`` (a stream of 4x4 factors, each on two slots, in
-    place), the site ``ratios`` a / b_l and the factor ``r``.  The first two
-    look their field function up at call time, so perfbench's tracer, which
-    rebinds module names, sees the calls."""
+    """The factor stream both rings share; a ring supplies ``apply_slots``
+    (the identity on n slots times a stream of 4x4 factors, each on two
+    slots), the site ``ratios`` a / b_l and the factor ``r``.
+    ``apply_slots`` looks its field functions up at call time, so
+    perfbench's tracer, which rebinds module names, sees the calls."""
 
     def __init__(self, spec: ChainSpec):
         self.spec = spec
@@ -239,8 +238,8 @@ class _Ring:
             for l in range(self.spec.L - 1, -1, -1)
             for (slot, z, _), rho in zip(lines, ratios)
         )
-        M = self.identity(first + self.spec.L)
-        return self.apply_slots(M, itertools.chain(before, steps, after))
+        n = first + self.spec.L
+        return self.apply_slots(n, itertools.chain(before, steps, after))
 
 
 class _Exact(_Ring):
@@ -250,8 +249,7 @@ class _Exact(_Ring):
     mul = transfer_mul = staticmethod(mat_mul)
     dense = staticmethod(lambda M: M)
     kron = staticmethod(kron)
-    identity = staticmethod(lambda n: identity(1 << n))
-    apply_slots = staticmethod(lambda M, steps: apply_on_slots(M, steps))
+    apply_slots = staticmethod(lambda n, steps: apply_on_slots(n, steps))
 
     def __init__(self, spec: ChainSpec):
         super().__init__(spec)
@@ -306,10 +304,10 @@ class _Numeric(_Ring):
     kron = staticmethod(np.kron)
     dense = staticmethod(np_spin_dense)
     trace_first = staticmethod(np_spin_trace_first)
-    identity = staticmethod(lambda n: np_spin_identity(n))
 
     @staticmethod
-    def apply_slots(blocks, steps):
+    def apply_slots(n, steps):
+        blocks = np_spin_identity(n)
         for F, slots in steps:
             np_spin_apply(blocks, F, slots)
         return blocks

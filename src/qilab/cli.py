@@ -81,17 +81,11 @@ def _load_json(path: str):
 
 
 def _chain_spec(path: str) -> ChainSpec:
-    try:
-        return ChainSpec.from_json(_load_json(path))
-    except ValueError as e:
-        raise InputError(str(e))
+    return ChainSpec.from_json(_load_json(path))
 
 
 def _quiver(path: str) -> cl.Quiver:
-    try:
-        return cl.Quiver.from_json(_load_json(path))
-    except ValueError as e:
-        raise InputError(str(e))
+    return cl.Quiver.from_json(_load_json(path))
 
 
 def _chamber(n: int, text: str) -> st.Chamber:
@@ -104,10 +98,7 @@ def _chamber(n: int, text: str) -> st.Chamber:
         perm = tuple(int(t) for t in toks)
     except ValueError:
         raise InputError(f"bad chamber {text!r}; use e.g. 'plus' or '1,0,2'")
-    try:
-        return st.Chamber.from_perm(n, perm)
-    except ValueError as e:
-        raise InputError(str(e))
+    return st.Chamber.from_perm(n, perm)
 
 
 def _polarization(text: str) -> tuple:

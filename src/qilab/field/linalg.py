@@ -8,13 +8,12 @@ each entry's packed integer terms are rekeyed once to the union of all
 supports, and only the (i, t, j) with A[i][t] and B[t][j] both nonzero are
 visited, with one int multiply-add per pair of their terms.  Other entry
 types take the generic loop over all n*k*m index triples with one ring
-product and sum per nonzero pair.  ``apply_on_slots`` multiplies a matrix
+product and sum per nonzero pair.  ``apply_on_slots`` multiplies the identity
 on n slots of size 2 by a stream of spin-conserving 4x4 factors, each on
-two slots, in place: in each row every factor mixes each 01 column with its
-10 partner by its middle block and scales the 00 and 11 columns by its
-corners, skipping zero entries, so no 2^n-square embedding is formed.  The
-whole stream runs on packed ints (``poly._slot_product``), and each entry
-is canonicalized once, not once per factor.
+two slots.  Each row starts as its unit vector and keeps only its nonzero
+entries, which every factor sends through its middle block or scales by a
+corner, so no 2^n-square embedding is formed.  The whole stream runs on
+packed ints (``poly._slot_product``), each entry canonicalized once.
 
 Numeric matrices are numpy arrays.  A spin-conserving matrix on n slots of
 size 2 is kept as its spin blocks, one per popcount k, of size C(n, k):
@@ -132,41 +131,24 @@ _SPIN_MOVES = ~np.array(
 _MOVES = np.argwhere(_SPIN_MOVES).tolist()  # as (row, column) pairs
 
 
-@lru_cache(maxsize=None)
-def _slot_columns(n: int, s0: int, s1: int) -> tuple:
-    """Columns on ``n`` slots of size 2 by the values of slots (s0, s1), slot
-    0 the leading bit: each 01 column with its 10 partner, then the 00 and
-    the 11 columns."""
-    b0, b1 = 1 << (n - 1 - s0), 1 << (n - 1 - s1)
-    both = b0 | b1
-    cols = range(1 << n)
-    return (
-        tuple((c, c ^ both) for c in cols if c & both == b1),
-        tuple(c for c in cols if not c & both),
-        tuple(c for c in cols if c & both == both),
-    )
+def apply_on_slots(n: int, steps):
+    """The identity on ``n`` slots of size 2 times each ``(F, slots)`` of
+    ``steps`` in turn, ``F`` acting on its two slots (identity elsewhere).
 
-
-def apply_on_slots(M, steps):
-    """``M`` times each ``(F, slots)`` of ``steps`` in turn, ``F`` acting on
-    its two slots (identity elsewhere), in place; returns ``M``.
-
-    ``M`` is a list of rows whose columns are the states of n slots of size
-    2, slot 0 the leading bit; each ``F`` is 4x4, indexed by the values of
-    its slots in the order given.  Entries are MPoly, Fraction or int; the
-    nonzero entries of the result are MPoly.  Every ``F`` must conserve the
-    spin sum of its slots, on distinct slots in range, and the exponents
-    must stay in bounds; otherwise ValueError is raised before ``M``
-    changes.
+    Slot 0 is the leading bit of a row or column index; each ``F`` is 4x4,
+    indexed by the values of its slots in the order given.  Entries are
+    MPoly, Fraction or int; the nonzero entries of the result are MPoly and
+    the others int 0.  Every ``F`` must conserve the spin sum of its slots,
+    on distinct slots in range, and the exponents must stay in bounds;
+    otherwise ValueError is raised before any row is built.
     """
-    n = len(M[0]).bit_length() - 1
     steps = list(steps)
     for F, (s0, s1) in steps:
         if len(F) != 4 or s0 == s1 or not (0 <= s0 < n and 0 <= s1 < n):
             raise ValueError("a conserving factor is 4x4 on two distinct slots")
         if any(F[i][j] for i, j in _MOVES):
             raise ValueError("needs a spin-conserving F")
-    return _slot_product(M, [(F, _slot_columns(n, *slots)) for F, slots in steps])
+    return _slot_product(n, steps)
 
 
 # exact elimination

@@ -26,8 +26,9 @@ operands with different supports are rekeyed to the union of the two
 
 Products multiply the contents and the primitive parts.  By Gauss's lemma
 a product of primitive parts is primitive, and its leading coefficient is
-the product of two positive ones, so no gcd runs.  Sums, ``split_by``,
-matrix products and slot products divide the gcd of the ints back out.
+the product of two positive ones, so no gcd runs.  Matrix products and
+slot products pack each entry once (``_pack``); they, sums and
+``split_by`` divide the gcd of the ints back out.
 ``div_exact`` divides the primitive parts over Z by leading terms
 (``_quotient``); by Gauss's lemma the quotient is integral whenever it
 exists.
@@ -55,7 +56,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import or_
 
 __all__ = ["MPoly", "NotDivisible", "normalize_var", "var_rank", "poly_gcd"]
@@ -127,6 +128,12 @@ def _masks(n: int) -> tuple[int, int]:
 def _offsets(n: int) -> tuple:
     """Bit offset of each of ``n`` slots, most significant first."""
     return tuple(_W * (n - 1 - i) for i in range(n))
+
+
+def _slot_min(x: int, y: int, guard: int) -> int:
+    """The slotwise minimum of two keys whose ``guard`` bits are clear."""
+    ge = ((x | guard) - y) & guard  # the guard bit of each slot where x >= y
+    return x ^ ((x ^ y) & (ge - (ge >> _W - 1)))
 
 
 def _decode(k: int, n: int) -> tuple:
@@ -545,29 +552,16 @@ class MPoly:
     def matrix_product(A, B):
         """``A·B`` for matrices whose nonzero entries are all MPoly.
 
-        Every entry is rekeyed once to the union of all supports and scaled
-        to ints over its side's common denominator.  Entry (i, j) accumulates
-        ``ka + kb -> ca * cb`` in ascending t in one int dict, over only the
-        t with A[i][t] and B[t][j] both nonzero.  It stays int 0 when there
-        is no such t, as in the generic loop; a sum that cancels is zero.
+        Every entry is packed once (``_pack``), each side over its own common
+        denominator.  Entry (i, j) accumulates ``ka + kb -> ca * cb`` in
+        ascending t in one int dict, over only the t with A[i][t] and B[t][j]
+        both nonzero.  It stays int 0 when there is no such t, as in the
+        generic loop; a sum that cancels is zero.  Only ``_trim`` bounds the
+        exponents, so only a product that really overflows raises.
         """
-        sides = [[p for row in M for p in row if p] for M in (A, B)]
-        vars = reduce(_union, [p.vars for side in sides for p in side], ())
-        dens = [lcm(*[p._content.denominator for p in side]) for side in sides]
-        packed = {}
-
-        def pack(p, side):
-            got = packed.get((id(p), side))
-            if got is None:
-                c = p._content
-                m = c.numerator * (dens[side] // c.denominator)
-                got = packed[(id(p), side)] = [
-                    (k, v * m) for k, v in _rekey(p._ints, p.vars, vars).items()
-                ]
-            return got
-
-        PA = [[(t, pack(a, 0)) for t, a in enumerate(row) if a] for row in A]
-        PB = [[(j, pack(b, 1)) for j, b in enumerate(row) if b] for row in B]
+        vars, dens, (PA, PB) = _pack((A, B))
+        PA = [[(t, a.items()) for t, a in enumerate(row) if a] for row in PA]
+        PB = [[(j, b.items()) for j, b in enumerate(row) if b] for row in PB]
         den = dens[0] * dens[1]
         share = {}.setdefault
         out = []
@@ -593,80 +587,86 @@ class MPoly:
 _ZERO = _make((), {}, Fraction(0))
 
 
-def _slot_product(M, steps):
-    """``M`` times a stream of spin-conserving 4x4 factors in place, for
-    ``linalg.apply_on_slots``; ``steps`` lists ``(F, (pairs, c00, c11))``
-    with the columns of ``linalg._slot_columns``.
+def _parts(x) -> tuple:
+    """``(vars, ints, content)`` of an MPoly, Fraction or int."""
+    if isinstance(x, MPoly):
+        return x.vars, x._ints, x._content
+    if isinstance(x, (Fraction, int)):
+        return (), {0: 1}, Fraction(x)
+    raise TypeError(f"packed entries are MPoly, Fraction or int, not {x!r}")
 
-    Every nonzero entry (MPoly, Fraction or int) is rekeyed once to the
-    union of all supports and scaled to ints: M's over their common
-    denominator and each factor's over its own, the denominators multiplied
-    together.  The exponents are bounded first, by the OR of M's keys plus
-    each factor's OR of keys slot by slot, so an overflow raises ValueError
-    before ``M`` changes.  Each row then runs every step on int dicts: a 01
-    column and its 10 partner become ``x*F11 + y*F21`` and ``x*F12 +
-    y*F22``, and the 00 and 11 columns take the corners, a constant one as
-    a scale.  Zero stays zero; each nonzero entry is canonicalized once.
-    """
 
-    def parts(x):
-        if isinstance(x, MPoly):
-            return x.vars, x._ints, x._content
-        if isinstance(x, (Fraction, int)):
-            return (), {0: 1}, Fraction(x)
-        raise TypeError(f"slot factors act on MPoly, Fraction or int, not {x!r}")
-
-    sides = [[x for row in M for x in row]] + [
-        [F[0][0], F[1][1], F[1][2], F[2][1], F[2][2], F[3][3]] for F, _ in steps
+def _pack(sides) -> tuple:
+    """``(vars, dens, packed)``: every nonzero entry (MPoly, Fraction or int)
+    of each matrix rekeyed to the union ``vars`` of all supports and scaled
+    to an int dict over its matrix's common denominator ``dens[i]``, once
+    per entry object; zero packs to None."""
+    sides = list(sides)
+    parts = [{id(x): _parts(x) for row in M for x in row if x} for M in sides]
+    vars = reduce(_union, [p[0] for memo in parts for p in memo.values()], ())
+    dens = [lcm(*[p[2].denominator for p in memo.values()]) for memo in parts]
+    for memo, d in zip(parts, dens):
+        for key, (vs, ints, c) in memo.items():
+            m = c.numerator * (d // c.denominator)
+            memo[key] = {k: v * m for k, v in _rekey(ints, vs, vars).items()}
+    return vars, dens, [
+        [[memo[id(x)] if x else None for x in row] for row in M]
+        for M, memo in zip(sides, parts)
     ]
-    packed = [[parts(x) if x else None for x in side] for side in sides]
-    vars = reduce(_union, [p[0] for side in packed for p in side if p], ())
+
+
+def _slot_product(n: int, steps) -> list:
+    """The identity on ``n`` slots of size 2 times a stream of conserving
+    4x4 factors ``(F, (s0, s1))``, for ``linalg.apply_on_slots``.
+
+    The exponents are bounded first, by the running sum of each packed
+    factor's slotwise largest key.  Each row starts as its unit vector and
+    keeps its nonzero entries as a dict from column to int dict.  A step
+    sends an entry whose slots read 01 to its own column by F11 and to its
+    10 partner by F12, a 10 entry to its 01 partner by F21 and to its own
+    column by F22, and a 00 or 11 entry to itself by F00 or F33.
+    """
+    vars, dens, factors = _pack(F for F, _ in steps)
     guard = _masks(len(vars))[0]
-    bound, den = 0, 1
-    for side in packed:
-        d = lcm(*[p[2].denominator for p in side if p])
-        den *= d
-        for i, p in enumerate(side):
-            if p:
-                ints = _rekey(p[1], p[0], vars)
-                m = p[2].numerator * (d // p[2].denominator)
-                side[i] = {k: c * m for k, c in ints.items()}
-        bound += reduce(or_, [k for e in side if e for k in e], 0)
+    bound = 0
+    for F in factors:
+        keys = [k for row in F for e in row if e for k in e]
+        bound += reduce(lambda x, y: x + y - _slot_min(x, y, guard), keys, 0)
         if bound & guard:
             raise ValueError(f"exponent exceeds the limit {_LIMIT - 1}")
-    width = len(M[0])
-    flat, factors = packed[0], packed[1:]
-    unit = {0: 1}
-    rows = []
-    for r in range(len(M)):
-        row = flat[r * width : (r + 1) * width]
-        for (f00, f11, f12, f21, f22, f33), (_, (pairs, c00, c11)) in zip(factors, steps):
-            for a, b in pairs:
-                x, y = row[a], row[b]
-                if x or y:
-                    row[a], row[b] = _mix(x, f11, y, f21), _mix(x, f12, y, f22)
-            for cols, f in ((c00, f00), (c11, f33)):
-                if f == unit:
-                    continue
-                s = f[0] if f and len(f) == 1 and 0 in f else None  # a constant
-                for c in cols:
-                    x = row[c]
-                    if x:
-                        row[c] = {k: v * s for k, v in x.items()} if s else _mix(x, f, None, None)
-        rows.append([_canon(vars, e, 1, den) if e else 0 for e in row])
-    for row, new in zip(M, rows):
-        row[:] = new
-    return M
+    den = prod(dens)
+    out = []
+    for r in range(1 << n):
+        row = {r: {0: 1}}
+        for F, (_, (s0, s1)) in zip(factors, steps):
+            b0, b1 = 1 << n - 1 - s0, 1 << n - 1 - s1
+            both = b0 | b1
+            new = {}
+            for c, x in row.items():
+                t = c & both
+                if t == b1:
+                    _send(new, c, x, F[1][1])
+                    _send(new, c ^ both, x, F[1][2])
+                elif t == b0:
+                    _send(new, c ^ both, x, F[2][1])
+                    _send(new, c, x, F[2][2])
+                else:
+                    _send(new, c, x, F[3][3] if t else F[0][0])
+            row = {c: x for c, x in new.items() if x}
+        entries = [0] * (1 << n)
+        for c, x in row.items():
+            entries[c] = _canon(vars, x, 1, den)
+        out.append(entries)
+    return out
 
 
-def _mix(x, f, y, g):
-    """``x*f + y*g`` over int dicts, one dict filled by ``_accumulate``;
-    None or an empty dict is zero."""
-    acc = {}
-    for p, h in ((x, f), (y, g)):
-        if p and h:
-            _accumulate(acc, h.items(), p.items())
-    return acc
+def _send(row: dict, c: int, x: dict, f) -> None:
+    """``row[c] += x*f`` over int dicts; None is zero."""
+    if f:
+        acc = row.get(c)
+        if acc is None:
+            acc = row[c] = {}
+        _accumulate(acc, f.items(), x.items())
 
 
 def _accumulate(acc: dict, pa, pb) -> None:
@@ -747,15 +747,10 @@ def _strip_monomials(a: MPoly, b: MPoly) -> tuple:
     monomial both contents share."""
     vars, A, B = _align(a, b)
     guard = _masks(len(vars))[0]
-
-    def slot_min(x: int, y: int) -> int:
-        ge = ((x | guard) - y) & guard  # the guard bit of each slot where x >= y
-        return x ^ ((x ^ y) & (ge - (ge >> _W - 1)))
-
-    lo_a, lo_b = reduce(slot_min, A), reduce(slot_min, B)
+    lo_a, lo_b = (reduce(lambda x, y: _slot_min(x, y, guard), P) for P in (A, B))
     f = {k - lo_a: c for k, c in A.items()} if lo_a else A
     g = {k - lo_b: c for k, c in B.items()} if lo_b else B
-    return vars, f, g, slot_min(lo_a, lo_b)
+    return vars, f, g, _slot_min(lo_a, lo_b, guard)
 
 
 def _heuristic_gcd(f: dict, g: dict, m: int):

@@ -169,7 +169,7 @@ def _zeta_pair(scale: Fraction, *poly_factors):
 def _on_three(*factors):
     """The 8x8 product of 4x4 factors, each given with its two of three
     slots, in order."""
-    return apply_on_slots(identity(8), factors)
+    return apply_on_slots(3, factors)
 
 
 def _exchange_holds(m12, m13, m23) -> bool:

@@ -2,9 +2,10 @@
 
 ``op_on_slots`` embeds an exact operator on chosen tensor slots entry by
 entry; ``np_apply_on_slots`` and ``np_op_on_slots`` do it numerically with
-one general ``tensordot``.  The package's in-place kernels
-``apply_on_slots`` and ``np_spin_apply`` and its corner-built transfer
-``np_spin_transfer`` are checked against them.
+one general ``tensordot``.  The package's slot kernels, ``apply_on_slots``
+(a stream of factors from the identity) and ``np_spin_apply`` (one factor
+in place), and its corner-built transfer ``np_spin_transfer`` are checked
+against them.
 """
 
 import numpy as np

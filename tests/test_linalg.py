@@ -56,7 +56,7 @@ _SPIN_MOVING = [
 
 
 def _exact_value(rng, kind):
-    # 0 (an int, as in an identity start) or a small Fraction or MPoly
+    # 0 (an int, as in an identity) or a small Fraction or MPoly
     if rng.random() < 0.3:
         return 0
     c = Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 5)))
@@ -66,30 +66,35 @@ def _exact_value(rng, kind):
 @st.composite
 def _exact_slot_problems(draw):
     # 2..5 slots of size 2, two of them in either order (so reversed and
-    # non-adjacent pairs occur), a few rows of Fraction or MPoly entries and
-    # a conserving factor whose corners may each be 1
+    # non-adjacent pairs occur), and a conserving factor of Fraction or
+    # MPoly entries whose corners may each be 1
     n = draw(st.integers(2, 5))
     slots = tuple(draw(st.permutations(range(n)))[:2])
     kind = draw(st.sampled_from(["fraction", "mpoly"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows = draw(st.integers(1, 4))
-    M = [[_exact_value(rng, kind) for _ in range(1 << n)] for _ in range(rows)]
     F = [[0] * 4 for _ in range(4)]
     for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
         F[i][j] = _exact_value(rng, kind)
     for i in (0, 3):
         F[i][i] = 1 if draw(st.booleans()) else _exact_value(rng, kind)
-    return M, F, slots, n
+    return F, slots, n
+
+
+def _is_packed(M) -> bool:
+    # nonzero entries are MPoly and the others int 0
+    return all(
+        isinstance(x, MPoly) if x else type(x) is int for row in M for x in row
+    )
 
 
 @settings(max_examples=60, deadline=None)
 @given(_exact_slot_problems())
 def test_apply_on_slots_equals_product_with_embedding(problem):
-    M, F, slots, n = problem
-    expected = mat_mul(M, op_on_slots(F, slots, [2] * n))
-    out = apply_on_slots(M, [(F, slots)])
-    assert out is M
+    F, slots, n = problem
+    expected = mat_mul(identity(1 << n), op_on_slots(F, slots, [2] * n))
+    out = apply_on_slots(n, [(F, slots)])
     assert mat_eq(out, expected)
+    assert _is_packed(out)
 
 
 # a small pool of values, so equal entries and opposite factor entries meet
@@ -101,63 +106,56 @@ _ONES = [1, Fraction(1), MPoly.const(1)]
 
 @st.composite
 def _exact_slot_streams(draw):
-    # 2..5 slots, a few rows drawn from the pool (some all zero), and 1..4
-    # conserving factors on pairs of slots in either order; a corner may be
-    # 1 in any of its three kinds and a middle entry may be zero
+    # 2..5 slots and 1..5 conserving factors on pairs of slots in either
+    # order, their entries drawn from the pool; a corner may be 1 in any of
+    # its three kinds and a middle entry may be zero
     n = draw(st.integers(2, 5))
     value = st.sampled_from(_POOL)
-    row = st.lists(value, min_size=1 << n, max_size=1 << n)
-    M = [draw(row) for _ in range(draw(st.integers(1, 3)))]
     steps = []
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, 5))):
         F = [[0] * 4 for _ in range(4)]
         for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
             F[i][j] = draw(value)
         for i in (0, 3):
             F[i][i] = draw(st.one_of(st.sampled_from(_ONES), value))
         steps.append((F, tuple(draw(st.permutations(range(n)))[:2])))
-    return M, steps, n
+    return steps, n
+
+
+_MIX = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
+_CANCEL = [[1, 0, 0, 0], [0, 1, 1, 0], [0, -1, -1, 0], [0, 0, 0, 1]]
 
 
 @settings(max_examples=80, deadline=None)
 @given(_exact_slot_streams())
-@example(([[0, 1, 1, 0]], [([[1, 0, 0, 0], [0, 1, 1, 0], [0, -1, -1, 0], [0, 0, 0, 1]], (0, 1))], 2))
+@example(([(_MIX, (0, 1)), (_CANCEL, (0, 1))], 2))  # rows 1 and 2 cancel to zero
 def test_a_stream_equals_the_product_of_its_embeddings(problem):
-    M, steps, n = problem
-    expected = M
+    steps, n = problem
+    expected = identity(1 << n)
     for F, slots in steps:
         expected = mat_mul(expected, op_on_slots(F, slots, [2] * n))
-    out = apply_on_slots(M, iter(steps))
-    assert out is M
+    out = apply_on_slots(n, iter(steps))
     assert mat_eq(out, expected)
-    assert all(isinstance(x, MPoly) for row in out for x in row if x)
+    assert _is_packed(out)
 
 
-def _rows_and_factor():
-    # rows on three slots with no zero entry, and a conserving factor
-    M = [[Fraction(3 * i - j, 1 + j) * _Z + i for j in range(8)] for i in range(8)]
-    F = _frac_mat([[2, 0, 0, 0], [0, 3, 5, 0], [0, 7, 11, 0], [0, 0, 0, 13]])
-    return M, F
+def _factor():
+    # a conserving factor with no zero entry in its blocks
+    return _frac_mat([[2, 0, 0, 0], [0, 3, 5, 0], [0, 7, 11, 0], [0, 0, 0, 13]])
 
 
 @pytest.mark.parametrize("entry", _SPIN_MOVING)
 def test_apply_on_slots_rejects_a_spin_moving_entry(entry):
-    # apply_on_slots raises before any entry of M changes
-    M, F = _rows_and_factor()
-    before = [row[:] for row in M]
+    F = _factor()
     F[entry[0]][entry[1]] = _Z
     with pytest.raises(ValueError, match="spin-conserving"):
-        apply_on_slots(M, [(F, (2, 0))])
-    assert M == before
+        apply_on_slots(3, [(F, (2, 0))])
 
 
 @pytest.mark.parametrize("slots", [(1, 1), (0, 3), (3, 1), (-1, 2)])
 def test_apply_on_slots_rejects_repeated_or_out_of_range_slots(slots):
-    M, F = _rows_and_factor()
-    before = [row[:] for row in M]
     with pytest.raises(ValueError, match="two distinct slots"):
-        apply_on_slots(M, [(F, slots)])
-    assert M == before
+        apply_on_slots(3, [(_factor(), slots)])
 
 
 @pytest.mark.parametrize(
@@ -170,43 +168,44 @@ def test_apply_on_slots_rejects_repeated_or_out_of_range_slots(slots):
 )
 def test_a_bad_last_step_raises_before_the_stream_starts(last, error):
     # the first steps are good; the last repeats a slot or moves spin
-    M, F = _rows_and_factor()
-    before = [row[:] for row in M]
+    F = _factor()
     entry, slots = last
     bad = [row[:] for row in F]
     if entry:
         bad[entry[0]][entry[1]] = 1
     with pytest.raises(ValueError, match=error):
-        apply_on_slots(M, [(F, (0, 1)), (F, (2, 1)), (bad, slots)])
-    assert M == before
+        apply_on_slots(3, [(F, (0, 1)), (F, (2, 1)), (bad, slots)])
+
+
+def _corners(f00, f33=1):
+    return [[f00, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, f33]]
 
 
 def test_an_exponent_overflow_raises_before_the_stream_starts():
-    # z^(2^30) entries times z and then z^(2^30) would pass the limit
-    # 2^31 - 1; M stays as it was
-    big = MPoly.var("z") ** (1 << 30)
-    M = [[big, big, 1, _Z], [0, big, big, 1]]
-    before = [row[:] for row in M]
-    F = [[_Z, 0, 0, 0], [0, 1, _Z, 0], [0, 2, 3, 0], [0, 0, 0, 1]]
-    G = [[big, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    z = MPoly.var("z")
+    big, near = z ** (1 << 30), z ** ((1 << 31) - 1)
+    # two z^(2^30) corners pass the limit 2^31 - 1 on the 00 row
     with pytest.raises(ValueError, match="exponent exceeds the limit"):
-        apply_on_slots(M, [(F, (0, 1)), (G, (1, 0))])
-    assert M == before
-    # exponents that would wrap past a whole slot are caught as well
-    near = MPoly.var("z") ** ((1 << 31) - 1)
-    M = [[near, 0, 0, 1]]
-    before = [row[:] for row in M]
-    F = [[near, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    G = [[_Z**2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        apply_on_slots(2, [(_corners(big), (0, 1)), (_corners(big * _Z), (1, 0))])
+    # a sum that wraps past the whole slot (2^31 - 1 twice, then 2) leaves
+    # the guard bit clear; the bound catches it at the second factor
     with pytest.raises(ValueError, match="exponent exceeds the limit"):
-        apply_on_slots(M, [(F, (0, 1)), (G, (0, 1))])
-    assert M == before
-    # up to the limit itself the stream runs
-    top = MPoly.var("z") ** ((1 << 30) - 1)
-    G = [[top, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    M = [[big, 1, 0, big]]
-    apply_on_slots(M, [(G, (1, 0))])
-    assert M[0][0] == big * top and M[0][0].degree_in("z") == (1 << 31) - 1
+        apply_on_slots(2, [(_corners(near), (0, 1))] * 2 + [(_corners(_Z**2), (0, 1))])
+    # the bound adds each factor's largest exponent, not the OR of its
+    # exponents: 2^30 and 1 in one factor, then 2^30 - 1, reach the limit
+    F = [[1, 0, 0, 0], [0, big, 0, 0], [0, 0, _Z, 0], [0, 0, 0, 1]]
+    G = [[1, 0, 0, 0], [0, z ** ((1 << 30) - 1), 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    out = apply_on_slots(2, [(F, (0, 1)), (G, (0, 1))])
+    assert out[1][1] == near and out[2][2] == _Z and out[0][0] == out[3][3] == 1
+
+
+def test_mat_mul_bounds_only_a_real_overflow():
+    # the exponents of the two sides sum past the limit, but no product does
+    big, one = MPoly.var("z") ** (1 << 30), MPoly.const(1)
+    got = mat_mul([[big, 0], [0, one]], [[one, 0], [0, big]])
+    assert got == [[big, 0], [0, big]]
+    with pytest.raises(ValueError, match="exponent exceeds the limit"):
+        mat_mul([[big]], [[big * _Z]])
 
 
 def test_rref_rank_and_nullspace():
