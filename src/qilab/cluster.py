@@ -4,7 +4,9 @@ Arrows live in an integer skew matrix (entry = arrows i->j minus arrows
 j->i), which makes loop and 2-cycle removal automatic.  Seeds carry exact
 rational-function variables; exchange always produces the canonical
 reduced form, so Laurentness is a direct look at the denominator.
-Exploration is breadth-first with unordered-cluster deduplication.
+Exploration is breadth-first with unordered-cluster deduplication, and it
+computes each distinct exchange relation once per call: a finite-type
+exploration meets the same few exchanges many times.
 
 Vertices are 1-based everywhere in the public interface, matching the
 JSON format {"r": int, "frozen": [int...], "arrows": [[i, j, mult]...]}.
@@ -157,19 +159,26 @@ def initial_seed(q: Quiver) -> Seed:
     return Seed(variables=vs, quiver=q)
 
 
-def _exchange(seed: Seed, k: int):
-    """``(out exponents, in exponents, out-product + in-product)`` at vertex
-    k; the exponents map a 0-based neighbor index to its arrow count.
-
-    Each product is kept as a numerator and denominator pair of MPolys, so
-    the sum is the only RatFun built.
-    """
+def _exponents(seed: Seed, k: int):
+    """The out and in exponents at vertex k: each maps a 0-based neighbor
+    index to its arrow count."""
     out, inn = {}, {}
     for j, m in enumerate(seed.quiver.B[k - 1]):
         if m > 0:
             out[j] = m
         elif m < 0:
             inn[j] = -m
+    return out, inn
+
+
+def _exchange(seed: Seed, k: int):
+    """``(out exponents, in exponents, out-product + in-product)`` at vertex
+    k, the exponents as ``_exponents`` gives them.
+
+    Each product is kept as a numerator and denominator pair of MPolys, so
+    the sum is the only RatFun built.
+    """
+    out, inn = _exponents(seed, k)
     parts = []
     for exps in (out, inn):
         num = den = _ONE
@@ -294,6 +303,32 @@ def _record_relation(seed: Seed, atlas: Atlas, k: int, new_seed: Seed):
     atlas.relations[key] = f"{new_name}*{old_name} = {rhs_disp}"
 
 
+def _mutate_once(seed: Seed, k: int, exchanges: dict) -> Seed:
+    """``mutate_seed(seed, k)``, computing each exchange only once.
+
+    ``exchanges`` maps the inputs of an exchange to its ``(new variable,
+    rhs)``.  The key is the variable at k and the unordered pair of the out
+    and in monomials, each a set of (variable, arrow count) over the whole
+    row, so that it fixes the result on any quiver.  The rhs is symmetric in
+    out and in, so a computed exchange is stored both ways: mutating back at
+    k meets the same pair with the two variables swapped.
+    """
+    out, inn = _exponents(seed, k)
+    vs = list(seed.variables)
+    pair = frozenset(
+        frozenset((str(vs[j]), e) for j, e in exps.items()) for exps in (out, inn)
+    )
+    key = (str(vs[k - 1]), pair)
+    if key not in exchanges:
+        child = mutate_seed(seed, k)
+        new, rhs = child.variables[k - 1], child.exchange[2]
+        exchanges[key] = new, rhs
+        exchanges[str(new), pair] = vs[k - 1], rhs
+        return child
+    vs[k - 1], rhs = exchanges[key]
+    return Seed(tuple(vs), mutate_quiver(seed.quiver, k), (out, inn, rhs))
+
+
 def explore(seed: Seed, depth: int) -> Atlas:
     """Breadth-first mutation closure up to the given depth."""
     if depth < 0:
@@ -308,6 +343,7 @@ def explore(seed: Seed, depth: int) -> Atlas:
     # (seed, the vertex it was found by): mutation is an involution, so
     # mutating back along that edge gives the parent, already recorded
     frontier = [(seed, None)]
+    exchanges = {}
     for _ in range(depth):
         if not frontier:
             break
@@ -316,7 +352,7 @@ def explore(seed: Seed, depth: int) -> Atlas:
             for k in range(1, s.quiver.n + 1):
                 if k == found_by:
                     continue
-                child = mutate_seed(s, k)
+                child = _mutate_once(s, k, exchanges)
                 _record_relation(s, atlas, k, child)
                 ck = _canonical_key(child)
                 if ck not in seen:

@@ -73,6 +73,9 @@ JSON_PINS = {
     "cluster mutate --quiver example.json --at 2": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: vertex 2 is frozen or out of range"),
     "cluster explore --quiver example.json --depth 4": (0, "5d1e0db8e0a1fd80b55d9843e9633a17e30fa54db54d3496d435f3e9ce35492c", ""),
     "cluster explore --quiver d4.json --depth 12": (0, "d97e6cbc1fe739d3e07059018558f3888147bc6644b3c40ccc4c05d01086c8b0", ""),
+    "cluster explore --quiver a4.json --depth 14": (0, "ab974b6f032b7e349d3634e54c45c5c147f5441ad4f4ecd3b39fb4419a13c5d5", ""),
+    "cluster laurent --quiver d4.json": (0, "4fb7f0cfd610c03d249f6d601ac93fc08dafcd98745a837e806798b0f577e4dc", ""),
+    "cluster laurent --quiver d4.json --perturb": (1, "784555636a8f82b891610fd0bc8b92957a405c5742a91c9596a59790e8a57296", ""),
     "cluster laurent --quiver example.json": (0, "48aa6a2329eef1242f69264ecf88188199724a89bb061d23f0f09369cdc231d8", ""),
     "cluster laurent --quiver example.json --perturb": (1, "331735933056508a5c99bd2c7820a5b27e8663c570c158ed7b6b96ff582709e5", ""),
     "cluster explore --quiver missing.json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: cannot read missing.json: [Errno 2] No such file or directory: 'missing.json'"),
@@ -430,10 +433,14 @@ def inputs(tmp_path, monkeypatch):
     (tmp_path / "example.json").write_text(
         json.dumps({"r": 3, "frozen": [2, 3], "arrows": [[3, 1, 1], [1, 2, 1]]})
     )
-    # benchmark sizes: exact L=3 with symbolic q, and the seed-0 D4 quiver
+    # benchmark sizes: exact L=3 with symbolic q, and the seed-0 D4 and A4
+    # quivers
     (tmp_path / "sym3.json").write_text(json.dumps({"L": 3, "q": "q", "twist": "u"}))
     (tmp_path / "d4.json").write_text(
         json.dumps({"r": 4, "frozen": [], "arrows": [[1, 2], [2, 3], [2, 4]]})
+    )
+    (tmp_path / "a4.json").write_text(
+        json.dumps({"r": 4, "frozen": [], "arrows": [[1, 2], [2, 3], [3, 4]]})
     )
     generic = {"q": "0.83+0.21*i", "twist": "0.64+0.13*i"}
     for L in (6, 7, 8, 9):

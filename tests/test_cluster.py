@@ -207,9 +207,11 @@ def test_laurent_division_equals_the_generic_quotient(monkeypatch):
         return new
 
     monkeypatch.setattr(cluster, "_divide", checked)
+    relations = 0
     for quiver, depth in _benchmark_explorations():
-        explore(initial_seed(quiver), depth)
-    assert len(seen) > 1000
+        relations += len(explore(initial_seed(quiver), depth).relations)
+    # explore computes each distinct exchange once, through _divide
+    assert len(seen) == relations
 
 
 def test_non_laurent_exchange_takes_the_generic_quotient(monkeypatch):
@@ -265,3 +267,122 @@ def test_benchmark_explorations_run_no_heuristic_or_prs_gcd(monkeypatch):
     for edges, depth in ((D4_EDGES, 12), (A4_EDGES, 14)):
         explore(initial_seed(_tree_quiver(edges, None)), depth)
     assert calls == {"heuristic": 0, "prs": 0}
+
+
+def _explore_without_a_table(seed, depth):
+    """``explore`` as a plain breadth-first search: every edge calls
+    ``mutate_seed``, and nothing is remembered between edges."""
+    atlas = cluster.Atlas()
+    for i, v in enumerate(seed.variables):
+        cluster._register_variable(atlas, v, f"X{i + 1}")
+    k0 = cluster._canonical_key(seed)
+    seen = {k0}
+    atlas.seed_keys.append(k0)
+    atlas.seeds.append(seed)
+    frontier = [(seed, None)]
+    for _ in range(depth):
+        if not frontier:
+            break
+        nxt = []
+        for s, found_by in frontier:
+            for k in range(1, s.quiver.n + 1):
+                if k == found_by:
+                    continue
+                child = mutate_seed(s, k)
+                cluster._record_relation(s, atlas, k, child)
+                ck = cluster._canonical_key(child)
+                if ck not in seen:
+                    seen.add(ck)
+                    atlas.seed_keys.append(ck)
+                    atlas.seeds.append(child)
+                    nxt.append((child, k))
+        frontier = nxt
+    atlas.closed = not frontier
+    return atlas
+
+
+def _reference_cases():
+    for i, (quiver, depth) in enumerate(_benchmark_explorations()):
+        yield pytest.param(quiver, depth, id=f"{'D4' if i % 2 == 0 else 'A4'}-seed{i // 2}")
+    yield pytest.param(Quiver.from_json(EXAMPLE_QUIVER), 4, id="example")
+    # A2 with one frozen vertex on each mutable one: frozen variables enter
+    # every exchange of a finite-type exploration
+    principal = {"r": 4, "frozen": [3, 4], "arrows": [[1, 2], [3, 1], [4, 2]]}
+    yield pytest.param(Quiver.from_json(principal), 8, id="a2-frozen")
+    kronecker = {"r": 2, "arrows": [[1, 2, 2]]}
+    yield pytest.param(Quiver.from_json(kronecker), 8, id="kronecker")
+    # a double arrow, and an atlas that is not closed at this depth
+    wild = {"r": 3, "arrows": [[1, 2, 2], [2, 3, 1]]}
+    yield pytest.param(Quiver.from_json(wild), 5, id="double-arrow")
+
+
+@pytest.mark.parametrize("quiver, depth", _reference_cases())
+def test_explore_equals_a_plain_breadth_first_search(quiver, depth):
+    seed = initial_seed(quiver)
+    atlas = explore(seed, depth)
+    reference = _explore_without_a_table(seed, depth)
+    assert atlas.to_json() == reference.to_json()
+    assert atlas.seed_keys == reference.seed_keys
+    assert atlas.seeds == reference.seeds
+    for s, r in zip(atlas.seeds[1:], reference.seeds[1:]):
+        out, inn, rhs = s.exchange
+        assert (out, inn) == r.exchange[:2]
+        assert rhs == r.exchange[2]
+        assert str(rhs) == str(r.exchange[2])
+
+
+@pytest.mark.parametrize(
+    "edges, depth, relations", [(D4_EDGES, 12, 52), (A4_EDGES, 14, 35)], ids=["D4", "A4"]
+)
+def test_explore_computes_each_exchange_once(monkeypatch, edges, depth, relations):
+    exchange = cluster._exchange
+    calls = []
+
+    def counted(seed, k):
+        calls.append(k)
+        return exchange(seed, k)
+
+    monkeypatch.setattr(cluster, "_exchange", counted)
+    seed = initial_seed(_tree_quiver(edges, None))
+    atlas = explore(seed, depth)
+    assert len(calls) == len(atlas.relations) == relations
+    # the table lives for one call: a second call computes them all again
+    explore(seed, depth)
+    assert len(calls) == 2 * relations
+
+
+def test_the_exchange_table_keys_on_every_input(monkeypatch):
+    # seeds that share the variable at vertex 1 and differ in one input of
+    # its exchange: an arrow count, a frozen neighbor, the side of a
+    # neighbor, or the whole orientation (the same unordered pair, a hit)
+    quivers = [
+        {"r": 3, "frozen": [3], "arrows": [[1, 2, 1]]},
+        {"r": 3, "frozen": [3], "arrows": [[1, 2, 2]]},
+        {"r": 3, "frozen": [3], "arrows": [[1, 2, 1], [3, 1, 1]]},
+        {"r": 3, "frozen": [3], "arrows": [[1, 2, 1], [1, 3, 1]]},
+        {"r": 3, "frozen": [3], "arrows": [[2, 1, 1]]},
+    ]
+    exchange = cluster._exchange
+    calls = []
+    monkeypatch.setattr(cluster, "_exchange", lambda s, k: calls.append(k) or exchange(s, k))
+    exchanges = {}
+    computed = []
+    for d in quivers:
+        s = initial_seed(Quiver.from_json(d))
+        for k in (1, 2):
+            before = len(calls)
+            new = cluster._mutate_once(s, k, exchanges)
+            computed.append(len(calls) - before)
+            expected = mutate_seed(s, k)
+            assert new == expected
+            assert new.exchange[:2] == expected.exchange[:2]
+            assert str(new.exchange[2]) == str(expected.exchange[2])
+            # mutating back is stored with the exchange: no new computation
+            before = len(calls)
+            back = cluster._mutate_once(new, k, exchanges)
+            assert len(calls) == before
+            assert back == s
+            assert back.exchange[:2] == mutate_seed(new, k).exchange[:2]
+    # vertex 2 of the third and fourth quivers exchanges X2 against X1 alone,
+    # as in the first; the reversed quiver meets both of the first's pairs
+    assert computed == [1, 1, 1, 1, 1, 0, 1, 0, 0, 0]
