@@ -11,27 +11,31 @@ to one global monomial order, defined by ranking the variables
 and comparing exponent vectors lexicographically, most significant variable
 first.  Terms print in descending order under this ranking.
 
-One stored form.  An MPoly is ``content * P``: ``content`` is a Fraction
-(0 only for the zero polynomial) and ``P`` a primitive integer polynomial
-whose lex-leading coefficient is positive, so the stored form is canonical
-and ``==`` and ``hash`` compare it directly.  ``vars`` is the exact support
-in rank order.  ``P`` is a dict from packed exponent key to int.  Every
-variable owns one 32-bit slot, ``vars[0]`` the highest and the last
-variable bits 0-31, so comparing keys as ints is the lex order, adding keys
-multiplies monomials and the least significant variable sits in the lowest
-slot.  The top bit of each slot is a guard: exponents stay below 2^31, and
-an operation whose result would reach that bit raises ValueError.  Two
+One stored form.  An MPoly is ``num/den * P``: the content ``num/den`` is
+two ints in lowest terms with ``den > 0`` (``0/1`` only for the zero
+polynomial) and ``P`` a primitive integer polynomial whose lex-leading
+coefficient is positive, so the stored form is canonical and ``==`` and
+``hash`` compare it directly.  ``vars`` is the exact support in rank
+order.  ``P`` is a dict from packed exponent key to int.  Every variable
+owns one 32-bit slot, ``vars[0]`` the highest and the last variable bits
+0-31, so comparing keys as ints is the lex order, adding keys multiplies
+monomials and the least significant variable sits in the lowest slot.  The
+top bit of each slot is a guard: exponents stay below 2^31, and an
+operation whose result would reach that bit raises ValueError.  Two
 operands with different supports are rekeyed to the union of the two
 (``_align``); only this module reads the stored form.
 
-Products multiply the contents and the primitive parts.  By Gauss's lemma
-a product of primitive parts is primitive, and its leading coefficient is
-the product of two positive ones, so no gcd runs.  Matrix products and
-slot products pack each entry once (``_pack``); they, sums and
-``split_by`` divide the gcd of the ints back out.
-``div_exact`` divides the primitive parts over Z by leading terms
-(``_quotient``); by Gauss's lemma the quotient is integral whenever it
-exists.
+Every operation updates the content on its two ints, cancelling with
+``math.gcd``; a Fraction is built only where one is handed out
+(``as_fraction``, ``terms``, ``key``, ``lex_leading`` and the lifts of
+``evaluate``).  Products cross-cancel the contents and multiply the
+primitive parts.  By Gauss's lemma a product of primitive parts is
+primitive, and its leading coefficient is the product of two positive
+ones, so no gcd of the coefficients runs.  Matrix products and slot
+products pack each entry once (``_pack``); they, sums and ``split_by``
+divide the gcd of the ints back out.  ``div_exact`` divides the primitive
+parts over Z by leading terms (``_quotient``); by Gauss's lemma the
+quotient is integral whenever it exists.
 
 ``poly_gcd`` returns the gcd with leading coefficient 1 and runs on ints:
 
@@ -46,7 +50,7 @@ exists.
   digits.  Its primitive part is the gcd if it divides both sides exactly
   over Z, which ``_quotient`` checks; otherwise ``xi`` grows by
   73794/27011, at most six times per variable.
-- The Fraction primitive pseudo-remainder sequence (``_prs_gcd``) runs only
+- The primitive pseudo-remainder sequence over MPoly (``_prs_gcd``) runs only
   when the heuristic gives up: after six rejected candidates for one
   variable, or once the bit length of ``xi`` times the degree passes 5000.
 """
@@ -66,7 +70,6 @@ class NotDivisible(ArithmeticError):
     """Exact polynomial division left a remainder."""
 
 
-_ONE = Fraction(1)
 _PLAIN = {"q", "z", "w", "u", "h", "c", "t"}
 _INDEXED = re.compile(r"^([uX])_?([1-9][0-9]*)$")
 
@@ -101,11 +104,39 @@ def var_rank(name: str) -> tuple[int, int]:
 
 
 def _coerce_scalar(x):
-    if isinstance(x, Fraction):
-        return x
+    """``(num, den)`` of an int or Fraction, else None."""
     if isinstance(x, int):
-        return Fraction(x)
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     return None
+
+
+def _ratio(x) -> tuple:
+    """``(num, den)`` of any rational scalar."""
+    s = _coerce_scalar(x)
+    if s is None:
+        x = Fraction(x)
+        s = x.numerator, x.denominator
+    return s
+
+
+def _times(a: int, b: int, c: int, d: int) -> tuple:
+    """``a/b * c/d`` in lowest terms, for two reduced pairs with ``b, d > 0``."""
+    g = gcd(a, d)
+    h = gcd(c, b)
+    if g != 1:
+        a //= g
+        d //= g
+    if h != 1:
+        c //= h
+        b //= h
+    return a * c, b * d
+
+
+def _over(a: int, b: int, c: int, d: int) -> tuple:
+    """``(a/b) / (c/d)`` in lowest terms, for reduced pairs with ``c != 0``."""
+    return _times(a, b, -d, -c) if c < 0 else _times(a, b, d, c)
 
 
 # the packed layout
@@ -187,16 +218,17 @@ def _align(a: "MPoly", b: "MPoly") -> tuple:
     return vars, _rekey(a._ints, a.vars, vars), _rekey(b._ints, b.vars, vars)
 
 
-def _make(vars: tuple, ints: dict, content: Fraction) -> "MPoly":
+def _make(vars: tuple, ints: dict, num: int, den: int) -> "MPoly":
     """Wrap data that is already canonical."""
-    p = object.__new__(MPoly)
-    object.__setattr__(p, "vars", vars)
-    object.__setattr__(p, "_ints", ints)
-    object.__setattr__(p, "_content", content)
+    p = _new(MPoly)
+    _set_vars(p, vars)
+    _set_ints(p, ints)
+    _set_num(p, num)
+    _set_den(p, den)
     return p
 
 
-def _trim(vars: tuple, ints: dict, content: Fraction) -> "MPoly":
+def _trim(vars: tuple, ints: dict, num: int, den: int) -> "MPoly":
     """The MPoly of a primitive, positive-leading ``ints``: drops the slots no
     key uses and raises ValueError if an exponent reached the guard bit."""
     if vars:
@@ -210,11 +242,12 @@ def _trim(vars: tuple, ints: dict, content: Fraction) -> "MPoly":
             keep = tuple(v for v, s in zip(vars, offsets) if alive >> s + _W - 1 & 1)
             ints = _rekey(ints, vars, keep)
             vars = keep
-    return _make(vars, ints, content)
+    return _make(vars, ints, num, den)
 
 
 def _canon(vars: tuple, ints: dict, num: int = 1, den: int = 1) -> "MPoly":
-    """The MPoly ``num/den * ints``; ``ints`` need not be primitive."""
+    """The MPoly ``num/den * ints`` for ``den > 0``; ``ints`` need not be
+    primitive, nor ``num/den`` reduced."""
     if not ints:
         return _ZERO
     g = gcd(*ints.values())
@@ -222,13 +255,18 @@ def _canon(vars: tuple, ints: dict, num: int = 1, den: int = 1) -> "MPoly":
         g = -g
     if g != 1:
         ints = {k: c // g for k, c in ints.items()}
-    return _trim(vars, ints, Fraction(num * g, den))
+    num *= g
+    g = gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    return _trim(vars, ints, num, den)
 
 
 class MPoly:
     """Immutable sparse polynomial; ``vars`` holds exactly the support."""
 
-    __slots__ = ("vars", "_ints", "_content")
+    __slots__ = ("vars", "_ints", "_num", "_den")
 
     def __new__(cls, vars, terms):
         """``terms`` maps exponent tuples over ``vars`` (any order, unused
@@ -238,14 +276,14 @@ class MPoly:
         offsets = _offsets(len(vars))
         coeffs = {}
         for exps, c in terms.items():
-            c = Fraction(c)
-            if not c:
+            n, d = _ratio(c)
+            if not n:
                 continue
             if len(exps) != len(vars) or not all(0 <= e < _LIMIT for e in exps):
                 raise ValueError(f"exponents {tuple(exps)} outside 0..{_LIMIT - 1}")
-            coeffs[sum(exps[i] << s for i, s in zip(order, offsets))] = c
-        den = lcm(*[c.denominator for c in coeffs.values()])
-        ints = {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
+            coeffs[sum(exps[i] << s for i, s in zip(order, offsets))] = n, d
+        den = lcm(*[d for _, d in coeffs.values()])
+        ints = {k: n * (den // d) for k, (n, d) in coeffs.items()}
         return _canon(tuple(vars[i] for i in order), ints, 1, den)
 
     def __setattr__(self, *a):
@@ -259,12 +297,11 @@ class MPoly:
 
     @classmethod
     def const(cls, x) -> "MPoly":
-        x = Fraction(x)
-        return _make((), {0: 1}, x) if x else _ZERO
+        return _const(*_ratio(x))
 
     @classmethod
     def var(cls, name: str) -> "MPoly":
-        return _make((normalize_var(name),), {1: 1}, _ONE)
+        return _make((normalize_var(name),), {1: 1}, 1, 1)
 
     # predicates and views
 
@@ -279,16 +316,16 @@ class MPoly:
 
     def terms(self) -> dict:
         """Exponent tuple over ``vars`` -> Fraction, in descending order."""
-        n, c = len(self.vars), self._content
+        n, num, den = len(self.vars), self._num, self._den
         return {
-            _decode(k, n): c if v == 1 else c * v
+            _decode(k, n): Fraction(num * v, den)
             for k, v in sorted(self._ints.items(), reverse=True)
         }
 
     def as_fraction(self) -> Fraction:
         if self.vars:
             raise ValueError(f"not a constant: {self}")
-        return self._content
+        return Fraction(self._num, self._den)
 
     def degree_in(self, name: str) -> int:
         name = normalize_var(name)
@@ -307,14 +344,14 @@ class MPoly:
 
     def key(self):
         """``(vars, ((exponents, coefficient), ...))`` in ascending order."""
-        n, c = len(self.vars), self._content
+        n, num, den = len(self.vars), self._num, self._den
         return self.vars, tuple(
-            (_decode(k, n), c if v == 1 else c * v)
+            (_decode(k, n), Fraction(num * v, den))
             for k, v in sorted(self._ints.items())
         )
 
     def __hash__(self):
-        return hash((self.vars, self._content, frozenset(self._ints.items())))
+        return hash((self.vars, self._num, self._den, frozenset(self._ints.items())))
 
     def __bool__(self):
         return bool(self._ints)
@@ -323,36 +360,36 @@ class MPoly:
 
     def __eq__(self, other):
         if isinstance(other, MPoly):
-            # tuples compare identical items without calling Fraction.__eq__
-            return (self.vars, self._ints, self._content) == (
+            return (self.vars, self._num, self._den, self._ints) == (
                 other.vars,
+                other._num,
+                other._den,
                 other._ints,
-                other._content,
             )
         s = _coerce_scalar(other)
         if s is None:
             return NotImplemented
-        return self.is_const() and self.as_fraction() == s
+        return not self.vars and (self._num, self._den) == s
 
     def __neg__(self):
-        return _make(self.vars, self._ints, -self._content)
+        return _make(self.vars, self._ints, -self._num, self._den)
 
     def __add__(self, other):
         if not isinstance(other, MPoly):
             s = _coerce_scalar(other)
             if s is None:
                 return NotImplemented
-            other = MPoly.const(s)
+            other = _const(*s)
         if not other._ints:
             return self
         if not self._ints:
             return other
         vars, A, B = _align(self, other)
-        ca, cb = self._content, other._content
-        g = gcd(ca.numerator, cb.numerator)
-        den = lcm(ca.denominator, cb.denominator)
-        sa = ca.numerator // g * (den // ca.denominator)
-        sb = cb.numerator // g * (den // cb.denominator)
+        na, da, nb, db = self._num, self._den, other._num, other._den
+        g = gcd(na, nb)
+        den = da if da == db else lcm(da, db)
+        sa = na // g * (den // da)
+        sb = nb // g * (den // db)
         out = {k: c * sa for k, c in A.items()} if sa != 1 else dict(A)
         get = out.get
         for k, c in B.items():
@@ -370,7 +407,7 @@ class MPoly:
             s = _coerce_scalar(other)
             if s is None:
                 return NotImplemented
-            other = MPoly.const(s)
+            other = _const(*s)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -381,9 +418,9 @@ class MPoly:
             s = _coerce_scalar(other)
             if s is None:
                 return NotImplemented
-            if not s or not self._ints:
+            if not s[0] or not self._ints:
                 return _ZERO
-            return _make(self.vars, self._ints, self._content * s)
+            return _make(self.vars, self._ints, *_times(self._num, self._den, *s))
         if not self._ints or not other._ints:
             return _ZERO
         vars, A, B = _align(self, other)
@@ -395,7 +432,7 @@ class MPoly:
         else:
             out = {}
             _accumulate(out, A.items(), B.items())
-        return _trim(vars, out, self._content * other._content)
+        return _trim(vars, out, *_times(self._num, self._den, other._num, other._den))
 
     __rmul__ = __mul__
 
@@ -421,13 +458,16 @@ class MPoly:
         if not self._ints:
             raise ValueError("zero polynomial has no leading term")
         k = max(self._ints)
-        return _decode(k, len(self.vars)), self._content * self._ints[k]
+        lc = Fraction(self._num * self._ints[k], self._den)
+        return _decode(k, len(self.vars)), lc
 
     def monic(self) -> "MPoly":
         if not self._ints:
             return self
-        c = Fraction(1, self._ints[max(self._ints)])
-        return self if c == self._content else _make(self.vars, self._ints, c)
+        lc = self._ints[max(self._ints)]  # positive, so 1/lc is reduced
+        if self._num == 1 and self._den == lc:
+            return self
+        return _make(self.vars, self._ints, 1, lc)
 
     # structure helpers
 
@@ -443,7 +483,7 @@ class MPoly:
         for k, c in self._ints.items():
             buckets.setdefault(k >> s & _SLOT, {})[k >> s + _W << s | k & below] = c
         rest = self.vars[:i] + self.vars[i + 1 :]
-        num, den = self._content.numerator, self._content.denominator
+        num, den = self._num, self._den
         return {d: _canon(rest, t, num, den) for d, t in buckets.items()}
 
     def coeff_of(self, name: str, k: int) -> "MPoly":
@@ -451,14 +491,15 @@ class MPoly:
 
     def evaluate(self, values: dict, lift, total):
         """``total`` plus, term by term in descending order,
-        ``lift(coefficient) * values[v1]**e1 * values[v2]**e2 * ...``;
-        ``values`` maps every variable of ``vars`` to a ring element."""
+        ``lift(n, d) * values[v1]**e1 * values[v2]**e2 * ...``, where ``n/d``
+        is the term's coefficient in lowest terms with ``d > 0``; ``values``
+        maps every variable of ``vars`` to a ring element."""
         slots = [(values[v], s) for v, s in zip(self.vars, _offsets(len(self.vars)))]
-        content = self._content
+        num, den = self._num, self._den
         powers = {}
-        for key in sorted(self._ints, reverse=True):
-            c = self._ints[key]
-            val = lift(content if c == 1 else content * c)
+        for key, c in sorted(self._ints.items(), reverse=True):
+            g = gcd(c, den)
+            val = lift(num * c // g, den // g)
             for x, s in slots:
                 k = key >> s & _SLOT
                 if k:
@@ -475,7 +516,7 @@ class MPoly:
         for k, v in mapping.items():
             norm[normalize_var(k)] = v if isinstance(v, MPoly) else MPoly.const(v)
         values = {v: norm[v] if v in norm else MPoly.var(v) for v in self.vars}
-        return self.evaluate(values, MPoly.const, _ZERO)
+        return self.evaluate(values, _const, _ZERO)
 
     def _bound(self, mapping: dict, kind: str, cast) -> dict:
         norm = {normalize_var(k): cast(v) for k, v in mapping.items()}
@@ -486,34 +527,37 @@ class MPoly:
 
     def eval_complex(self, mapping: dict) -> complex:
         values = self._bound(mapping, "numeric", complex)
-        return self.evaluate(values, lambda c: complex(c.numerator) / c.denominator, 0j)
+        return self.evaluate(values, lambda n, d: complex(n) / d, 0j)
 
     def eval_fraction(self, mapping: dict) -> Fraction:
         values = self._bound(mapping, "exact", Fraction)
-        return self.evaluate(values, lambda c: c, Fraction(0))
+        return self.evaluate(values, Fraction, Fraction(0))
 
     # exact division
 
     def div_exact(self, other) -> "MPoly":
         """Exact quotient self/other; raises NotDivisible on a remainder."""
-        if not isinstance(other, MPoly):
+        poly = isinstance(other, MPoly)
+        if poly:
+            if not other._ints:
+                raise ZeroDivisionError("division by zero polynomial")
+            s = other._num, other._den
+        else:
             s = _coerce_scalar(other)
             if s is None:
                 raise TypeError("div_exact expects a polynomial or scalar")
-            if not s:
+            if not s[0]:
                 raise ZeroDivisionError("division by zero")
-            return self * (1 / s)
-        if not other._ints:
-            raise ZeroDivisionError("division by zero polynomial")
         if not self._ints:
             return _ZERO
-        if not other.vars:
-            return _make(self.vars, self._ints, self._content / other._content)
+        content = _over(self._num, self._den, *s)
+        if not poly or not other.vars:
+            return _make(self.vars, self._ints, *content)
         vars, A, B = _align(self, other)
         quo = _quotient(A, B, _masks(len(vars))[0])
         if quo is None:
             raise NotDivisible(f"({self}) is not divisible by ({other})")
-        return _trim(vars, quo, self._content / other._content)
+        return _trim(vars, quo, *content)
 
     # printing
 
@@ -521,7 +565,7 @@ class MPoly:
         if not self._ints:
             return "0"
         pieces = []
-        num, den = self._content.numerator, self._content.denominator
+        num, den = self._num, self._den
         n = len(self.vars)
         for k in sorted(self._ints, reverse=True):
             c = self._ints[k] * num
@@ -579,21 +623,43 @@ class MPoly:
                 # one int object per value keeps the result's memory small
                 p = _canon(vars, acc, 1, den)
                 ints = {share(k, k): share(c, c) for k, c in p._ints.items()}
-                row[j] = _make(p.vars, ints, p._content)
+                row[j] = _make(p.vars, ints, p._num, p._den)
             out.append(row)
         return out
 
 
-_ZERO = _make((), {}, Fraction(0))
+_new = object.__new__
+# the slot setters skip MPoly.__setattr__, which refuses every write
+_set_vars, _set_ints, _set_num, _set_den = (
+    MPoly.__dict__[name].__set__ for name in MPoly.__slots__
+)
+_ZERO = _make((), {}, 0, 1)
+
+
+def _const(num: int, den: int) -> MPoly:
+    """The constant ``num/den``, a reduced pair with ``den > 0``."""
+    return _make((), {0: 1}, num, den) if num else _ZERO
+
+
+def _monic_den(num: MPoly, den: MPoly) -> tuple:
+    """``(num/lc, den/lc)`` for the lex-leading coefficient ``lc`` of the
+    nonzero ``den``; only the two contents change."""
+    lead = den._ints[max(den._ints)]
+    if den._num == 1 and den._den == lead:
+        return num, den
+    g = gcd(lead, den._den)
+    content = _over(num._num, num._den, den._num * (lead // g), den._den // g)
+    return _make(num.vars, num._ints, *content), _make(den.vars, den._ints, 1, lead)
 
 
 def _parts(x) -> tuple:
-    """``(vars, ints, content)`` of an MPoly, Fraction or int."""
+    """``(vars, ints, num, den)`` of an MPoly, Fraction or int."""
     if isinstance(x, MPoly):
-        return x.vars, x._ints, x._content
-    if isinstance(x, (Fraction, int)):
-        return (), {0: 1}, Fraction(x)
-    raise TypeError(f"packed entries are MPoly, Fraction or int, not {x!r}")
+        return x.vars, x._ints, x._num, x._den
+    s = _coerce_scalar(x)
+    if s is None:
+        raise TypeError(f"packed entries are MPoly, Fraction or int, not {x!r}")
+    return ((), {0: 1}) + s
 
 
 def _pack(sides) -> tuple:
@@ -604,10 +670,10 @@ def _pack(sides) -> tuple:
     sides = list(sides)
     parts = [{id(x): _parts(x) for row in M for x in row if x} for M in sides]
     vars = reduce(_union, [p[0] for memo in parts for p in memo.values()], ())
-    dens = [lcm(*[p[2].denominator for p in memo.values()]) for memo in parts]
+    dens = [lcm(*[p[3] for p in memo.values()]) for memo in parts]
     for memo, d in zip(parts, dens):
-        for key, (vs, ints, c) in memo.items():
-            m = c.numerator * (d // c.denominator)
+        for key, (vs, ints, num, den) in memo.items():
+            m = num * (d // den)
             memo[key] = {k: v * m for k, v in _rekey(ints, vs, vars).items()}
     return vars, dens, [
         [[memo[id(x)] if x else None for x in row] for row in M]
@@ -841,7 +907,7 @@ def _interpolate(h: dict, xi: int, dmax: int):
 
 
 def _prs_gcd(a: MPoly, b: MPoly) -> MPoly:
-    """``poly_gcd`` by primitive pseudo-remainder sequences over Fractions."""
+    """``poly_gcd`` by primitive pseudo-remainder sequences over MPoly."""
     if not a._ints:
         return b.monic()
     if not b._ints:

@@ -2,7 +2,9 @@
 
 A RatFun is always stored gcd-reduced with the denominator scaled to leading
 coefficient 1 under the global monomial order, and zero is stored as 0/1.
-Equality is therefore structural.
+Equality is therefore structural.  The scaling changes only the int contents
+of the two polynomials (``poly._monic_den``), so building a RatFun from
+polynomials does no Fraction arithmetic.
 
 The grammar accepted by :func:`RatFun.parse` is plain infix arithmetic over
 integer literals and the fixed variable set: ``+ - * / ^`` with the usual
@@ -16,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .poly import MPoly, poly_gcd
+from .poly import MPoly, _monic_den, poly_gcd
 
 __all__ = ["RatFun", "ParseError"]
 
@@ -49,14 +51,10 @@ class RatFun:
             num, den = MPoly.zero(), MPoly.const(1)
         else:
             g = poly_gcd(num, den)
-            if not (g.is_const() and g.as_fraction() == 1):
+            if g != 1:
                 num = num.div_exact(g)
                 den = den.div_exact(g)
-            _, lc = den.lex_leading()
-            if lc != 1:
-                inv = Fraction(1) / lc
-                num = num * inv
-                den = den * inv
+            num, den = _monic_den(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 
-from qilab.field import MPoly, NotDivisible, mat_mul, normalize_var, poly_gcd, var_rank
+from qilab.field import (
+    MPoly,
+    NotDivisible,
+    RatFun,
+    apply_on_slots,
+    mat_mul,
+    normalize_var,
+    poly_gcd,
+    var_rank,
+)
 from qilab.field import poly as poly_mod
 
 
@@ -209,17 +218,21 @@ def test_packed_product_equals_schoolbook(pair):
 
 def _stored(p: MPoly) -> tuple:
     """The stored form, checked canonical: exact rank-ordered support, a
-    primitive int vector with positive leading coefficient, guard bits clear."""
+    primitive int vector with positive leading coefficient, guard bits clear,
+    and the content as two ints in lowest terms with a positive denominator."""
+    num, den = p._num, p._den
+    assert type(num) is int and type(den) is int
     if p.is_zero():
-        assert p.vars == () and p._ints == {} and p._content == 0
-        return p.vars, p._ints, p._content
+        assert p.vars == () and p._ints == {} and (num, den) == (0, 1)
+        return p.vars, p._ints, num, den
     assert p.vars == tuple(sorted(p.vars, key=var_rank))
     assert all(p.degree_in(v) > 0 for v in p.vars)
     assert poly_mod.gcd(*p._ints.values()) == 1
-    assert p._ints[max(p._ints)] > 0 and p._content != 0
+    assert p._ints[max(p._ints)] > 0 and num != 0
+    assert den > 0 and poly_mod.gcd(num, den) == 1
     guard = poly_mod._masks(len(p.vars))[0]
     assert not any(k & guard for k in p._ints)
-    return p.vars, p._ints, p._content
+    return p.vars, p._ints, num, den
 
 
 @settings(max_examples=150, deadline=None)
@@ -427,3 +440,44 @@ def test_packed_division_test_matches_div_exact(pair):
             f.div_exact(g)
     else:
         assert f.div_exact(g) == expected
+
+
+def test_arithmetic_builds_no_fraction(monkeypatch):
+    # contents are int pairs: no Fraction is made on the way through the
+    # kernel, only where one is handed out (terms, key, as_fraction, ...)
+    z, q, u = MPoly.var("z"), MPoly.var("q"), MPoly.var("u")
+    a = Fraction(3, 4) * z * q + Fraction(-5, 6) * u + 2
+    b = Fraction(2, 9) * z - q * q
+    c = a * b * Fraction(7, 10)
+    b23 = Fraction(2, 3) * b
+    F = [[q, 0, 0, 0], [0, b, Fraction(1, 3) * z, 0], [0, u, a, 0], [0, 0, 0, q]]
+    made = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    results = [
+        a + b,
+        a - b,
+        a + 3,
+        -a,
+        a * b,
+        a * 5,
+        c.div_exact(b),
+        c.div_exact(3),
+        c.monic(),
+        MPoly.matrix_product([[a, b], [0, c]], [[b, 0], [a, u]]),
+        apply_on_slots(3, [(F, (0, 1)), (F, (2, 1))]),
+        RatFun(c, b * u),
+        RatFun(a, b) + RatFun(u, b),
+        RatFun(a, b23) * RatFun(b, a * q),
+    ]
+    assert made == []
+    assert a.terms()  # the counter sees a Fraction built at the edge
+    monkeypatch.undo()
+    assert made
+    assert results[6] == a * Fraction(7, 10)
+    assert results[-1] == RatFun(Fraction(3, 2), q)

@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qilab.field import MPoly, RatFun, mat_eq, mat_mul
 from qilab.rmatrix import (
+    _lowest_along,
     check_hexagon,
     check_intertwiner,
     check_inverse,
@@ -128,6 +131,61 @@ def test_pole_limit_matches_evaluation_along_the_ray():
             for j in range(4)
         )
         assert err / eps <= 10
+
+
+_FRACS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_RAY_TAILS = [
+    MPoly.var("t"),
+    MPoly.var("t") * MPoly.var("h"),
+    MPoly.var("t") ** 2,
+    MPoly.var("t") + MPoly.var("t") ** 3 * MPoly.var("w"),
+]
+
+
+@st.composite
+def polys_along_rays(draw):
+    """A nonzero RatFun in z, q, u, h, w and a ray sending some of z, q, u to
+    a constant plus a t-tail; the numerator and denominator get a random
+    power of (v - c) for a ray variable v, so their lowest t-degree is high."""
+    ray = {}
+    names = ("z", "q", "u", "h", "w")
+    exps = st.tuples(*[st.integers(0, 3)] * len(names))
+    terms = st.dictionaries(exps, _FRACS.filter(bool), min_size=1, max_size=4)
+    picked = st.lists(st.sampled_from(names[:3]), min_size=1, max_size=3, unique=True)
+    for v in draw(picked):
+        c = draw(_FRACS)
+        ray[v] = (c, c + draw(_FRACS.filter(bool)) * draw(st.sampled_from(_RAY_TAILS)))
+    parts = []
+    for _ in range(2):
+        p = MPoly(names, draw(terms))
+        v = draw(st.sampled_from(sorted(ray)))
+        parts.append(p * (MPoly.var(v) - ray[v][0]) ** draw(st.integers(0, 6)))
+    return RatFun(*parts), {v: x for v, (_, x) in ray.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys_along_rays())
+def test_lowest_along_matches_the_full_expansion(case):
+    # the cut substitution against expanding the whole substitution
+    f, ray = case
+    expected = []
+    for p in (f.num, f.den):
+        parts = p.substitute(ray).split_by("t")
+        expected.append((min(parts), parts[min(parts)]) if parts else None)
+    if None in expected:
+        with pytest.raises(ValueError):
+            _lowest_along(f, ray)
+    else:
+        assert _lowest_along(f, ray) == expected
+
+
+def test_lowest_along_stops_on_a_vanishing_substitution():
+    t, h = MPoly.var("t"), MPoly.var("h")
+    f = RatFun(MPoly.var("z") - MPoly.var("q"), 1)
+    with pytest.raises(ValueError, match="vanishes along the ray"):
+        _lowest_along(f, {"z": 2 + t * h, "q": 2 + h * t})
+    with pytest.raises(ValueError, match="vanishes along the ray"):
+        _lowest_along(f, {"z": MPoly.var("u"), "q": MPoly.var("u")})
 
 
 def test_pole_order_and_residue():
