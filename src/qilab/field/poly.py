@@ -58,6 +58,7 @@ quotient is integral whenever it exists.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
 from math import gcd, lcm, prod
@@ -510,11 +511,22 @@ class MPoly:
             total = total + val
         return total
 
-    def substitute(self, mapping: dict) -> "MPoly":
-        """Substitute variables by polynomials or scalars; others are kept."""
+    def substitute(self, mapping: dict, cut=None) -> "MPoly":
+        """Substitute variables by polynomials or scalars; others are kept.
+
+        With ``cut=(name, n)`` the result keeps only its terms of degree
+        below ``n`` in ``name``, a variable the values may contain.  That
+        path runs Horner's scheme in each substituted variable over
+        ``_mul_below``, which drops the higher terms on its ints as it
+        forms each product.
+        """
         norm = {}
         for k, v in mapping.items():
             norm[normalize_var(k)] = v if isinstance(v, MPoly) else MPoly.const(v)
+        if cut is not None:
+            name, n = normalize_var(cut[0]), cut[1]
+            values = {v: _mul_below(x, _ONE, name, n) for v, x in norm.items()}
+            return _horner_below(self, values, name, n, {})
         values = {v: norm[v] if v in norm else MPoly.var(v) for v in self.vars}
         return self.evaluate(values, _const, _ZERO)
 
@@ -639,6 +651,63 @@ _ZERO = _make((), {}, 0, 1)
 def _const(num: int, den: int) -> MPoly:
     """The constant ``num/den``, a reduced pair with ``den > 0``."""
     return _make((), {0: 1}, num, den) if num else _ZERO
+
+
+_ONE = _const(1, 1)
+
+
+def _mul_below(a: MPoly, b: MPoly, name: str, n: int) -> MPoly:
+    """``a * b`` without its terms of degree ``n`` or more in ``name``."""
+    if not a._ints or not b._ints:
+        return _ZERO
+    vars, A, B = _align(a, b)
+    out = {}
+    if name in vars:
+        s = _offsets(len(vars))[vars.index(name)]
+        B = sorted(B.items(), key=lambda kc: kc[0] >> s & _SLOT)
+        degs = [k >> s & _SLOT for k, _ in B]
+        for ka, ca in A.items():
+            m = bisect_left(degs, n - (ka >> s & _SLOT))
+            if m:
+                _accumulate(out, ((ka, ca),), B[:m])
+    else:
+        _accumulate(out, A.items(), B.items())
+    return _canon(vars, out, *_times(a._num, a._den, b._num, b._den))
+
+
+def _pow_below(x: MPoly, k: int, name: str, n: int) -> MPoly:
+    """``x**k`` for ``k > 0`` under the cut of ``_mul_below``."""
+    result = None
+    while True:
+        if k & 1:
+            result = x if result is None else _mul_below(result, x, name, n)
+        k >>= 1
+        if not k:
+            return result
+        x = _mul_below(x, x, name, n)
+
+
+def _horner_below(p: MPoly, values: dict, name: str, n: int, powers: dict) -> MPoly:
+    """``p`` with ``values`` (cut) substituted, by Horner's scheme in its
+    most significant substituted variable; the coefficients recurse on the
+    rest.  ``powers`` keeps each ``(variable, gap)`` power once."""
+    v = next((v for v in p.vars if v in values), None)
+    if v is None:
+        return _mul_below(p, _ONE, name, n)
+
+    def times_power(acc: MPoly, k: int) -> MPoly:
+        step = powers.get((v, k))
+        if step is None:
+            step = powers[(v, k)] = _pow_below(values[v], k, name, n)
+        return _mul_below(acc, step, name, n)
+
+    acc, prev = _ZERO, None
+    for d, c in sorted(p.split_by(v).items(), reverse=True):
+        if prev is not None:
+            acc = times_power(acc, prev - d)
+        acc = acc + _horner_below(c, values, name, n, powers)
+        prev = d
+    return times_power(acc, prev) if prev else acc
 
 
 def _monic_den(num: MPoly, den: MPoly) -> tuple:

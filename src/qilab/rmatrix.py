@@ -42,6 +42,7 @@ from .field import (
     mat_eq,
     mat_mul,
     mat_scale,
+    normalize_var,
     rref,
 )
 from .verdict import CheckResult
@@ -203,60 +204,20 @@ def check_ybe(a=Fraction(1), b=Fraction(1), c=Fraction(1), perturb=False) -> Che
     )
 
 
-class _Cut:
-    """A polynomial in t cut after t^(n-1): ``c[d]`` is the t-free MPoly
-    coefficient of t^d.  The ring ``MPoly.evaluate`` needs: +, * and ** by
-    a positive int."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, c: list):
-        self.c = c
-
-    def __add__(self, other):
-        return _Cut([a + b for a, b in zip(self.c, other.c)])
-
-    def __mul__(self, other):
-        a, b = self.c, other.c
-        out = [MPoly.zero()] * len(a)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b[: len(a) - i]):
-                    if y:
-                        out[i + j] = out[i + j] + x * y
-        return _Cut(out)
-
-    # binary powering; for k > 0 it uses only *
-    __pow__ = MPoly.__pow__
-
-
-def _cut_substitute(p: MPoly, ray: dict, n: int) -> list:
-    """The t^0 .. t^(n-1) coefficients of ``p`` with ``ray`` substituted."""
-    zero = MPoly.zero()
-
-    def cut(x: MPoly) -> _Cut:
-        parts = x.split_by("t")
-        return _Cut([parts.get(d, zero) for d in range(n)])
-
-    def lift(num: int, den: int) -> _Cut:
-        return cut(MPoly.const(Fraction(num, den)))
-
-    values = {v: cut(ray[v] if v in ray else MPoly.var(v)) for v in p.vars}
-    return p.evaluate(values, lift, cut(zero)).c
-
-
 def _lowest_along(f: RatFun, ray: dict):
     """Substitute ``ray`` (variable -> polynomial in a fresh t) into the
     numerator and denominator of a nonzero ``f``.
 
     Returns ``((dn, cn), (dd, cd))``: the lowest t-degree of each and its
     coefficient, so ``f ~ t^(dn - dd) * cn / cd`` as t -> 0.  Each
-    substitution is cut after t^(n-1), starting at n = 1; n doubles only
-    while every kept coefficient is zero, until it passes the t-degree of
-    the whole substitution.
+    substitution is cut after t^(n-1) (``MPoly.substitute``'s ``cut``),
+    starting at n = 1; n doubles only while every kept coefficient is zero,
+    up to one past the t-degree of the whole substitution.  So the cost
+    follows the vanishing order along the ray, not the degree of ``f``.
     """
     if "t" in f.num.vars or "t" in f.den.vars:
         raise ValueError(f"entry {f} already contains t, the expansion variable")
+    ray = {normalize_var(v): x for v, x in ray.items()}
     out = []
     for p in (f.num, f.den):
         top = sum(
@@ -264,14 +225,14 @@ def _lowest_along(f: RatFun, ray: dict):
         )
         n = 1
         while True:
-            c = _cut_substitute(p, ray, n)
-            d = next((d for d, x in enumerate(c) if x), None)
-            if d is not None:
+            parts = p.substitute(ray, cut=("t", n)).split_by("t")
+            if parts:
                 break
             if n > top:
                 raise ValueError(f"{p} vanishes along the ray")
-            n *= 2
-        out.append((d, c[d]))
+            n = min(2 * n, top + 1)
+        d = min(parts)
+        out.append((d, parts[d]))
     return out
 
 

@@ -259,6 +259,18 @@ def test_every_route_gives_one_stored_form(a, b, s):
     assert _stored(ab) == _stored(MPoly(names, ref))
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_polys(), small_polys(), small_fracs, st_.integers(1, 6))
+def test_a_cut_substitution_keeps_the_low_terms(a, b, c, n):
+    # the cut substitution against the whole one with its high t-terms dropped
+    t, q = MPoly.var("t"), MPoly.var("q")
+    ray = {"z": c + t * b + t**2, "q": q + t * q}
+    full = a.substitute(ray).split_by("t")
+    low = a.substitute(ray, cut=("t", n))
+    _stored(low)
+    assert low.split_by("t") == {d: x for d, x in full.items() if d < n}
+
+
 def test_exponent_at_the_guard_limit_raises():
     limit = 2**31  # the guard bit of a 32-bit slot
     z, q = MPoly.var("z"), MPoly.var("q")

@@ -144,14 +144,15 @@ _RAY_TAILS = [
 
 @st.composite
 def polys_along_rays(draw):
-    """A nonzero RatFun in z, q, u, h, w and a ray sending some of z, q, u to
-    a constant plus a t-tail; the numerator and denominator get a random
-    power of (v - c) for a ray variable v, so their lowest t-degree is high."""
+    """A nonzero RatFun in z, q, u1, u, h, w and a ray sending some of z, q,
+    u1, u to a constant plus a t-tail; the numerator and denominator get a
+    random power of (v - c) for a ray variable v, so their lowest t-degree is
+    high.  The ray spells u1 as ``u_1``."""
     ray = {}
-    names = ("z", "q", "u", "h", "w")
+    names = ("z", "q", "u1", "u", "h", "w")
     exps = st.tuples(*[st.integers(0, 3)] * len(names))
     terms = st.dictionaries(exps, _FRACS.filter(bool), min_size=1, max_size=4)
-    picked = st.lists(st.sampled_from(names[:3]), min_size=1, max_size=3, unique=True)
+    picked = st.lists(st.sampled_from(names[:4]), min_size=1, max_size=3, unique=True)
     for v in draw(picked):
         c = draw(_FRACS)
         ray[v] = (c, c + draw(_FRACS.filter(bool)) * draw(st.sampled_from(_RAY_TAILS)))
@@ -160,7 +161,7 @@ def polys_along_rays(draw):
         p = MPoly(names, draw(terms))
         v = draw(st.sampled_from(sorted(ray)))
         parts.append(p * (MPoly.var(v) - ray[v][0]) ** draw(st.integers(0, 6)))
-    return RatFun(*parts), {v: x for v, (_, x) in ray.items()}
+    return RatFun(*parts), {v.replace("u1", "u_1"): x for v, (_, x) in ray.items()}
 
 
 @settings(max_examples=80, deadline=None)
