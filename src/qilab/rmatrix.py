@@ -29,6 +29,8 @@ space; a pair (a, b) meets at argument zeta = z * a / b.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from math import comb
 
 import numpy as np
 
@@ -42,7 +44,6 @@ from .field import (
     mat_eq,
     mat_mul,
     mat_scale,
-    normalize_var,
     rref,
 )
 from .verdict import CheckResult
@@ -209,28 +210,15 @@ def _lowest_along(f: RatFun, ray: dict):
     numerator and denominator of a nonzero ``f``.
 
     Returns ``((dn, cn), (dd, cd))``: the lowest t-degree of each and its
-    coefficient, so ``f ~ t^(dn - dd) * cn / cd`` as t -> 0.  Each
-    substitution is cut after t^(n-1) (``MPoly.substitute``'s ``cut``),
-    starting at n = 1; n doubles only while every kept coefficient is zero,
-    up to one past the t-degree of the whole substitution.  So the cost
-    follows the vanishing order along the ray, not the degree of ``f``.
+    coefficient, so ``f ~ t^(dn - dd) * cn / cd`` as t -> 0.  The whole
+    substitution is expanded, which suits ``yang_limit``'s small fixed
+    entries; ``pole_limit`` reads Taylor coefficients instead.
     """
-    if "t" in f.num.vars or "t" in f.den.vars:
-        raise ValueError(f"entry {f} already contains t, the expansion variable")
-    ray = {normalize_var(v): x for v, x in ray.items()}
     out = []
     for p in (f.num, f.den):
-        top = sum(
-            p.degree_in(v) * x.degree_in("t") for v, x in ray.items() if v in p.vars
-        )
-        n = 1
-        while True:
-            parts = p.substitute(ray, cut=("t", n)).split_by("t")
-            if parts:
-                break
-            if n > top:
-                raise ValueError(f"{p} vanishes along the ray")
-            n = min(2 * n, top + 1)
+        parts = p.substitute(ray).split_by("t")
+        if not parts:
+            raise ValueError(f"{p} vanishes along the ray")
         d = min(parts)
         out.append((d, parts[d]))
     return out
@@ -311,20 +299,48 @@ def check_yang(cutoff: int = 6, perturb=False) -> CheckResult:
     )
 
 
+def _taylor_lowest(p: MPoly, var: str, point: Fraction):
+    """The first nonzero Taylor coefficient of a nonzero ``p`` at var =
+    point: ``(k, c_k)`` with ``c_k = sum_d C(d, k) point^(d-k) p_d`` over
+    ``p.split_by(var)``, so ``p = c_k t^k + O(t^(k+1))`` at var = point + t.
+    For point = a/b it forms b^(top-k) c_k, ``top`` the degree of p in var,
+    whose weights C(d, k) a^(d-k) b^(top-d) are ints.  Each power of a and
+    b is computed once, so a sparse ``p`` such as ``z^3200`` stays cheap."""
+    parts = p.split_by(var)
+    top = max(parts)
+    a, b = point.numerator, point.denominator
+    power = cache(pow)
+    for k in range(top + 1):
+        c = MPoly.zero()
+        for d, pd in parts.items():
+            if d == k or (d > k and a):
+                c = c + pd * (comb(d, k) * power(a, d - k) * power(b, top - d))
+        if c:
+            return k, c * Fraction(1, power(b, top - k))
+
+
 def pole_limit(M, var: str, point):
     """Pole order of ``M`` at var = point and the limit of
     (var - point)^order * M; returns ``(order, limit_matrix)``.
 
     The order is the largest pole order over the nonzero entries (0 if there
-    are none); an entry of lower order has limit 0.
+    are none); an entry of lower order has limit 0.  Along var = point + t
+    the lowest t-term of a numerator or denominator p is its first nonzero
+    Taylor coefficient c_k = sum_d C(d, k) point^(d-k) p_d at the point
+    (``_taylor_lowest``).  Each c_k costs one scaled sum over the
+    coefficients p_d of p in var, and k stops at the vanishing order of p,
+    so the cost follows that order, not the degree of p: expanding
+    (z - 1)^N along z = 1 + t would form about N^3/3 coefficient products.
     """
-    ray = {var: Fraction(point) + _T}
-    lead = {
-        (i, j): _lowest_along(x, ray)
-        for i, row in enumerate(M)
-        for j, x in enumerate(row)
-        if not x.is_zero()
-    }
+    point = Fraction(point)
+    lead = {}
+    for i, row in enumerate(M):
+        for j, x in enumerate(row):
+            if x.is_zero():
+                continue
+            if "t" in x.num.vars or "t" in x.den.vars:
+                raise ValueError(f"entry {x} already contains t, the expansion variable")
+            lead[(i, j)] = [_taylor_lowest(p, var, point) for p in (x.num, x.den)]
     order = max((dd - dn for (dn, _), (dd, _) in lead.values()), default=0)
     limit = [[RatFun(0) for _ in row] for row in M]
     for (i, j), ((dn, cn), (dd, cd)) in lead.items():

@@ -29,6 +29,10 @@ JSON_PINS = {
     "rmat limit --a 1 --b q --point 1": (0, "8e16e3a431c2f401455e9b7d15072eab7aa9ba5b69964c4acb27b648f129680e", ""),
     "rmat limit --a 1 --b 1 --point 1": (0, "d0ceb355e7dcef5ece033908d172466a587528609bdb14f2c05bda428d6be7c1", ""),
     "rmat limit --a 0": (0, "1c80532639416942133858a02e87caaab953ec7f50c8d2d4c54426d8ac35987a", ""),
+    "rmat limit --a z^200": (0, "31a846a68faa41b922e4168eb3fcf010ca783a525ab4ea183cdb911725f4bcb0", ""),
+    "rmat limit --a (z-1)^60": (0, "4cc414cfd24a4e8821aab1dd45bec0db4be1e3053fa4fc995989b7ac7ed92ccc", ""),
+    "rmat limit --a (2*z-3)^40 --point 3/2": (0, "079f2c3127c4d32a6d74d6fda8a739212377ed0f25742f3af1afb85d640a84fa", ""),
+    "rmat limit --a z^3 --b q^4 --point 1/2": (0, "d9c0850d25c7822678d870e883124dd6df2dd8883b13db0d5f3d202f37955c06", ""),
     "rmat limit --a t --b 1 --point 1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: entry (z*q*t - q)/(z*q^2*t - 1) already contains t, the expansion variable"),
     "rmat inverse --points 2": (0, "3833f64f79abed8a1ee4849f1858b572909b2b8a04647eb5b5991ccc15260902", ""),
     "rmat inverse --points 2 --perturb": (1, "9f2713e8b3c29ae7374967d36904f11142e894f6bb13a699ab0d067859226240", ""),

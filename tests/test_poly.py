@@ -260,15 +260,22 @@ def test_every_route_gives_one_stored_form(a, b, s):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_polys(), small_polys(), small_fracs, st_.integers(1, 6))
-def test_a_cut_substitution_keeps_the_low_terms(a, b, c, n):
-    # the cut substitution against the whole one with its high t-terms dropped
-    t, q = MPoly.var("t"), MPoly.var("q")
-    ray = {"z": c + t * b + t**2, "q": q + t * q}
-    full = a.substitute(ray).split_by("t")
-    low = a.substitute(ray, cut=("t", n))
-    _stored(low)
-    assert low.split_by("t") == {d: x for d, x in full.items() if d < n}
+@given(
+    small_fracs.filter(bool),
+    st_.lists(st_.sampled_from(["z", "q", "u_1", "h", "X2"]), max_size=4),
+    st_.integers(1, 7),
+)
+def test_a_monomial_power_is_the_repeated_product(c, names, n):
+    # one-term powers take their own path; constants have no variables
+    mono = MPoly.const(c)
+    for v in names:
+        mono = mono * MPoly.var(v)
+    power = mono**n
+    _stored(power)
+    product = mono
+    for _ in range(n - 1):
+        product = product * mono
+    assert _stored(power) == _stored(product)
 
 
 def test_exponent_at_the_guard_limit_raises():
@@ -277,12 +284,15 @@ def test_exponent_at_the_guard_limit_raises():
     top = MPoly(("q", "z"), {(1, limit - 1): 3})
     assert top.degree_in("z") == limit - 1 and str(top) == f"3*z^{limit - 1}*q"
     assert top.div_exact(z ** (limit - 1)) == 3 * q
+    assert ((z ** (limit // 2 - 1)) ** 2).degree_in("z") == limit - 2
     for build in (
         lambda: MPoly(("z",), {(limit,): 1}),
         lambda: MPoly(("z",), {(-1,): 1}),
         lambda: top * z,
         lambda: (z + q) * (top + 1),
         lambda: z**limit,
+        lambda: (z ** (limit // 2)) ** 2,
+        lambda: (3 * q * z ** (limit // 2 + 1)) ** 2,
         lambda: mat_mul([[top]], [[z + 1]]),
     ):
         with pytest.raises(ValueError, match="exponent"):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qilab.field import MPoly, RatFun, mat_eq, mat_mul
 from qilab.rmatrix import (
     _lowest_along,
+    _taylor_lowest,
     check_hexagon,
     check_intertwiner,
     check_inverse,
@@ -134,50 +135,45 @@ def test_pole_limit_matches_evaluation_along_the_ray():
 
 
 _FRACS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-_RAY_TAILS = [
-    MPoly.var("t"),
-    MPoly.var("t") * MPoly.var("h"),
-    MPoly.var("t") ** 2,
-    MPoly.var("t") + MPoly.var("t") ** 3 * MPoly.var("w"),
-]
 
 
 @st.composite
 def polys_along_rays(draw):
-    """A nonzero RatFun in z, q, u1, u, h, w and a ray sending some of z, q,
-    u1, u to a constant plus a t-tail; the numerator and denominator get a
-    random power of (v - c) for a ray variable v, so their lowest t-degree is
-    high.  The ray spells u1 as ``u_1``."""
-    ray = {}
+    """A nonzero polynomial in z, q, u1, u, h and w times a random power of
+    (v - c), so its vanishing order at v = c is high, with the variable v,
+    one of z, q, u1 and u, and the point c.  u1 is sometimes spelled
+    ``u_1``."""
     names = ("z", "q", "u1", "u", "h", "w")
     exps = st.tuples(*[st.integers(0, 3)] * len(names))
     terms = st.dictionaries(exps, _FRACS.filter(bool), min_size=1, max_size=4)
-    picked = st.lists(st.sampled_from(names[:4]), min_size=1, max_size=3, unique=True)
-    for v in draw(picked):
-        c = draw(_FRACS)
-        ray[v] = (c, c + draw(_FRACS.filter(bool)) * draw(st.sampled_from(_RAY_TAILS)))
-    parts = []
-    for _ in range(2):
-        p = MPoly(names, draw(terms))
-        v = draw(st.sampled_from(sorted(ray)))
-        parts.append(p * (MPoly.var(v) - ray[v][0]) ** draw(st.integers(0, 6)))
-    return RatFun(*parts), {v.replace("u1", "u_1"): x for v, (_, x) in ray.items()}
+    v, c = draw(st.sampled_from(names[:4])), draw(_FRACS)
+    p = MPoly(names, draw(terms)) * (MPoly.var(v) - c) ** draw(st.integers(0, 6))
+    if v == "u1" and draw(st.booleans()):
+        v = "u_1"
+    return p, v, c
 
 
 @settings(max_examples=80, deadline=None)
 @given(polys_along_rays())
-def test_lowest_along_matches_the_full_expansion(case):
-    # the cut substitution against expanding the whole substitution
-    f, ray = case
-    expected = []
-    for p in (f.num, f.den):
-        parts = p.substitute(ray).split_by("t")
-        expected.append((min(parts), parts[min(parts)]) if parts else None)
-    if None in expected:
-        with pytest.raises(ValueError):
-            _lowest_along(f, ray)
-    else:
-        assert _lowest_along(f, ray) == expected
+def test_taylor_coefficients_match_the_full_expansion(case):
+    # the first nonzero Taylor coefficient against expanding p at v = c + t
+    p, v, c = case
+    parts = p.substitute({v: c + MPoly.var("t")}).split_by("t")
+    assert _taylor_lowest(p, v, c) == (min(parts), parts[min(parts)])
+
+
+@pytest.mark.parametrize("a, orders", [("z^3200", [1, 0, 0, 0]), ("(z-1)^60", [0] * 4)])
+def test_pole_limit_substitutes_nothing(a, orders, monkeypatch):
+    # the full expansion of (z-1)^N along z = 1 + t forms about N^3/3
+    # coefficient products; the Taylor coefficients need no substitution
+    M = trig_r(Z * RatFun.parse(a) / Q**2)
+
+    def refuse(*args):
+        raise AssertionError("pole_limit substituted")
+
+    monkeypatch.setattr(MPoly, "substitute", refuse)
+    points = (1, Fraction(3, 2), 0, -1)
+    assert [pole_limit(M, "z", point)[0] for point in points] == orders
 
 
 def test_lowest_along_stops_on_a_vanishing_substitution():
