@@ -313,7 +313,7 @@ def _taylor_lowest(p: MPoly, var: str, point: Fraction):
     for k in range(top + 1):
         c = MPoly.zero()
         for d, pd in parts.items():
-            if d == k or (d > k and a):
+            if d == k or (d > k and a):  # at point 0 only p_k counts
                 c = c + pd * (comb(d, k) * power(a, d - k) * power(b, top - d))
         if c:
             return k, c * Fraction(1, power(b, top - k))

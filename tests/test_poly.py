@@ -270,12 +270,10 @@ def test_a_monomial_power_is_the_repeated_product(c, names, n):
     mono = MPoly.const(c)
     for v in names:
         mono = mono * MPoly.var(v)
-    power = mono**n
-    _stored(power)
     product = mono
     for _ in range(n - 1):
         product = product * mono
-    assert _stored(power) == _stored(product)
+    assert _stored(mono**n) == _stored(product)
 
 
 def test_exponent_at_the_guard_limit_raises():
