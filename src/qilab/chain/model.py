@@ -7,34 +7,32 @@ product of fundamental solutions on (aux, site_l) at arguments z*a/b_l,
 site L leftmost.  The transfer matrix is the twisted auxiliary trace
 u*A(z) + u^-1*D(z).
 
-Each identity is written once, as its two sides over a ring, and one
-builder serves both rings: ``_Ring.lines`` builds the product of one or two
-auxiliary lines, with optional factors before and after, from the identity
-as one stream of (factor, slots) steps, site by site.  The exact ring hands
-the whole stream and the slot count to ``field.apply_on_slots``, one packed
-call on sparse rows; the numeric ring feeds it lazily, one factor at a time,
-to ``field.np_spin_apply`` on the popcount blocks of the identity.  No
-factor is embedded as a dense matrix and no line is kept between checks.
-The factors come from ``rmatrix``: ``cleared_r`` at the spec's q, symbolic
-or pinned, for the exact ring and ``numeric_r`` (which lives there and is
-re-exported here) for the numeric one.  ``_Exact`` compares cleared
-polynomial matrices at symbolic z, w: every factor is scaled by its corner
-denominator and the twist by u, so both sides carry the same scalar.  ``_Numeric``
-takes the worst residual over seeded sample points.  Every factor conserves
-aux plus site spin, so numeric matrices are kept as popcount blocks.  The
-numeric transfer is built from the monodromy's aux corners A, B, C, D site
-by site (``field.np_spin_transfer``): each new site is the leading bit, so
-each new block is a 2x2 arrangement of old ones scaled by R entries, about
-(4/3)*C(2L, L) entries per transfer instead of the L*C(2L+2, L+1) of
-streaming every factor through the (L+1)-slot monodromy; numeric products
-of lines (``rtt``, the fused pair of ``multiplicativity``) go through
-``lines``.  Each ring has one auxiliary trace, ``trace_first``, over slot 0
-weighted by diag(w0, w1).  The exact transfer is that trace of one line
-weighted by the twist; the numeric sector of m flipped sites equals u times
-the aux-0 corner of block m plus u^-1 times the aux-1 corner of block m+1
-of the traced line, which a test checks.  ``transfer_sectors`` hands the
-sectors to the spectrum; ``commute`` multiplies them block by block and
-``multiplicativity`` multiplies their dense form.
+Each identity is written once, as its two sides over a ring, and each
+builder serves both rings.  ``_Ring.lines`` builds the product of one or
+two auxiliary lines, with optional factors before and after, from the
+identity as one stream of (factor, slots) steps, site by site: the exact
+ring hands it to ``field.apply_on_slots``, one packed call on sparse rows,
+and the numeric ring feeds it, one factor at a time, to
+``field.np_spin_apply`` on popcount blocks.  ``_Ring.transfer`` builds a
+transfer from the aux corners A, B, C, D of one line, site by site
+(``field.spin_transfer``, ``field.np_spin_transfer``): each new site is the
+leading bit, so each new entry is one product, about (4/3)*C(2L, L)
+numeric entries per transfer instead of the L*C(2L+2, L+1) of streaming
+every factor through the (L+1)-slot monodromy.  No factor is embedded as a
+dense matrix and no line is kept between checks.  The factors come from
+``rmatrix``: ``cleared_r`` at the spec's q, symbolic or pinned, for the
+exact ring and ``numeric_r`` (which lives there and is re-exported here)
+for the numeric one.  ``_Exact`` compares cleared polynomial matrices at
+symbolic z, w: every factor is scaled by its corner denominator and the
+twist by u, so both sides carry the same scalar.  ``_Numeric`` takes the
+worst residual over seeded sample points, on popcount blocks, since every
+factor conserves aux plus site spin.  Each ring has one auxiliary trace,
+``trace_first``, over slot 0 weighted by diag(w0, w1); a transfer equals
+that trace of one line weighted by the twist, which tests check.
+``transfer_sectors`` hands the numeric sectors to the spectrum.
+``commute`` takes both products of T(z) and T(w) from ``both_orders``: the
+exact T(w) is T(z) with z and w exchanged, a ring automorphism, so the
+exact ring multiplies once and exchanges z and w in the product.
 """
 
 from __future__ import annotations
@@ -62,6 +60,7 @@ from ..field import (
     np_spin_index,
     np_spin_trace_first,
     np_spin_transfer,
+    spin_transfer,
 )
 from ..verdict import CheckResult
 from ..rmatrix import cleared_r, numeric_r
@@ -213,11 +212,14 @@ class ChainSpec:
 
 
 class _Ring:
-    """The factor stream both rings share; a ring supplies ``apply_slots``
-    (the identity on n slots times a stream of 4x4 factors, each on two
-    slots), the site ``ratios`` a / b_l and the factor ``r``.
-    ``apply_slots`` looks its field functions up at call time, so
-    perfbench's tracer, which rebinds module names, sees the calls."""
+    """The builders both rings share.  A ring supplies ``apply_slots`` (the
+    identity on n slots times a stream of 4x4 factors, each on two slots),
+    ``spin_transfer`` (the weighted aux trace of one line from its
+    corners), ``both_orders`` (the products A·B and B·A), the site
+    ``ratios`` a / b_l, the factor ``r`` and the ``twist``.  The exact
+    ring's ``apply_slots``, ``spin_transfer`` and ``both_orders`` look
+    their field functions up at call time, so perfbench's tracer, which
+    rebinds module names, sees the calls."""
 
     def __init__(self, spec: ChainSpec):
         self.spec = spec
@@ -241,15 +243,24 @@ class _Ring:
         n = first + self.spec.L
         return self.apply_slots(n, itertools.chain(before, steps, after))
 
+    def transfer(self, z, a=None):
+        """u * A(z) + u^-1 * D(z), ``a=None`` the spec's a, built from the
+        aux corners of one line site by site (``spin_transfer``); the exact
+        ring clears it by u * prod(corners)."""
+        tw = self.twist()
+        factors = [self.r(z * rho) for rho in self.ratios(a)]
+        return self.spin_transfer(factors, tw[0][0], tw[1][1])
+
 
 class _Exact(_Ring):
     """Cleared polynomial matrices, q pinned when the spec fixes it."""
 
     mode = "exact"
-    mul = transfer_mul = staticmethod(mat_mul)
+    mul = staticmethod(mat_mul)
     dense = staticmethod(lambda M: M)
     kron = staticmethod(kron)
     apply_slots = staticmethod(lambda n, steps: apply_on_slots(n, steps))
+    spin_transfer = staticmethod(lambda *args: spin_transfer(*args))
 
     def __init__(self, spec: ChainSpec):
         super().__init__(spec)
@@ -275,11 +286,13 @@ class _Exact(_Ring):
             p, r = MPoly.const(t.numerator), MPoly.const(t.denominator)
         return [[p * p, MPoly.zero()], [MPoly.zero(), r * r]]
 
-    def transfer(self, z, a=None):
-        """u * A(z) + u^-1 * D(z), cleared by u * prod(corners): one line's
-        monodromy traced over its slot 0 with the twist's diagonal as weights."""
-        tw = self.twist()
-        return self.trace_first(self.lines([(0, z, a)]), tw[0][0], tw[1][1])
+    @staticmethod
+    def both_orders(A, B):
+        """``(A·B, B·A)``.  Exchanging z and w is a ring automorphism, so when
+        it turns A into B, B·A is A·B exchanged and one product serves."""
+        swap = lambda M: [[x.exchange("z", "w") if x else x for x in r] for r in M]
+        AB = mat_mul(A, B)
+        return AB, swap(AB) if mat_eq(swap(A), B) else mat_mul(B, A)
 
     @staticmethod
     def trace_first(M, w0, w1):
@@ -295,15 +308,16 @@ class _Exact(_Ring):
 
 
 class _Numeric(_Ring):
-    """complex128 spin blocks: a transfer is built from its corners, a
-    product of lines in place; ``mul`` is dense and ``transfer_mul``
-    multiplies block by block."""
+    """complex128 spin blocks, stored transposed: a product of lines is built
+    in place; ``mul`` is dense and ``both_orders`` multiplies block by
+    block."""
 
     mode = "numeric"
     mul = staticmethod(np.matmul)
     kron = staticmethod(np.kron)
     dense = staticmethod(np_spin_dense)
     trace_first = staticmethod(np_spin_trace_first)
+    spin_transfer = staticmethod(lambda *args: [B.T for B in np_spin_transfer(*args)])
 
     @staticmethod
     def apply_slots(n, steps):
@@ -319,22 +333,17 @@ class _Numeric(_Ring):
         return self.spec.site_ratios_complex(a)
 
     @staticmethod
-    def transfer_mul(A, B) -> list:
-        """Spin blocks of A times B, block by block; blocks are stored
-        transposed, so each is B's block times A's."""
-        return [Y @ X for X, Y in zip(A, B)]
+    def both_orders(A, B) -> tuple:
+        """Spin blocks of ``(A·B, B·A)``; blocks are stored transposed, so
+        each block of A·B is B's block times A's."""
+        return [Y @ X for X, Y in zip(A, B)], [X @ Y for X, Y in zip(A, B)]
 
     def r(self, zeta) -> np.ndarray:
         return numeric_r(zeta, self.spec.q_complex())
 
-    def twist(self) -> np.ndarray:
+    def twist(self) -> list:
         u = self.spec.twist_complex()
-        return np.diag([u, 1 / u]).astype(complex)
-
-    def transfer(self, z, a=None) -> list:
-        """Spin blocks of u * A(z) + u^-1 * D(z): the transposed views of
-        ``transfer_sectors``."""
-        return [B.T for B in transfer_sectors(self.spec, z, a)]
+        return [[u, 0j], [0j, 1 / u]]
 
     def compare(self, sides, points, details, seed, samples, tol):
         """Worst residual of the two sides over seeded sample points."""
@@ -376,9 +385,7 @@ def transfer_sectors(spec: ChainSpec, z: complex, a: complex | None = None) -> l
     Block m is the transfer matrix on the site states of popcount m, in
     increasing index order, C-contiguous.
     """
-    q, u = spec.q_complex(), spec.twist_complex()
-    factors = [numeric_r(z * rho, q) for rho in spec.site_ratios_complex(a)]
-    return np_spin_transfer(factors, u, 1 / u)
+    return [B.T for B in _Numeric(spec).transfer(z, a)]
 
 
 def off_poles(spec: ChainSpec, z: complex) -> bool:
@@ -475,7 +482,7 @@ def check_commute(
         Tz, Tw = ring.transfer(z), ring.transfer(w)
         if perturb:
             Tw = _doubled(Tw, 1, 2)
-        return ring.transfer_mul(Tz, Tw), ring.transfer_mul(Tw, Tz)
+        return ring.both_orders(Tz, Tw)
 
     exact = {"q": spec.q, "twist": spec.twist}
     return _verdict("commute", ring, sides, 2, seed, perturb, samples, tol, exact)

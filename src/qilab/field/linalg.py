@@ -14,6 +14,11 @@ two slots.  Each row starts as its unit vector and keeps only its nonzero
 entries, which every factor sends through its middle block or scales by a
 corner, so no 2^n-square embedding is formed.  The whole stream runs on
 packed ints (``poly._slot_product``), each entry canonicalized once.
+``spin_transfer``, the exact twin of ``np_spin_transfer`` below, builds a
+transfer from its corners on packed ints (``poly._spin_transfer``), so
+both rings build transfers alike.  Exact ``commute`` calls ``mat_mul``
+once: the other order is that product with z and w exchanged
+(``MPoly.exchange``).
 
 Numeric matrices are numpy arrays.  A spin-conserving matrix on n slots of
 size 2 is kept as its spin blocks, one per popcount k, of size C(n, k):
@@ -37,7 +42,7 @@ from math import comb
 
 import numpy as np
 
-from .poly import MPoly, _slot_product
+from .poly import MPoly, _slot_product, _spin_transfer
 
 __all__ = [
     "mat_mul",
@@ -47,6 +52,7 @@ __all__ = [
     "identity",
     "kron",
     "apply_on_slots",
+    "spin_transfer",
     "rref",
     "solve_unique",
     "np_residual",
@@ -143,12 +149,34 @@ def apply_on_slots(n: int, steps):
     otherwise ValueError is raised before any row is built.
     """
     steps = list(steps)
+    _check_steps(n, steps)
+    return _slot_product(n, steps)
+
+
+def _check_steps(n: int, steps) -> None:
+    """ValueError unless each ``(F, (s0, s1))`` is a spin-conserving 4x4
+    ``F`` on two distinct slots of ``n``."""
     for F, (s0, s1) in steps:
-        if len(F) != 4 or s0 == s1 or not (0 <= s0 < n and 0 <= s1 < n):
+        square = len(F) == 4 and all(len(row) == 4 for row in F)
+        if not square or s0 == s1 or not (0 <= s0 < n and 0 <= s1 < n):
             raise ValueError("a conserving factor is 4x4 on two distinct slots")
         if any(F[i][j] for i, j in _MOVES):
             raise ValueError("needs a spin-conserving F")
-    return _slot_product(n, steps)
+
+
+def spin_transfer(factors, w0, w1):
+    """w0 * A + w1 * D for the monodromy factors[L-1] ... factors[0], laid
+    out as in ``np_spin_transfer`` but as one 2^L-square matrix.
+
+    Entries and weights are MPoly, Fraction or int; every entry of the
+    result is an MPoly, zero included.  A factor that is not 4x4 or moves
+    spin, or an empty list, raises ValueError before any row is built.
+    """
+    factors = list(factors)
+    if not factors:
+        raise ValueError("needs at least one site factor")
+    _check_steps(2, [(F, (0, 1)) for F in factors])
+    return _spin_transfer(factors, w0, w1)
 
 
 # exact elimination

@@ -20,7 +20,7 @@ from qilab.chain import (
 from qilab.chain import model as model_module
 from qilab.chain.model import _Exact, _Numeric, _doubled
 from qilab.chain.spectrum import vacuum
-from qilab.field import MPoly, RatFun, kron, mat_eq, np_residual, np_spin_dense
+from qilab.field import MPoly, RatFun, kron, mat_eq, mat_mul, np_residual, np_spin_dense
 from slot_oracles import np_apply_on_slots
 
 
@@ -139,6 +139,72 @@ def test_sample_point_respects_guards():
         for l in range(s.L):
             zeta = z * s.a_complex() / s.site_complex(l)
             assert abs(zeta - qinv2) > 1e-3
+
+
+@pytest.mark.parametrize("L", range(1, 6))
+@pytest.mark.parametrize("q, twist", [("q", "u"), ("3/5", "2/3")])
+def test_exact_corner_built_transfer_equals_the_traced_line(L, q, twist):
+    # the exact corner kernel against the factor stream that rtt and
+    # multiplicativity use: one line on aux slot 0, traced with the twist
+    sites = [("1", "2", "1/3")[l % 3] for l in range(L)]
+    s = ChainSpec.from_json({"L": L, "q": q, "twist": twist, "a": "3/2", "sites": sites})
+    ring = _Exact(s)
+    (w0, _), (_, w1) = ring.twist()
+    z = MPoly.var("z")
+    for a in (None, Fraction(2, 3)):
+        T = ring.transfer(z, a)
+        assert mat_eq(T, _Exact.trace_first(ring.lines([(0, z, a)]), w0, w1))
+        # zeros included: callers read every entry with MPoly methods
+        assert all(isinstance(x, MPoly) for row in T for x in row)
+
+
+def _broken_cleared_r(scale):
+    """``cleared_r`` with its entry R[2][1] (c1) times ``scale(zeta)``."""
+    good = model_module.cleared_r
+
+    def broken(zn, zd=1, q=None):
+        R = good(zn, zd, q)
+        R[2][1] = R[2][1] * scale(zn)
+        return R
+
+    return broken
+
+
+@pytest.mark.parametrize("q", ["q", "3/5"])
+@pytest.mark.parametrize("sites", [["1"] * 4, ["1", "2", "3/2"]], ids=["L4", "L3-inhomogeneous"])
+@pytest.mark.parametrize(
+    "scale", [lambda zeta: 2, lambda zeta: 1 + zeta], ids=["doubled", "times-1+zeta"]
+)
+def test_a_broken_r_matrix_fails_exact_commute(monkeypatch, scale, sites, q):
+    # the broken family is still exchanged by z <-> w, so the one-product
+    # path runs; on homogeneous chains it needs L >= 4 to fail (README)
+    s = ChainSpec.from_json({"L": len(sites), "q": q, "sites": sites})
+    assert check_commute(s, mode="exact").ok
+    monkeypatch.setattr(model_module, "cleared_r", _broken_cleared_r(scale))
+    products = _count_products(monkeypatch)
+    assert not check_commute(s, mode="exact").ok
+    assert len(products) == 1
+
+
+def _count_products(monkeypatch) -> list:
+    """Record the size of each ``mat_mul`` that ``chain.model`` calls."""
+    products = []
+
+    def counting(A, B):
+        products.append(len(A))
+        return mat_mul(A, B)
+
+    monkeypatch.setattr(model_module, "mat_mul", counting)
+    return products
+
+
+def test_exact_commute_multiplies_once_unless_perturbed(monkeypatch):
+    products = _count_products(monkeypatch)
+    s = ChainSpec.from_json({"L": 3, "q": "3/5", "sites": ["1", "2", "3/2"]})
+    assert check_commute(s, mode="exact").ok
+    assert products == [8]
+    assert not check_commute(s, mode="exact", perturb=True).ok
+    assert products == [8, 8, 8]
 
 
 def test_rtt_exact_small_l():

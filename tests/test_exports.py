@@ -20,3 +20,13 @@ def test_every_all_entry_resolves():
         ]
     assert len(names) > 10
     assert missing == []
+
+
+def test_the_exact_transfer_kernel_is_exported_and_transfer_mul_is_gone():
+    from qilab import field
+    from qilab.chain import model
+
+    assert "spin_transfer" in field.__all__
+    assert field.spin_transfer is field.linalg.spin_transfer
+    for ring in (model._Exact, model._Numeric):
+        assert not hasattr(ring, "transfer_mul") and hasattr(ring, "both_orders")

@@ -22,7 +22,10 @@ from qilab.field import (
     np_spin_transfer,
     rref,
     solve_unique,
+    spin_transfer,
 )
+from qilab.field import linalg as linalg_module
+from qilab.field import poly as poly_module
 from slot_oracles import np_apply_on_slots, np_op_on_slots, op_on_slots
 
 
@@ -197,6 +200,49 @@ def test_an_exponent_overflow_raises_before_the_stream_starts():
     G = [[1, 0, 0, 0], [0, z ** ((1 << 30) - 1), 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     out = apply_on_slots(2, [(F, (0, 1)), (G, (0, 1))])
     assert out[1][1] == near and out[2][2] == _Z and out[0][0] == out[3][3] == 1
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [[1] * 4] * 3,  # 3x4
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]],  # 4x3
+        "moving",
+    ],
+)
+def test_spin_transfer_rejects_a_bad_factor_before_any_work(bad, monkeypatch):
+    if bad == "moving":
+        bad = _factor()
+        bad[1][3] = _Z
+
+    def no_work(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(linalg_module, "_spin_transfer", no_work)
+    with pytest.raises(ValueError, match="4x4|spin-conserving"):
+        spin_transfer([_factor(), _factor(), bad], 1, 1)
+    with pytest.raises(ValueError, match="at least one"):
+        spin_transfer([], 1, 1)
+
+
+def test_spin_transfer_bounds_the_exponents_first(monkeypatch):
+    z = MPoly.var("z")
+    big = z ** (1 << 30)
+
+    def no_work(*args):
+        raise AssertionError("a product ran")
+
+    # one corner z^(2^30) per site and a weight z^(2^30) pass the limit,
+    # and the bound says so before any entry is multiplied
+    monkeypatch.setattr(poly_module, "_accumulate", no_work)
+    with pytest.raises(ValueError, match="exponent exceeds the limit"):
+        spin_transfer([_corners(big)], big, 1)
+    with pytest.raises(ValueError, match="exponent exceeds the limit"):
+        spin_transfer([_corners(big), _corners(big)], 1, 1)
+    monkeypatch.undo()
+    got = spin_transfer([_corners(big)], z ** ((1 << 30) - 1), 0)
+    assert got == [[z ** ((1 << 31) - 1), 0], [0, z ** ((1 << 30) - 1)]]
+    assert got[0][1].is_zero() and isinstance(got[0][1], MPoly)
 
 
 def test_mat_mul_bounds_only_a_real_overflow():

@@ -276,6 +276,47 @@ def test_a_monomial_power_is_the_repeated_product(c, names, n):
     assert _stored(mono**n) == _stored(product)
 
 
+@st_.composite
+def zwqu_polys(draw):
+    names = draw(st_.lists(st_.sampled_from(("z", "w", "q", "u")), max_size=4, unique=True))
+    exps = st_.tuples(*[st_.integers(0, 6)] * len(names))
+    terms = draw(st_.dictionaries(exps, small_fracs, min_size=1, max_size=6))
+    return MPoly(names, terms)
+
+
+_Z, _W, _U = MPoly.var("z"), MPoly.var("w"), MPoly.var("u")
+
+
+@settings(max_examples=200, deadline=None)
+@given(zwqu_polys(), st_.sampled_from([("z", "w"), ("w", "z"), ("z", "u"), ("q", "w")]))
+@example(_Z - _W, ("z", "w"))  # the leading coefficient turns negative
+@example(3 * _Z**2 * _U - 5 * _W**3 + _U, ("z", "w"))  # and again, with u
+@example(_Z * _U - 2, ("z", "w"))  # only one of the pair
+@example(_W**2 - _U, ("w", "z"))
+@example(_Z * _W - _U**2, ("z", "u"))  # the support is reordered
+def test_exchange_is_the_swapping_substitution(p, pair):
+    a, b = pair
+    got = p.exchange(a, b)
+    want = p.substitute({a: MPoly.var(b), b: MPoly.var(a)})
+    assert _stored(got) == _stored(want)
+    assert hash(got) == hash(want)
+    assert _stored(got.exchange(a, b)) == _stored(p)
+    assert _stored(got.exchange(b, a)) == _stored(p)
+    if a not in p.vars and b not in p.vars:
+        assert got is p
+
+
+def test_exchange_of_a_pair_outside_the_support_returns_self():
+    p = 3 * MPoly.var("q") ** 2 - _U * Fraction(1, 7)
+    for a, b in (("z", "w"), ("h", "t"), ("q", "q"), ("u_1", "X2")):
+        assert p.exchange(a, b) is p
+    assert MPoly.zero().exchange("z", "w") is MPoly.zero()
+    assert MPoly.const(5).exchange("z", "w") == 5
+    # a spelling with an underscore names the same variable
+    u1 = MPoly.var("u1")
+    assert (u1 - _Z).exchange("u_1", "z") == _Z - u1
+
+
 def test_exponent_at_the_guard_limit_raises():
     limit = 2**31  # the guard bit of a 32-bit slot
     z, q = MPoly.var("z"), MPoly.var("q")
