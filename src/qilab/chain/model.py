@@ -13,8 +13,8 @@ two auxiliary lines, with optional factors before and after, from the
 identity as one stream of (factor, slots) steps, site by site: the exact
 ring hands it to ``field.apply_on_slots``, one packed call on sparse rows,
 and the numeric ring feeds it, one factor at a time, to
-``field.np_spin_apply`` on popcount blocks.  ``_Ring.transfer`` builds a
-transfer from the aux corners A, B, C, D of one line, site by site
+``field.np_spin_apply`` on popcount blocks.  Each ring's ``transfer`` is
+built from the aux corners A, B, C, D of one line, site by site
 (``field.spin_transfer``, ``field.np_spin_transfer``): each new site is the
 leading bit, so each new entry is one product, about (4/3)*C(2L, L)
 numeric entries per transfer instead of the L*C(2L+2, L+1) of streaming
@@ -212,12 +212,10 @@ class ChainSpec:
 
 
 class _Ring:
-    """The builders both rings share.  A ring supplies ``apply_slots`` (the
-    identity on n slots times a stream of 4x4 factors, each on two slots),
-    ``spin_transfer`` (the weighted aux trace of one line from its
-    corners), ``both_orders`` (the products A·B and B·A), the site
-    ``ratios`` a / b_l, the factor ``r`` and the ``twist``.  The exact
-    ring's ``apply_slots``, ``spin_transfer`` and ``both_orders`` look
+    """The factor stream both rings share; a ring supplies ``apply_slots``
+    (the identity on n slots times a stream of 4x4 factors, each on two
+    slots), the site ``ratios`` a / b_l and the factor ``r``.  The exact
+    ring's ``apply_slots``, ``transfer`` and ``both_orders`` look
     their field functions up at call time, so perfbench's tracer, which
     rebinds module names, sees the calls."""
 
@@ -243,14 +241,6 @@ class _Ring:
         n = first + self.spec.L
         return self.apply_slots(n, itertools.chain(before, steps, after))
 
-    def transfer(self, z, a=None):
-        """u * A(z) + u^-1 * D(z), ``a=None`` the spec's a, built from the
-        aux corners of one line site by site (``spin_transfer``); the exact
-        ring clears it by u * prod(corners)."""
-        tw = self.twist()
-        factors = [self.r(z * rho) for rho in self.ratios(a)]
-        return self.spin_transfer(factors, tw[0][0], tw[1][1])
-
 
 class _Exact(_Ring):
     """Cleared polynomial matrices, q pinned when the spec fixes it."""
@@ -260,7 +250,6 @@ class _Exact(_Ring):
     dense = staticmethod(lambda M: M)
     kron = staticmethod(kron)
     apply_slots = staticmethod(lambda n, steps: apply_on_slots(n, steps))
-    spin_transfer = staticmethod(lambda *args: spin_transfer(*args))
 
     def __init__(self, spec: ChainSpec):
         super().__init__(spec)
@@ -286,6 +275,13 @@ class _Exact(_Ring):
             p, r = MPoly.const(t.numerator), MPoly.const(t.denominator)
         return [[p * p, MPoly.zero()], [MPoly.zero(), r * r]]
 
+    def transfer(self, z, a=None):
+        """u * A(z) + u^-1 * D(z), cleared by u * prod(corners), built from
+        the aux corners of one line site by site (``spin_transfer``)."""
+        tw = self.twist()
+        factors = [self.r(z * rho) for rho in self.ratios(a)]
+        return spin_transfer(factors, tw[0][0], tw[1][1])
+
     @staticmethod
     def both_orders(A, B):
         """``(A·B, B·A)``.  Exchanging z and w is a ring automorphism, so when
@@ -308,16 +304,15 @@ class _Exact(_Ring):
 
 
 class _Numeric(_Ring):
-    """complex128 spin blocks, stored transposed: a product of lines is built
-    in place; ``mul`` is dense and ``both_orders`` multiplies block by
-    block."""
+    """complex128 spin blocks, stored transposed: a transfer is built from
+    its corners, a product of lines in place; ``mul`` is dense and
+    ``both_orders`` multiplies block by block."""
 
     mode = "numeric"
     mul = staticmethod(np.matmul)
     kron = staticmethod(np.kron)
     dense = staticmethod(np_spin_dense)
     trace_first = staticmethod(np_spin_trace_first)
-    spin_transfer = staticmethod(lambda *args: [B.T for B in np_spin_transfer(*args)])
 
     @staticmethod
     def apply_slots(n, steps):
@@ -341,9 +336,14 @@ class _Numeric(_Ring):
     def r(self, zeta) -> np.ndarray:
         return numeric_r(zeta, self.spec.q_complex())
 
-    def twist(self) -> list:
+    def twist(self) -> np.ndarray:
         u = self.spec.twist_complex()
-        return [[u, 0j], [0j, 1 / u]]
+        return np.diag([u, 1 / u]).astype(complex)
+
+    def transfer(self, z, a=None) -> list:
+        """Spin blocks of u * A(z) + u^-1 * D(z): the transposed views of
+        ``transfer_sectors``."""
+        return [B.T for B in transfer_sectors(self.spec, z, a)]
 
     def compare(self, sides, points, details, seed, samples, tol):
         """Worst residual of the two sides over seeded sample points."""
@@ -385,7 +385,9 @@ def transfer_sectors(spec: ChainSpec, z: complex, a: complex | None = None) -> l
     Block m is the transfer matrix on the site states of popcount m, in
     increasing index order, C-contiguous.
     """
-    return [B.T for B in _Numeric(spec).transfer(z, a)]
+    q, u = spec.q_complex(), spec.twist_complex()
+    factors = [numeric_r(z * rho, q) for rho in spec.site_ratios_complex(a)]
+    return np_spin_transfer(factors, u, 1 / u)
 
 
 def off_poles(spec: ChainSpec, z: complex) -> bool:

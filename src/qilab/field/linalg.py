@@ -15,10 +15,9 @@ entries, which every factor sends through its middle block or scales by a
 corner, so no 2^n-square embedding is formed.  The whole stream runs on
 packed ints (``poly._slot_product``), each entry canonicalized once.
 ``spin_transfer``, the exact twin of ``np_spin_transfer`` below, builds a
-transfer from its corners on packed ints (``poly._spin_transfer``), so
-both rings build transfers alike.  Exact ``commute`` calls ``mat_mul``
-once: the other order is that product with z and w exchanged
-(``MPoly.exchange``).
+transfer from its corners, so both rings build transfers alike.  Exact
+``commute`` calls ``mat_mul`` once: the other order is that product with
+z and w exchanged (``MPoly.exchange``).
 
 Numeric matrices are numpy arrays.  A spin-conserving matrix on n slots of
 size 2 is kept as its spin blocks, one per popcount k, of size C(n, k):
@@ -42,7 +41,7 @@ from math import comb
 
 import numpy as np
 
-from .poly import MPoly, _slot_product, _spin_transfer
+from .poly import MPoly, _slot_product
 
 __all__ = [
     "mat_mul",
@@ -168,15 +167,38 @@ def spin_transfer(factors, w0, w1):
     """w0 * A + w1 * D for the monodromy factors[L-1] ... factors[0], laid
     out as in ``np_spin_transfer`` but as one 2^L-square matrix.
 
-    Entries and weights are MPoly, Fraction or int; every entry of the
-    result is an MPoly, zero included.  A factor that is not 4x4 or moves
-    spin, or an empty list, raises ValueError before any row is built.
+    The monodromy rows of aux bit a grow from ``w_a e_a``, each a dict from
+    column (aux bit, then the sites so far) to entry.  Each site, from L-1
+    down to 0, is the new leading bit s of a row and t of a column: aux b
+    goes to b2 by F[2b + s][2b2 + t] where b2 + t = b + s, so every new
+    entry is one product.  The last site keeps the columns of the row's
+    aux bit, and the two aux rows add up.  Entries and weights are MPoly,
+    Fraction or int; every result entry is an MPoly, zero included.  A
+    factor that is not 4x4 or moves spin, or no factor, raises ValueError
+    before any product.
     """
     factors = list(factors)
     if not factors:
         raise ValueError("needs at least one site factor")
     _check_steps(2, [(F, (0, 1)) for F in factors])
-    return _spin_transfer(factors, w0, w1)
+    rows = [{a: MPoly.zero() + w} if w else {} for a, w in enumerate((w0, w1))]
+    for n, F in enumerate(reversed(factors)):
+        last, low = n == len(factors) - 1, (1 << n) - 1
+        new = [{} for _ in range(2 << n if last else 4 << n)]
+        for r, row in enumerate(rows):
+            a, i = r >> n, r & low
+            for s in (0, 1):
+                dst = new[s << n | i if last else a << n + 1 | s << n | i]
+                for c, x in row.items():
+                    b, j = c >> n, c & low
+                    for b2 in (0, 1) if not last else (a,):
+                        t = b + s - b2
+                        f = F[2 * b + s][2 * b2 + t] if 0 <= t <= 1 else 0
+                        if f:
+                            key = (t if last else 2 * b2 + t) << n | j
+                            dst[key] = dst[key] + x * f if key in dst else x * f
+        rows = new
+    return [[row.get(c, MPoly.zero()) for c in range(len(rows))] for row in rows]
 
 
 # exact elimination

@@ -527,9 +527,10 @@ class MPoly:
     def exchange(self, a: str, b: str) -> "MPoly":
         """The polynomial with the variables ``a`` and ``b`` swapped, and
         ``self`` when it holds neither.  With both in the support, each key
-        swaps the two slots; with one, the keys are rekeyed from the swapped
-        support to rank order.  The sign moves to the content if the
-        leading coefficient turns negative."""
+        swaps the two slots in place, one expression per key where
+        ``_rekey`` would loop over its runs; with one, the keys are rekeyed
+        from the swapped support to rank order.  The sign moves to the
+        content if the leading coefficient turns negative."""
         a, b = normalize_var(a), normalize_var(b)
         vars = self.vars
         if a == b or (a not in vars and b not in vars):
@@ -711,31 +712,25 @@ def _pack(sides) -> tuple:
     ]
 
 
-def _check_degrees(sides, guard: int) -> None:
-    """Raise ValueError unless the sum over the packed matrices ``sides`` of
-    each one's slotwise largest key stays below the ``guard`` bits: a bound
-    on the exponents of any product that takes one entry from each."""
-    bound = 0
-    for M in sides:
-        keys = [k for row in M for e in row if e for k in e]
-        bound += reduce(lambda x, y: x + y - _slot_min(x, y, guard), keys, 0)
-        if bound & guard:
-            raise ValueError(f"exponent exceeds the limit {_LIMIT - 1}")
-
-
 def _slot_product(n: int, steps) -> list:
     """The identity on ``n`` slots of size 2 times a stream of conserving
     4x4 factors ``(F, (s0, s1))``, for ``linalg.apply_on_slots``.
 
-    The exponents are bounded first (``_check_degrees``).  Each row starts
-    as its unit vector and keeps its nonzero entries as a dict from column
-    to int dict.  A step sends an entry whose slots read 01 to its own
-    column by F11 and to its 10 partner by F12, a 10 entry to its 01
-    partner by F21 and to its own column by F22, and a 00 or 11 entry to
-    itself by F00 or F33.
+    The exponents are bounded first, by the running sum of each packed
+    factor's slotwise largest key.  Each row starts as its unit vector and
+    keeps its nonzero entries as a dict from column to int dict.  A step
+    sends an entry whose slots read 01 to its own column by F11 and to its
+    10 partner by F12, a 10 entry to its 01 partner by F21 and to its own
+    column by F22, and a 00 or 11 entry to itself by F00 or F33.
     """
     vars, dens, factors = _pack(F for F, _ in steps)
-    _check_degrees(factors, _masks(len(vars))[0])
+    guard = _masks(len(vars))[0]
+    bound = 0
+    for F in factors:
+        keys = [k for row in F for e in row if e for k in e]
+        bound += reduce(lambda x, y: x + y - _slot_min(x, y, guard), keys, 0)
+        if bound & guard:
+            raise ValueError(f"exponent exceeds the limit {_LIMIT - 1}")
     den = prod(dens)
     out = []
     for r in range(1 << n):
@@ -760,53 +755,6 @@ def _slot_product(n: int, steps) -> list:
             entries[c] = _canon(vars, x, 1, den)
         out.append(entries)
     return out
-
-
-def _spin_transfer(factors, w0, w1) -> list:
-    """w0 * A + w1 * D for the monodromy factors[L-1] ... factors[0] of
-    conserving 4x4 factors on (aux, site l), for ``linalg.spin_transfer``.
-
-    The rows of the monodromy with aux bit a grow from the row ``w_a e_a``
-    on no sites.  A row keeps its nonzero entries as a dict from column
-    (aux bit, then the sites so far) to int dict.  Each step adds the next
-    site, from L-1 down to 0, as the new leading site bit s of the row and
-    t of the column: the entry at aux b and sites j of the old row goes to
-    aux b2 by F[2b + s][2b2 + t] for each b2 + t = b + s, so every new
-    entry is one product.  The last step keeps only the columns whose aux
-    bit is the row's a, and the two aux rows add up to the result.  The
-    exponents are bounded first (``_check_degrees``).
-    """
-    vars, dens, (W, *packed) = _pack([[[w0, w1]], *factors])
-    _check_degrees([W] + packed, _masks(len(vars))[0])
-    den = prod(dens)
-    rows = [{a: w} if w else {} for a, w in enumerate(W[0])]
-    for n, F in enumerate(reversed(packed)):
-        last = n == len(packed) - 1
-        low = (1 << n) - 1
-        # F[2b + s][2b2 + t] sends aux b to b2 as the new site goes s -> t
-        sends = [
-            [
-                (b2, t, F[2 * b + s][2 * b2 + t].items())
-                for b2, t in ((0, 0), (0, 1), (1, 0), (1, 1))
-                if b2 + t == b + s and F[2 * b + s][2 * b2 + t]
-            ]
-            for b in (0, 1)
-            for s in (0, 1)
-        ]
-        new = [{} for _ in range(2 << n if last else 4 << n)]
-        for r, row in enumerate(rows):
-            a, i = r >> n, r & low
-            for s in (0, 1):
-                dst = new[s << n | i if last else a << n + 1 | s << n | i]
-                for c, x in row.items():
-                    j = c & low
-                    for b2, t, f in sends[2 * (c >> n) + s]:
-                        if not last or b2 == a:
-                            key = (t if last else 2 * b2 + t) << n | j
-                            _accumulate(dst.setdefault(key, {}), f, x.items())
-        rows = new
-    size = len(rows)
-    return [[_canon(vars, row.get(c, {}), 1, den) for c in range(size)] for row in rows]
 
 
 def _send(row: dict, c: int, x: dict, f) -> None:
