@@ -7,10 +7,10 @@ product of fundamental solutions on (aux, site_l) at arguments z*a/b_l,
 site L leftmost.  The transfer matrix is the twisted auxiliary trace
 u*A(z) + u^-1*D(z).
 
-Each identity is written once, as its two sides over a ring, and each
-builder serves both rings.  ``_Ring.lines`` builds the product of one or
+Each identity is written once, as its two sides over a ring, and one
+builder serves both rings: ``_Ring.lines`` builds the product of one or
 two auxiliary lines, with optional factors before and after, from the
-identity as one stream of (factor, slots) steps, site by site: the exact
+identity as one stream of (factor, slots) steps, site by site.  The exact
 ring hands it to ``field.apply_on_slots``, one packed call on sparse rows,
 and the numeric ring feeds it, one factor at a time, to
 ``field.np_spin_apply`` on popcount blocks.  Each ring's ``transfer`` is
