@@ -21,14 +21,14 @@ numeric entries per transfer instead of the L*C(2L+2, L+1) of streaming
 every factor through the (L+1)-slot monodromy.  No factor is embedded as a
 dense matrix and no line is kept between checks.  The factors come from
 ``rmatrix``: ``cleared_r`` at the spec's q, symbolic or pinned, for the
-exact ring and ``numeric_r`` (which lives there and is re-exported here)
-for the numeric one.  ``_Exact`` compares cleared polynomial matrices at
-symbolic z, w: every factor is scaled by its corner denominator and the
-twist by u, so both sides carry the same scalar.  ``_Numeric`` takes the
-worst residual over seeded sample points, on popcount blocks, since every
-factor conserves aux plus site spin.  Each ring has one auxiliary trace,
-``trace_first``, over slot 0 weighted by diag(w0, w1); a transfer equals
-that trace of one line weighted by the twist, which tests check.
+exact ring and ``numeric_r`` for the numeric one.  ``_Exact`` compares
+cleared polynomial matrices at symbolic z, w: every factor is scaled by its
+corner denominator and the twist by u, so both sides carry the same scalar.
+``_Numeric`` takes the worst residual over seeded sample points, on popcount
+blocks, since every factor conserves aux plus site spin.  Each ring has one
+auxiliary trace, ``trace_first``, over slot 0 weighted by diag(w0, w1); a
+transfer equals that trace of one line weighted by the twist, which tests
+check.
 ``transfer_sectors`` hands the numeric sectors to the spectrum.
 ``commute`` takes both products of T(z) and T(w) from ``both_orders``: the
 exact T(w) is T(z) with z and w exchanged, a ring automorphism, so the
@@ -215,9 +215,8 @@ class _Ring:
     """The factor stream both rings share; a ring supplies ``apply_slots``
     (the identity on n slots times a stream of 4x4 factors, each on two
     slots), the site ``ratios`` a / b_l and the factor ``r``.  The exact
-    ring's ``apply_slots``, ``transfer`` and ``both_orders`` look
-    their field functions up at call time, so perfbench's tracer, which
-    rebinds module names, sees the calls."""
+    ring looks every field function up at call time, so perfbench's
+    tracer, which rebinds module names, sees the calls."""
 
     def __init__(self, spec: ChainSpec):
         self.spec = spec
@@ -246,9 +245,9 @@ class _Exact(_Ring):
     """Cleared polynomial matrices, q pinned when the spec fixes it."""
 
     mode = "exact"
-    mul = staticmethod(mat_mul)
+    mul = staticmethod(lambda A, B: mat_mul(A, B))
     dense = staticmethod(lambda M: M)
-    kron = staticmethod(kron)
+    kron = staticmethod(lambda A, B: kron(A, B))
     apply_slots = staticmethod(lambda n, steps: apply_on_slots(n, steps))
 
     def __init__(self, spec: ChainSpec):
@@ -347,6 +346,8 @@ class _Numeric(_Ring):
 
     def compare(self, sides, points, details, seed, samples, tol):
         """Worst residual of the two sides over seeded sample points."""
+        if samples < 1:
+            raise ValueError("samples must be at least 1")
         rng = np.random.default_rng(seed)
         worst = 0.0
         for _ in range(samples):

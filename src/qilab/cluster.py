@@ -18,7 +18,6 @@ import json
 from dataclasses import dataclass, field
 
 from .field import MPoly, NotDivisible, RatFun
-from .verdict import CheckResult
 
 __all__ = [
     "Quiver",
@@ -29,7 +28,6 @@ __all__ = [
     "initial_seed",
     "explore",
     "laurent_check",
-    "check_examples",
 ]
 
 _ONE = MPoly.const(1)
@@ -369,60 +367,3 @@ def laurent_check(v: RatFun) -> bool:
     """True iff the canonical denominator is a single monomial."""
     return v.den.n_terms() == 1
 
-
-EXAMPLE_QUIVER = {"r": 3, "frozen": [2, 3], "arrows": [[3, 1, 1], [1, 2, 1]]}
-A2_QUIVER = {"r": 2, "frozen": [], "arrows": [[1, 2, 1]]}
-
-A2_VARIABLES = (
-    "X1",
-    "X2",
-    "(X2 + 1)/X1",
-    "(X1 + X2 + 1)/(X1*X2)",
-    "(X1 + 1)/X2",
-)
-
-
-def check_examples(perturb: bool = False) -> CheckResult:
-    """Golden exploration facts for the two bundled quivers.
-
-    ``perturb`` injects a non-Laurent expression into the checked variable
-    set, which must make the Laurent property fail.
-    """
-    details = {}
-    q1 = Quiver.from_json(EXAMPLE_QUIVER)
-    atlas1 = explore(initial_seed(q1), 4)
-    details["example"] = {
-        "clusters": atlas1.cluster_count(),
-        "variables": atlas1.variable_strings(),
-        "relations": atlas1.relation_strings(),
-        "closed": atlas1.closed,
-    }
-    ok1 = (
-        atlas1.closed
-        and atlas1.cluster_count() == 2
-        and len(atlas1.variables) == 4
-        and atlas1.relation_strings() == ["X1p*X1 = X2 + X3"]
-    )
-    q2 = Quiver.from_json(A2_QUIVER)
-    atlas2 = explore(initial_seed(q2), 8)
-    details["a2"] = {
-        "clusters": atlas2.cluster_count(),
-        "variables": atlas2.variable_strings(),
-        "closed": atlas2.closed,
-    }
-    ok2 = (
-        atlas2.closed
-        and atlas2.cluster_count() == 5
-        and set(atlas2.variable_strings()) == set(A2_VARIABLES)
-    )
-    checked = list(atlas1.variables.values()) + list(atlas2.variables.values())
-    if perturb:
-        checked.append(RatFun.parse("(1 + X1)/(1 + X2)"))
-    laurent_ok = all(laurent_check(v) for v in checked)
-    details["laurent_all"] = laurent_ok
-    details["perturbed"] = bool(perturb)
-    return CheckResult(
-        name="cluster-examples",
-        ok=ok1 and ok2 and laurent_ok,
-        details=details,
-    )

@@ -83,9 +83,6 @@ class RatFun:
     def is_const(self) -> bool:
         return self.num.is_const() and self.den.is_const()
 
-    def is_poly(self) -> bool:
-        return self.den == 1
-
     def as_fraction(self) -> Fraction:
         return self.num.as_fraction() / self.den.as_fraction()
 

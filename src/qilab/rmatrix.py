@@ -168,16 +168,12 @@ def _zeta_pair(scale: Fraction, *poly_factors):
     return zn, MPoly.const(1)
 
 
-def _on_three(*factors):
-    """The 8x8 product of 4x4 factors, each given with its two of three
-    slots, in order."""
-    return apply_on_slots(3, factors)
-
-
 def _exchange_holds(m12, m13, m23) -> bool:
     """M12*M13*M23 == M23*M13*M12 for three 4x4 factors on three slots."""
     f12, f13, f23 = (m12, (0, 1)), (m13, (0, 2)), (m23, (1, 2))
-    return mat_eq(_on_three(f12, f13, f23), _on_three(f23, f13, f12))
+    return mat_eq(
+        apply_on_slots(3, [f12, f13, f23]), apply_on_slots(3, [f23, f13, f12])
+    )
 
 
 def check_ybe(a=Fraction(1), b=Fraction(1), c=Fraction(1), perturb=False) -> CheckResult:
@@ -262,8 +258,7 @@ def check_yang(cutoff: int = 6, perturb=False) -> CheckResult:
     """Degeneration checks: the closed form of the limit and the
     additive-parameter triple exchange identity.
 
-    ``cutoff`` bounds the leading degree of each denominator.  The limit is
-    exact, so ``cutoff_stable`` is true whenever it is computed.
+    ``cutoff`` bounds the leading degree of each denominator.
     """
     lim = yang_limit(cutoff)
     u = MPoly.var("u")
@@ -290,7 +285,6 @@ def check_yang(cutoff: int = 6, perturb=False) -> CheckResult:
         ok=closed_form and additive,
         details={
             "cutoff": cutoff,
-            "cutoff_stable": True,
             "closed_form": closed_form,
             "additive_identity": additive,
             "limit": [[str(x) for x in row] for row in lim],
@@ -395,6 +389,8 @@ def check_pole_structure() -> CheckResult:
 
 def check_inverse(seed: int = 0, points: int = 3, perturb=False) -> CheckResult:
     """R(z) * P R(1/z) P = Id, symbolically and at sampled rational points."""
+    if points < 0:
+        raise ValueError("points must be nonnegative")
     P = perm_p()
     C1 = cleared_r(_Z, 1)
     C2 = cleared_r(MPoly.const(1), _Z)
@@ -442,6 +438,8 @@ def check_inverse(seed: int = 0, points: int = 3, perturb=False) -> CheckResult:
 
 def check_hexagon(seed: int = 0, points: int = 3, perturb=False) -> CheckResult:
     """Braided triple identity for P R on three parametrized spaces."""
+    if points < 0:
+        raise ValueError("points must be nonnegative")
     P = perm_p()
     rng = np.random.default_rng(seed)
     draws = [(Fraction(1), Fraction(1), Fraction(1))]
@@ -463,8 +461,8 @@ def check_hexagon(seed: int = 0, points: int = 3, perturb=False) -> CheckResult:
         if perturb:
             pr_ac_mid = [row[:] for row in pr_ac]
             pr_ac_mid[1][2] = 2 * pr_ac_mid[1][2]
-        lhs = _on_three((pr_bc, (0, 1)), (pr_ac_mid, (1, 2)), (pr_ab, (0, 1)))
-        rhs = _on_three((pr_ab, (1, 2)), (pr_ac, (0, 1)), (pr_bc, (1, 2)))
+        lhs = apply_on_slots(3, [(pr_bc, (0, 1)), (pr_ac_mid, (1, 2)), (pr_ab, (0, 1))])
+        rhs = apply_on_slots(3, [(pr_ab, (1, 2)), (pr_ac, (0, 1)), (pr_bc, (1, 2))])
         good = mat_eq(lhs, rhs)
         all_ok = all_ok and good
         rows.append({"a": str(a), "b": str(b), "c": str(c), "ok": good})

@@ -46,7 +46,6 @@ __all__ = [
     "weights",
     "roots",
     "Chamber",
-    "attr_order",
     "e_neg",
     "default_polarization",
     "StabMatrix",
@@ -55,8 +54,6 @@ __all__ = [
     "adjacent",
     "fan_n2",
     "check_axioms",
-    "check_n1",
-    "check_chambers_n2",
     "check_cycle_identity",
 ]
 
@@ -101,17 +98,6 @@ class Chamber:
         return cls(n=n, perm=tuple(int(p) for p in perm))
 
     @classmethod
-    def from_sigma(cls, n: int, sigma) -> "Chamber":
-        """Chamber containing the cocharacter with components sigma."""
-        vals = [Fraction(0)] + [Fraction(s) for s in sigma]
-        if len(vals) != n + 1:
-            raise ValueError("need one component per weight variable")
-        if len(set(vals)) != n + 1:
-            raise ValueError("cocharacter lies on a wall")
-        perm = sorted(range(n + 1), key=lambda i: vals[i])
-        return cls(n=n, perm=tuple(perm))
-
-    @classmethod
     def named(cls, name: str) -> "Chamber":
         if name == "plus":
             return cls(n=1, perm=(1, 0))
@@ -136,11 +122,6 @@ class Chamber:
 
     def order_string(self) -> str:
         return " > ".join(f"p{j}" for j in self.perm)
-
-
-def attr_order(chamber: Chamber) -> list:
-    """Total order as a list of fixed-point indices, top first."""
-    return list(chamber.perm)
 
 
 def e_neg(chamber: Chamber, j: int) -> MPoly:
@@ -208,10 +189,6 @@ def _span(polys, coeffs) -> MPoly:
         if x:
             out = out + p * x
     return out
-
-
-def _u_degree(p: MPoly, unames) -> int:
-    return p.degree_in_set(set(unames))
 
 
 def _rows_for(targets, polys, rhs_poly, mono_filter=None):
@@ -370,10 +347,10 @@ def check_axioms(sm: StabMatrix) -> CheckResult:
                 support_ok = False
         if sm.matrix[j][j] != e_neg(ch, j) * sm.polarization[j]:
             diag_ok = False
-        if _u_degree(sm.matrix[j][j], unames) != n:
+        if sm.matrix[j][j].degree_in_set(unames) != n:
             degree_ok = False
         for i in ch.below(j):
-            if _u_degree(sm.matrix[i][j], unames) >= n:
+            if sm.matrix[i][j].degree_in_set(unames) >= n:
                 degree_ok = False
     honest_ok = all(
         _is_restriction(vs, [sm.matrix[i][j] for i in range(n + 1)])
@@ -393,67 +370,7 @@ def check_axioms(sm: StabMatrix) -> CheckResult:
     )
 
 
-N1_PLUS = (("-u", "-h"), ("0", "u - h"))
-N1_MINUS = (("-u - h", "0"), ("-h", "u"))
 N1_R = (("u/(u + h)", "h/(u + h)"), ("h/(u + h)", "u/(u + h)"))
-
-
-def check_n1(perturb: bool = False) -> CheckResult:
-    """Reference n=1 matrices and their wall-crossing matrix, verbatim.
-
-    ``perturb`` flips the polarization sign at p_0, which must break the
-    reference comparison.
-    """
-    plus = Chamber.named("plus")
-    minus = Chamber.named("minus")
-    pol = (1, 1) if perturb else None
-    sp = stab_matrix(plus, polarization=pol)
-    sm = stab_matrix(minus)
-    got_plus = tuple(tuple(str(e) for e in row) for row in sp.matrix)
-    got_minus = tuple(tuple(str(e) for e in row) for row in sm.matrix)
-    r = geometric_r(sp, sm)
-    got_r = tuple(tuple(str(e) for e in row) for row in r)
-    rt = geometric_r(sm, sp)
-    prod = mat_mul(r, rt)
-    ident = mat_eq(prod, identity(2))
-    same = geometric_r(sp, sp)
-    refl = mat_eq(same, identity(2))
-    ok = (
-        got_plus == N1_PLUS
-        and got_minus == N1_MINUS
-        and got_r == N1_R
-        and ident
-        and refl
-    )
-    return CheckResult(
-        name="stab-n1",
-        ok=ok,
-        details={
-            "plus": [list(row) for row in got_plus],
-            "minus": [list(row) for row in got_minus],
-            "r": [list(row) for row in got_r],
-            "round_trip_identity": ident,
-            "same_chamber_identity": refl,
-            "perturbed": bool(perturb),
-        },
-    )
-
-
-def check_chambers_n2() -> CheckResult:
-    """All six chambers solve uniquely and pass the axiom checker."""
-    reports = []
-    ok = True
-    for ch in fan_n2():
-        try:
-            sm = stab_matrix(ch)
-        except ValueError as e:
-            reports.append({"chamber": ch.order_string(), "error": str(e)})
-            ok = False
-            continue
-        ax = check_axioms(sm)
-        reports.append({"chamber": ch.order_string(), **ax.details, "ok": ax.ok})
-        ok = ok and ax.ok
-    return CheckResult(name="stab-n2", ok=ok, details={"chambers": reports})
 
 
 def check_cycle_identity(chambers=None, perturb: bool = False) -> CheckResult:

@@ -14,7 +14,8 @@ from math import comb
 from qilab.chain import ChainSpec, check_commute, check_multiplicativity, check_rtt
 from qilab.chain.spectrum import check_tq
 from qilab.cli import main
-from qilab.cluster import check_examples
+from qilab.cluster import Quiver, explore, initial_seed, laurent_check
+from qilab.field import RatFun
 from qilab.qchar import check_conjecture_sl2
 from qilab.rmatrix import (
     check_hexagon,
@@ -24,10 +25,13 @@ from qilab.rmatrix import (
     check_ybe,
 )
 from qilab.stab import (
-    check_chambers_n2,
+    N1_R,
+    Chamber,
+    check_axioms,
     check_cycle_identity,
-    check_n1,
     fan_n2,
+    geometric_r,
+    stab_matrix,
 )
 
 GENERIC = {"q": "0.83+0.21*i", "twist": "0.64+0.13*i"}
@@ -171,30 +175,47 @@ def test_criterion_09_character_substitution():
 
 def test_criterion_10_cluster_example():
     t0 = time.time()
-    res = check_examples()
+    example = {"r": 3, "frozen": [2, 3], "arrows": [[3, 1, 1], [1, 2, 1]]}
+    a2 = {"r": 2, "frozen": [], "arrows": [[1, 2, 1]]}
+    at1 = explore(initial_seed(Quiver.from_json(example)), 4)
+    at2 = explore(initial_seed(Quiver.from_json(a2)), 8)
     t = time.time() - t0
-    d = res.details
+    variables = list(at1.variables.values()) + list(at2.variables.values())
     ok = (
-        res.ok
-        and d["example"]["clusters"] == 2
-        and len(d["example"]["variables"]) == 4
-        and d["example"]["relations"] == ["X1p*X1 = X2 + X3"]
-        and d["a2"]["clusters"] == 5
-        and d["laurent_all"]
+        at1.closed
+        and at1.cluster_count() == 2
+        and len(at1.variables) == 4
+        and at1.relation_strings() == ["X1p*X1 = X2 + X3"]
+        and at2.closed
+        and at2.cluster_count() == 5
+        and set(at2.variable_strings())
+        == {"X1", "X2", "(X2 + 1)/X1", "(X1 + X2 + 1)/(X1*X2)", "(X1 + 1)/X2"}
+        and all(laurent_check(v) for v in variables)
+        # control: a non-Laurent expression must fail the same test
+        and not laurent_check(RatFun.parse("(1 + X1)/(1 + X2)"))
     )
     _line(10, ok and t < 5.0, t, "both quivers close with the expected atlases")
 
 
 def test_criterion_11_stable_envelopes():
     t0 = time.time()
-    n1 = check_n1()
-    n2 = check_chambers_n2()
+    strings = lambda M: tuple(tuple(str(e) for e in row) for row in M)
+    plus, minus = Chamber.named("plus"), Chamber.named("minus")
+    sp, sm = stab_matrix(plus), stab_matrix(minus)
+    n1 = (
+        strings(sp.matrix) == (("-u", "-h"), ("0", "u - h"))
+        and strings(sm.matrix) == (("-u - h", "0"), ("-h", "u"))
+        and strings(geometric_r(sp, sm)) == N1_R
+        # control: the flipped polarization at p_0 breaks the reference
+        and strings(geometric_r(stab_matrix(plus, polarization=(1, 1)), sm)) != N1_R
+    )
     fan = fan_n2()
+    n2 = all(check_axioms(stab_matrix(ch)).ok for ch in fan)
     cycles_ok = all(
         check_cycle_identity(fan[k:] + fan[:k]).ok for k in range(6)
     )
     t = time.time() - t0
-    ok = n1.ok and n2.ok and cycles_ok and t < 60.0
+    ok = n1 and n2 and cycles_ok and t < 60.0
     _line(11, ok, t, "n=1 exact displays, 6 chamber axioms, all face cycles close")
 
 

@@ -10,7 +10,6 @@ from qilab.chain import (
     check_commute,
     check_multiplicativity,
     check_rtt,
-    numeric_r,
     parse_complex,
     sample_point,
     transfer_cleared,
@@ -21,6 +20,7 @@ from qilab.chain import model as model_module
 from qilab.chain.model import _Exact, _Numeric, _doubled
 from qilab.chain.spectrum import vacuum
 from qilab.field import MPoly, RatFun, kron, mat_eq, mat_mul, np_residual, np_spin_dense
+from qilab.rmatrix import numeric_r
 from slot_oracles import np_apply_on_slots
 
 
@@ -205,6 +205,28 @@ def test_exact_commute_multiplies_once_unless_perturbed(monkeypatch):
     assert products == [8]
     assert not check_commute(s, mode="exact", perturb=True).ok
     assert products == [8, 8, 8]
+
+
+def test_exact_multiplicativity_looks_up_its_product_and_kron(monkeypatch):
+    # the exact ring reads both field functions at call time, so a rebound
+    # module name (perfbench's tracer) sees the calls
+    products = _count_products(monkeypatch)
+    krons = []
+
+    def counting_kron(A, B):
+        krons.append((len(A), len(B)))
+        return kron(A, B)
+
+    monkeypatch.setattr(model_module, "kron", counting_kron)
+    assert check_multiplicativity(ChainSpec.from_json({"L": 2, "q": "3/5"})).ok
+    assert products == [4] and krons == [(2, 2)]
+
+
+def test_numeric_identities_need_a_sample():
+    s = ChainSpec.from_json({"L": 2, "q": "0.83+0.21*i", "twist": "0.64+0.13*i"})
+    for check in (check_rtt, check_commute, check_multiplicativity):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            check(s, mode="numeric", samples=0)
 
 
 def test_rtt_exact_small_l():

@@ -17,10 +17,10 @@ JSON_PINS = {
     "rmat ybe --a 2 --b 3 --c 5": (0, "df470c8c6b78b9f147e3356d084f0e1dd8238b8410406a47bb9b7679d01d3793", ""),
     "rmat ybe --perturb": (1, "1be046fc3f4a073634b947046701411a93b454f58528c5f2b6d5b2cbc77f4e6e", ""),
     "rmat ybe --a q": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: expected a rational constant, got 'q'"),
-    "rmat yang --cutoff 4": (0, "c7d65f44690eef13ffd8d963bdcf81a4cdd8e6105a188cbd42e6e1871fc25a2a", ""),
-    "rmat yang --cutoff 4 --perturb": (1, "953bae207ff2188032ce3f7a6b5c9032d8419b86cc5ccd870ff7f3ee5de870fd", ""),
-    "rmat yang": (0, "d79b98d1927970bd5f6b160f7149bf9582249e83d0af897233bff9767338283e", ""),
-    "rmat yang --cutoff 2": (0, "25e39415dbd63f9cde0d371c39aa903e01a1b3c32688967aac25698c9d69c2c6", ""),
+    "rmat yang --cutoff 4": (0, "6425b6291c730ae61d2388bcbcb364faf520c1bb4200a76b5ab6b649fb25b3df", ""),
+    "rmat yang --cutoff 4 --perturb": (1, "0387f20a0c7958ddf6541fad8e6508b1922c87090eff36ea22431deefadc9486", ""),
+    "rmat yang": (0, "c4e85e053fc3220e331371df00bd4522757cdcf9e4d88d497c21bafa461c7edd", ""),
+    "rmat yang --cutoff 2": (0, "f9b887c85881c6c1b0f0ff2fde4cb3b9cc76f7ef7791a9d1b46e21411ee51ba4", ""),
     "rmat yang --cutoff 1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: denominator series vanishes to the cutoff"),
     "rmat yang --cutoff 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: cutoff must be at least 1"),
     "rmat normalize --a 2 --b 3": (0, "c697215a51ce5f2a2bca99e0c5b05d5eb201141eccadac23d22646c0c0e5be79", ""),
@@ -36,14 +36,19 @@ JSON_PINS = {
     "rmat limit --a t --b 1 --point 1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: entry (z*q*t - q)/(z*q^2*t - 1) already contains t, the expansion variable"),
     "rmat inverse --points 2": (0, "3833f64f79abed8a1ee4849f1858b572909b2b8a04647eb5b5991ccc15260902", ""),
     "rmat inverse --points 2 --perturb": (1, "9f2713e8b3c29ae7374967d36904f11142e894f6bb13a699ab0d067859226240", ""),
+    "rmat inverse --points 0": (0, "b7df458d34eed81b4617c79fbde7a427c73e85f6ccae7b68d762f017217d088c", ""),
+    "rmat inverse --points -3": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: points must be nonnegative"),
     "rmat hexagon --points 2 --seed 1": (0, "9359625d5c5fd55af164a247804513ba0d2e2d55b9376e12dac20354345d348f", ""),
     "rmat hexagon --points 2 --perturb": (1, "f87bddcfb192364c8c9f3b78bc9201758a738e290c78a8cfc2284d5ed25d5e53", ""),
+    "rmat hexagon --points 0": (0, "37064557791afa90e3aa8c12da0c7365eec29f9f0919ff1043befecbc14bfb35", ""),
+    "rmat hexagon --points -3": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: points must be nonnegative"),
     "rmat intertwine": (0, "de10e40ba3f6f923de1f2ed5ed97c85fd329451e85f046cc523955f3452a60d7", ""),
     "rmat intertwine --perturb": (1, "21987fd8ae39d424826a637846d675b16aa8bf86222959cb259fc629f293a677", ""),
     "chain rtt --spec l1.json": (0, "05933d733bbccb001ffe4994d55bd040ebcc754b6a8e94269104e0ea6d3a2ef3", ""),
     "chain rtt --spec l2.json": (0, "2fa4c2aff76d55a2585df2469163e0472e6058d8467aadefb8eed6b165fedd1f", ""),
     "chain rtt --spec l2.json --perturb": (1, "336a40e811158f580a4577727f1034442805375e1a4a719e75db25c884721d92", ""),
     "chain rtt --spec l2.json --mode numeric --samples 1 --tol 1e-9": (0, "1c129468fa0530099b2634fbe18ff1e290edd1370a9f266834dee86dfbd1d08f", ""),
+    "chain rtt --spec l2.json --mode numeric --samples 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: samples must be at least 1"),
     "chain rtt --spec nope.json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: cannot read nope.json: [Errno 2] No such file or directory: 'nope.json'"),
     "chain commute --spec l1.json": (0, "13155e069ae5d573ea4b05db6e1548cb59c5da5d965407a7d94b62dc5eccbcb4", ""),
     "chain commute --spec l2.json": (0, "a37a08ec22d9bc21d91cc64212debdbc35f972df9d9c5b85e4abd2a731014030", ""),
@@ -92,8 +97,10 @@ JSON_PINS = {
     "stab matrix --n 3 --chamber 2,0,3,1": (0, "87f56928ae22728bbc40d026264897d204107881464aafa5753ee1f256accc27", ""),
     "stab matrix --n 2": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: --chamber is required for n >= 2"),
     "stab matrix --n 2 --chamber p0>p1>p1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: chamber order must be a permutation of 0..n"),
-    "stab rmatrix --n 1": (0, "467922a5f20153b9dee32eaadf8a5c97e4c4a011fe2c1352459779e7421658c8", ""),
-    "stab rmatrix --n 2 --chamber 0,1,2 --to 1,0,2": (0, "3cd74e9346663bfb25354308c31e737433ec75c9c52943a01dac393ef0506d2b", ""),
+    "stab matrix --n 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: n must be at least 1"),
+    "stab matrix --n -1 --chamber 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: n must be at least 1"),
+    "stab rmatrix --n 1": (0, "f4dc3f79e46a0993ec01b78ab213cecc934da36adfddc4df35c39fb2f413631c", ""),
+    "stab rmatrix --n 2 --chamber 0,1,2 --to 1,0,2": (0, "3417b08fc124a92b565ca7e478c2af7d15312250a2358de14c35b3ba0a08c752", ""),
     "stab cycle --n 2 --face u1=u2": (0, "bbe0ae312d71c7c371e6a3e15c17ff23076649e2db88ede97c86e0656a6caa00", ""),
     "stab cycle --n 2": (0, "bbe0ae312d71c7c371e6a3e15c17ff23076649e2db88ede97c86e0656a6caa00", ""),
     "stab cycle --n 2 --perturb": (1, "3d40840cb9ebbadeb434214b64b0959590c3cba5177c3f7aa1e793cfc00ab6ce", ""),

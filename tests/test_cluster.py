@@ -6,11 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qilab import cluster
 from qilab.cluster import (
-    A2_QUIVER,
-    A2_VARIABLES,
-    EXAMPLE_QUIVER,
     Quiver,
-    check_examples,
     explore,
     initial_seed,
     laurent_check,
@@ -18,6 +14,17 @@ from qilab.cluster import (
     mutate_seed,
 )
 from qilab.field import MPoly, NotDivisible, RatFun, poly
+
+# The example quiver (one mutable vertex, two frozen) and A2.
+EXAMPLE_QUIVER = {"r": 3, "frozen": [2, 3], "arrows": [[3, 1, 1], [1, 2, 1]]}
+A2_QUIVER = {"r": 2, "frozen": [], "arrows": [[1, 2, 1]]}
+A2_VARIABLES = (
+    "X1",
+    "X2",
+    "(X2 + 1)/X1",
+    "(X1 + X2 + 1)/(X1*X2)",
+    "(X1 + 1)/X2",
+)
 
 
 def test_quiver_validation():
@@ -137,6 +144,7 @@ def test_explore_example_quiver():
     assert atlas.cluster_count() == 2
     assert set(atlas.variable_strings()) == {"X1", "X2", "X3", "(X2 + X3)/X1"}
     assert atlas.relation_strings() == ["X1p*X1 = X2 + X3"]
+    assert all(laurent_check(v) for v in atlas.variables.values())
     data = json.loads(atlas.to_json())
     assert data["clusters"] == 2
     assert data["closed"] is True
@@ -155,16 +163,6 @@ def test_laurent_check_negative():
     assert laurent_check(RatFun.parse("(X1 + X2)/X1"))
     assert laurent_check(RatFun.parse("X1/(X1*X2)"))
     assert not laurent_check(RatFun.parse("(1 + X1)/(1 + X2)"))
-
-
-def test_check_examples():
-    res = check_examples()
-    assert res.ok
-    assert res.details["example"]["clusters"] == 2
-    assert res.details["a2"]["clusters"] == 5
-    bad = check_examples(perturb=True)
-    assert not bad.ok
-    assert bad.details["laurent_all"] is False
 
 
 def _tree_quiver(edges, rng):

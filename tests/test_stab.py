@@ -7,18 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qilab.cli import main
-from qilab.field import MPoly, RatFun, mat_mul, solve_unique
+from qilab.field import MPoly, RatFun, identity, mat_eq, mat_mul, solve_unique
 from qilab.stab import (
-    N1_MINUS,
-    N1_PLUS,
     N1_R,
     Chamber,
     StabMatrix,
     adjacent,
     check_axioms,
-    check_chambers_n2,
     check_cycle_identity,
-    check_n1,
     default_polarization,
     e_neg,
     fan_n2,
@@ -41,19 +37,10 @@ def test_chamber_constructors():
     assert plus.perm == (1, 0)
     assert plus.order_string() == "p1 > p0"
     assert plus.opposite() == minus
-    # cocharacter signs pick the chamber; zero sits on a wall
-    assert Chamber.from_sigma(1, (-1,)) == plus
-    assert Chamber.from_sigma(1, (1,)) == minus
-    with pytest.raises(ValueError, match="wall"):
-        Chamber.from_sigma(1, (0,))
-    with pytest.raises(ValueError, match="wall"):
-        Chamber.from_sigma(2, (1, 1))
     with pytest.raises(ValueError):
         Chamber.named("sideways")
     with pytest.raises(ValueError):
         Chamber.from_perm(2, (0, 1, 1))
-    with pytest.raises(ValueError):
-        Chamber.from_sigma(2, (1,))
 
 
 def test_attracting_order_helpers():
@@ -65,22 +52,31 @@ def test_attracting_order_helpers():
     assert str(e_neg(Chamber.named("plus"), 1)) == "u - h"
 
 
+N1_PLUS = (("-u", "-h"), ("0", "u - h"))
+N1_MINUS = (("-u - h", "0"), ("-h", "u"))
+
+
+def _strings(M):
+    return tuple(tuple(str(e) for e in row) for row in M)
+
+
 def test_n1_reference_matrices():
-    plus = Chamber.named("plus")
-    minus = Chamber.named("minus")
-    sp = stab_matrix(plus)
-    sm = stab_matrix(minus)
-    assert tuple(tuple(str(e) for e in row) for row in sp.matrix) == N1_PLUS
-    assert tuple(tuple(str(e) for e in row) for row in sm.matrix) == N1_MINUS
+    sp = stab_matrix(Chamber.named("plus"))
+    sm = stab_matrix(Chamber.named("minus"))
+    assert _strings(sp.matrix) == N1_PLUS
+    assert _strings(sm.matrix) == N1_MINUS
     r = geometric_r(sp, sm)
-    assert tuple(tuple(str(e) for e in row) for row in r) == N1_R
+    assert _strings(r) == N1_R
+    assert mat_eq(mat_mul(r, geometric_r(sm, sp)), identity(2))
+    assert mat_eq(geometric_r(sp, sp), identity(2))
 
 
-def test_check_n1_and_polarization_control():
-    assert check_n1().ok
-    bad = check_n1(perturb=True)
-    assert not bad.ok
-    assert bad.details["perturbed"] is True
+def test_n1_polarization_flip_breaks_the_reference():
+    # flipping the sign at p_0 must break the reference comparison
+    sp = stab_matrix(Chamber.named("plus"), polarization=(1, 1))
+    sm = stab_matrix(Chamber.named("minus"))
+    assert _strings(sp.matrix) != N1_PLUS
+    assert _strings(geometric_r(sp, sm)) != N1_R
 
 
 def test_polarization_flip_negates_one_column():
@@ -100,7 +96,6 @@ def test_n2_chambers_solve_and_satisfy_axioms():
         sm = stab_matrix(ch)
         res = check_axioms(sm)
         assert res.ok, res.details
-    assert check_chambers_n2().ok
 
 
 def test_adjacency():
@@ -251,7 +246,7 @@ def _vandermonde_membership(n, col):
     """Monomial coefficients of the interpolant in c, solved over RatFun."""
     vand = [[RatFun(v) ** k for k in range(n + 1)] for v in weights(n)]
     coeffs = solve_unique(vand, [RatFun(e) for e in col])
-    return all(c.is_poly() for c in coeffs)
+    return all(c.den == 1 for c in coeffs)
 
 
 def test_membership_holds_for_genuine_matrices():
@@ -293,7 +288,7 @@ def test_perturbed_entry_membership_agrees_with_vandermonde(data):
     for m in range(n + 1):
         if m != i:
             lift = lift * (vs[i] - vs[m])
-    assert got == (RatFun(delta) / RatFun(lift)).is_poly()
+    assert got == ((RatFun(delta) / RatFun(lift)).den == 1)
 
 
 def test_membership_fails_for_constant_shifts():
@@ -336,12 +331,12 @@ GOLDEN_JSON = {
     "matrix --n 3 --chamber 3,1,2,0": (0, "993f8e28fa5ee2a91f7898f916466c2f7e2cf02315e501e89579e3db88ae9442"),
     "matrix --n 3 --chamber 3,2,0,1": (0, "030b53b40648a5fb104cf6df6c21eeccb79a37d143548c4818415521abee1731"),
     "matrix --n 3 --chamber 3,2,1,0": (0, "3f1d2cc1db13baacb139fc5e6be71bd065e816e4c918ea08f6e183bfdfc52aee"),
-    "rmatrix --n 2 --chamber 0,1,2": (0, "a1f41db19b5135e4b5a23e535cfc013e149baf1e571d488c28279749e2f19ebe"),
-    "rmatrix --n 2 --chamber 0,2,1": (0, "53b00624ee93adea1f4ae1eb23590eda5acdb438e2fe8c7beb0db3d0c4c2be97"),
-    "rmatrix --n 2 --chamber 1,0,2": (0, "c507b7b8515fc92f3005c269918ef83687eb58980fa9428db5184e304618f28a"),
-    "rmatrix --n 2 --chamber 1,2,0": (0, "bf0bb38c2f960acef8935428057a1e0fdf8eec506694070ca776ef3cac3f887c"),
-    "rmatrix --n 2 --chamber 2,0,1": (0, "71616921a57334864df78bd72e4f6e839a6a983f28e99e31d9dc09edc44d2492"),
-    "rmatrix --n 2 --chamber 2,1,0": (0, "4ad00a1a195370932054ae9e4576f2397c43cdedfa5afed6654a3bcd47f631bc"),
+    "rmatrix --n 2 --chamber 0,1,2": (0, "76ac2b592041f7425c40b52f472feb709af013fb04470642e486645531813e1a"),
+    "rmatrix --n 2 --chamber 0,2,1": (0, "e679e657e746cf06b7efd657e7e4eb2662528727f76037c9e5b32b9f1f8c338c"),
+    "rmatrix --n 2 --chamber 1,0,2": (0, "e8ca5a68da44b804d81ffc783834678e494ff562d389bb3911db9530cbdce13e"),
+    "rmatrix --n 2 --chamber 1,2,0": (0, "9021b3840a14cbcb114b26479e04ada6b69e114d40fe4de4eeb3447ed725d5ba"),
+    "rmatrix --n 2 --chamber 2,0,1": (0, "6c83184c6c430adc5d448c57a14ee918d05c251ddc89b102e7ec665c9406f30b"),
+    "rmatrix --n 2 --chamber 2,1,0": (0, "76ddf3617f3e3a9306484c2c63867546aa838ee3892d557f315075fa71442428"),
     "cycle --n 2": (0, "bbe0ae312d71c7c371e6a3e15c17ff23076649e2db88ede97c86e0656a6caa00"),
     "cycle --n 2 --perturb": (1, "3d40840cb9ebbadeb434214b64b0959590c3cba5177c3f7aa1e793cfc00ab6ce"),
 }
