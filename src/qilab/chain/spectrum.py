@@ -261,7 +261,9 @@ def solve_sector(spectrum: Spectrum, m: int):
             )
         elif abs(lead[i]) < 1e-6 * float(np.max(np.abs(Q[i]))):
             errors[i] = "polynomial solution has unexpected lower degree"
-    return Q / lead[:, None], errors
+    # a row whose leading coefficient is exactly zero already carries the
+    # lower-degree error and is never read, so it is left undivided
+    return Q / np.where(lead == 0, 1, lead)[:, None], errors
 
 
 def poly_eval(coeffs, z: complex) -> complex:

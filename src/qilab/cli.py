@@ -7,9 +7,10 @@ null, so identical inputs and seed give byte-identical output.
 
 Exit codes: 0 when every verdict passes, 1 when any fails (a numerical
 breakdown inside a check, such as a joint eigenbasis that does not stay
-diagonal, is a failed verdict), 2 on malformed input (bad scalars,
-unreadable files, schema violations, orders on a wall, genericity-guard
-failures such as a degenerate base-point spectrum).
+diagonal or a stab solve or wall crossing that breaks down at a column, is
+a failed verdict), 2 on malformed input (bad scalars, unreadable files,
+schema violations, orders on a wall, genericity-guard failures such as a
+degenerate base-point spectrum).
 """
 
 from __future__ import annotations
@@ -421,7 +422,15 @@ def _cmd_stab_order(args):
 def _cmd_stab_matrix(args):
     chamber = _stab_chamber(args)
     pol = _polarization(args.polarization) if args.polarization else None
-    sm = st.stab_matrix(chamber, polarization=pol)
+    inputs = {
+        "n": args.n,
+        "chamber": args.chamber or "plus",
+        "polarization": args.polarization,
+    }
+    try:
+        sm = st.stab_matrix(chamber, polarization=pol)
+    except st.StabBreakdown as e:
+        return inputs, [e.verdict("stab-matrix", chamber=chamber.order_string())]
     info = CheckResult(
         name="stab-matrix",
         ok=True,
@@ -432,32 +441,27 @@ def _cmd_stab_matrix(args):
             "classes": [str(g) for g in sm.gammas],
         },
     )
-    inputs = {
-        "n": args.n,
-        "chamber": args.chamber or "plus",
-        "polarization": args.polarization,
-    }
     return inputs, [info, st.check_axioms(sm)]
 
 
 def _cmd_stab_rmatrix(args):
     chamber = _stab_chamber(args)
     to = _chamber(args.n, args.to) if args.to else chamber.opposite()
-    R = st.geometric_r(st.stab_matrix(chamber), st.stab_matrix(to))
-    got = tuple(tuple(str(x) for x in row) for row in R)
-    details = {
-        "from": chamber.order_string(),
-        "to": to.order_string(),
-        "matrix": [list(row) for row in got],
-    }
-    ok = True
-    if args.n == 1 and chamber.perm == (1, 0) and to.perm == (0, 1):
-        ok = details["matches_reference"] = got == st.N1_R
     inputs = {
         "n": args.n,
         "chamber": args.chamber or "plus",
         "to": args.to or to.order_string(),
     }
+    details = {"from": chamber.order_string(), "to": to.order_string()}
+    try:
+        R = st.geometric_r(st.stab_matrix(chamber), st.stab_matrix(to))
+    except st.StabBreakdown as e:
+        return inputs, [e.verdict("geometric-r", **details)]
+    got = tuple(tuple(str(x) for x in row) for row in R)
+    details["matrix"] = [list(row) for row in got]
+    ok = True
+    if args.n == 1 and chamber.perm == (1, 0) and to.perm == (0, 1):
+        ok = details["matches_reference"] = got == st.N1_R
     return inputs, [CheckResult(name="geometric-r", ok=ok, details=details)]
 
 
@@ -468,8 +472,12 @@ def _cmd_stab_cycle(args):
         raise InputError(
             f"unknown face {args.face!r}; the supported codim-2 face is 'u1=u2'"
         )
-    cr = st.check_cycle_identity(perturb=args.perturb)
-    return {"n": args.n, "face": args.face, "perturb": args.perturb}, [cr]
+    inputs = {"n": args.n, "face": args.face, "perturb": args.perturb}
+    try:
+        cr = st.check_cycle_identity(perturb=args.perturb)
+    except st.StabBreakdown as e:
+        cr = e.verdict("stab-cycle", perturbed=args.perturb)
+    return inputs, [cr]
 
 
 # ---------------------------------------------------------------- table

@@ -8,26 +8,29 @@ Each column of a stable matrix is a degree-n class constrained by support
 under the source point), by its restriction at the source point, and by
 u-degree bounds under it; the solver demands a unique solution.
 
-Three routes keep the exact work at the fixed points:
+Support makes every stable matrix triangular: S[i][k] = 0 whenever p_i lies
+above p_k.  Three routes keep the exact work at the fixed points:
 
-- ``stab_matrix`` restricts each stratum class at p_i as the product of its
-  linear factors at c = v_i, once per chamber; the constraint rows and the
-  returned matrix are read from that table, never by substituting into a
+- ``stab_matrix`` builds one restriction table per call from the linear
+  factors (v_i - v_m) and (v_i - v_m - h); the constraint rows, diagonal
+  targets and returned matrix are read from it, never by substituting into a
   class.
-- ``check_axioms`` decides membership by Newton divided differences of each
-  column over the nodes v_0..v_n, each one an exact polynomial division by
-  (v_i - v_{i-lev}).
-- ``geometric_r`` row-reduces the augmented matrix [S_to | S_from] once and
-  reads S_to^-1 S_from off the right block, so cyclic products of
-  wall crossings around a codimension-2 face close to the identity on the
-  nose.
+- ``check_axioms`` rebuilds the diagonal targets on its own and decides
+  membership by Newton divided differences of each column over the nodes
+  v_0..v_n, each an exact polynomial division by (v_i - v_{i-lev}).
+- ``geometric_r`` solves S_to X = S_from by substitution down the target's
+  chamber order on MPoly numerators, with one RatFun per entry, so cyclic
+  products of wall crossings around a codimension-2 face close to the
+  identity on the nose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import mul
 
 from .field import (
     MPoly,
@@ -36,7 +39,6 @@ from .field import (
     identity,
     mat_eq,
     mat_mul,
-    rref,
     solve_unique,
 )
 from .verdict import CheckResult
@@ -49,6 +51,7 @@ __all__ = [
     "e_neg",
     "default_polarization",
     "StabMatrix",
+    "StabBreakdown",
     "stab_matrix",
     "geometric_r",
     "adjacent",
@@ -157,6 +160,20 @@ class StabMatrix:
         return self.chamber.n
 
 
+class StabBreakdown(ValueError):
+    """A stab solve or a wall crossing broke down at one column: a defect of
+    the envelopes, reported as a failed verdict, not as bad input."""
+
+    def __init__(self, stage: str, column: int, message: str):
+        super().__init__(f"{stage}, column {column}: {message}")
+        self.stage = stage
+        self.column = column
+
+    def verdict(self, name: str, **details) -> CheckResult:
+        details.update(stage=self.stage, column=self.column, error=str(self))
+        return CheckResult(name=name, ok=False, details=details)
+
+
 def _stratum(chamber: Chamber, k: int, at: MPoly) -> MPoly:
     """Product of (at - v_i) over points above p_k and (at - v_i - h) below.
 
@@ -173,14 +190,20 @@ def _stratum(chamber: Chamber, k: int, at: MPoly) -> MPoly:
     return out
 
 
-def attr_class(chamber: Chamber, k: int) -> MPoly:
-    """Class of the closed attracting stratum through p_k.
-
-    Product of (c - v_i) over points above p_k and (c - v_i - h) over
-    points below; it vanishes at every point above p_k and restricts at
-    p_k to the signed repelling weight product.
-    """
-    return _stratum(chamber, k, MPoly.var("c"))
+def _restrictions(chamber: Chamber) -> list:
+    """restr[i][k] = _stratum(chamber, k, v_i), from one table of the linear
+    factors (v_i - v_m) and (v_i - v_m - h); zero when p_i lies above p_k."""
+    vs = weights(chamber.n)
+    lin = [[vi - vm for vm in vs] for vi in vs]
+    cot = [[d - MPoly.var("h") for d in row] for row in lin]
+    order = chamber.perm
+    restr = [[MPoly.zero()] * len(vs) for _ in vs]
+    for i in order:
+        for a in range(chamber.position(i) + 1):
+            factors = [lin[i][m] for m in order[:a]]
+            factors += [cot[i][m] for m in order[a + 1 :]]
+            restr[i][order[a]] = reduce(mul, factors)
+    return restr
 
 
 def _span(polys, coeffs) -> MPoly:
@@ -228,18 +251,12 @@ def stab_matrix(chamber: Chamber, polarization=None) -> StabMatrix:
     """
     n = chamber.n
     unames = weight_names(n)
-    vs = weights(n)
-    pol = (
-        default_polarization(chamber)
-        if polarization is None
-        else tuple(int(s) for s in polarization)
-    )
+    base = default_polarization(chamber)
+    pol = base if polarization is None else tuple(int(s) for s in polarization)
     if len(pol) != n + 1 or any(s not in (-1, 1) for s in pol):
         raise ValueError("polarization must be a vector of +-1 per fixed point")
-    strata = [attr_class(chamber, k) for k in range(n + 1)]
-    restr = [
-        [_stratum(chamber, k, vs[i]) for k in range(n + 1)] for i in range(n + 1)
-    ]
+    strata = [_stratum(chamber, k, MPoly.var("c")) for k in range(n + 1)]
+    restr = _restrictions(chamber)
     big = lambda mono: sum(e for nm, e in mono if nm in unames) >= n
     gammas = []
     columns = []
@@ -247,7 +264,7 @@ def stab_matrix(chamber: Chamber, polarization=None) -> StabMatrix:
         allowed = [j] + chamber.below(j)
         above = chamber.above(j)
         targets = []
-        diag = e_neg(chamber, j) * pol[j]
+        diag = restr[j][j] * (base[j] * pol[j])
         for i in range(n + 1):
             basis_at_i = [restr[i][k] for k in allowed]
             if i in above:
@@ -261,8 +278,8 @@ def stab_matrix(chamber: Chamber, polarization=None) -> StabMatrix:
         try:
             x = solve_unique(A, b)
         except ValueError as e:
-            raise ValueError(
-                f"column {j}: constraint system has no unique solution ({e})"
+            raise StabBreakdown(
+                "solve", j, f"constraint system has no unique solution ({e})"
             ) from None
         gammas.append(_span([strata[k] for k in allowed], x))
         columns.append((allowed, x))
@@ -276,19 +293,31 @@ def stab_matrix(chamber: Chamber, polarization=None) -> StabMatrix:
 
 
 def geometric_r(stab_from: StabMatrix, stab_to: StabMatrix):
-    """Wall-crossing matrix S_to^-1 S_from: the inverse of the target times
-    the source, read off the right block of one rref of [S_to | S_from]."""
+    """Wall-crossing matrix S_to^-1 S_from, by substitution down the target's
+    chamber order: X[i] = (S_from[i] - sum over k above p_i of S_to[i][k]
+    X[k]) / S_to[i][i], kept as MPoly numerators over the product of the
+    diagonal entries at and above p_i.  A zero diagonal entry or a nonzero
+    entry above the diagonal raises ``StabBreakdown``."""
     if stab_from.n != stab_to.n:
         raise ValueError("both envelopes must live on the same space")
-    size = stab_to.n + 1
-    aug = [
-        [RatFun(e) for e in (*row_to, *row_from)]
-        for row_to, row_from in zip(stab_to.matrix, stab_from.matrix)
-    ]
-    R, pivots = rref(aug)
-    if pivots[:size] != list(range(size)):
-        raise ValueError("target envelope matrix is singular")
-    return [row[size:] for row in R]
+    T, B = stab_to.matrix, stab_from.matrix
+    order = stab_to.chamber.perm
+    out = [None] * len(order)
+    nums = [None] * len(order)
+    den = MPoly.const(1)
+    for a, i in enumerate(order):
+        for k in order[a + 1 :]:
+            if T[i][k]:
+                raise StabBreakdown("crossing", k, f"nonzero above diagonal at p{i}")
+        if not T[i][i]:
+            raise StabBreakdown("crossing", i, "target envelope matrix is singular")
+        num = B[i]
+        for k in order[:a]:
+            num = [e * T[k][k] - T[i][k] * x for e, x in zip(num, nums[k])]
+        den = den * T[i][i]
+        nums[i] = num
+        out[i] = [RatFun(e, den) for e in num]
+    return out
 
 
 def adjacent(c1: Chamber, c2: Chamber) -> bool:

@@ -208,6 +208,10 @@ def test_stab_chamber_input_errors(capsys):
     assert "--chamber" in err
     code, _, _ = run(["stab", "matrix", "--n", "2", "--chamber", "p0>p1>p1"], capsys)
     assert code == 2
+    for pol in ("1,2,1", "1,x"):
+        argv = ["stab", "matrix", "--n", "2", "--chamber", "0,1,2", "--polarization", pol]
+        code, _, err = run(argv, capsys)
+        assert code == 2 and err.startswith("error: "), pol
 
 
 def test_human_output_shape(capsys):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -136,6 +137,21 @@ def test_a_garbled_branch_fails_alone_under_its_global_number(monkeypatch):
     solved = sorted(e["branch"] for e in cr.details["solved"])
     assert solved == [i for i in range(2**4) if i != first + 1]
     assert cr.details["worst_functional_residual"] < 1e-8
+
+
+def test_a_zero_leading_coefficient_fails_its_branches_without_a_warning():
+    # at q = 0.6 with twist 1 five branches of L = 4 solve only at a lower
+    # degree; their leading coefficient is exactly zero and is not divided by
+    spec = ChainSpec.from_json({"L": 4, "q": "0.6", "twist": "1"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cr = check_tq(spec, seed=3)
+    assert not cr.ok
+    failures = cr.details["failures"]
+    assert [f["branch"] for f in failures] == [11, 12, 13, 14, 15]
+    assert {f["error"] for f in failures} == {
+        "polynomial solution has unexpected lower degree"
+    }
 
 
 def test_degenerate_family_is_refused():

@@ -1,4 +1,5 @@
 import hashlib
+import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -6,12 +7,17 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qilab import stab as stab_module
 from qilab.cli import main
 from qilab.field import MPoly, RatFun, identity, mat_eq, mat_mul, solve_unique
+from qilab.rmatrix import yang_limit
 from qilab.stab import (
     N1_R,
     Chamber,
+    StabBreakdown,
     StabMatrix,
+    _restrictions,
+    _stratum,
     adjacent,
     check_axioms,
     check_cycle_identity,
@@ -220,9 +226,18 @@ def _n3_pairs():
     return pairs
 
 
+def test_restriction_table_equals_substituted_strata():
+    for n in (1, 2, 3):
+        vs = weights(n)
+        for ch in _chambers(n):
+            restr = _restrictions(ch)
+            for i in range(n + 1):
+                for k in range(n + 1):
+                    assert restr[i][k] == _stratum(ch, k, vs[i]), (ch.perm, i, k)
+
+
 def test_geometric_r_equals_inverse_times_source():
-    fan = fan_n2()
-    pairs = [(fan[i], fan[(i + d) % 6]) for i in range(6) for d in (1, -1)]
+    pairs = [(a, b) for n in (1, 2) for a in _chambers(n) for b in _chambers(n)]
     pairs += _n3_pairs()
     for src, dst in pairs:
         sa, sb = _stab(src), _stab(dst)
@@ -240,6 +255,57 @@ def test_geometric_r_rejects_singular_target():
         with pytest.raises(ValueError, match="singular"):
             geometric_r(sm, target)
     assert geometric_r(repeated, sm)  # a singular source is fine
+
+
+def test_geometric_r_rejects_an_entry_above_the_diagonal():
+    sm = _stab(fan_n2()[0])  # order p0 > p2 > p1
+    rows = [list(r) for r in sm.matrix]
+    rows[0][2] = MPoly.var("h")
+    with pytest.raises(StabBreakdown, match="above diagonal") as info:
+        geometric_r(sm, _with_matrix(sm, rows))
+    assert (info.value.stage, info.value.column) == ("crossing", 2)
+    assert geometric_r(_with_matrix(sm, rows), sm)  # the source may be full
+
+
+def test_n1_crossing_is_the_yang_limit_block():
+    """The n=1 wall crossing is the middle block of the additive limit of
+    the trigonometric R-matrix."""
+    block = [[str(e) for e in row[1:3]] for row in yang_limit()[1:3]]
+    assert tuple(map(tuple, block)) == N1_R
+
+
+def test_internal_breakdowns_are_failed_verdicts(capsys, monkeypatch):
+    def no_solution(A, b):
+        raise ValueError("inconsistent linear system")
+
+    with monkeypatch.context() as m:
+        m.setattr(stab_module, "solve_unique", no_solution)
+        for argv, name in (
+            (["matrix", "--n", "2", "--chamber", "0,1,2"], "stab-matrix"),
+            (["rmatrix", "--n", "2", "--chamber", "0,1,2"], "geometric-r"),
+            (["cycle", "--n", "2"], "stab-cycle"),
+        ):
+            assert main(["stab", *argv, "--json"]) == 1, argv
+            (verdict,) = json.loads(capsys.readouterr().out)["verdicts"]
+            assert verdict["name"] == name and verdict["status"] == "fail"
+            assert verdict["details"]["stage"] == "solve"
+            assert verdict["details"]["column"] == 0
+            assert "no unique solution" in verdict["details"]["error"]
+
+    def full_target(chamber, polarization=None):
+        sm = _stab(chamber)
+        if chamber.perm != (2, 1, 0):
+            return sm
+        rows = [list(r) for r in sm.matrix]
+        rows[2][0] = MPoly.const(1)
+        return _with_matrix(sm, rows)
+
+    monkeypatch.setattr(stab_module, "stab_matrix", full_target)
+    assert main(["stab", "rmatrix", "--n", "2", "--chamber", "0,1,2", "--json"]) == 1
+    (verdict,) = json.loads(capsys.readouterr().out)["verdicts"]
+    assert verdict["status"] == "fail"
+    assert (verdict["details"]["stage"], verdict["details"]["column"]) == ("crossing", 0)
+    assert verdict["details"]["to"] == "p2 > p1 > p0"
 
 
 def _vandermonde_membership(n, col):
