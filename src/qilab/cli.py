@@ -7,8 +7,8 @@ null, so identical inputs and seed give byte-identical output.
 
 Exit codes: 0 when every verdict passes, 1 when any fails (a numerical
 breakdown inside a check, such as a joint eigenbasis that does not stay
-diagonal or a stab solve or wall crossing that breaks down at a column, is
-a failed verdict), 2 on malformed input (bad scalars, unreadable files,
+diagonal or a wall crossing that breaks down at a column, is a failed
+verdict), 2 on malformed input (bad scalars, unreadable files,
 schema violations, orders on a wall, genericity-guard failures such as a
 degenerate base-point spectrum).
 """
@@ -427,10 +427,7 @@ def _cmd_stab_matrix(args):
         "chamber": args.chamber or "plus",
         "polarization": args.polarization,
     }
-    try:
-        sm = st.stab_matrix(chamber, polarization=pol)
-    except st.StabBreakdown as e:
-        return inputs, [e.verdict("stab-matrix", chamber=chamber.order_string())]
+    sm = st.stab_matrix(chamber, polarization=pol)
     info = CheckResult(
         name="stab-matrix",
         ok=True,

@@ -18,7 +18,6 @@ from .linalg import (
     np_spin_trace_first,
     np_spin_transfer,
     rref,
-    solve_unique,
     spin_transfer,
 )
 
@@ -45,6 +44,5 @@ __all__ = [
     "np_spin_trace_first",
     "np_spin_transfer",
     "rref",
-    "solve_unique",
     "spin_transfer",
 ]

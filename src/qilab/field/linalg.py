@@ -53,7 +53,6 @@ __all__ = [
     "apply_on_slots",
     "spin_transfer",
     "rref",
-    "solve_unique",
     "np_residual",
     "np_spin_apply",
     "np_spin_dense",
@@ -231,21 +230,6 @@ def rref(rows):
         if r == nrows:
             break
     return R, pivots
-
-
-def solve_unique(A, b):
-    """Solve A x = b insisting on exactly one solution."""
-    aug = [list(r) + [v] for r, v in zip(A, b)]
-    R, pivots = rref(aug)
-    ncols = len(A[0])
-    if ncols in pivots:
-        raise ValueError("inconsistent linear system")
-    if len(pivots) != ncols:
-        raise ValueError("underdetermined linear system")
-    x = [0] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r][ncols]
-    return x
 
 
 # numeric counterparts

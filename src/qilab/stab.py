@@ -1,20 +1,32 @@
-"""Chambers, attracting orders, stable-envelope solves, and wall crossings.
+"""Chambers, attracting orders, stable envelopes in closed form, and wall
+crossings.
 
 The fixed points p_0..p_n carry torus weights 0, u_1..u_n (plain u when
 n = 1); the cotangent direction contributes an extra -h to each negative
 normal weight.  A chamber is a strict total order on those weight values.
-Each column of a stable matrix is a degree-n class constrained by support
-(a combination of the attracting-stratum classes of the points at or
-under the source point), by its restriction at the source point, and by
-u-degree bounds under it; the solver demands a unique solution.
+The stable envelope of p_j is the degree-n class fixed by support (a
+combination of the attracting-stratum classes of the points at or under
+p_j; the degree makes the coefficients scalars), by its restriction at p_j
+(the signed repelling weight product) and by u-degree below n at every point
+strictly under p_j.  It is the signed stratum class through p_j itself,
+with m running over the points above and below p_j:
+
+    stab(p_j) = sign_j * prod_{m above} (c - v_m) * prod_{m below} (c - v_m - h),
+
+with sign_j the default polarization's sign at p_j times the given one's.
+Uniqueness: the stratum class through p_k restricts to zero at the points
+above p_k, and at a point p_i under p_k its restriction has the factor
+(v_i - v_i - h) = -h, so its u-degree is at most n - 1.  The restriction at
+p_i of the class through p_i has u-degree exactly n, with top part
+prod_{m != i} (v_i - v_m) != 0.  So the degree bound at each point under p_j
+forces that point's coefficient to 0, and the normalization at p_j forces
+the coefficient of p_j to sign_j.
 
 Support makes every stable matrix triangular: S[i][k] = 0 whenever p_i lies
-above p_k.  Three routes keep the exact work at the fixed points:
+above p_k.  The exact work stays at the fixed points:
 
 - ``stab_matrix`` builds one restriction table per call from the linear
-  factors (v_i - v_m) and (v_i - v_m - h); the constraint rows, diagonal
-  targets and returned matrix are read from it, never by substituting into a
-  class.
+  factors (v_i - v_m) and (v_i - v_m - h) and reads each column off it.
 - ``check_axioms`` rebuilds the diagonal targets on its own and decides
   membership by Newton divided differences of each column over the nodes
   v_0..v_n, each an exact polynomial division by (v_i - v_{i-lev}).
@@ -27,7 +39,6 @@ above p_k.  Three routes keep the exact work at the fixed points:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from operator import mul
@@ -39,7 +50,6 @@ from .field import (
     identity,
     mat_eq,
     mat_mul,
-    solve_unique,
 )
 from .verdict import CheckResult
 
@@ -161,12 +171,13 @@ class StabMatrix:
 
 
 class StabBreakdown(ValueError):
-    """A stab solve or a wall crossing broke down at one column: a defect of
-    the envelopes, reported as a failed verdict, not as bad input."""
+    """A wall crossing broke down at one column: a defect of the envelopes,
+    reported as a failed verdict, not as bad input."""
 
-    def __init__(self, stage: str, column: int, message: str):
-        super().__init__(f"{stage}, column {column}: {message}")
-        self.stage = stage
+    stage = "crossing"
+
+    def __init__(self, column: int, message: str):
+        super().__init__(f"{self.stage}, column {column}: {message}")
         self.column = column
 
     def verdict(self, name: str, **details) -> CheckResult:
@@ -206,90 +217,26 @@ def _restrictions(chamber: Chamber) -> list:
     return restr
 
 
-def _span(polys, coeffs) -> MPoly:
-    out = MPoly.zero()
-    for p, x in zip(polys, coeffs):
-        if x:
-            out = out + p * x
-    return out
-
-
-def _rows_for(targets, polys, rhs_poly, mono_filter=None):
-    """Append coefficient-matching rows: sum_t x_t polys[t] = rhs_poly."""
-    monos = {}
-    for t, p in enumerate(polys):
-        for mono, coeff in zip(*_mono_items(p)):
-            monos.setdefault(mono, {})[t] = coeff
-    rhs_map = dict(zip(*_mono_items(rhs_poly)))
-    keys = set(monos) | set(rhs_map)
-    for mono in sorted(keys):
-        if mono_filter is not None and not mono_filter(mono):
-            continue
-        row = [monos.get(mono, {}).get(t, Fraction(0)) for t in range(len(polys))]
-        targets.append((row, rhs_map.get(mono, Fraction(0))))
-
-
-def _mono_items(p: MPoly):
-    """Monomials of p keyed by nonzero (name, exp) pairs, plus coefficients."""
-    keys = []
-    coeffs = []
-    for exps, coeff in p.terms().items():
-        keys.append(tuple(sorted((nm, e) for nm, e in zip(p.vars, exps) if e)))
-        coeffs.append(coeff)
-    return keys, coeffs
-
-
 def stab_matrix(chamber: Chamber, polarization=None) -> StabMatrix:
-    """Solve the constraint system for every column; unique or error.
+    """The stable envelope of every fixed point, in closed form.
 
-    Support pins column j inside the span of the stratum classes of the
-    points at or under p_j; the cohomological degree makes the span
-    coefficients scalars.  The restriction at p_j must equal the signed
-    repelling weight product, and every restriction strictly under p_j
-    must keep u-degree below n.  The resulting linear system must have
-    exactly one solution.
+    Column j is sign_j * restr[i][j] and its class is sign_j times the
+    stratum class through p_j, with sign_j = base[j] * pol[j]: the unique
+    combination of stratum classes at or under p_j with the signed repelling
+    weight product at p_j and u-degree below n under it (module docstring).
     """
     n = chamber.n
-    unames = weight_names(n)
     base = default_polarization(chamber)
     pol = base if polarization is None else tuple(int(s) for s in polarization)
     if len(pol) != n + 1 or any(s not in (-1, 1) for s in pol):
         raise ValueError("polarization must be a vector of +-1 per fixed point")
-    strata = [_stratum(chamber, k, MPoly.var("c")) for k in range(n + 1)]
-    restr = _restrictions(chamber)
-    big = lambda mono: sum(e for nm, e in mono if nm in unames) >= n
-    gammas = []
-    columns = []
-    for j in range(n + 1):
-        allowed = [j] + chamber.below(j)
-        above = chamber.above(j)
-        targets = []
-        diag = restr[j][j] * (base[j] * pol[j])
-        for i in range(n + 1):
-            basis_at_i = [restr[i][k] for k in allowed]
-            if i in above:
-                _rows_for(targets, basis_at_i, MPoly.zero())
-            elif i == j:
-                _rows_for(targets, basis_at_i, diag)
-            else:
-                _rows_for(targets, basis_at_i, MPoly.zero(), mono_filter=big)
-        A = [row for row, _ in targets]
-        b = [rhs for _, rhs in targets]
-        try:
-            x = solve_unique(A, b)
-        except ValueError as e:
-            raise StabBreakdown(
-                "solve", j, f"constraint system has no unique solution ({e})"
-            ) from None
-        gammas.append(_span([strata[k] for k in allowed], x))
-        columns.append((allowed, x))
+    signs = [b * p for b, p in zip(base, pol)]
+    c = MPoly.var("c")
+    gammas = tuple(_stratum(chamber, j, c) * signs[j] for j in range(n + 1))
     matrix = tuple(
-        tuple(_span([restr[i][k] for k in allowed], x) for allowed, x in columns)
-        for i in range(n + 1)
+        tuple(e * sg for e, sg in zip(row, signs)) for row in _restrictions(chamber)
     )
-    return StabMatrix(
-        chamber=chamber, polarization=pol, gammas=tuple(gammas), matrix=matrix
-    )
+    return StabMatrix(chamber=chamber, polarization=pol, gammas=gammas, matrix=matrix)
 
 
 def geometric_r(stab_from: StabMatrix, stab_to: StabMatrix):
@@ -308,9 +255,9 @@ def geometric_r(stab_from: StabMatrix, stab_to: StabMatrix):
     for a, i in enumerate(order):
         for k in order[a + 1 :]:
             if T[i][k]:
-                raise StabBreakdown("crossing", k, f"nonzero above diagonal at p{i}")
+                raise StabBreakdown(k, f"nonzero above diagonal at p{i}")
         if not T[i][i]:
-            raise StabBreakdown("crossing", i, "target envelope matrix is singular")
+            raise StabBreakdown(i, "target envelope matrix is singular")
         num = B[i]
         for k in order[:a]:
             num = [e * T[k][k] - T[i][k] * x for e, x in zip(num, nums[k])]
@@ -354,49 +301,39 @@ def check_axioms(sm: StabMatrix) -> CheckResult:
     """Support, normalization, degree axioms plus non-localized membership.
 
     The membership test asks whether every column is the restriction of a
-    class polynomial in c, u and h, independently of how the solver produced
-    the column.  The interpolating polynomial in c of degree at most n has
-    polynomial coefficients exactly when every divided difference of the
-    column over the nodes v_0..v_n is a polynomial: the Newton coefficients
-    are among them, the Newton basis prod_{m<k} (c - v_m) is monic with
-    polynomial coefficients, and every divided difference of a polynomial is
-    one.  Each difference is an exact division by (v_i - v_{i-lev}), and a
-    remainder fails the column.
+    class polynomial in c, u and h, independently of the restriction table
+    ``stab_matrix`` reads the column from.  The interpolating polynomial in c
+    of degree at most n has polynomial coefficients exactly when every
+    divided difference of the column over the nodes v_0..v_n is a
+    polynomial: the Newton coefficients are among them, the Newton basis
+    prod_{m<k} (c - v_m) is monic with polynomial coefficients, and every
+    divided difference of a polynomial is one.  Each difference is an exact
+    division by (v_i - v_{i-lev}), and a remainder fails the column.  A
+    failed verdict lists, under ``failed_columns``, the columns that break
+    each failing axiom.
     """
     n = sm.n
     ch = sm.chamber
     unames = weight_names(n)
     vs = weights(n)
-    support_ok = True
-    diag_ok = True
-    degree_ok = True
+    failed = {"support": [], "normalization": [], "degree": [], "membership": []}
     for j in range(n + 1):
-        for i in ch.above(j):
-            if sm.matrix[i][j]:
-                support_ok = False
-        if sm.matrix[j][j] != e_neg(ch, j) * sm.polarization[j]:
-            diag_ok = False
-        if sm.matrix[j][j].degree_in_set(unames) != n:
-            degree_ok = False
-        for i in ch.below(j):
-            if sm.matrix[i][j].degree_in_set(unames) >= n:
-                degree_ok = False
-    honest_ok = all(
-        _is_restriction(vs, [sm.matrix[i][j] for i in range(n + 1)])
-        for j in range(n + 1)
-    )
-    ok = support_ok and diag_ok and degree_ok and honest_ok
-    return CheckResult(
-        name="stab-axioms",
-        ok=ok,
-        details={
-            "chamber": ch.order_string(),
-            "support": support_ok,
-            "normalization": diag_ok,
-            "degree": degree_ok,
-            "membership": honest_ok,
-        },
-    )
+        col = [row[j] for row in sm.matrix]
+        if any(col[i] for i in ch.above(j)):
+            failed["support"].append(j)
+        if col[j] != e_neg(ch, j) * sm.polarization[j]:
+            failed["normalization"].append(j)
+        degrees = [col[i].degree_in_set(unames) for i in ch.below(j)]
+        if col[j].degree_in_set(unames) != n or any(d >= n for d in degrees):
+            failed["degree"].append(j)
+        if not _is_restriction(vs, col):
+            failed["membership"].append(j)
+    details = {"chamber": ch.order_string()}
+    details.update((axiom, not cols) for axiom, cols in failed.items())
+    ok = not any(failed.values())
+    if not ok:
+        details["failed_columns"] = {a: cols for a, cols in failed.items() if cols}
+    return CheckResult(name="stab-axioms", ok=ok, details=details)
 
 
 N1_R = (("u/(u + h)", "h/(u + h)"), ("h/(u + h)", "u/(u + h)"))

@@ -21,7 +21,6 @@ from qilab.field import (
     np_spin_trace_first,
     np_spin_transfer,
     rref,
-    solve_unique,
     spin_transfer,
 )
 from slot_oracles import np_apply_on_slots, np_op_on_slots, op_on_slots
@@ -256,14 +255,14 @@ def test_rref_rank_and_nullspace():
         assert row[0] * v[0] + row[1] * v[1] == RatFun.zero()
 
 
-def test_solve_unique_and_underdetermined():
-    A = [[RatFun(1), RatFun(1)], [RatFun(0), RatFun(1)]]
-    b = [RatFun(3), RatFun(1)]
-    x = solve_unique(A, b)
-    assert x == [RatFun(2), RatFun(1)]
-    Aund = [[RatFun(1), RatFun(1)]]
-    with pytest.raises(ValueError):
-        solve_unique(Aund, [RatFun(1)])
+def test_rref_square_and_underdetermined_systems():
+    # augmented [A | b]: a pivot in every column of A reads off the solution
+    square = [[RatFun(1), RatFun(1), RatFun(3)], [RatFun(0), RatFun(1), RatFun(1)]]
+    R, pivots = rref(square)
+    assert pivots == [0, 1]
+    assert [row[2] for row in R] == [RatFun(2), RatFun(1)]
+    _, pivots = rref([[RatFun(1), RatFun(1), RatFun(1)]])
+    assert pivots == [0]
 
 
 def _monomials(p: MPoly) -> dict:
