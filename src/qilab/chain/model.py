@@ -68,8 +68,6 @@ from ..rmatrix import cleared_r, numeric_r
 __all__ = [
     "ChainSpec",
     "parse_complex",
-    "transfer_cleared",
-    "transfer_numeric",
     "transfer_sectors",
     "sample_point",
     "off_poles",
@@ -364,24 +362,8 @@ def _ring(spec: ChainSpec, mode: str):
     raise ValueError("mode must be exact or numeric")
 
 
-def transfer_cleared(spec: ChainSpec, z: MPoly, a: Fraction | None = None):
-    """Cleared transfer matrix on the site space, ``a=None`` the spec's a.
-
-    With the twist cleared to diag(u^2, 1) this equals u * prod(corners)
-    times the true transfer matrix; identical scalars cancel in every
-    comparison the package makes.
-    """
-    return _Exact(spec).transfer(z, a)
-
-
-def transfer_numeric(
-    spec: ChainSpec, z: complex, a: complex | None = None
-) -> np.ndarray:
-    return np_spin_dense(_Numeric(spec).transfer(z, a))
-
-
 def transfer_sectors(spec: ChainSpec, z: complex, a: complex | None = None) -> list:
-    """The blocks of ``transfer_numeric`` by magnon number m = 0..L.
+    """The numeric transfer matrix in blocks by magnon number m = 0..L.
 
     Block m is the transfer matrix on the site states of popcount m, in
     increasing index order, C-contiguous.

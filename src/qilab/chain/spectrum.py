@@ -486,12 +486,12 @@ def check_tq(
 ) -> CheckResult:
     """Every branch carries a polynomial solving the shift identity.
 
-    Completeness means: the number of recovered branches equals the full
-    state-space dimension, every coefficient solve succeeds, and both the
+    Completeness means: every coefficient solve succeeds, and both the
     functional and root-level residuals stay below ``tol``.  A ``sector``
-    restricts the polynomial solves to that magnon number; the branch
-    count is still taken over the whole spectrum.  A breakdown of the
-    spectrum itself fails the check.
+    restricts the polynomial solves to that magnon number.  The branch
+    count is reported against the state-space dimension, not gated on it:
+    each sector's ``eig`` returns C(L, m) values or ``compute_spectrum``
+    raises, and a breakdown of the spectrum itself fails the check.
     """
     validate_sector(spec, sector)
     try:
@@ -529,15 +529,9 @@ def check_tq(
             for p, coeffs, f, r in zip(good, Q.tolist(), fun[m].tolist(), rr.tolist())
         ]
     worst_fun = max((e["functional_residual"] for e in solved), default=0.0)
-    ok = (
-        len(spectrum) == expected
-        and not failures
-        and worst_fun < tol
-        and worst_root < tol
-    )
     return CheckResult(
         name="tq",
-        ok=ok,
+        ok=not failures and worst_fun < tol and worst_root < tol,
         details={
             "L": spec.L,
             "branches": len(spectrum),

@@ -401,8 +401,6 @@ def _stab_chamber(args) -> st.Chamber:
 
 
 def _cmd_stab_roots(args):
-    if args.n < 1:
-        raise InputError("n must be at least 1")
     rts = st.roots(args.n)
     details = {"n": args.n, "roots": rts, "count": len(rts)}
     return {"n": args.n}, [CheckResult(name="roots", ok=True, details=details)]

@@ -38,7 +38,7 @@ def _as_poly(x):
 class RatFun:
     """Quotient of two MPoly values, canonicalized on construction."""
 
-    __slots__ = ("num", "den", "_hash", "_str")
+    __slots__ = ("num", "den", "_str")
 
     def __init__(self, num, den=1):
         num = _as_poly(num)
@@ -90,13 +90,7 @@ class RatFun:
         return (self.num.key(), self.den.key())
 
     def __hash__(self):
-        # the key decodes both polynomials; labels used as dict keys are
-        # hashed again and again, so the hash is kept after the first call
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash(self.key()))
-            return self._hash
+        return hash(self.key())
 
     def __bool__(self):
         return not self.num.is_zero()

@@ -27,9 +27,11 @@ above p_k.  The exact work stays at the fixed points:
 
 - ``stab_matrix`` builds one restriction table per call from the linear
   factors (v_i - v_m) and (v_i - v_m - h) and reads each column off it.
-- ``check_axioms`` rebuilds the diagonal targets on its own and decides
-  membership by Newton divided differences of each column over the nodes
-  v_0..v_n, each an exact polynomial division by (v_i - v_{i-lev}).
+- ``check_axioms`` rebuilds each diagonal target on its own, as sign_j times
+  the stratum product at p_j, and decides membership by Newton divided
+  differences of each column over the nodes v_0..v_n, each an exact
+  polynomial division by one of the differences (v_i - v_{i-lev}) it builds
+  once per call.
 - ``geometric_r`` solves S_to X = S_from by substitution down the target's
   chamber order on MPoly numerators, with one RatFun per entry, so cyclic
   products of wall crossings around a codimension-2 face close to the
@@ -38,7 +40,7 @@ above p_k.  The exact work stays at the fixed points:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import combinations
 from operator import mul
@@ -58,7 +60,6 @@ __all__ = [
     "weights",
     "roots",
     "Chamber",
-    "e_neg",
     "default_polarization",
     "StabMatrix",
     "StabBreakdown",
@@ -135,18 +136,6 @@ class Chamber:
 
     def order_string(self) -> str:
         return " > ".join(f"p{j}" for j in self.perm)
-
-
-def e_neg(chamber: Chamber, j: int) -> MPoly:
-    """Product of repelling normal weights at p_j.
-
-    Base directions toward higher points contribute (v_i - v_j); the
-    cotangent partners of directions toward lower points contribute
-    (v_j - v_i - h).  That is the stratum class through p_j restricted at
-    p_j, times (-1)^|above(j)|: the default polarization's sign.
-    """
-    sign = default_polarization(chamber)[j]
-    return sign * _stratum(chamber, j, weights(chamber.n)[j])
 
 
 def default_polarization(chamber: Chamber) -> tuple:
@@ -284,14 +273,14 @@ def fan_n2() -> list:
     return [Chamber(n=2, perm=p) for p in perms]
 
 
-def _is_restriction(nodes, values) -> bool:
-    """True when every divided difference of ``values`` over ``nodes`` is a
-    polynomial."""
+def _is_restriction(gaps, values) -> bool:
+    """True when every divided difference of ``values`` is a polynomial;
+    ``gaps[i, lev]`` is the node difference v_i - v_(i-lev)."""
     dd = list(values)
     try:
         for lev in range(1, len(dd)):
             for i in range(len(dd) - 1, lev - 1, -1):
-                dd[i] = (dd[i] - dd[i - 1]).div_exact(nodes[i] - nodes[i - lev])
+                dd[i] = (dd[i] - dd[i - 1]).div_exact(gaps[i, lev])
     except NotDivisible:
         return False
     return True
@@ -308,25 +297,33 @@ def check_axioms(sm: StabMatrix) -> CheckResult:
     polynomial: the Newton coefficients are among them, the Newton basis
     prod_{m<k} (c - v_m) is monic with polynomial coefficients, and every
     divided difference of a polynomial is one.  Each difference is an exact
-    division by (v_i - v_{i-lev}), and a remainder fails the column.  A
-    failed verdict lists, under ``failed_columns``, the columns that break
-    each failing axiom.
+    division by (v_i - v_{i-lev}), built once per call, and a remainder
+    fails the column.  The normalization target of column j is sign_j =
+    base[j] * pol[j] times ``_stratum`` at v_j, also not read from that
+    table.  A failed verdict lists, under ``failed_columns``, the columns
+    that break each failing axiom.
     """
     n = sm.n
     ch = sm.chamber
     unames = weight_names(n)
     vs = weights(n)
+    gaps = {
+        (i, lev): vs[i] - vs[i - lev]
+        for lev in range(1, n + 1)
+        for i in range(lev, n + 1)
+    }
+    signs = [b * p for b, p in zip(default_polarization(ch), sm.polarization)]
     failed = {"support": [], "normalization": [], "degree": [], "membership": []}
     for j in range(n + 1):
         col = [row[j] for row in sm.matrix]
         if any(col[i] for i in ch.above(j)):
             failed["support"].append(j)
-        if col[j] != e_neg(ch, j) * sm.polarization[j]:
+        if col[j] != signs[j] * _stratum(ch, j, vs[j]):
             failed["normalization"].append(j)
         degrees = [col[i].degree_in_set(unames) for i in ch.below(j)]
         if col[j].degree_in_set(unames) != n or any(d >= n for d in degrees):
             failed["degree"].append(j)
-        if not _is_restriction(vs, col):
+        if not _is_restriction(gaps, col):
             failed["membership"].append(j)
     details = {"chamber": ch.order_string()}
     details.update((axiom, not cols) for axiom, cols in failed.items())
@@ -363,15 +360,8 @@ def check_cycle_identity(chambers=None, perturb: bool = False) -> CheckResult:
     for i in range(m):
         src = stabs[(i + 1) % m]
         if perturb and i == 1:
-            doubled = tuple(
-                tuple(e * 2 for e in row) for row in src.matrix
-            )
-            src = StabMatrix(
-                chamber=src.chamber,
-                polarization=src.polarization,
-                gammas=src.gammas,
-                matrix=doubled,
-            )
+            doubled = tuple(tuple(e * 2 for e in row) for row in src.matrix)
+            src = replace(src, matrix=doubled)
         factor = geometric_r(src, stabs[i])
         prod = factor if prod is None else mat_mul(prod, factor)
     ident = mat_eq(prod, identity(size))

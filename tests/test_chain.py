@@ -12,8 +12,6 @@ from qilab.chain import (
     check_rtt,
     parse_complex,
     sample_point,
-    transfer_cleared,
-    transfer_numeric,
     transfer_sectors,
 )
 from qilab.chain import model as model_module
@@ -22,6 +20,12 @@ from qilab.chain.spectrum import vacuum
 from qilab.field import MPoly, RatFun, kron, mat_eq, mat_mul, np_residual, np_spin_dense
 from qilab.rmatrix import numeric_r
 from slot_oracles import np_apply_on_slots
+
+
+def _dense_transfer(spec, z):
+    # the numeric transfer as one dense matrix; spin blocks are stored
+    # transposed
+    return np_spin_dense([B.T for B in transfer_sectors(spec, z)])
 
 
 def test_parse_complex_forms():
@@ -55,7 +59,7 @@ def test_spec_exact_accessors():
 def test_l1_transfer_golden_strings():
     # diagonal of the cleared 2x2 transfer at L=1, fully symbolic
     s = ChainSpec.from_json({"L": 1})
-    T = transfer_cleared(s, MPoly.var("z"))
+    T = _Exact(s).transfer(MPoly.var("z"))
     assert str(T[0][0]) == "z*u^2*q^2 + z*q - u^2 - q"
     assert str(T[1][1]) == "z*u^2*q + z*q^2 - u^2*q - 1"
     assert T[0][1].is_zero() and T[1][0].is_zero()
@@ -64,7 +68,7 @@ def test_l1_transfer_golden_strings():
 def test_transfer_cleared_entries_are_all_mpoly():
     # zeros included: callers read every entry with MPoly methods
     for fields in ({"L": 2}, {"L": 3, "q": "3/5", "twist": "2"}):
-        T = transfer_cleared(ChainSpec.from_json(fields), MPoly.var("z"))
+        T = _Exact(ChainSpec.from_json(fields)).transfer(MPoly.var("z"))
         assert all(isinstance(x, MPoly) for row in T for x in row)
         assert any(x.is_zero() for row in T for x in row)
 
@@ -304,15 +308,18 @@ def test_multiplicativity_numeric_fresh_start_per_sample():
     ).ok
 
 
-def test_transfer_numeric_returns_fresh_array():
+def test_transfer_sectors_return_fresh_arrays():
     s = ChainSpec.from_json({"L": 3, "q": "0.83+0.21*i", "twist": "0.64+0.13*i"})
-    first = transfer_numeric(s, 0.7 + 0.2j)
-    kept = first.copy()
-    second = transfer_numeric(s, 0.7 + 0.2j)
-    assert second is not first and not np.shares_memory(first, second)
-    second[:] = 0
-    assert np.array_equal(first, kept)
-    assert np.array_equal(transfer_numeric(s, 0.7 + 0.2j), kept)
+    first = transfer_sectors(s, 0.7 + 0.2j)
+    kept = [B.copy() for B in first]
+    second = transfer_sectors(s, 0.7 + 0.2j)
+    for A, B in zip(first, second):
+        assert B is not A and not np.shares_memory(A, B)
+        B[:] = 0
+    assert all(np.array_equal(A, K) for A, K in zip(first, kept))
+    assert all(
+        np.array_equal(A, K) for A, K in zip(transfer_sectors(s, 0.7 + 0.2j), kept)
+    )
 
 
 def test_exact_checks_in_one_process_keep_line_monodromies_apart():
@@ -332,11 +339,11 @@ def test_transfer_numeric_matches_cleared_at_rational_point():
     # cleared scalar u * prod(corner_l)
     s = ChainSpec.from_json({"L": 2, "q": "2", "twist": "3"})
     z0 = Fraction(5, 7)
-    T = transfer_cleared(s, MPoly.const(z0))
+    T = _Exact(s).transfer(MPoly.const(z0))
     q = 2.0
     u = 3.0
     corner = (q * q * float(z0) - 1) ** 2
-    Tn = transfer_numeric(s, complex(z0))
+    Tn = _dense_transfer(s, complex(z0))
     H = 4
     for i in range(H):
         for j in range(H):
@@ -382,7 +389,7 @@ def test_transfer_numeric_matches_dense_reference():
         M = M @ _dense_site_factor(numeric_r(zeta, q), l, L)
     H = 1 << L
     ref = u * M[:H, :H] + M[H:, H:] / u
-    assert np_residual(transfer_numeric(s, z), ref) < 1e-13
+    assert np_residual(_dense_transfer(s, z), ref) < 1e-13
 
 
 @pytest.mark.slow
@@ -412,7 +419,7 @@ def test_transfer_numeric_matches_general_slot_stream_l8():
         M = np_apply_on_slots(M, numeric_r(zeta, q), (0, 1 + l), [2] * (L + 1))
     H = 1 << L
     ref = u * M[:H, :H] + M[H:, H:] / u
-    assert np_residual(transfer_numeric(s, z), ref) < 1e-14
+    assert np_residual(_dense_transfer(s, z), ref) < 1e-14
 
 
 def test_transfer_sectors_are_the_sector_slices_of_transfer_numeric():
@@ -429,7 +436,7 @@ def test_transfer_sectors_are_the_sector_slices_of_transfer_numeric():
         }
     )
     z = sample_point(s, np.random.default_rng(4))
-    T = transfer_numeric(s, z)
+    T = _dense_transfer(s, z)
     pieces = transfer_sectors(s, z)
     pc = np.array([bin(i).count("1") for i in range(1 << L)])
     assert len(pieces) == L + 1
@@ -485,9 +492,8 @@ def test_a_spin_moving_r_matrix_entry_stops_the_transfer_build(monkeypatch):
 
     s = ChainSpec.from_json({"L": 7, "q": "0.83+0.21*i", "twist": "0.64+0.13*i"})
     monkeypatch.setattr(model_module, "numeric_r", moving)
-    for build in (transfer_sectors, transfer_numeric):
-        with pytest.raises(ValueError, match="spin-conserving"):
-            build(s, 0.7 + 0.2j)
+    with pytest.raises(ValueError, match="spin-conserving"):
+        transfer_sectors(s, 0.7 + 0.2j)
     with pytest.raises(ValueError, match="spin-conserving"):
         check_commute(s, mode="numeric")
 

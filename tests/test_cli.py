@@ -1,8 +1,10 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
 
+from qilab import cli
 from qilab.cli import main
 
 
@@ -236,3 +238,22 @@ def test_console_entry_points_delegate(capsys):
         code = e.code
     capsys.readouterr()
     assert code == 0
+
+
+def test_every_benchmark_argv_parses(tmp_path, monkeypatch):
+    # the benchmark runs these argvs in-process, so they freeze the command
+    # surface: a change that would stop it (say, dropping ``rmat yang
+    # --cutoff``, which a warm-up passes) fails here first
+    here = os.path.dirname(os.path.abspath(__file__))
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(here), "perfbench"))
+    import cases
+
+    parser = cli._parser()
+    for seed in (0, 7):
+        for workload in cases.WORKLOADS:
+            inp = cases.Inputs(str(tmp_path), f"{workload}-{seed}")
+            built, warmup = cases.build(workload, seed, inp)
+            argvs = [c.argv for c in built if c.argv] + warmup
+            assert len(argvs) > len(warmup)
+            for argv in argvs:
+                parser.parse_args(list(argv) + ["--json"])

@@ -44,9 +44,9 @@ def test_the_exact_transfer_kernel_is_exported_and_transfer_mul_is_gone():
 
 def _exports_and_uses():
     """The ``__all__`` names of every qilab module, and every name loaded in
-    ``src/qilab`` and ``perfbench/*.py``: a ``Name`` read, an attribute, or
-    a part of a dotted string in perfbench (its span, hook and metric names).
-    Definitions, imports and ``__all__`` entries are not uses."""
+    ``src/qilab`` and ``perfbench/*.py``: a ``Name`` or an attribute read.
+    Definitions, imports, ``__all__`` entries and strings (perfbench's span,
+    hook and metric names) are not uses."""
     exported, used = {}, set()
     sources = [(p, False) for p in (ROOT / "src" / "qilab").rglob("*.py")]
     sources += [(p, True) for p in (ROOT / "perfbench").glob("*.py")]
@@ -55,10 +55,8 @@ def _exports_and_uses():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 used.add(node.attr)
-            elif bench and isinstance(node, ast.Constant) and isinstance(node.value, str):
-                used.update(node.value.split("."))
             elif (
                 not bench
                 and isinstance(node, ast.Assign)

@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qilab.field import MPoly, RatFun, mat_eq, mat_mul
+from qilab import rmatrix
+from qilab.field import MPoly, RatFun, apply_on_slots, mat_eq, mat_mul
 from qilab.rmatrix import (
     _lowest_along,
     _taylor_lowest,
@@ -22,6 +24,7 @@ from qilab.rmatrix import (
     perm_p,
     pole_limit,
     pole_limit_holds,
+    random_rational,
     trig_r,
     yang_limit,
 )
@@ -244,6 +247,75 @@ def test_hexagon():
     cr = check_hexagon()
     assert cr.ok
     assert not check_hexagon(perturb=True).ok
+
+
+def _braid_hexagon(seed, points, perturb=False) -> list:
+    """Per-draw verdicts of the braid form of the hexagon: with Ř = P R,
+    Ř_bc Ř_ac Ř_ab on slots (0,1), (1,2), (0,1) against Ř_ab Ř_ac Ř_bc on
+    (1,2), (0,1), (1,2), over the draws ``check_hexagon`` makes;
+    ``perturb`` doubles entry (1, 2) of the left side's middle factor."""
+    P = perm_p()
+    rng = np.random.default_rng(seed)
+    draws = [(Fraction(1),) * 3]
+    draws += [tuple(random_rational(rng) for _ in "abc") for _ in range(points)]
+    z, w = MPoly.var("z"), MPoly.var("w")
+    out = []
+    for a, b, c in draws:
+        pr_ab = mat_mul(P, rmatrix.cleared_r(a / b * z))
+        pr_ac = mat_mul(P, rmatrix.cleared_r(a / c * z * w))
+        pr_bc = mat_mul(P, rmatrix.cleared_r(b / c * w))
+        mid = [row[:] for row in pr_ac]
+        if perturb:
+            mid[1][2] = 2 * mid[1][2]
+        lhs = apply_on_slots(3, [(pr_bc, (0, 1)), (mid, (1, 2)), (pr_ab, (0, 1))])
+        rhs = apply_on_slots(3, [(pr_ab, (1, 2)), (pr_ac, (0, 1)), (pr_bc, (1, 2))])
+        out.append(mat_eq(lhs, rhs))
+    return out
+
+
+def _broken(entry, scale):
+    good = rmatrix.cleared_r
+
+    def broken(zn, zd=1, q=MPoly.var("q")):
+        R = good(zn, zd, q)
+        i, j = entry
+        R[i][j] = R[i][j] * scale(zn)
+        return R
+
+    return broken
+
+
+@pytest.mark.parametrize(
+    "entry, scale",
+    [
+        (None, None),
+        ((2, 1), lambda zeta: 2),
+        ((2, 1), lambda zeta: 1 + zeta),
+        ((1, 2), lambda zeta: 2),
+        ((1, 1), lambda zeta: 2),
+        ((2, 2), lambda zeta: 1 + zeta),
+    ],
+    ids=["unbroken", "R21x2", "R21x(1+zeta)", "R12x2", "R11x2", "R22x(1+zeta)"],
+)
+def test_hexagon_gives_the_braid_form_verdict_on_every_draw(monkeypatch, entry, scale):
+    # for any 4x4 R the braid relation of P R is the triple exchange identity
+    # conjugated by flips, so the ybe routine decides each draw as the braid
+    # form does, for a broken R as for the true one
+    if entry is not None:
+        monkeypatch.setattr(rmatrix, "cleared_r", _broken(entry, scale))
+    for seed in range(4):
+        braid = _braid_hexagon(seed, 3)
+        cr = check_hexagon(seed=seed, points=3)
+        assert [row["ok"] for row in cr.details["cases"]] == braid
+        assert all(braid) == (entry is None)
+        assert cr.ok == (entry is None)
+
+
+def test_hexagon_perturb_fails_every_draw():
+    for seed in range(4):
+        cr = check_hexagon(seed=seed, points=3, perturb=True)
+        assert [row["ok"] for row in cr.details["cases"]] == [False] * 4
+        assert _braid_hexagon(seed, 3, perturb=True) == [False] * 4
 
 
 def test_intertwiner():

@@ -22,7 +22,6 @@ from qilab.stab import (
     check_axioms,
     check_cycle_identity,
     default_polarization,
-    e_neg,
     fan_n2,
     geometric_r,
     roots,
@@ -54,8 +53,10 @@ def test_attracting_order_helpers():
     assert ch.above(0) == [2]
     assert ch.below(0) == [1]
     assert ch.above(2) == []
-    assert str(e_neg(Chamber.named("plus"), 0)) == "u"
-    assert str(e_neg(Chamber.named("plus"), 1)) == "u - h"
+    plus = Chamber.named("plus")
+    vs, base = weights(1), default_polarization(plus)
+    assert str(base[0] * _stratum(plus, 0, vs[0])) == "u"
+    assert str(base[1] * _stratum(plus, 1, vs[1])) == "u - h"
 
 
 N1_PLUS = (("-u", "-h"), ("0", "u - h"))
@@ -257,7 +258,8 @@ def _solved_by_constraints(chamber, polarization):
         rows = []
         for i in range(n + 1):
             basis = [_monomials(_stratum(chamber, k, vs[i])) for k in allowed]
-            target = e_neg(chamber, j) * polarization[j] if i == j else MPoly.zero()
+            sign = default_polarization(chamber)[j] * polarization[j]
+            target = sign * _stratum(chamber, j, vs[j]) if i == j else MPoly.zero()
             rhs = _monomials(target)
             for mono in set(rhs).union(*basis):
                 udeg = sum(e for nm, e in mono if nm in unames)
