@@ -7,32 +7,35 @@ product of fundamental solutions on (aux, site_l) at arguments z*a/b_l,
 site L leftmost.  The transfer matrix is the twisted auxiliary trace
 u*A(z) + u^-1*D(z).
 
-Each identity is written once, as its two sides over a ring, and one
-builder serves both rings: ``_Ring.lines`` builds the product of one or
-two auxiliary lines, with optional factors before and after, from the
-identity as one stream of (factor, slots) steps, site by site.  The exact
-ring hands it to ``field.apply_on_slots``, one packed call on sparse rows,
-and the numeric ring feeds it, one factor at a time, to
-``field.np_spin_apply`` on popcount blocks.  Each ring's ``transfer`` is
-built from the aux corners A, B, C, D of one line, site by site
-(``field.spin_transfer``, ``field.np_spin_transfer``): each new site is the
-leading bit, so each new entry is one product, about (4/3)*C(2L, L)
-numeric entries per transfer instead of the L*C(2L+2, L+1) of streaming
-every factor through the (L+1)-slot monodromy.  No factor is embedded as a
-dense matrix and no line is kept between checks.  The factors come from
-``rmatrix``: ``cleared_r`` at the spec's q, symbolic or pinned, for the
-exact ring and ``numeric_r`` for the numeric one.  ``_Exact`` compares
-cleared polynomial matrices at symbolic z, w: every factor is scaled by its
-corner denominator and the twist by u, so both sides carry the same scalar.
-``_Numeric`` takes the worst residual over seeded sample points, on popcount
-blocks, since every factor conserves aux plus site spin.  Each ring has one
-auxiliary trace, ``trace_first``, over slot 0 weighted by diag(w0, w1); a
-transfer equals that trace of one line weighted by the twist, which tests
-check.
+Each identity is written once, as a ``gap`` between its two sides that
+each ring measures its own way, and one builder serves both rings:
+``_Ring.stream`` lists the product of one or two auxiliary lines, with
+optional factors before and after, from the identity as one stream of
+(factor, slots) steps, site by site.  The numeric ring feeds a stream, one
+factor at a time, to ``field.np_spin_apply`` on popcount blocks.  Each
+ring's ``transfer`` is built from the aux corners A, B, C, D of one line,
+site by site (``field.spin_transfer``, ``field.np_spin_transfer``): each
+new site is the leading bit, so each new entry is one product, about
+(4/3)*C(2L, L) numeric entries per transfer instead of the L*C(2L+2, L+1)
+of streaming every factor through the (L+1)-slot monodromy.  No factor is
+embedded as a dense matrix and no line is kept between checks.  The
+factors come from ``rmatrix``: ``cleared_r`` at the spec's q, symbolic or
+pinned, for the exact ring and ``numeric_r`` for the numeric one.
+
+``_Exact`` compares cleared polynomial matrices at symbolic z, w: every
+factor is scaled by its corner denominator and the twist by u, so both
+sides carry the same scalar.  It never holds a side whole: ``rtt`` hands
+both streams to ``field.slots_differ`` and ``commute`` both transfers to
+``field.orders_differ``, which build the rows of the two sides in step on
+packed ints and stop at the first row that differs; a failing verdict
+reports that ``first_differing_row``.  The exact T(w) is T(z) with z and w
+exchanged, a ring automorphism, so ``commute`` multiplies once and
+compares each row of T(z)·T(w) with its own exchange.  ``_Numeric`` takes
+the worst residual over seeded sample points, on popcount blocks, since
+every factor conserves aux plus site spin.  Each ring has one auxiliary
+trace, ``trace_first``, over slot 0 weighted by diag(w0, w1); a transfer
+equals that trace of one line weighted by the twist, which tests check.
 ``transfer_sectors`` hands the numeric sectors to the spectrum.
-``commute`` takes both products of T(z) and T(w) from ``both_orders``: the
-exact T(w) is T(z) with z and w exchanged, a ring automorphism, so the
-exact ring multiplies once and exchanges z and w in the product.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from ..field import (
     MPoly,
     RatFun,
     apply_on_slots,
+    first_differing_row,
     kron,
     mat_eq,
     mat_mul,
@@ -60,6 +64,8 @@ from ..field import (
     np_spin_index,
     np_spin_trace_first,
     np_spin_transfer,
+    orders_differ,
+    slots_differ,
     spin_transfer,
 )
 from ..verdict import CheckResult
@@ -219,9 +225,10 @@ class _Ring:
     def __init__(self, spec: ChainSpec):
         self.spec = spec
 
-    def lines(self, lines, before=(), after=()):
-        """The product of the ``before`` steps, the lines' factors and the
-        ``after`` steps, from the identity, as one stream of ``(F, slots)``.
+    def stream(self, lines, before=(), after=()) -> tuple:
+        """``(n, steps)``: the product of the ``before`` steps, the lines'
+        factors and the ``after`` steps, from the identity, as one stream of
+        ``(F, slots)`` on n slots.
 
         It acts on the aux slots 0..max(slot) of the lines and the sites.
         At each site the lines apply in the order given; factors of
@@ -235,12 +242,16 @@ class _Ring:
             for l in range(self.spec.L - 1, -1, -1)
             for (slot, z, _), rho in zip(lines, ratios)
         )
-        n = first + self.spec.L
-        return self.apply_slots(n, itertools.chain(before, steps, after))
+        return first + self.spec.L, itertools.chain(before, steps, after)
+
+    def lines(self, lines, before=(), after=()):
+        """The product that ``stream`` lists."""
+        return self.apply_slots(*self.stream(lines, before, after))
 
 
 class _Exact(_Ring):
-    """Cleared polynomial matrices, q pinned when the spec fixes it."""
+    """Cleared polynomial matrices, q pinned when the spec fixes it; a gap
+    is the first row where the two sides differ, or None."""
 
     mode = "exact"
     mul = staticmethod(lambda A, B: mat_mul(A, B))
@@ -279,13 +290,20 @@ class _Exact(_Ring):
         factors = [self.r(z * rho) for rho in self.ratios(a)]
         return spin_transfer(factors, tw[0][0], tw[1][1])
 
+    gap = staticmethod(lambda X, Y: first_differing_row(X, Y))
+
     @staticmethod
-    def both_orders(A, B):
-        """``(A·B, B·A)``.  Exchanging z and w is a ring automorphism, so when
-        it turns A into B, B·A is A·B exchanged and one product serves."""
-        swap = lambda M: [[x.exchange("z", "w") if x else x for x in r] for r in M]
-        AB = mat_mul(A, B)
-        return AB, swap(AB) if mat_eq(swap(A), B) else mat_mul(B, A)
+    def stream_gap(lhs, rhs):
+        """Two ``stream`` products on one slot count (``slots_differ``)."""
+        (n, a), (_, b) = lhs, rhs
+        return slots_differ(n, a, b)
+
+    @staticmethod
+    def order_gap(A, B):
+        """A·B against B·A.  Exchanging z and w is a ring automorphism, so
+        when it turns A into B, B·A is A·B exchanged and one product serves."""
+        swap = [[x.exchange("z", "w") if x else x for x in r] for r in A]
+        return orders_differ(A, B, ("z", "w") if mat_eq(swap, B) else None)
 
     @staticmethod
     def trace_first(M, w0, w1):
@@ -295,15 +313,19 @@ class _Exact(_Ring):
             [w0 * M[i][j] + w1 * M[H + i][H + j] for j in range(H)] for i in range(H)
         ]
 
-    def compare(self, sides, points, details, seed, samples, tol):
-        """Polynomial equality of the two sides at symbolic z (and w)."""
-        return mat_eq(*sides(*[MPoly.var(v) for v in "zw"[:points]])), details
+    def compare(self, gap, points, details, seed, samples, tol):
+        """Polynomial equality of the two sides at symbolic z (and w); a
+        failure reports the ``first_differing_row``."""
+        row = gap(*[MPoly.var(v) for v in "zw"[:points]])
+        if row is not None:
+            details["first_differing_row"] = row
+        return row is None, details
 
 
 class _Numeric(_Ring):
     """complex128 spin blocks, stored transposed: a transfer is built from
     its corners, a product of lines in place; ``mul`` is dense and
-    ``both_orders`` multiplies block by block."""
+    ``order_gap`` multiplies block by block.  A gap is a residual."""
 
     mode = "numeric"
     mul = staticmethod(np.matmul)
@@ -318,6 +340,12 @@ class _Numeric(_Ring):
             np_spin_apply(blocks, F, slots)
         return blocks
 
+    gap = staticmethod(np_residual)
+
+    def stream_gap(self, lhs, rhs) -> float:
+        """Residual of two ``stream`` products."""
+        return np_residual(self.apply_slots(*lhs), self.apply_slots(*rhs))
+
     def a(self) -> complex:
         return self.spec.a_complex()
 
@@ -325,10 +353,11 @@ class _Numeric(_Ring):
         return self.spec.site_ratios_complex(a)
 
     @staticmethod
-    def both_orders(A, B) -> tuple:
-        """Spin blocks of ``(A·B, B·A)``; blocks are stored transposed, so
-        each block of A·B is B's block times A's."""
-        return [Y @ X for X, Y in zip(A, B)], [X @ Y for X, Y in zip(A, B)]
+    def order_gap(A, B) -> float:
+        """Residual of A·B against B·A on spin blocks; blocks are stored
+        transposed, so each block of A·B is B's block times A's."""
+        AB, BA = [Y @ X for X, Y in zip(A, B)], [X @ Y for X, Y in zip(A, B)]
+        return np_residual(AB, BA)
 
     def r(self, zeta) -> np.ndarray:
         return numeric_r(zeta, self.spec.q_complex())
@@ -342,7 +371,7 @@ class _Numeric(_Ring):
         ``transfer_sectors``."""
         return [B.T for B in transfer_sectors(self.spec, z, a)]
 
-    def compare(self, sides, points, details, seed, samples, tol):
+    def compare(self, gap, points, details, seed, samples, tol):
         """Worst residual of the two sides over seeded sample points."""
         if samples < 1:
             raise ValueError("samples must be at least 1")
@@ -350,7 +379,7 @@ class _Numeric(_Ring):
         worst = 0.0
         for _ in range(samples):
             z = [sample_point(self.spec, rng) for _ in range(points)]
-            worst = max(worst, np_residual(*sides(*z)))
+            worst = max(worst, gap(*z))
         return worst < tol, {"residual": worst, "tolerance": tol}
 
 
@@ -411,9 +440,11 @@ def _doubled(M, i, j):
     return M
 
 
-def _verdict(name, ring, sides, points, seed, perturb, samples, tol, details):
-    """Run one identity in ``ring``; ``details`` are reported in exact mode."""
-    ok, details = ring.compare(sides, points, details, seed, samples, tol)
+def _verdict(name, ring, gap, points, seed, perturb, samples, tol, details):
+    """Run one identity in ``ring``: ``gap`` maps the symbolic or sampled
+    arguments to the ring's measure of how far the two sides are apart.
+    ``details`` are reported in exact mode."""
+    ok, details = ring.compare(gap, points, details, seed, samples, tol)
     details.update(mode=ring.mode, L=ring.spec.L, perturbed=bool(perturb))
     return CheckResult(name=name, ok=ok, details=details)
 
@@ -433,17 +464,17 @@ def check_rtt(
     """
     ring = _ring(spec, mode)
 
-    def sides(z, w):
+    def gap(z, w):
         r = ring.r(z)
         if perturb:
             r = _doubled(r, 1, 2)
         t13, t23 = (0, z * w, None), (1, w, None)
-        lhs = ring.lines([t13, t23], before=[(r, (0, 1))])
-        rhs = ring.lines([t23, t13], after=[(r, (0, 1))])
-        return lhs, rhs
+        lhs = ring.stream([t13, t23], before=[(r, (0, 1))])
+        rhs = ring.stream([t23, t13], after=[(r, (0, 1))])
+        return ring.stream_gap(lhs, rhs)
 
     exact = {"entries_compared": (4 * (1 << spec.L)) ** 2}
-    return _verdict("rtt", ring, sides, 2, seed, perturb, samples, tol, exact)
+    return _verdict("rtt", ring, gap, 2, seed, perturb, samples, tol, exact)
 
 
 def check_commute(
@@ -463,14 +494,14 @@ def check_commute(
         raise ValueError("the perturbed entry exists only for L >= 2")
     ring = _ring(spec, mode)
 
-    def sides(z, w):
+    def gap(z, w):
         Tz, Tw = ring.transfer(z), ring.transfer(w)
         if perturb:
             Tw = _doubled(Tw, 1, 2)
-        return ring.both_orders(Tz, Tw)
+        return ring.order_gap(Tz, Tw)
 
     exact = {"q": spec.q, "twist": spec.twist}
-    return _verdict("commute", ring, sides, 2, seed, perturb, samples, tol, exact)
+    return _verdict("commute", ring, gap, 2, seed, perturb, samples, tol, exact)
 
 
 def check_multiplicativity(
@@ -494,13 +525,13 @@ def check_multiplicativity(
     tw = ring.twist()
     tw12 = ring.kron(tw, [[1, 0], [0, 1]] if perturb else tw)
 
-    def sides(z):
+    def gap(z):
         pair = ring.lines([(0, z, None), (1, z, a2)], before=[(tw12, (0, 1))])
         pair = ring.dense(ring.trace_first(ring.trace_first(pair, 1, 1), 1, 1))
         t1, t2 = (ring.dense(ring.transfer(z, a)) for a in (None, a2))
-        return pair, ring.mul(t1, t2)
+        return ring.gap(pair, ring.mul(t1, t2))
 
     exact = {"a1": str(a1), "a2": str(a2)}
     return _verdict(
-        "multiplicativity", ring, sides, 1, seed, perturb, samples, tol, exact
+        "multiplicativity", ring, gap, 1, seed, perturb, samples, tol, exact
     )

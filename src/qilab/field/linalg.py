@@ -13,11 +13,18 @@ on n slots of size 2 by a stream of spin-conserving 4x4 factors, each on
 two slots.  Each row starts as its unit vector and keeps only its nonzero
 entries, which every factor sends through its middle block or scales by a
 corner, so no 2^n-square embedding is formed.  The whole stream runs on
-packed ints (``poly._slot_product``), each entry canonicalized once.
+packed ints (``poly._slot_rows``), each entry canonicalized once at the
+end (``poly._canon_rows``).
 ``spin_transfer``, the exact twin of ``np_spin_transfer`` below, builds a
-transfer from its corners, so both rings build transfers alike.  Exact
-``commute`` calls ``mat_mul`` once: the other order is that product with
-z and w exchanged (``MPoly.exchange``).
+transfer from its corners, so both rings build transfers alike.
+
+An exact identity is compared row by row and no side is held whole:
+``slots_differ`` (two step streams) and ``orders_differ`` (A·B against
+B·A) build the rows of both sides in step over one pack, as raw packed
+ints, and stop at the first row that differs; ``apply_on_slots`` and
+``mat_mul`` canonicalize the rows of the same generators.  Exact
+``commute`` multiplies once: each row of the other order is that row with
+z and w exchanged.
 
 Numeric matrices are numpy arrays.  A spin-conserving matrix on n slots of
 size 2 is kept as its spin blocks, one per popcount k, of size C(n, k):
@@ -41,7 +48,7 @@ from math import comb
 
 import numpy as np
 
-from .poly import MPoly, _slot_product
+from .poly import MPoly, _canon_rows, _orders_differ, _slot_rows
 
 __all__ = [
     "mat_mul",
@@ -51,6 +58,9 @@ __all__ = [
     "identity",
     "kron",
     "apply_on_slots",
+    "first_differing_row",
+    "orders_differ",
+    "slots_differ",
     "spin_transfer",
     "rref",
     "np_residual",
@@ -148,7 +158,34 @@ def apply_on_slots(n: int, steps):
     """
     steps = list(steps)
     _check_steps(n, steps)
-    return _slot_product(n, steps)
+    vars, den, (rows,) = _slot_rows(n, [steps])
+    return _canon_rows(vars, den, rows, 1 << n)
+
+
+def slots_differ(n: int, lhs, rhs):
+    """The first row where ``apply_on_slots(n, lhs)`` and
+    ``apply_on_slots(n, rhs)`` differ, or None.  Both streams are checked as
+    there, packed once and bounded before any row is built (ValueError
+    otherwise); the rows are then built in step, never canonicalized, up to
+    the first pair that differs."""
+    lhs, rhs = list(lhs), list(rhs)
+    _check_steps(n, lhs)
+    _check_steps(n, rhs)
+    return first_differing_row(*_slot_rows(n, [lhs, rhs])[2])
+
+
+def orders_differ(A, B, swap=None):
+    """The first row where A·B and B·A differ, or None, for entries MPoly,
+    Fraction or int; rows are built as in ``slots_differ``.  With ``swap =
+    (a, b)``, exchanging the variables a and b turns A into B, so only A·B
+    is multiplied and each entry is compared with its own exchange."""
+    return _orders_differ(A, B, swap)
+
+
+def first_differing_row(lhs, rhs):
+    """The index of the first pair of rows of two sides that differ, or
+    None; rows are taken in step, so none is built after a difference."""
+    return next((i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y), None)
 
 
 def _check_steps(n: int, steps) -> None:

@@ -32,10 +32,11 @@ Every operation updates the content on its two ints, cancelling with
 primitive parts.  By Gauss's lemma a product of primitive parts is
 primitive, and its leading coefficient is the product of two positive
 ones, so no gcd of the coefficients runs.  Matrix products and slot
-products pack each entry once (``_pack``); they, sums and ``split_by``
-divide the gcd of the ints back out.  ``div_exact`` divides the primitive
-parts over Z by leading terms (``_quotient``); by Gauss's lemma the
-quotient is integral whenever it exists.
+products pack each entry once (``_pack``) and build one row at a time;
+they, sums and ``split_by`` divide the gcd of the ints back out, and
+comparisons of two sides compare raw rows.  ``div_exact`` divides the
+primitive parts over Z by leading terms (``_quotient``); by Gauss's lemma
+the quotient is integral whenever it exists.
 
 ``poly_gcd`` returns the gcd with leading coefficient 1 and runs on ints:
 
@@ -537,10 +538,7 @@ class MPoly:
             return self
         if a in vars and b in vars:
             sa, sb = (_offsets(len(vars))[vars.index(v)] for v in (a, b))
-            ints = {
-                k ^ ((d := (k >> sa ^ k >> sb) & _SLOT) << sa | d << sb): c
-                for k, c in self._ints.items()
-            }
+            ints = _swap_slots(self._ints, sa, sb)
         else:
             src = tuple(b if v == a else a if v == b else v for v in vars)
             vars = tuple(sorted(src, key=_RANK.__getitem__))
@@ -628,35 +626,13 @@ class MPoly:
         """``A·B`` for matrices whose nonzero entries are all MPoly.
 
         Every entry is packed once (``_pack``), each side over its own common
-        denominator.  Entry (i, j) accumulates ``ka + kb -> ca * cb`` in
-        ascending t in one int dict, over only the t with A[i][t] and B[t][j]
-        both nonzero.  It stays int 0 when there is no such t, as in the
-        generic loop; a sum that cancels is zero.  Only ``_trim`` bounds the
-        exponents, so only a product that really overflows raises.
+        denominator, and the rows of ``_product_rows`` are canonicalised.  An
+        entry stays int 0 when no t has A[i][t] and B[t][j] both nonzero, as
+        in the generic loop; a sum that cancels is zero.  Only ``_trim``
+        bounds the exponents, so only a product that really overflows raises.
         """
         vars, dens, (PA, PB) = _pack((A, B))
-        PA = [[(t, a.items()) for t, a in enumerate(row) if a] for row in PA]
-        PB = [[(j, b.items()) for j, b in enumerate(row) if b] for row in PB]
-        den = dens[0] * dens[1]
-        share = {}.setdefault
-        out = []
-        for prow in PA:
-            accs: dict[int, dict] = {}
-            for t, pa in prow:
-                for j, pb in PB[t]:
-                    acc = accs.get(j)
-                    if acc is None:
-                        acc = accs[j] = {}
-                    _accumulate(acc, pa, pb)
-            row = [0] * len(B[0])
-            for j, acc in accs.items():
-                # the entries of one product share most keys and coefficients;
-                # one int object per value keeps the result's memory small
-                p = _canon(vars, acc, 1, den)
-                ints = {share(k, k): share(c, c) for k, c in p._ints.items()}
-                row[j] = _make(p.vars, ints, p._num, p._den)
-            out.append(row)
-        return out
+        return _canon_rows(vars, dens[0] * dens[1], _product_rows(PA, PB), len(B[0]))
 
 
 _new = object.__new__
@@ -712,31 +688,87 @@ def _pack(sides) -> tuple:
     ]
 
 
-def _slot_product(n: int, steps) -> list:
-    """The identity on ``n`` slots of size 2 times a stream of conserving
-    4x4 factors ``(F, (s0, s1))``, for ``linalg.apply_on_slots``.
-
-    The exponents are bounded first, by the running sum of each packed
-    factor's slotwise largest key.  Each row starts as its unit vector and
-    keeps its nonzero entries as a dict from column to int dict.  A step
-    sends an entry whose slots read 01 to its own column by F11 and to its
-    10 partner by F12, a 10 entry to its 01 partner by F21 and to its own
-    column by F22, and a 00 or 11 entry to itself by F00 or F33.
-    """
-    vars, dens, factors = _pack(F for F, _ in steps)
-    guard = _masks(len(vars))[0]
+def _bound(factors, guard: int) -> None:
+    """ValueError unless the running sum of each packed factor's slotwise
+    largest key keeps the ``guard`` bits clear."""
     bound = 0
     for F in factors:
         keys = [k for row in F for e in row if e for k in e]
         bound += reduce(lambda x, y: x + y - _slot_min(x, y, guard), keys, 0)
         if bound & guard:
             raise ValueError(f"exponent exceeds the limit {_LIMIT - 1}")
-    den = prod(dens)
-    out = []
+
+
+def _swap_slots(ints: dict, sa: int, sb: int) -> dict:
+    """``ints`` with the slots at bit offsets ``sa`` and ``sb`` swapped."""
+    return {
+        k ^ ((d := (k >> sa ^ k >> sb) & _SLOT) << sa | d << sb): c for k, c in ints.items()
+    }
+
+
+def _product_rows(PA, PB):
+    """The rows of A·B from packed A and B, one at a time: column j -> the
+    int dict of the sum over t of A[i][t]·B[t][j], empty if it cancels."""
+    PB = [[(j, b.items()) for j, b in enumerate(row) if b] for row in PB]
+    for row in PA:
+        accs: dict[int, dict] = {}
+        for t, a in enumerate(row):
+            if a:
+                pa = a.items()
+                for j, pb in PB[t]:
+                    acc = accs.get(j)
+                    if acc is None:
+                        acc = accs[j] = {}
+                    _accumulate(acc, pa, pb)
+        yield accs
+
+
+def _orders_differ(A, B, swap=None):
+    """``linalg.orders_differ``: both products share the denominator, so
+    their rows compare raw once zero entries are dropped."""
+    vars, _, (PA, PB) = _pack((A, B))
+    _bound((PA, PB), _masks(len(vars))[0])
+    rows = _product_rows(PA, PB)
+    if swap is None:
+        nonzero = lambda row: {j: x for j, x in row.items() if x}
+        pairs = zip(map(nonzero, rows), map(nonzero, _product_rows(PB, PA)))
+        return next((i for i, (x, y) in enumerate(pairs) if x != y), None)
+    # a variable in neither matrix swaps slot 0 with itself
+    sa, sb = (_offsets(len(vars))[vars.index(v)] if v in vars else 0 for v in swap)
+    asymmetric = (any(x != _swap_slots(x, sa, sb) for x in row.values()) for row in rows)
+    return next((i for i, bad in enumerate(asymmetric) if bad), None)
+
+
+def _slot_rows(n: int, streams) -> tuple:
+    """``(vars, den, rows)``: a generator per stream of conserving 4x4
+    factors ``(F, (s0, s1))`` of the rows of the identity on ``n`` slots
+    times that stream, after one pack and each stream's ``_bound``.
+
+    A row maps column to int dict over the common denominator ``den``: each
+    unit vector starts at ``den`` over its stream's, so rows of two streams
+    are equal exactly when the products' are.  A step sends an entry whose
+    slots read 01 to its own column by F11 and to its 10 partner by F12, a
+    10 entry to its 01 partner by F21 and to its own column by F22, and a
+    00 or 11 entry to itself by F00 or F33.
+    """
+    streams = [list(steps) for steps in streams]
+    vars, dens, factors = _pack(F for steps in streams for F, _ in steps)
+    guard, at, parts = _masks(len(vars))[0], 0, []
+    for steps in streams:
+        span = slice(at, at + len(steps))
+        at += len(steps)
+        _bound(factors[span], guard)
+        bits = [(1 << n - 1 - s0, 1 << n - 1 - s1) for _, (s0, s1) in steps]
+        plan = [(b0, b1, F) for (b0, b1), F in zip(bits, factors[span])]
+        parts.append((plan, prod(dens[span])))
+    den = lcm(*[d for _, d in parts])
+    return vars, den, [_rows(n, plan, den // d) for plan, d in parts]
+
+
+def _rows(n: int, plan, scale: int):
     for r in range(1 << n):
-        row = {r: {0: 1}}
-        for F, (_, (s0, s1)) in zip(factors, steps):
-            b0, b1 = 1 << n - 1 - s0, 1 << n - 1 - s1
+        row = {r: {0: scale}}
+        for b0, b1, F in plan:
             both = b0 | b1
             new = {}
             for c, x in row.items():
@@ -750,9 +782,17 @@ def _slot_product(n: int, steps) -> list:
                 else:
                     _send(new, c, x, F[3][3] if t else F[0][0])
             row = {c: x for c, x in new.items() if x}
-        entries = [0] * (1 << n)
-        for c, x in row.items():
-            entries[c] = _canon(vars, x, 1, den)
+        yield row
+
+
+def _canon_rows(vars: tuple, den: int, rows, width: int) -> list:
+    """Raw rows as lists of ``width`` entries, each canonicalised once; int 0
+    where a row has no entry."""
+    out = []
+    for row in rows:
+        entries = [0] * width
+        for j, x in row.items():
+            entries[j] = _canon(vars, x, 1, den)
         out.append(entries)
     return out
 

@@ -21,7 +21,9 @@ normalized one.
 
 Identity checks run on cleared polynomial matrices: every factor is scaled
 by its corner denominator so both sides of an identity carry the same
-scalar and the comparison is pure polynomial equality, with no gcd work.
+scalar and the comparison is pure polynomial equality, with no gcd work:
+the triple exchange identity compares the rows of its two sides in step,
+as raw packed ints, up to the first that differs (``field.slots_differ``).
 Evaluation modules attach a spectral parameter a to each two-dimensional
 space; a pair (a, b) meets at argument zeta = z * a / b.  The braid relation
 of P R is the triple exchange identity conjugated by flips, so ``rmat
@@ -39,7 +41,6 @@ import numpy as np
 from .field import (
     MPoly,
     RatFun,
-    apply_on_slots,
     identity,
     kron,
     mat_add,
@@ -47,6 +48,7 @@ from .field import (
     mat_mul,
     mat_scale,
     rref,
+    slots_differ,
 )
 from .verdict import CheckResult
 
@@ -173,9 +175,7 @@ def _zeta_pair(scale: Fraction, *poly_factors):
 def _exchange_holds(m12, m13, m23) -> bool:
     """M12*M13*M23 == M23*M13*M12 for three 4x4 factors on three slots."""
     f12, f13, f23 = (m12, (0, 1)), (m13, (0, 2)), (m23, (1, 2))
-    return mat_eq(
-        apply_on_slots(3, [f12, f13, f23]), apply_on_slots(3, [f23, f13, f12])
-    )
+    return slots_differ(3, [f12, f13, f23], [f23, f13, f12]) is None
 
 
 def _ybe_holds(a, b, c, perturb) -> bool:

@@ -1,10 +1,14 @@
 """Monodromy, transfer matrices, and their exchange identities."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import qilab
 from qilab.chain import (
     ChainSpec,
     check_commute,
@@ -17,7 +21,17 @@ from qilab.chain import (
 from qilab.chain import model as model_module
 from qilab.chain.model import _Exact, _Numeric, _doubled
 from qilab.chain.spectrum import vacuum
-from qilab.field import MPoly, RatFun, kron, mat_eq, mat_mul, np_residual, np_spin_dense
+from qilab.field import (
+    MPoly,
+    RatFun,
+    kron,
+    mat_eq,
+    mat_mul,
+    np_residual,
+    np_spin_dense,
+    orders_differ,
+)
+from qilab.field import poly as poly_module
 from qilab.rmatrix import numeric_r
 from slot_oracles import np_apply_on_slots
 
@@ -162,16 +176,136 @@ def test_exact_corner_built_transfer_equals_the_traced_line(L, q, twist):
         assert all(isinstance(x, MPoly) for row in T for x in row)
 
 
-def _broken_cleared_r(scale):
-    """``cleared_r`` with its entry R[2][1] (c1) times ``scale(zeta)``."""
+def _broken_cleared_r(scale, entry=(2, 1)):
+    """``cleared_r`` with one entry, R[2][1] (c1) by default, times
+    ``scale(zeta)``."""
     good = model_module.cleared_r
 
     def broken(zn, zd=1, q=None):
         R = good(zn, zd, q)
-        R[2][1] = R[2][1] * scale(zn)
+        i, j = entry
+        R[i][j] = R[i][j] * scale(zn)
         return R
 
     return broken
+
+
+# the defects of ROADMAP item 8, as in tests/test_rmatrix.py
+_DEFECTS = {
+    "R21x2": ((2, 1), lambda zeta: 2),
+    "R21x(1+zeta)": ((2, 1), lambda zeta: 1 + zeta),
+    "R12x2": ((1, 2), lambda zeta: 2),
+    "R11x2": ((1, 1), lambda zeta: 2),
+    "R22x(1+zeta)": ((2, 2), lambda zeta: 1 + zeta),
+}
+
+
+def _first_row(A, B):
+    # the materialised verdict: mat_eq, row by row
+    return next((i for i, (x, y) in enumerate(zip(A, B)) if not mat_eq([x], [y])), None)
+
+
+def _materialised_rtt(spec):
+    """First differing row of check_rtt's two sides, each built whole."""
+    ring = _Exact(spec)
+    z, w = MPoly.var("z"), MPoly.var("w")
+    r = ring.r(z)
+    t13, t23 = (0, z * w, None), (1, w, None)
+    lhs = ring.lines([t13, t23], before=[(r, (0, 1))])
+    rhs = ring.lines([t23, t13], after=[(r, (0, 1))])
+    return _first_row(lhs, rhs)
+
+
+def _materialised_commute(spec):
+    """First differing row of T(z)·T(w) against T(w)·T(z), both built whole."""
+    ring = _Exact(spec)
+    Tz, Tw = (ring.transfer(MPoly.var(v)) for v in "zw")
+    return _first_row(mat_mul(Tz, Tw), mat_mul(Tw, Tz))
+
+
+def _row_verdict(cr):
+    assert cr.ok == ("first_differing_row" not in cr.details)
+    return cr.details.get("first_differing_row")
+
+
+@pytest.mark.parametrize("q", ["q", "3/5"])
+@pytest.mark.parametrize("defect", [None, *_DEFECTS])
+def test_row_comparison_gives_the_materialised_verdict(monkeypatch, defect, q):
+    # rtt at L <= 4, and commute where a broken R can show (L=4, and the
+    # inhomogeneous L=3 chain): the row-by-row verdict and its first
+    # differing row are those of the sides built whole
+    if defect:
+        monkeypatch.setattr(model_module, "cleared_r", _broken_cleared_r(*_DEFECTS[defect][::-1]))
+    rtt_rows = []
+    for L in range(1, 5):
+        s = ChainSpec.from_json({"L": L, "q": q})
+        rtt_rows.append(_row_verdict(check_rtt(s, mode="exact")))
+        assert rtt_rows[-1] == _materialised_rtt(s)
+    commute_rows = []
+    for sites in (["1"] * 4, ["1", "2", "3/2"]):
+        s = ChainSpec.from_json({"L": len(sites), "q": q, "sites": sites})
+        commute_rows.append(_row_verdict(check_commute(s, mode="exact")))
+        assert commute_rows[-1] == _materialised_commute(s)
+    # every defect fails both checks somewhere; the true R passes everywhere
+    assert (set(rtt_rows) == {None}) == (defect is None)
+    assert (set(commute_rows) == {None}) == (defect is None)
+
+
+def _count_rows(monkeypatch, name) -> list:
+    """Record each row that ``poly.<name>`` builds."""
+    built = []
+    rows = getattr(poly_module, name)
+
+    def counting(*args):
+        for row in rows(*args):
+            built.append(row)
+            yield row
+
+    monkeypatch.setattr(poly_module, name, counting)
+    return built
+
+
+def test_a_perturbed_control_stops_at_its_first_differing_row(monkeypatch):
+    # each side builds one row per step of the comparison, so a failure
+    # builds both sides up to the row that differs and no further
+    built = _count_rows(monkeypatch, "_rows")
+    s = ChainSpec.from_json({"L": 3, "q": "q"})
+    assert check_rtt(s, mode="exact").ok
+    assert len(built) == 2 * 2**5
+    built.clear()
+    cr = check_rtt(s, mode="exact", perturb=True)
+    assert len(built) == 2 * (cr.details["first_differing_row"] + 1) < 2 * 2**5
+    built = _count_rows(monkeypatch, "_product_rows")
+    s = ChainSpec.from_json({"L": 4, "q": "3/5"})
+    assert check_commute(s, mode="exact").ok
+    assert len(built) == 2**4
+    built.clear()
+    cr = check_commute(s, mode="exact", perturb=True)
+    assert len(built) == 2 * (cr.details["first_differing_row"] + 1) < 2 * 2**4
+
+
+@pytest.mark.slow
+def test_exact_rtt_at_five_sites_stays_under_64_mb():
+    # the symbolic L=5 rtt with both sides held whole peaked at about 120 MB,
+    # one row at a time at about 33 MB.  Linux keeps a process's peak RSS
+    # across exec, so a child of the test process would start from pytest's
+    # own peak; a small launcher in between starts the check from a few MB
+    check = (
+        "import resource; from qilab.chain import ChainSpec, check_rtt; "
+        "ok = check_rtt(ChainSpec.from_json({'L': 5}), mode='exact').ok; "
+        "print(ok, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    launcher = f"import subprocess, sys; subprocess.run([sys.executable, '-c', {check!r}], check=True)"
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1",
+        "PYTHONPATH": os.path.dirname(os.path.dirname(qilab.__file__)),
+    }
+    out = subprocess.run(
+        [sys.executable, "-c", launcher], env=env, capture_output=True, text=True, check=True
+    )
+    ok, kb = out.stdout.split()
+    assert ok == "True" and int(kb) < 64 * 1024
 
 
 @pytest.mark.parametrize("q", ["q", "3/5"])
@@ -185,7 +319,7 @@ def test_a_broken_r_matrix_fails_exact_commute(monkeypatch, scale, sites, q):
     s = ChainSpec.from_json({"L": len(sites), "q": q, "sites": sites})
     assert check_commute(s, mode="exact").ok
     monkeypatch.setattr(model_module, "cleared_r", _broken_cleared_r(scale))
-    products = _count_products(monkeypatch)
+    products, _ = _count_row_products(monkeypatch)
     assert not check_commute(s, mode="exact").ok
     assert len(products) == 1
 
@@ -202,13 +336,33 @@ def _count_products(monkeypatch) -> list:
     return products
 
 
+def _count_row_products(monkeypatch) -> tuple:
+    """Record the row count of each product whose rows exact ``commute``
+    builds, each one ``poly._product_rows`` generator, and the ``swap`` of
+    each ``orders_differ`` call, which ``chain.model`` looks up at call time."""
+    products, calls = [], []
+    rows = poly_module._product_rows
+
+    def counting(PA, PB):
+        products.append(len(PA))
+        return rows(PA, PB)
+
+    def looked_up(A, B, swap=None):
+        calls.append(swap)
+        return orders_differ(A, B, swap)
+
+    monkeypatch.setattr(poly_module, "_product_rows", counting)
+    monkeypatch.setattr(model_module, "orders_differ", looked_up)
+    return products, calls
+
+
 def test_exact_commute_multiplies_once_unless_perturbed(monkeypatch):
-    products = _count_products(monkeypatch)
+    products, calls = _count_row_products(monkeypatch)
     s = ChainSpec.from_json({"L": 3, "q": "3/5", "sites": ["1", "2", "3/2"]})
     assert check_commute(s, mode="exact").ok
-    assert products == [8]
+    assert products == [8] and calls == [("z", "w")]
     assert not check_commute(s, mode="exact", perturb=True).ok
-    assert products == [8, 8, 8]
+    assert products == [8, 8, 8] and calls == [("z", "w"), None]
 
 
 def test_exact_multiplicativity_looks_up_its_product_and_kron(monkeypatch):
@@ -370,6 +524,18 @@ def _dense_site_factor(r4, l, L):
     return out
 
 
+def _dense_reference(s, z):
+    """The transfer as one dense matrix: the product of Kronecker-embedded
+    ``numeric_r`` factors, site L-1 leftmost, traced over aux with the twist."""
+    q, u, L = s.q_complex(), s.twist_complex(), s.L
+    M = np.eye(2 << L, dtype=complex)
+    for l in range(L - 1, -1, -1):
+        zeta = z * s.a_complex() / s.site_complex(l)
+        M = M @ _dense_site_factor(numeric_r(zeta, q), l, L)
+    H = 1 << L
+    return u * M[:H, :H] + M[H:, H:] / u
+
+
 def test_transfer_numeric_matches_dense_reference():
     L = 5
     s = ChainSpec.from_json(
@@ -382,14 +548,7 @@ def test_transfer_numeric_matches_dense_reference():
         }
     )
     z = sample_point(s, np.random.default_rng(4))
-    q, u = s.q_complex(), s.twist_complex()
-    M = np.eye(2 << L, dtype=complex)
-    for l in range(L - 1, -1, -1):
-        zeta = z * s.a_complex() / s.site_complex(l)
-        M = M @ _dense_site_factor(numeric_r(zeta, q), l, L)
-    H = 1 << L
-    ref = u * M[:H, :H] + M[H:, H:] / u
-    assert np_residual(_dense_transfer(s, z), ref) < 1e-13
+    assert np_residual(_dense_transfer(s, z), _dense_reference(s, z)) < 1e-13
 
 
 @pytest.mark.slow
@@ -422,9 +581,10 @@ def test_transfer_numeric_matches_general_slot_stream_l8():
     assert np_residual(_dense_transfer(s, z), ref) < 1e-14
 
 
-def test_transfer_sectors_are_the_sector_slices_of_transfer_numeric():
-    # compute_spectrum reads these blocks; the dense transfer is zero between
-    # magnon numbers and equals them bit for bit on them
+def test_transfer_sectors_are_the_sector_slices_of_a_dense_reference():
+    # compute_spectrum reads these blocks: block m is the slice of magnon
+    # number m of the Kronecker-built dense transfer, which is zero between
+    # magnon numbers
     L = 6
     s = ChainSpec.from_json(
         {
@@ -436,15 +596,15 @@ def test_transfer_sectors_are_the_sector_slices_of_transfer_numeric():
         }
     )
     z = sample_point(s, np.random.default_rng(4))
-    T = _dense_transfer(s, z)
+    ref = _dense_reference(s, z)
     pieces = transfer_sectors(s, z)
     pc = np.array([bin(i).count("1") for i in range(1 << L)])
     assert len(pieces) == L + 1
     for m, piece in enumerate(pieces):
         idx = np.flatnonzero(pc == m)
         assert piece.flags.c_contiguous
-        assert np.array_equal(piece, T[np.ix_(idx, idx)])
-    assert not np.any(T[pc[:, None] != pc[None, :]])
+        assert np_residual(piece, ref[np.ix_(idx, idx)]) < 1e-13
+    assert not np.any(ref[pc[:, None] != pc[None, :]])
 
 
 def test_numeric_perturb_doubles_the_dense_entry_of_the_blocks():

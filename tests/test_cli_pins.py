@@ -56,6 +56,9 @@ JSON_PINS = {
     "chain multiplicativity --spec l2.json": (0, "2c3668c70cbc94e7c87507d5a276fc1f9e55c782b389021f80ef10d552a82c68", ""),
     "chain rtt --spec sym3.json --mode exact": (0, "c6d1c7e408f0a052190fbbc4c6a3bee67f74596cadb84438ba5e0cb06abe1dce", ""),
     "chain multiplicativity --spec sym3.json --mode exact": (0, "e0cf74c669c4a4d840ffa4cee8e852f0dc8ab3dffd936da7ea734b7c6b8ec60e", ""),
+    "chain rtt --spec sym3.json --mode exact --perturb": (1, "ab7b8bc884b5f89a2032b96e97188d955a7af32ae4e69d55b0a1e693559d326f", ""),
+    "chain commute --spec sym3.json --mode exact --perturb": (1, "393fe548136f016ed8f1bfa246745b5ae806e1b3b9b26ee8fd8705afa1569868", ""),
+    "chain multiplicativity --spec sym3.json --mode exact --perturb": (1, "b7686fbd872925e871af0fb4134a86a04694c5abdece94366d7d61f32b5573f6", ""),
     "chain multiplicativity --spec l2.json --perturb": (1, "694dbcdd8524db3195e012275a17cef26628b80bdc6ca6edb2d3658ffaef8d59", ""),
     "chain rtt --spec generic8.json --mode numeric --samples 1": (0, "9833cc3aa30d914b0f616ad421d4c05ff6f12a18e2f1d4ec89899f0f84bdb523", ""),
     "chain commute --spec generic8.json --mode numeric": (0, "b1ce4589c319c51b7e514e8d9776997ff1181a596359d1b7bd1ffe13eb32a781", ""),

@@ -39,7 +39,7 @@ def test_the_exact_transfer_kernel_is_exported_and_transfer_mul_is_gone():
     assert "spin_transfer" in field.__all__
     assert field.spin_transfer is field.linalg.spin_transfer
     for ring in (model._Exact, model._Numeric):
-        assert not hasattr(ring, "transfer_mul") and hasattr(ring, "both_orders")
+        assert not hasattr(ring, "transfer_mul") and hasattr(ring, "order_gap")
 
 
 def _exports_and_uses():

@@ -20,9 +20,12 @@ from qilab.field import (
     np_spin_identity,
     np_spin_trace_first,
     np_spin_transfer,
+    orders_differ,
     rref,
+    slots_differ,
     spin_transfer,
 )
+from qilab.field import poly as poly_module
 from slot_oracles import np_apply_on_slots, np_op_on_slots, op_on_slots
 
 
@@ -48,6 +51,7 @@ def test_op_on_slots_reorders_slots():
 
 
 _Z = MPoly.var("z")
+_W = MPoly.var("w")
 
 # the 10 entries of a 4x4 factor on two slots that move spin between them
 _SPIN_MOVING = [
@@ -104,12 +108,10 @@ _POOL += [_Z, -_Z, _Z + 1, 2 * _Z - Fraction(1, 3)]
 _ONES = [1, Fraction(1), MPoly.const(1)]
 
 
-@st.composite
-def _exact_slot_streams(draw):
-    # 2..5 slots and 1..5 conserving factors on pairs of slots in either
-    # order, their entries drawn from the pool; a corner may be 1 in any of
-    # its three kinds and a middle entry may be zero
-    n = draw(st.integers(2, 5))
+def _draw_stream(draw, n: int) -> list:
+    # 1..5 conserving factors on pairs of the n slots in either order, their
+    # entries drawn from the pool; a corner may be 1 in any of its three
+    # kinds and a middle entry may be zero
     value = st.sampled_from(_POOL)
     steps = []
     for _ in range(draw(st.integers(1, 5))):
@@ -119,7 +121,34 @@ def _exact_slot_streams(draw):
         for i in (0, 3):
             F[i][i] = draw(st.one_of(st.sampled_from(_ONES), value))
         steps.append((F, tuple(draw(st.permutations(range(n)))[:2])))
-    return steps, n
+    return steps
+
+
+@st.composite
+def _exact_slot_streams(draw):
+    n = draw(st.integers(2, 5))
+    return _draw_stream(draw, n), n
+
+
+@st.composite
+def _exact_stream_pairs(draw):
+    # two streams on one slot count; the second is often the first with its
+    # factors scaled in pairs, so the products stay equal or differ late
+    n = draw(st.integers(2, 4))
+    lhs = _draw_stream(draw, n)
+    if draw(st.booleans()):
+        return lhs, _draw_stream(draw, n), n
+    rhs = [([row[:] for row in F], slots) for F, slots in lhs]
+    if len(rhs) > 1 and draw(st.booleans()):
+        # a scalar moves from one factor to another: the product is the same,
+        # the denominators of the two streams are not
+        c = draw(st.sampled_from([Fraction(1, 2), Fraction(3), Fraction(-2, 5)]))
+        rhs[0] = ([[c * x for x in row] for row in rhs[0][0]], rhs[0][1])
+        rhs[-1] = ([[x * (1 / c) for x in row] for row in rhs[-1][0]], rhs[-1][1])
+    if draw(st.booleans()):
+        F, slots = rhs[-1]
+        F[1][2] = F[1][2] * 2 + 1  # breaks the product unless the row misses it
+    return lhs, rhs, n
 
 
 _MIX = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
@@ -137,6 +166,91 @@ def test_a_stream_equals_the_product_of_its_embeddings(problem):
     out = apply_on_slots(n, iter(steps))
     assert mat_eq(out, expected)
     assert _is_packed(out)
+
+
+def _first_differing_row(A, B):
+    # the materialised oracle: mat_eq row by row
+    return next((i for i, (x, y) in enumerate(zip(A, B)) if not mat_eq([x], [y])), None)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_exact_stream_pairs())
+@example(
+    (
+        [(_frac_mat(np.diag([1, 2, 2, 1]).tolist()), (0, 1)), (_frac_mat(np.diag([3, 1, 1, 3]).tolist()), (0, 1))],
+        [(_frac_mat(np.diag([3, 2, 2, 3]).tolist()), (1, 0))],
+        2,
+    )
+)
+@example(([(_MIX, (0, 1)), (_CANCEL, (0, 1))], [(_CANCEL, (0, 1)), (_MIX, (0, 1))], 2))
+def test_slots_differ_gives_the_materialised_verdict(problem):
+    # the rows of both streams are compared raw, over one pack; where the two
+    # streams' denominators differ, each side is scaled by the other's
+    lhs, rhs, n = problem
+    expected = _first_differing_row(apply_on_slots(n, lhs), apply_on_slots(n, rhs))
+    assert slots_differ(n, iter(lhs), iter(rhs)) == expected
+
+
+def test_slots_differ_with_two_denominators():
+    # z/2 then 2/3 on the 00 corner against z/3 in one factor: equal
+    # products over denominators 6 and 3; a 5/3 instead differs in row 0
+    half = [[_Z * Fraction(1, 2), 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, Fraction(1, 2)]]
+    third = [[_Z * Fraction(1, 3), 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, Fraction(1, 3)]]
+    scale = [[Fraction(2, 3), 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, Fraction(2, 3)]]
+    assert slots_differ(2, [(half, (0, 1)), (scale, (0, 1))], [(third, (0, 1))]) is None
+    scale[0][0] = Fraction(5, 3)
+    assert slots_differ(2, [(half, (0, 1)), (scale, (0, 1))], [(third, (0, 1))]) == 0
+    scale[0][0], third[3][3] = Fraction(2, 3), Fraction(1, 6)
+    assert slots_differ(2, [(half, (0, 1)), (scale, (0, 1))], [(third, (0, 1))]) == 3
+
+
+@st.composite
+def _square_pairs(draw):
+    k = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0), st.just(MPoly.zero()), _mpoly_entries())
+    A = [[draw(entry) for _ in range(k)] for _ in range(k)]
+    if draw(st.booleans()):
+        # B is A with z and w exchanged: the one-product path
+        swap = lambda x: x.exchange("z", "w") if isinstance(x, MPoly) else x
+        return A, [[swap(x) for x in row] for row in A], ("z", "w")
+    return A, [[draw(entry) for _ in range(k)] for _ in range(k)], None
+
+
+@settings(max_examples=120, deadline=None)
+@given(_square_pairs())
+@example(([[_Z, 1], [0, _W]], [[_W, 1], [0, _Z]], ("z", "w")))  # row 0 differs
+@example(([[-1, -1], [-1, 0]], [[0, -1], [-1, 1]], None))  # A·B cancels where B·A has no term
+@example(([[_Z, 0], [0, _Z]], [[_W, 0], [0, _W]], ("z", "w")))  # they commute
+def test_orders_differ_gives_the_materialised_verdict(problem):
+    A, B, swap = problem
+    expected = _first_differing_row(mat_mul(A, B), mat_mul(B, A))
+    assert orders_differ(A, B, swap) == expected
+    if swap:
+        assert orders_differ(A, B) == expected
+
+
+def _no_row(*args):
+    raise AssertionError("a row was built")
+
+
+def test_an_exponent_overflow_stops_a_comparison_before_any_row(monkeypatch):
+    z = MPoly.var("z")
+    big = z ** (1 << 30)
+    monkeypatch.setattr(poly_module, "_rows", _no_row)
+    monkeypatch.setattr(poly_module, "_product_rows", _no_row)
+    # the second stream alone passes the limit; the first is fine
+    good, bad = [(_corners(big), (0, 1))], [(_corners(big), (0, 1)), (_corners(big), (1, 0))]
+    for lhs, rhs in ((good, bad), (bad, good)):
+        with pytest.raises(ValueError, match="exponent exceeds the limit"):
+            slots_differ(2, lhs, rhs)
+    with pytest.raises(ValueError, match="exponent exceeds the limit"):
+        orders_differ([[big, 0], [0, 1]], [[1, 0], [0, big]])
+    with pytest.raises(ValueError, match="exponent exceeds the limit"):
+        orders_differ([[big]], [[big]], ("z", "w"))
+    moving = _factor()
+    moving[0][3] = 1
+    with pytest.raises(ValueError, match="spin-conserving"):
+        slots_differ(2, good, [(moving, (0, 1))])
 
 
 def _factor():

@@ -285,7 +285,7 @@ def _broken(entry, scale):
     return broken
 
 
-@pytest.mark.parametrize(
+_with_each_defect = pytest.mark.parametrize(
     "entry, scale",
     [
         (None, None),
@@ -297,6 +297,9 @@ def _broken(entry, scale):
     ],
     ids=["unbroken", "R21x2", "R21x(1+zeta)", "R12x2", "R11x2", "R22x(1+zeta)"],
 )
+
+
+@_with_each_defect
 def test_hexagon_gives_the_braid_form_verdict_on_every_draw(monkeypatch, entry, scale):
     # for any 4x4 R the braid relation of P R is the triple exchange identity
     # conjugated by flips, so the ybe routine decides each draw as the braid
@@ -309,6 +312,32 @@ def test_hexagon_gives_the_braid_form_verdict_on_every_draw(monkeypatch, entry, 
         assert [row["ok"] for row in cr.details["cases"]] == braid
         assert all(braid) == (entry is None)
         assert cr.ok == (entry is None)
+
+
+@_with_each_defect
+def test_exchange_rows_give_the_materialised_verdict(monkeypatch, entry, scale):
+    # the triple exchange identity compares the rows of its sides in step;
+    # each call must decide as mat_eq of the two sides built whole
+    if entry is not None:
+        monkeypatch.setattr(rmatrix, "cleared_r", _broken(entry, scale))
+    holds, verdicts = rmatrix._exchange_holds, []
+
+    def against_whole_sides(m12, m13, m23):
+        f12, f13, f23 = (m12, (0, 1)), (m13, (0, 2)), (m23, (1, 2))
+        whole = mat_eq(
+            apply_on_slots(3, [f12, f13, f23]), apply_on_slots(3, [f23, f13, f12])
+        )
+        verdicts.append(holds(m12, m13, m23))
+        assert verdicts[-1] == whole
+        return whole
+
+    monkeypatch.setattr(rmatrix, "_exchange_holds", against_whole_sides)
+    for abc in [(1, 1, 1), (2, 3, 5), (Fraction(1, 2), Fraction(-3, 7), 4)]:
+        for perturb in (False, True):
+            assert check_ybe(*abc, perturb=perturb).ok == (entry is None and not perturb)
+    for perturb in (False, True):
+        assert check_yang(perturb=perturb).details["additive_identity"] == (not perturb)
+    assert verdicts.count(True) == (4 if entry is None else 1)
 
 
 def test_hexagon_perturb_fails_every_draw():
