@@ -34,9 +34,18 @@ primitive, and its leading coefficient is the product of two positive
 ones, so no gcd of the coefficients runs.  Matrix products and slot
 products pack each entry once (``_pack``) and build one row at a time;
 they, sums and ``split_by`` divide the gcd of the ints back out, and
-comparisons of two sides compare raw rows.  ``div_exact`` divides the
-primitive parts over Z by leading terms (``_quotient``); by Gauss's lemma
-the quotient is integral whenever it exists.
+comparisons of two sides compare raw rows.  A comparison of two slot
+streams (``_compared_rows``) packs further, by Kronecker substitution:
+each row entry is one int, its image at X = 2^B over an exponent box both
+streams share, and each factor entry a few ``(shift, coeff)`` terms, so
+big-int arithmetic runs the loop over terms.  The bounds on exponents and
+coefficients make the map one-to-one on every row either stream can
+build, so equal ints are equal polynomials; this is exact, not a test at
+a random point.  A box too large to pack keeps int dict entries, and so
+do the products of two matrices and the rows that ``apply_on_slots``
+canonicalises, where ints would have to be decoded.  ``div_exact``
+divides the primitive parts over Z by leading terms (``_quotient``); by
+Gauss's lemma the quotient is integral whenever it exists.
 
 ``poly_gcd`` returns the gcd with leading coefficient 1 and runs on ints:
 
@@ -688,15 +697,26 @@ def _pack(sides) -> tuple:
     ]
 
 
-def _bound(factors, guard: int) -> None:
-    """ValueError unless the running sum of each packed factor's slotwise
-    largest key keeps the ``guard`` bits clear."""
+def _top(F, guard: int) -> int:
+    """The slotwise largest key of the packed matrix ``F``."""
+    return _slot_max([k for row in F for e in row if e for k in e], guard)
+
+
+def _slot_max(keys, guard: int) -> int:
+    """The slotwise largest of ``keys`` whose ``guard`` bits are clear."""
+    return reduce(lambda x, y: x + y - _slot_min(x, y, guard), keys, 0)
+
+
+def _bound(tops, guard: int) -> int:
+    """The running sum of the slotwise largest keys ``tops`` of packed
+    factors, which bounds every exponent of their product slotwise;
+    ValueError as soon as it sets a ``guard`` bit."""
     bound = 0
-    for F in factors:
-        keys = [k for row in F for e in row if e for k in e]
-        bound += reduce(lambda x, y: x + y - _slot_min(x, y, guard), keys, 0)
+    for top in tops:
+        bound += top
         if bound & guard:
             raise ValueError(f"exponent exceeds the limit {_LIMIT - 1}")
+    return bound
 
 
 def _swap_slots(ints: dict, sa: int, sb: int) -> dict:
@@ -727,7 +747,8 @@ def _orders_differ(A, B, swap=None):
     """``linalg.orders_differ``: both products share the denominator, so
     their rows compare raw once zero entries are dropped."""
     vars, _, (PA, PB) = _pack((A, B))
-    _bound((PA, PB), _masks(len(vars))[0])
+    guard = _masks(len(vars))[0]
+    _bound([_top(PA, guard), _top(PB, guard)], guard)
     rows = _product_rows(PA, PB)
     if swap is None:
         nonzero = lambda row: {j: x for j, x in row.items() if x}
@@ -739,48 +760,133 @@ def _orders_differ(A, B, swap=None):
     return next((i for i, bad in enumerate(asymmetric) if bad), None)
 
 
-def _slot_rows(n: int, streams) -> tuple:
-    """``(vars, den, rows)``: a generator per stream of conserving 4x4
-    factors ``(F, (s0, s1))`` of the rows of the identity on ``n`` slots
-    times that stream, after one pack and each stream's ``_bound``.
+def _slot_plans(n: int, streams) -> tuple:
+    """``(vars, den, parts)``, one ``(plan, scale, bound)`` per stream of
+    conserving 4x4 factors ``(F, (s0, s1))`` on ``n`` slots, after one pack
+    and each stream's ``_bound``.
 
-    A row maps column to int dict over the common denominator ``den``: each
-    unit vector starts at ``den`` over its stream's, so rows of two streams
-    are equal exactly when the products' are.  A step sends an entry whose
-    slots read 01 to its own column by F11 and to its 10 partner by F12, a
-    10 entry to its 01 partner by F21 and to its own column by F22, and a
-    00 or 11 entry to itself by F00 or F33.
+    A plan lists the bits of each factor's two slots and its packed entries
+    F00, F11, F12, F21, F22 and F33, the others being zero.  Each unit
+    vector starts at ``scale``, the common denominator ``den`` over its
+    stream's, so rows of two streams are equal exactly when the products'
+    are.
     """
     streams = [list(steps) for steps in streams]
-    vars, dens, factors = _pack(F for steps in streams for F, _ in steps)
-    guard, at, parts = _masks(len(vars))[0], 0, []
+    # each factor object is packed once, as its six conserving entries
+    distinct = {id(F): F for steps in streams for F, _ in steps}
+    vars, dens, packed = _pack(
+        [[F[0][0], F[1][1], F[1][2], F[2][1], F[2][2], F[3][3]]] for F in distinct.values()
+    )
+    guard, parts = _masks(len(vars))[0], []
+    packed = {i: (F, d, _top(F, guard)) for i, F, d in zip(distinct, packed, dens)}
     for steps in streams:
-        span = slice(at, at + len(steps))
-        at += len(steps)
-        _bound(factors[span], guard)
-        bits = [(1 << n - 1 - s0, 1 << n - 1 - s1) for _, (s0, s1) in steps]
-        plan = [(b0, b1, F) for (b0, b1), F in zip(bits, factors[span])]
-        parts.append((plan, prod(dens[span])))
-    den = lcm(*[d for _, d in parts])
-    return vars, den, [_rows(n, plan, den // d) for plan, d in parts]
+        factors = [packed[id(F)] for F, _ in steps]
+        plan = [
+            (1 << n - 1 - s0, 1 << n - 1 - s1, F[0])
+            for (_, (s0, s1)), (F, _, _) in zip(steps, factors)
+        ]
+        bound = _bound([top for _, _, top in factors], guard)
+        parts.append((plan, prod([d for _, d, _ in factors]), bound))
+    den = lcm(*[d for _, d, _ in parts])
+    return vars, den, [(plan, den // d, bound) for plan, d, bound in parts]
 
 
-def _rows(n: int, plan, scale: int):
+def _slot_rows(n: int, streams) -> tuple:
+    """``(vars, den, rows)``: a generator per stream of the rows of the
+    identity on ``n`` slots times that stream (``_slot_plans``), each row a
+    dict from column to int dict over ``den``."""
+    vars, den, parts = _slot_plans(n, streams)
+    return vars, den, [_rows(n, plan, {0: scale}, _send) for plan, scale, _ in parts]
+
+
+# Largest exponent box packed into ints.  The largest box the CLI builds is
+# symbolic rtt's, which grows about as L^3 and has 4,185 cells at L=7 (a
+# 45 s run), so this cap is not reached in practice.  A sparse entry of high
+# degree, such as z^(2^30), would make every int of a row gigabytes long, so
+# a larger box keeps int dict entries.
+_BOX_CELLS = 1 << 16
+
+
+def _compared_rows(n: int, streams) -> list:
+    """A generator per stream of the rows of ``_slot_rows``, for comparison
+    only: each entry is one int, the entry evaluated at 2^B in the
+    Kronecker form of a box shared by all streams.
+
+    The box holds exponent e_i of each variable in 0..d_i, d_i the slotwise
+    largest ``_bound`` of the streams; the monomial with exponents e goes to
+    X^(sum e_i s_i), s_i the product of d_j + 1 over the lower slots, which
+    is one-to-one on the box.  A factor entry becomes ``(shift, coeff)``
+    terms, and sending x through it is the sum of ``(x * coeff) << shift``.
+    Both maps are ring homomorphisms, so each int is its entry's image.  A
+    step multiplies a row's largest l1 norm by at most N_F, the larger of
+    F11 + F21 and F12 + F22 in l1 norms, F00's and F33's, and at least 1.
+    So no coefficient of any row, partial or whole, passes M, the largest
+    scale times the product of its stream's N_F.  Two coefficients then
+    differ by at most 2M < 2^B for B = bit_length(2M), and their images are
+    equal exactly when the entries are: an injective map on the bounded
+    set, not a probabilistic test.  A box of more than ``_BOX_CELLS`` cells
+    keeps int dict entries.
+    """
+    vars, _, parts = _slot_plans(n, streams)
+    top = _slot_max([bound for *_, bound in parts], _masks(len(vars))[0])
+    cells, units = 1, []
+    for s in reversed(_offsets(len(vars))):
+        units.append((s, cells))
+        cells *= (top >> s & _SLOT) + 1
+    if cells > _BOX_CELLS:
+        return [_rows(n, plan, {0: scale}, _send) for plan, scale, _ in parts]
+    factors = {id(F): F for plan, _, _ in parts for *_, F in plan}
+    norms = {}
+    for i, F in factors.items():
+        n00, n11, n12, n21, n22, n33 = [sum(map(abs, e.values())) if e else 0 for e in F]
+        norms[i] = max(n11 + n21, n12 + n22, n00, n33, 1)
+    M = max(scale * prod([norms[id(F)] for *_, F in plan]) for plan, scale, _ in parts)
+    B = (2 * M).bit_length()
+    units = [(s, B * stride) for s, stride in units if top >> s & _SLOT]
+    shifts = {}
+
+    def terms(e):
+        if not e:
+            return None
+        f = []
+        for k, c in e.items():
+            shift = shifts.get(k)
+            if shift is None:
+                shift = shifts[k] = sum([(k >> s & _SLOT) * u for s, u in units])
+            f.append((shift, c))
+        return f
+
+    coded = {i: [terms(e) for e in F] for i, F in factors.items()}
+    return [
+        _rows(n, [(b0, b1, coded[id(F)]) for b0, b1, F in plan], scale, _send_int)
+        for plan, scale, _ in parts
+    ]
+
+
+def _rows(n: int, plan, start, send):
+    """The rows of the identity on ``n`` slots times ``plan``, one at a
+    time: a row maps column to entry, each unit vector starts at ``start``
+    and ``send(row, c, x, f)`` adds ``x*f`` to ``row[c]``; zero entries are
+    dropped.  A step sends an entry whose slots read 01 to its own column
+    by F11 and to its 10 partner by F12, a 10 entry to its 01 partner by
+    F21 and to its own column by F22, and a 00 or 11 entry to itself by
+    F00 or F33.
+    """
     for r in range(1 << n):
-        row = {r: {0: scale}}
-        for b0, b1, F in plan:
+        row = {r: start}
+        for b0, b1, (f00, f11, f12, f21, f22, f33) in plan:
             both = b0 | b1
             new = {}
             for c, x in row.items():
                 t = c & both
                 if t == b1:
-                    _send(new, c, x, F[1][1])
-                    _send(new, c ^ both, x, F[1][2])
+                    send(new, c, x, f11)
+                    send(new, c ^ both, x, f12)
                 elif t == b0:
-                    _send(new, c ^ both, x, F[2][1])
-                    _send(new, c, x, F[2][2])
+                    send(new, c ^ both, x, f21)
+                    send(new, c, x, f22)
                 else:
-                    _send(new, c, x, F[3][3] if t else F[0][0])
+                    send(new, c, x, f33 if t else f00)
             row = {c: x for c, x in new.items() if x}
         yield row
 
@@ -804,6 +910,22 @@ def _send(row: dict, c: int, x: dict, f) -> None:
         if acc is None:
             acc = row[c] = {}
         _accumulate(acc, f.items(), x.items())
+
+
+def _send_int(row: dict, c: int, x: int, f) -> None:
+    """``row[c] += x*f`` for an int ``x`` and ``(shift, coeff)`` terms
+    ``f``; None is zero."""
+    if f:
+        y = row.get(c, 0)
+        for s, k in f:
+            t = x << s if s else x
+            if k == -1:
+                y -= t
+            else:
+                if k != 1:
+                    t *= k
+                y = y + t if y else t
+        row[c] = y
 
 
 def _accumulate(acc: dict, pa, pb) -> None:

@@ -23,11 +23,12 @@ Identity checks run on cleared polynomial matrices: every factor is scaled
 by its corner denominator so both sides of an identity carry the same
 scalar and the comparison is pure polynomial equality, with no gcd work:
 the triple exchange identity compares the rows of its two sides in step,
-as raw packed ints, up to the first that differs (``field.slots_differ``).
+each entry one packed int, up to the first that differs
+(``field.slots_differ``), and a failure counts only the entries compared.
 Evaluation modules attach a spectral parameter a to each two-dimensional
 space; a pair (a, b) meets at argument zeta = z * a / b.  The braid relation
 of P R is the triple exchange identity conjugated by flips, so ``rmat
-hexagon`` and ``rmat ybe`` run one routine, ``_ybe_holds``.
+hexagon`` and ``rmat ybe`` run one routine, ``_ybe_row``.
 """
 
 from __future__ import annotations
@@ -172,39 +173,44 @@ def _zeta_pair(scale: Fraction, *poly_factors):
     return zn, MPoly.const(1)
 
 
-def _exchange_holds(m12, m13, m23) -> bool:
-    """M12*M13*M23 == M23*M13*M12 for three 4x4 factors on three slots."""
+def _exchange_row(m12, m13, m23):
+    """The first row where M12*M13*M23 and M23*M13*M12 differ, or None, for
+    three 4x4 factors on three slots."""
     f12, f13, f23 = (m12, (0, 1)), (m13, (0, 2)), (m23, (1, 2))
-    return slots_differ(3, [f12, f13, f23], [f23, f13, f12]) is None
+    return slots_differ(3, [f12, f13, f23], [f23, f13, f12])
 
 
-def _ybe_holds(a, b, c, perturb) -> bool:
-    """The triple exchange identity with z and w symbolic and the spectral
-    arguments z*a/b, z*w*a/c, w*b/c on the (1,2), (1,3), (2,3) pairs;
-    ``perturb`` doubles entry (1, 2) of the (1,2) factor."""
+def _ybe_row(a, b, c, perturb):
+    """``_exchange_row`` of the triple exchange identity with z and w
+    symbolic and the spectral arguments z*a/b, z*w*a/c, w*b/c on the (1,2),
+    (1,3), (2,3) pairs; ``perturb`` doubles entry (1, 2) of the (1,2)
+    factor."""
     r12 = cleared_r(*_zeta_pair(a / b, _Z))
     r13 = cleared_r(*_zeta_pair(a / c, _Z, _W))
     r23 = cleared_r(*_zeta_pair(b / c, _W))
     if perturb:
         r12 = [row[:] for row in r12]
         r12[1][2] = 2 * r12[1][2]
-    return _exchange_holds(r12, r13, r23)
+    return _exchange_row(r12, r13, r23)
 
 
 def check_ybe(a=Fraction(1), b=Fraction(1), c=Fraction(1), perturb=False) -> CheckResult:
     """Triple exchange identity on three spaces with parameters a, b, c.
 
     Arguments z and w stay symbolic; the three spectral arguments are
-    z*a/b, z*w*a/c, and w*b/c on the (1,2), (1,3), (2,3) pairs.
+    z*a/b, z*w*a/c, and w*b/c on the (1,2), (1,3), (2,3) pairs.  The sides
+    are compared row by row up to the first that differs, so a failure
+    counts the 8 entries of each row up to that one.
     """
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    row = _ybe_row(a, b, c, perturb)
     return CheckResult(
         name="ybe",
-        ok=_ybe_holds(a, b, c, perturb),
+        ok=row is None,
         details={
             "params": {"a": str(a), "b": str(b), "c": str(c)},
             "symbolic": ["z", "w"],
-            "entries_compared": 64,
+            "entries_compared": 64 if row is None else 8 * (row + 1),
             "perturbed": bool(perturb),
         },
     )
@@ -288,7 +294,7 @@ def check_yang(cutoff: int = 6, perturb=False) -> CheckResult:
         m13 = [
             [e.substitute({"h": 2 * MPoly.var("h")}) for e in row] for row in m13
         ]
-    additive = _exchange_holds(m12, m13, m23)
+    additive = _exchange_row(m12, m13, m23) is None
     return CheckResult(
         name="yang",
         ok=closed_form and additive,
@@ -453,7 +459,7 @@ def check_hexagon(seed: int = 0, points: int = 3, perturb=False) -> CheckResult:
     draws = [(Fraction(1),) * 3]
     draws += [tuple(random_rational(rng) for _ in "abc") for _ in range(points)]
     rows = [
-        {"a": str(a), "b": str(b), "c": str(c), "ok": _ybe_holds(a, b, c, perturb)}
+        {"a": str(a), "b": str(b), "c": str(c), "ok": _ybe_row(a, b, c, perturb) is None}
         for a, b, c in draws
     ]
     return CheckResult(

@@ -274,7 +274,10 @@ def test_a_perturbed_control_stops_at_its_first_differing_row(monkeypatch):
     assert len(built) == 2 * 2**5
     built.clear()
     cr = check_rtt(s, mode="exact", perturb=True)
-    assert len(built) == 2 * (cr.details["first_differing_row"] + 1) < 2 * 2**5
+    row = cr.details["first_differing_row"]
+    assert len(built) == 2 * (row + 1) < 2 * 2**5
+    # a failure counts the entries of the rows compared, 32 per row
+    assert cr.details["entries_compared"] == 32 * (row + 1)
     built = _count_rows(monkeypatch, "_product_rows")
     s = ChainSpec.from_json({"L": 4, "q": "3/5"})
     assert check_commute(s, mode="exact").ok
@@ -285,27 +288,29 @@ def test_a_perturbed_control_stops_at_its_first_differing_row(monkeypatch):
 
 
 @pytest.mark.slow
-def test_exact_rtt_at_five_sites_stays_under_64_mb():
-    # the symbolic L=5 rtt with both sides held whole peaked at about 120 MB,
-    # one row at a time at about 33 MB.  Linux keeps a process's peak RSS
-    # across exec, so a child of the test process would start from pytest's
-    # own peak; a small launcher in between starts the check from a few MB
-    check = (
-        "import resource; from qilab.chain import ChainSpec, check_rtt; "
-        "ok = check_rtt(ChainSpec.from_json({'L': 5}), mode='exact').ok; "
-        "print(ok, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
-    )
-    launcher = f"import subprocess, sys; subprocess.run([sys.executable, '-c', {check!r}], check=True)"
+def test_exact_rtt_at_five_and_six_sites_stays_under_64_mb():
+    # the symbolic rtt with both sides held whole peaked at about 120 MB at
+    # L=5 and 480 MB at L=6, one row at a time at about 33 and 38 MB.  Linux
+    # keeps a process's peak RSS across exec, so a child of the test process
+    # would start from pytest's own peak; a small launcher in between starts
+    # each check from a few MB
     env = {
         **os.environ,
         "OPENBLAS_NUM_THREADS": "1",
         "PYTHONPATH": os.path.dirname(os.path.dirname(qilab.__file__)),
     }
-    out = subprocess.run(
-        [sys.executable, "-c", launcher], env=env, capture_output=True, text=True, check=True
-    )
-    ok, kb = out.stdout.split()
-    assert ok == "True" and int(kb) < 64 * 1024
+    for L in (5, 6):
+        check = (
+            "import resource; from qilab.chain import ChainSpec, check_rtt; "
+            f"ok = check_rtt(ChainSpec.from_json({{'L': {L}}}), mode='exact').ok; "
+            "print(ok, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+        )
+        launcher = f"import subprocess, sys; subprocess.run([sys.executable, '-c', {check!r}], check=True)"
+        out = subprocess.run(
+            [sys.executable, "-c", launcher], env=env, capture_output=True, text=True, check=True
+        )
+        ok, kb = out.stdout.split()
+        assert ok == "True" and int(kb) < 64 * 1024, (L, kb)
 
 
 @pytest.mark.parametrize("q", ["q", "3/5"])

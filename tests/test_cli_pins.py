@@ -14,7 +14,7 @@ from qilab import cli
 JSON_PINS = {
     "rmat ybe": (0, "af993460c03c92b01f51c39158393645bfb0589ea283342cdd3b9695e96ea177", ""),
     "rmat ybe --a 2 --b 3 --c 5": (0, "df470c8c6b78b9f147e3356d084f0e1dd8238b8410406a47bb9b7679d01d3793", ""),
-    "rmat ybe --perturb": (1, "1be046fc3f4a073634b947046701411a93b454f58528c5f2b6d5b2cbc77f4e6e", ""),
+    "rmat ybe --perturb": (1, "ff14ace2d6ab823b42594539d3b20e2ce4eca730b384fb5dcc838308aedad6aa", ""),
     "rmat ybe --a q": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: expected a rational constant, got 'q'"),
     "rmat yang --cutoff 4": (0, "6425b6291c730ae61d2388bcbcb364faf520c1bb4200a76b5ab6b649fb25b3df", ""),
     "rmat yang --cutoff 4 --perturb": (1, "0387f20a0c7958ddf6541fad8e6508b1922c87090eff36ea22431deefadc9486", ""),
@@ -56,7 +56,7 @@ JSON_PINS = {
     "chain multiplicativity --spec l2.json": (0, "2c3668c70cbc94e7c87507d5a276fc1f9e55c782b389021f80ef10d552a82c68", ""),
     "chain rtt --spec sym3.json --mode exact": (0, "c6d1c7e408f0a052190fbbc4c6a3bee67f74596cadb84438ba5e0cb06abe1dce", ""),
     "chain multiplicativity --spec sym3.json --mode exact": (0, "e0cf74c669c4a4d840ffa4cee8e852f0dc8ab3dffd936da7ea734b7c6b8ec60e", ""),
-    "chain rtt --spec sym3.json --mode exact --perturb": (1, "ab7b8bc884b5f89a2032b96e97188d955a7af32ae4e69d55b0a1e693559d326f", ""),
+    "chain rtt --spec sym3.json --mode exact --perturb": (1, "5ec7d356225d31c4d5f8f0552e2e0719e722ca7cf647fab289170cb41c074a1b", ""),
     "chain commute --spec sym3.json --mode exact --perturb": (1, "393fe548136f016ed8f1bfa246745b5ae806e1b3b9b26ee8fd8705afa1569868", ""),
     "chain multiplicativity --spec sym3.json --mode exact --perturb": (1, "b7686fbd872925e871af0fb4134a86a04694c5abdece94366d7d61f32b5573f6", ""),
     "chain multiplicativity --spec l2.json --perturb": (1, "694dbcdd8524db3195e012275a17cef26628b80bdc6ca6edb2d3658ffaef8d59", ""),

@@ -108,11 +108,19 @@ _POOL += [_Z, -_Z, _Z + 1, 2 * _Z - Fraction(1, 3)]
 _ONES = [1, Fraction(1), MPoly.const(1)]
 
 
-def _draw_stream(draw, n: int) -> list:
+# coefficients up to about 2^40 of both signs, alone or on z and z^2
+_BIG = st.builds(
+    lambda a, b, k: a * _Z**k + b,
+    st.integers(-(2**40), 2**40),
+    st.integers(-(2**40), 2**40),
+    st.integers(0, 2),
+)
+
+
+def _draw_stream(draw, n: int, value=st.sampled_from(_POOL)) -> list:
     # 1..5 conserving factors on pairs of the n slots in either order, their
-    # entries drawn from the pool; a corner may be 1 in any of its three
-    # kinds and a middle entry may be zero
-    value = st.sampled_from(_POOL)
+    # entries drawn from ``value``, by default the pool; a corner may be 1 in
+    # any of its three kinds and a middle entry may be zero
     steps = []
     for _ in range(draw(st.integers(1, 5))):
         F = [[0] * 4 for _ in range(4)]
@@ -135,9 +143,10 @@ def _exact_stream_pairs(draw):
     # two streams on one slot count; the second is often the first with its
     # factors scaled in pairs, so the products stay equal or differ late
     n = draw(st.integers(2, 4))
-    lhs = _draw_stream(draw, n)
+    value = st.one_of(st.sampled_from(_POOL), _BIG)
+    lhs = _draw_stream(draw, n, value)
     if draw(st.booleans()):
-        return lhs, _draw_stream(draw, n), n
+        return lhs, _draw_stream(draw, n, value), n
     rhs = [([row[:] for row in F], slots) for F, slots in lhs]
     if len(rhs) > 1 and draw(st.booleans()):
         # a scalar moves from one factor to another: the product is the same,
@@ -202,6 +211,51 @@ def test_slots_differ_with_two_denominators():
     assert slots_differ(2, [(half, (0, 1)), (scale, (0, 1))], [(third, (0, 1))]) == 0
     scale[0][0], third[3][3] = Fraction(2, 3), Fraction(1, 6)
     assert slots_differ(2, [(half, (0, 1)), (scale, (0, 1))], [(third, (0, 1))]) == 3
+
+
+def _carry_pairs() -> list:
+    # stream pairs on two slots whose row 0 differs by a polynomial that a
+    # Kronecker map with one bit or one exponent too few would send to 0
+    w, q = MPoly.var("w"), MPoly.var("q")
+
+    def stream(*corners):
+        return [(_corners(*c), (0, 1)) for c in corners]
+
+    pairs = []
+    for m in (3, 6, 11, 2**40 + 3):
+        # the larger l1 norm is m, so B is bit_length(2m); 2^(B-1) < 2m
+        # puts the coefficient m - 2^(B-1) inside that norm
+        b = (2 * m).bit_length()
+        for shift in (b - 2, b - 1, b, b + 1):
+            for c in (1, -1):
+                pairs.append((stream((c * m,)), stream((c * (m + _Z - 2**shift),))))
+    # a term at the exponent bound of a lower slot against one unit of the
+    # slot above it: lowest, and middle of three
+    pairs += [(stream((w**3,)), stream((_Z,))), (stream((q**2,)), stream((w,)))]
+    pairs.append((stream((_Z, q**3)), stream((w**2, q**3))))
+    # two steps of norm 3 make 9, which 1 + z would meet at B = 3
+    pairs += [(stream((3,), (3,)), stream((1 + _Z,))), (stream((-3,), (3,)), stream((-1 - _Z,)))]
+    return pairs
+
+
+def test_slots_differ_tells_carry_shaped_differences_apart():
+    for lhs, rhs in _carry_pairs():
+        for a, b in ((lhs, rhs), (rhs, lhs)):
+            assert _first_differing_row(apply_on_slots(2, a), apply_on_slots(2, b)) == 0
+            assert slots_differ(2, a, b) == 0
+
+
+def test_a_sparse_entry_of_high_degree_is_compared_without_its_box(monkeypatch):
+    # z^(2^30) spans a box of 2^30 + 1 exponents, far past the cap on packing
+    # a row into ints, so its rows keep int dict entries
+    def no_int(*args):
+        raise AssertionError("a row entry was packed into an int")
+
+    monkeypatch.setattr(poly_module, "_send_int", no_int)
+    big = _Z ** (1 << 30)
+    lhs = [(_corners(big), (0, 1))]
+    assert slots_differ(2, lhs, lhs) is None
+    assert slots_differ(2, lhs, [(_corners(big, 2), (0, 1))]) == 3
 
 
 @st.composite

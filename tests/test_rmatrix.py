@@ -320,24 +320,26 @@ def test_exchange_rows_give_the_materialised_verdict(monkeypatch, entry, scale):
     # each call must decide as mat_eq of the two sides built whole
     if entry is not None:
         monkeypatch.setattr(rmatrix, "cleared_r", _broken(entry, scale))
-    holds, verdicts = rmatrix._exchange_holds, []
+    streamed, rows = rmatrix._exchange_row, []
 
     def against_whole_sides(m12, m13, m23):
         f12, f13, f23 = (m12, (0, 1)), (m13, (0, 2)), (m23, (1, 2))
-        whole = mat_eq(
-            apply_on_slots(3, [f12, f13, f23]), apply_on_slots(3, [f23, f13, f12])
-        )
-        verdicts.append(holds(m12, m13, m23))
-        assert verdicts[-1] == whole
+        lhs, rhs = apply_on_slots(3, [f12, f13, f23]), apply_on_slots(3, [f23, f13, f12])
+        whole = next((i for i, (x, y) in enumerate(zip(lhs, rhs)) if not mat_eq([x], [y])), None)
+        rows.append(streamed(m12, m13, m23))
+        assert rows[-1] == whole
         return whole
 
-    monkeypatch.setattr(rmatrix, "_exchange_holds", against_whole_sides)
+    monkeypatch.setattr(rmatrix, "_exchange_row", against_whole_sides)
     for abc in [(1, 1, 1), (2, 3, 5), (Fraction(1, 2), Fraction(-3, 7), 4)]:
         for perturb in (False, True):
-            assert check_ybe(*abc, perturb=perturb).ok == (entry is None and not perturb)
+            cr = check_ybe(*abc, perturb=perturb)
+            assert cr.ok == (entry is None and not perturb)
+            # a failure counts the 8 entries of each row compared
+            assert cr.details["entries_compared"] == (64 if cr.ok else 8 * (rows[-1] + 1))
     for perturb in (False, True):
         assert check_yang(perturb=perturb).details["additive_identity"] == (not perturb)
-    assert verdicts.count(True) == (4 if entry is None else 1)
+    assert rows.count(None) == (4 if entry is None else 1)
 
 
 def test_hexagon_perturb_fails_every_draw():
