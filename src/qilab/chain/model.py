@@ -14,13 +14,14 @@ optional factors before and after, from the identity as one stream of
 (factor, slots) steps, site by site.  The numeric ring feeds a stream, one
 factor at a time, to ``field.np_spin_apply`` on popcount blocks.  Each
 ring's ``transfer`` is built from the aux corners A, B, C, D of one line,
-site by site (``field.spin_transfer``, ``field.np_spin_transfer``): each
-new site is the leading bit, so each new entry is one product, about
-(4/3)*C(2L, L) numeric entries per transfer instead of the L*C(2L+2, L+1)
-of streaming every factor through the (L+1)-slot monodromy.  No factor is
-embedded as a dense matrix and no line is kept between checks.  The
-factors come from ``rmatrix``: ``cleared_r`` at the spec's q, symbolic or
-pinned, for the exact ring and ``numeric_r`` for the numeric one.
+site by site, by one kernel (``field.spin_transfer``) on MPoly or complex
+arrays: each new site is the leading bit, so each new entry is one
+product, about (4/3)*C(2L, L) entries per transfer instead of the
+L*C(2L+2, L+1) of streaming every factor through the (L+1)-slot
+monodromy.  No factor is embedded as a dense matrix and no line is kept
+between checks.  The factors come from ``rmatrix``: ``cleared_r`` at the
+spec's q, symbolic or pinned, for the exact ring and ``numeric_r`` for the
+numeric one.
 
 ``_Exact`` compares cleared polynomial matrices at symbolic z, w: every
 factor is scaled by its corner denominator and the twist by u, so both
@@ -63,7 +64,6 @@ from ..field import (
     np_spin_identity,
     np_spin_index,
     np_spin_trace_first,
-    np_spin_transfer,
     orders_differ,
     slots_differ,
     spin_transfer,
@@ -285,10 +285,12 @@ class _Exact(_Ring):
 
     def transfer(self, z, a=None):
         """u * A(z) + u^-1 * D(z), cleared by u * prod(corners), built from
-        the aux corners of one line site by site (``spin_transfer``)."""
+        the aux corners of one line site by site (``spin_transfer``) and
+        laid out as one 2^L square whose every entry is an MPoly."""
         tw = self.twist()
         factors = [self.r(z * rho) for rho in self.ratios(a)]
-        return spin_transfer(factors, tw[0][0], tw[1][1])
+        sectors = spin_transfer(factors, tw[0][0], tw[1][1])
+        return np_spin_dense([S.T for S in sectors]).tolist()
 
     gap = staticmethod(lambda X, Y: first_differing_row(X, Y))
 
@@ -399,7 +401,7 @@ def transfer_sectors(spec: ChainSpec, z: complex, a: complex | None = None) -> l
     """
     q, u = spec.q_complex(), spec.twist_complex()
     factors = [numeric_r(z * rho, q) for rho in spec.site_ratios_complex(a)]
-    return np_spin_transfer(factors, u, 1 / u)
+    return spin_transfer(factors, u, 1 / u)
 
 
 def off_poles(spec: ChainSpec, z: complex) -> bool:

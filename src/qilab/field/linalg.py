@@ -15,8 +15,6 @@ entries, which every factor sends through its middle block or scales by a
 corner, so no 2^n-square embedding is formed.  The whole stream runs on
 packed ints (``poly._slot_rows``), each entry canonicalized once at the
 end (``poly._canon_rows``).
-``spin_transfer``, the exact twin of ``np_spin_transfer`` below, builds a
-transfer from its corners, so both rings build transfers alike.
 
 An exact identity is compared row by row and no side is held whole:
 ``slots_differ`` (two step streams) and ``orders_differ`` (A·B against
@@ -39,10 +37,12 @@ twin of ``apply_on_slots`` on spin blocks, multiplies them by such a factor
 in place; in each block it gathers the rows whose two slots read 01 and
 their 10 partners, mixes them with the factor's middle 2x2, and scatters
 them back.
-``np_spin_transfer`` builds the weighted auxiliary trace of a one-line
+``spin_transfer`` builds the weighted auxiliary trace of a one-line
 monodromy from its corners, adding one leading site at a time with a
 contiguous slice per entry: about (4/3) C(2L, L) entries for L sites,
 against L passes over C(2L+2, L+1) for streaming factors through blocks.
+It is the transfer builder of both rings: MPoly entries run the same
+steps on object arrays.
 ``np_spin_trace_first`` takes the weighted trace over slot 0 block by block
 and ``np_spin_dense`` spreads blocks into a dense matrix.
 """
@@ -75,7 +75,6 @@ __all__ = [
     "np_spin_identity",
     "np_spin_index",
     "np_spin_trace_first",
-    "np_spin_transfer",
 ]
 
 
@@ -205,44 +204,6 @@ def _check_steps(n: int, steps) -> None:
             raise ValueError("needs a spin-conserving F")
 
 
-def spin_transfer(factors, w0, w1):
-    """w0 * A + w1 * D for the monodromy factors[L-1] ... factors[0], laid
-    out as in ``np_spin_transfer`` but as one 2^L-square matrix.
-
-    The monodromy rows of aux bit a grow from ``w_a e_a``, each a dict from
-    column (aux bit, then the sites so far) to entry.  Each site, from L-1
-    down to 0, is the new leading bit s of a row and t of a column: aux b
-    goes to b2 by F[2b + s][2b2 + t] where b2 + t = b + s, so every new
-    entry is one product.  The last site keeps the columns of the row's
-    aux bit, and the two aux rows add up.  Entries and weights are MPoly,
-    Fraction or int; every result entry is an MPoly, zero included.  A
-    factor that is not 4x4 or moves spin, or no factor, raises ValueError
-    before any product.
-    """
-    factors = list(factors)
-    if not factors:
-        raise ValueError("needs at least one site factor")
-    _check_steps(2, [(F, (0, 1)) for F in factors])
-    rows = [{a: MPoly.zero() + w} if w else {} for a, w in enumerate((w0, w1))]
-    for n, F in enumerate(reversed(factors)):
-        last, low = n == len(factors) - 1, (1 << n) - 1
-        new = [{} for _ in range(2 << n if last else 4 << n)]
-        for r, row in enumerate(rows):
-            a, i = r >> n, r & low
-            for s in (0, 1):
-                dst = new[s << n | i if last else a << n + 1 | s << n | i]
-                for c, x in row.items():
-                    b, j = c >> n, c & low
-                    for b2 in (0, 1) if not last else (a,):
-                        t = b + s - b2
-                        f = F[2 * b + s][2 * b2 + t] if 0 <= t <= 1 else 0
-                        if f:
-                            key = (t if last else 2 * b2 + t) << n | j
-                            dst[key] = dst[key] + x * f if key in dst else x * f
-        rows = new
-    return [[row.get(c, MPoly.zero()) for c in range(len(rows))] for row in rows]
-
-
 # exact elimination
 
 
@@ -337,9 +298,12 @@ def _spin_entries(n: int) -> np.ndarray:
 
 
 def np_spin_dense(blocks) -> np.ndarray:
-    """The dense matrix of a list of spin blocks."""
+    """The dense matrix of a list of spin blocks, zero off them (the MPoly
+    zero for object blocks)."""
     n = len(blocks) - 1
-    out = np.zeros((1 << n, 1 << n), dtype=complex)
+    out = np.zeros((1 << n, 1 << n), dtype=blocks[0].dtype)
+    if out.dtype == object:
+        out[...] = MPoly.zero()
     np.put(out, _spin_entries(n), np.concatenate([B.ravel() for B in blocks]))
     return out
 
@@ -388,7 +352,7 @@ def np_spin_apply(blocks, F: np.ndarray, slots):
     return blocks
 
 
-_DENSE_SITES = 6  # sites built as dense slabs: fewer numpy calls than blocks (BENCH_18.json)
+_DENSE_SITES = 6  # complex slabs start dense: fewer numpy calls (BENCH_18.json)
 
 
 def _slab_step(O, Op, cut: int, mid: int, r) -> np.ndarray:
@@ -404,7 +368,7 @@ def _slab_step(O, Op, cut: int, mid: int, r) -> np.ndarray:
     slabs of one shape."""
     top, bottom = O.shape[-2], Op.shape[-2]
     right = Op.shape[-1] - mid
-    X = np.empty(O.shape[:-2] + (top + bottom, cut + 2 * mid + right), dtype=complex)
+    X = np.empty(O.shape[:-2] + (top + bottom, cut + 2 * mid + right), dtype=O.dtype)
     if top:
         np.multiply(O[..., :cut], r[0], out=X[..., :top, :cut])
         np.multiply(O[..., cut:], r[1], out=X[..., :top, cut : cut + mid])
@@ -444,7 +408,7 @@ def _binomials(n: int) -> list:
     return [comb(n, k) if k >= 0 else 0 for k in range(-1, n + 3)]
 
 
-def np_spin_transfer(factors, w0, w1) -> list:
+def spin_transfer(factors, w0, w1) -> list:
     """Sectors of w0 * A + w1 * D, the weighted trace over the auxiliary
     slot of the monodromy factors[L-1] ... factors[0].
 
@@ -462,17 +426,28 @@ def np_spin_transfer(factors, w0, w1) -> list:
     (4/3) C(2L, L) entries in all, no gather or scatter per factor.  The
     last site writes sector m, the transfer on the site states of
     popcount m, directly.  The sectors are listed by m = 0..L in natural
-    orientation, C-contiguous.  A factor that moves spin raises ValueError
-    before any block is built.
+    orientation, C-contiguous.
+
+    Entries are complex128, unless a factor holds objects (MPoly, Fraction)
+    or a weight is an MPoly: then the arrays hold objects and start in spin
+    blocks, since a dense object slab would multiply mostly zeros.  No
+    factor, or one that is not 4x4 or moves spin, raises ValueError before
+    any product.
     """
     factors = [np.asarray(F) for F in factors]
+    if not factors:
+        raise ValueError("needs at least one site factor")
     for F in factors:
         if F.shape != (4, 4) or F[_SPIN_MOVES].any():
             raise ValueError("needs spin-conserving 4x4 factors")
+    exact = any(F.dtype == object for F in factors) or any(
+        isinstance(w, MPoly) for w in (w0, w1)
+    )
+    dtype = object if exact else complex
     coeffs = [F.take([0, 9, 10, 5, 6, 15]).tolist() for F in factors]
     L = len(factors)
-    k = min(L, _DENSE_SITES)
-    slabs = np.array([[[w0, 0]], [[0, w1]]], dtype=complex)  # both aux rows
+    k = 0 if exact else min(L, _DENSE_SITES)
+    slabs = np.array([[[w0, 0]], [[0, w1]]], dtype=dtype)  # both aux rows
     for n in range(k):
         slabs = _slab_step(slabs, slabs, 1 << n, 1 << n, coeffs[L - 1 - n])
     if k == L:
@@ -480,7 +455,7 @@ def np_spin_transfer(factors, w0, w1) -> list:
         return [T[idx] for idx in _slab_index(L)[1]]
     # block N of each slab at list position N + 1, between two empty blocks;
     # an old block is dropped as soon as no new block needs it
-    nil = np.empty((0, 0), dtype=complex)
+    nil = np.empty((0, 0), dtype=dtype)
     rows = [
         [nil, *(S[idx] for idx in index), nil]
         for S, index in zip(slabs, _slab_index(k)[0])
@@ -499,7 +474,7 @@ def np_spin_transfer(factors, w0, w1) -> list:
     out = []
     for m in range(L + 1):
         top, bottom = c[m + 1], c[m]
-        T = np.empty((top + bottom, top + bottom), dtype=complex)
+        T = np.empty((top + bottom, top + bottom), dtype=dtype)
         if top:
             np.multiply(S0[m + 1][:, :top], r00, out=T[:top, :top])
             T[:top, :top] += r22 * S1[m + 2][:, c[m + 2] :]

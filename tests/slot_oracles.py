@@ -4,7 +4,7 @@
 entry; ``np_apply_on_slots`` and ``np_op_on_slots`` do it numerically with
 one general ``tensordot``.  The package's slot kernels, ``apply_on_slots``
 (a stream of factors from the identity) and ``np_spin_apply`` (one factor
-in place), and its corner-built transfer ``np_spin_transfer`` are checked
+in place), and its corner-built transfer ``spin_transfer`` are checked
 against them.
 """
 

@@ -32,14 +32,29 @@ def test_every_all_entry_resolves():
     assert missing == []
 
 
-def test_the_exact_transfer_kernel_is_exported_and_transfer_mul_is_gone():
+def test_the_exact_transfer_kernel_is_exported_and_transfer_mul_is_gone(monkeypatch):
     from qilab import field
     from qilab.chain import model
 
     assert "spin_transfer" in field.__all__
     assert field.spin_transfer is field.linalg.spin_transfer
+    assert not hasattr(field, "np_spin_transfer")
+    assert not hasattr(field.linalg, "np_spin_transfer")
     for ring in (model._Exact, model._Numeric):
         assert not hasattr(ring, "transfer_mul") and hasattr(ring, "order_gap")
+    # both rings build their transfer with the one kernel
+    assert model.spin_transfer is field.linalg.spin_transfer
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return field.linalg.spin_transfer(*args)
+
+    monkeypatch.setattr(model, "spin_transfer", counted)
+    spec = model.ChainSpec.from_json({"L": 2, "q": "3/5", "twist": "2"})
+    model._Exact(spec).transfer(field.MPoly.var("z"))
+    model.transfer_sectors(spec, 0.7 + 0.2j)
+    assert len(calls) == 2
 
 
 def _exports_and_uses():

@@ -19,7 +19,6 @@ from qilab.field import (
     np_spin_dense,
     np_spin_identity,
     np_spin_trace_first,
-    np_spin_transfer,
     orders_differ,
     rref,
     slots_differ,
@@ -376,6 +375,7 @@ def test_an_exponent_overflow_raises_before_the_stream_starts():
     ],
 )
 def test_spin_transfer_rejects_a_bad_factor_before_any_work(bad, monkeypatch):
+    # MPoly factors run the shared kernel on object arrays
     if bad == "moving":
         bad = _factor()
         bad[1][3] = _Z
@@ -388,7 +388,7 @@ def test_spin_transfer_rejects_a_bad_factor_before_any_work(bad, monkeypatch):
     with pytest.raises(ValueError, match="4x4|spin-conserving"):
         spin_transfer([_factor(), _factor(), bad], _Z, 1)
     with pytest.raises(ValueError, match="at least one"):
-        spin_transfer([], 1, 1)
+        spin_transfer([], _Z, 1)
 
 
 def test_spin_transfer_raises_on_an_exponent_past_the_limit():
@@ -400,8 +400,12 @@ def test_spin_transfer_raises_on_an_exponent_past_the_limit():
     with pytest.raises(ValueError, match="exponent exceeds the limit"):
         spin_transfer([_corners(big), _corners(big)], 1, 1)
     got = spin_transfer([_corners(big)], z ** ((1 << 30) - 1), 0)
-    assert got == [[z ** ((1 << 31) - 1), 0], [0, z ** ((1 << 30) - 1)]]
-    assert got[0][1].is_zero() and isinstance(got[0][1], MPoly)
+    assert [S.tolist() for S in got] == [
+        [[z ** ((1 << 31) - 1)]],
+        [[z ** ((1 << 30) - 1)]],
+    ]
+    # an MPoly weight alone makes integer factors run on objects
+    assert [S.tolist() for S in spin_transfer([_corners(2)], z, 0)] == [[[2 * z]], [[z]]]
 
 
 def test_mat_mul_bounds_only_a_real_overflow():
@@ -677,7 +681,7 @@ def test_np_spin_transfer_is_the_weighted_trace_of_the_dense_monodromy(L):
     H = 1 << L
     T = w0 * M[:H, :H] + w1 * M[H:, H:]
     pc = np.array([bin(s).count("1") for s in range(H)])
-    sectors = np_spin_transfer(factors, w0, w1)
+    sectors = spin_transfer(factors, w0, w1)
     assert len(sectors) == L + 1
     for m, S in enumerate(sectors):
         idx = np.flatnonzero(pc == m)
@@ -687,11 +691,40 @@ def test_np_spin_transfer_is_the_weighted_trace_of_the_dense_monodromy(L):
 
 @pytest.mark.parametrize("entry", [(0, 1), (0, 3), (1, 3), (3, 0), (2, 0)])
 def test_np_spin_transfer_rejects_a_spin_moving_factor(entry):
+    # complex and MPoly factors, each with no factor as well
     rng = np.random.default_rng(3)
-    factors = [_random_factor(rng) for _ in range(8)]
-    factors[5][entry] = 0.5
+    numeric = [_random_factor(rng) for _ in range(8)]
+    exact = [np.array(_factor(), dtype=object) for _ in range(8)]
+    for factors, w, x in ((numeric, 1, 0.5), (exact, _Z, _Z)):
+        factors[5][entry] = x
+        with pytest.raises(ValueError, match="spin-conserving"):
+            spin_transfer(factors, w, 1)
+        with pytest.raises(ValueError, match="at least one"):
+            spin_transfer([], w, 1)
     with pytest.raises(ValueError):
-        np_spin_transfer(factors, 1, 1)
-    with pytest.raises(ValueError):
-        np_spin_transfer([np.eye(3, dtype=complex)], 1, 1)
+        spin_transfer([np.eye(3, dtype=complex)], 1, 1)
 
+
+@pytest.mark.parametrize("L", range(1, 9))
+def test_mpoly_sectors_evaluate_to_the_complex_sectors(L):
+    # MPoly slabs start in spin blocks, complex ones dense for up to six
+    # sites and in blocks after, so L = 7, 8 also cross the complex switch
+    rng = np.random.default_rng(L)
+    factors = []
+    for _ in range(L):
+        F = [[0] * 4 for _ in range(4)]
+        for i, j in ((0, 0), (1, 1), (1, 2), (2, 1), (2, 2), (3, 3)):
+            F[i][j] = int(rng.integers(-3, 4)) + int(rng.integers(1, 4)) * _Z
+        factors.append(F)
+    z0 = Fraction(3, 5)
+
+    def at(x):
+        return complex(x.eval_fraction({"z": z0}) if isinstance(x, MPoly) else x)
+
+    w0, w1 = 2 + _Z, MPoly.const(Fraction(-1, 3))
+    numeric = [np.array([[at(x) for x in row] for row in F]) for F in factors]
+    exact = spin_transfer(factors, w0, w1)
+    sectors = spin_transfer(numeric, at(w0), at(w1))
+    assert [S.dtype for S in exact] == [np.dtype(object)] * (L + 1)
+    for E, S in zip(exact, sectors):
+        assert np_residual(np.vectorize(at, otypes=[complex])(E), S) < 1e-13
