@@ -30,8 +30,9 @@ both streams to ``field.slots_differ`` and ``commute`` both transfers to
 ``field.orders_differ``, which build the rows of the two sides in step on
 packed ints and stop at the first row that differs; a failing verdict
 reports that ``first_differing_row``.  The exact T(w) is T(z) with z and w
-exchanged, a ring automorphism, so ``commute`` multiplies once and
-compares each row of T(z)·T(w) with its own exchange.  ``_Numeric`` takes
+exchanged, a ring automorphism, so ``commute`` builds T(z) once, exchanges
+each entry once, multiplies once and compares each entry of T(z)·T(w) with
+its own exchange.  ``_Numeric`` takes
 the worst residual over seeded sample points, on popcount blocks, since
 every factor conserves aux plus site spin.  Each ring has one auxiliary
 trace, ``trace_first``, over slot 0 weighted by diag(w0, w1); a transfer
@@ -56,7 +57,6 @@ from ..field import (
     apply_on_slots,
     first_differing_row,
     kron,
-    mat_eq,
     mat_mul,
     np_residual,
     np_spin_apply,
@@ -292,6 +292,12 @@ class _Exact(_Ring):
         sectors = spin_transfer(factors, tw[0][0], tw[1][1])
         return np_spin_dense([S.T for S in sectors]).tolist()
 
+    def transfers(self, z, w) -> tuple:
+        """T(z) and T(w) at symbolic z and w: one build, since T(w) is T(z)
+        with z and w exchanged, a ring automorphism."""
+        T = self.transfer(z)
+        return T, [[x.exchange("z", "w") for x in row] for row in T]
+
     gap = staticmethod(lambda X, Y: first_differing_row(X, Y))
 
     @staticmethod
@@ -301,11 +307,10 @@ class _Exact(_Ring):
         return slots_differ(n, a, b)
 
     @staticmethod
-    def order_gap(A, B):
-        """A·B against B·A.  Exchanging z and w is a ring automorphism, so
-        when it turns A into B, B·A is A·B exchanged and one product serves."""
-        swap = [[x.exchange("z", "w") if x else x for x in r] for r in A]
-        return orders_differ(A, B, ("z", "w") if mat_eq(swap, B) else None)
+    def order_gap(A, B, exchanged=False):
+        """A·B against B·A.  When ``exchanged``, B is A with z and w
+        exchanged, so B·A is A·B exchanged and one product serves."""
+        return orders_differ(A, B, ("z", "w") if exchanged else None)
 
     @staticmethod
     def trace_first(M, w0, w1):
@@ -354,10 +359,15 @@ class _Numeric(_Ring):
     def ratios(self, a) -> tuple:
         return self.spec.site_ratios_complex(a)
 
+    def transfers(self, z, w) -> tuple:
+        """T(z) and T(w), each built at its own sample point."""
+        return self.transfer(z), self.transfer(w)
+
     @staticmethod
-    def order_gap(A, B) -> float:
+    def order_gap(A, B, exchanged=False) -> float:
         """Residual of A·B against B·A on spin blocks; blocks are stored
-        transposed, so each block of A·B is B's block times A's."""
+        transposed, so each block of A·B is B's block times A's.  Both
+        products are taken, ``exchanged`` or not."""
         AB, BA = [Y @ X for X, Y in zip(A, B)], [X @ Y for X, Y in zip(A, B)]
         return np_residual(AB, BA)
 
@@ -501,10 +511,10 @@ def check_commute(
     ring = _ring(spec, mode)
 
     def gap(z, w):
-        Tz, Tw = ring.transfer(z), ring.transfer(w)
+        Tz, Tw = ring.transfers(z, w)
         if perturb:
             Tw = _doubled(Tw, 1, 2)
-        return ring.order_gap(Tz, Tw)
+        return ring.order_gap(Tz, Tw, exchanged=not perturb)
 
     exact = {"q": spec.q, "twist": spec.twist}
     return _verdict("commute", ring, gap, 2, seed, perturb, samples, tol, exact)

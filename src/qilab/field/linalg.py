@@ -25,10 +25,12 @@ ints, and stop at the first row that differs; ``apply_on_slots`` and
 image at 2^B over an exponent box both streams share
 (``poly._compared_rows``); the box and B are chosen from bounds that
 hold for every row, so the map is one-to-one there and equal ints are
-equal polynomials, exactly.  ``orders_differ`` keeps int dict entries:
-its products multiply two long entries, where a Kronecker form ran 2 to 5
-times slower.  Exact ``commute`` multiplies once: each row of the other
-order is that row with z and w exchanged.
+equal polynomials, exactly.  ``orders_differ`` keeps int dict entries,
+since its products multiply two long entries, where a Kronecker form ran 2
+to 5 times slower; each key is the term's index in the product's exponent
+box, a small int.  Exact ``commute`` builds one transfer, takes the other
+as its exchange in z and w, and multiplies once: each entry of the product
+must equal its own exchange.
 
 Numeric matrices are numpy arrays.  A spin-conserving matrix on n slots of
 size 2 is kept as its spin blocks, one per popcount k, of size C(n, k):
@@ -183,7 +185,9 @@ def orders_differ(A, B, swap=None):
     """The first row where A·B and B·A differ, or None, for entries MPoly,
     Fraction or int; rows are built as in ``slots_differ``.  With ``swap =
     (a, b)``, exchanging the variables a and b turns A into B, so only A·B
-    is multiplied and each entry is compared with its own exchange."""
+    is multiplied and each entry is compared with its own exchange; if
+    only one of a and b occurs in A or B, no exchange can, and ValueError
+    is raised."""
     return _orders_differ(A, B, swap)
 
 

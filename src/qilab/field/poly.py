@@ -43,7 +43,9 @@ coefficients make the map one-to-one on every row either stream can
 build, so equal ints are equal polynomials; this is exact, not a test at
 a random point.  A box too large to pack keeps int dict entries, and so
 do the products of two matrices and the rows that ``apply_on_slots``
-canonicalises, where ints would have to be decoded.  ``div_exact``
+canonicalises, where ints would have to be decoded; a comparison of the
+two orders of a product keys each term by its index in the product's
+exponent box instead (``_box_keys``).  ``div_exact``
 divides the primitive parts over Z by leading terms (``_quotient``); by
 Gauss's lemma the quotient is integral whenever it exists.
 
@@ -744,20 +746,97 @@ def _product_rows(PA, PB):
 
 
 def _orders_differ(A, B, swap=None):
-    """``linalg.orders_differ``: both products share the denominator, so
-    their rows compare raw once zero entries are dropped."""
+    """``linalg.orders_differ``.  After the pack and its bound, each term
+    is keyed by its index in the product's exponent box (``_box_keys``), so
+    ``_product_rows`` adds small ints; both products share the denominator,
+    so their rows compare raw once zero entries are dropped.
+
+    With ``swap``, both variables get the larger of their two ranges, so an
+    exchanged index stays in the box.  Each term of A·B with e_a > e_b must
+    find its exchanged term, with e_a < e_b, in its entry with the same
+    coefficient.  The exchange is an involution, so these partners are
+    distinct, and when a row has as many terms with e_a < e_b as with
+    e_a > e_b, every entry of it equals its exchange."""
     vars, _, (PA, PB) = _pack((A, B))
     guard = _masks(len(vars))[0]
-    _bound([_top(PA, guard), _top(PB, guard)], guard)
+    top = _bound([_top(PA, guard), _top(PB, guard)], guard)
+    if swap is not None:
+        present = [v for v in map(normalize_var, swap) if v in vars]
+        if len(present) == 1:
+            raise ValueError(
+                f"exchanging {swap[0]} and {swap[1]} cannot turn A into B: "
+                f"only {present[0]} occurs"
+            )
+        if not present:  # the exchange fixes every entry, so B is A
+            return None
+        slots = [_offsets(len(vars))[vars.index(v)] for v in present]
+        d = max(top >> s & _SLOT for s in slots)
+        top += sum((d - (top >> s & _SLOT)) << s for s in slots)
+    units = _box(top, len(vars))[1]
+    PA, PB = _box_keys((PA, PB), units)
     rows = _product_rows(PA, PB)
     if swap is None:
         nonzero = lambda row: {j: x for j, x in row.items() if x}
         pairs = zip(map(nonzero, rows), map(nonzero, _product_rows(PB, PA)))
         return next((i for i, (x, y) in enumerate(pairs) if x != y), None)
-    # a variable in neither matrix swaps slot 0 with itself
-    sa, sb = (_offsets(len(vars))[vars.index(v)] if v in vars else 0 for v in swap)
-    asymmetric = (any(x != _swap_slots(x, sa, sb) for x in row.values()) for row in rows)
-    return next((i for i, bad in enumerate(asymmetric) if bad), None)
+    sa, sb = sorted([dict(units)[s] for s in slots], reverse=True)
+    mirror = {}
+
+    def asymmetric(row) -> bool:
+        surplus = 0
+        for x in row.values():
+            get = x.get
+            for k, c in x.items():
+                j = mirror.get(k)
+                if j is None:
+                    j = mirror[k] = k + (k // sa % (d + 1) - k // sb % (d + 1)) * (sb - sa)
+                if j < k:  # e_a > e_b, a the variable of the larger stride
+                    if get(j) != c:
+                        return True
+                    surplus += 1
+                elif j > k:
+                    surplus -= 1
+        return surplus != 0
+
+    return next((i for i, row in enumerate(rows) if asymmetric(row)), None)
+
+
+def _box(top: int, n: int) -> tuple:
+    """``(cells, units)`` of the box of exponents 0..d_i in each of ``n``
+    slots, d_i the slot's value in ``top``: an ``(offset, stride)`` unit
+    per slot with d_i > 0, the stride the product of d_j + 1 over the lower
+    slots.  The index sum of e_i * stride_i is one to one on the box."""
+    cells, units = 1, []
+    for s in reversed(_offsets(n)):
+        d = top >> s & _SLOT
+        if d:
+            units.append((s, cells))
+        cells *= d + 1
+    return cells, units
+
+
+def _box_keys(sides, units) -> list:
+    """The packed matrices ``sides`` with each key replaced by its box index
+    over ``units`` (``_box``): additive, and no wider than the key, since
+    each d_i + 1 is at most 2^31.  Each distinct entry and key is rekeyed
+    once."""
+    index, memo = {}, {}
+
+    def key(k: int) -> int:
+        i = index.get(k)
+        if i is None:
+            i = index[k] = sum([(k >> o & _SLOT) * s for o, s in units])
+        return i
+
+    def entry(e):
+        if not e:
+            return None
+        out = memo.get(id(e))
+        if out is None:
+            out = memo[id(e)] = {key(k): c for k, c in e.items()}
+        return out
+
+    return [[[entry(e) for e in row] for row in M] for M in sides]
 
 
 def _slot_plans(n: int, streams) -> tuple:
@@ -829,10 +908,7 @@ def _compared_rows(n: int, streams) -> list:
     """
     vars, _, parts = _slot_plans(n, streams)
     top = _slot_max([bound for *_, bound in parts], _masks(len(vars))[0])
-    cells, units = 1, []
-    for s in reversed(_offsets(len(vars))):
-        units.append((s, cells))
-        cells *= (top >> s & _SLOT) + 1
+    cells, units = _box(top, len(vars))
     if cells > _BOX_CELLS:
         return [_rows(n, plan, {0: scale}, _send) for plan, scale, _ in parts]
     factors = {id(F): F for plan, _, _ in parts for *_, F in plan}
@@ -842,7 +918,7 @@ def _compared_rows(n: int, streams) -> list:
         norms[i] = max(n11 + n21, n12 + n22, n00, n33, 1)
     M = max(scale * prod([norms[id(F)] for *_, F in plan]) for plan, scale, _ in parts)
     B = (2 * M).bit_length()
-    units = [(s, B * stride) for s, stride in units if top >> s & _SLOT]
+    units = [(s, B * stride) for s, stride in units]
     shifts = {}
 
     def terms(e):

@@ -30,6 +30,7 @@ from qilab.field import (
     np_residual,
     np_spin_dense,
     orders_differ,
+    spin_transfer,
 )
 from qilab.field import poly as poly_module
 from qilab.rmatrix import numeric_r
@@ -290,19 +291,20 @@ def test_a_perturbed_control_stops_at_its_first_differing_row(monkeypatch):
 @pytest.mark.slow
 def test_exact_rtt_at_five_and_six_sites_stays_under_64_mb():
     # the symbolic rtt with both sides held whole peaked at about 120 MB at
-    # L=5 and 480 MB at L=6, one row at a time at about 33 and 38 MB.  Linux
-    # keeps a process's peak RSS across exec, so a child of the test process
-    # would start from pytest's own peak; a small launcher in between starts
-    # each check from a few MB
+    # L=5 and 480 MB at L=6, one row at a time at about 33 and 38 MB; commute
+    # at L=6, whose two packed sides are rekeyed to box indices, at about 35
+    # MB.  Linux keeps a process's peak RSS across exec, so a child of the
+    # test process would start from pytest's own peak; a small launcher in
+    # between starts each check from a few MB
     env = {
         **os.environ,
         "OPENBLAS_NUM_THREADS": "1",
         "PYTHONPATH": os.path.dirname(os.path.dirname(qilab.__file__)),
     }
-    for L in (5, 6):
+    for name, L in (("rtt", 5), ("rtt", 6), ("commute", 6)):
         check = (
-            "import resource; from qilab.chain import ChainSpec, check_rtt; "
-            f"ok = check_rtt(ChainSpec.from_json({{'L': {L}}}), mode='exact').ok; "
+            f"import resource; from qilab.chain import ChainSpec, check_{name}; "
+            f"ok = check_{name}(ChainSpec.from_json({{'L': {L}}}), mode='exact').ok; "
             "print(ok, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
         )
         launcher = f"import subprocess, sys; subprocess.run([sys.executable, '-c', {check!r}], check=True)"
@@ -310,7 +312,7 @@ def test_exact_rtt_at_five_and_six_sites_stays_under_64_mb():
             [sys.executable, "-c", launcher], env=env, capture_output=True, text=True, check=True
         )
         ok, kb = out.stdout.split()
-        assert ok == "True" and int(kb) < 64 * 1024, (L, kb)
+        assert ok == "True" and int(kb) < 64 * 1024, (name, L, kb)
 
 
 @pytest.mark.parametrize("q", ["q", "3/5"])
@@ -368,6 +370,28 @@ def test_exact_commute_multiplies_once_unless_perturbed(monkeypatch):
     assert products == [8] and calls == [("z", "w")]
     assert not check_commute(s, mode="exact", perturb=True).ok
     assert products == [8, 8, 8] and calls == [("z", "w"), None]
+
+
+def test_exact_commute_builds_one_transfer(monkeypatch):
+    # T(w) is T(z) exchanged, perturbed or not; the numeric ring builds at
+    # both sampled points
+    built = []
+
+    def counted(factors, w0, w1):
+        built.append(len(factors))
+        return spin_transfer(factors, w0, w1)
+
+    monkeypatch.setattr(model_module, "spin_transfer", counted)
+    s = ChainSpec.from_json({"L": 3, "q": "3/5", "sites": ["1", "2", "3/2"]})
+    for perturb in (False, True):
+        built.clear()
+        assert check_commute(s, mode="exact", perturb=perturb).ok is not perturb
+        assert built == [3]
+    s = ChainSpec.from_json({"L": 3, "q": "0.83+0.21*i", "twist": "0.64+0.13*i"})
+    for perturb in (False, True):
+        built.clear()
+        assert check_commute(s, mode="numeric", perturb=perturb, samples=3).ok is not perturb
+        assert built == [3] * 6
 
 
 def test_exact_multiplicativity_looks_up_its_product_and_kron(monkeypatch):

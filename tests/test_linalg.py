@@ -258,9 +258,20 @@ def test_a_sparse_entry_of_high_degree_is_compared_without_its_box(monkeypatch):
 
 
 @st.composite
+def _box_edge_entries(draw):
+    # z^3 w^3 is the top of both strategies' ranges, so its products reach
+    # the box top on both exchanged variables; z^k w^k is fixed by the
+    # exchange, and a third term is anywhere in the box
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    k, a, b = (draw(st.integers(0, 3)) for _ in range(3))
+    terms = {(3, 3): draw(coeffs), (k, k): draw(coeffs), (a, b): draw(coeffs)}
+    return MPoly(("z", "w"), terms)
+
+
+@st.composite
 def _square_pairs(draw):
     k = draw(st.integers(1, 4))
-    entry = st.one_of(st.just(0), st.just(MPoly.zero()), _mpoly_entries())
+    entry = st.one_of(st.just(0), st.just(MPoly.zero()), _mpoly_entries(), _box_edge_entries())
     A = [[draw(entry) for _ in range(k)] for _ in range(k)]
     if draw(st.booleans()):
         # B is A with z and w exchanged: the one-product path
@@ -274,12 +285,37 @@ def _square_pairs(draw):
 @example(([[_Z, 1], [0, _W]], [[_W, 1], [0, _Z]], ("z", "w")))  # row 0 differs
 @example(([[-1, -1], [-1, 0]], [[0, -1], [-1, 1]], None))  # A·B cancels where B·A has no term
 @example(([[_Z, 0], [0, _Z]], [[_W, 0], [0, _W]], ("z", "w")))  # they commute
+@example(  # the top of both exchanged ranges, and a term with e_z = e_w
+    ([[_Z**3 * _W**3, _Z * _W], [_Z**3, 1]], [[_Z**3 * _W**3, _Z * _W], [_W**3, 1]], ("z", "w"))
+)
 def test_orders_differ_gives_the_materialised_verdict(problem):
     A, B, swap = problem
     expected = _first_differing_row(mat_mul(A, B), mat_mul(B, A))
     assert orders_differ(A, B, swap) == expected
     if swap:
         assert orders_differ(A, B) == expected
+
+
+def test_orders_differ_keys_a_wide_box():
+    # z^(2^29)*w and its exchange span a box of about 2^58 cells, which the
+    # indices cover with no cap and no fallback
+    big = _Z ** (1 << 29) * _W
+    swap = lambda x: x.exchange("z", "w") if isinstance(x, MPoly) else x
+    # the first pair differs in row 0; the diagonal one commutes
+    for A, row in (([[big, 1], [0, _Z]], 0), ([[big, 0], [0, swap(big)]], None)):
+        B = [[swap(x) for x in r] for r in A]
+        assert _first_differing_row(mat_mul(A, B), mat_mul(B, A)) == row
+        assert orders_differ(A, B, ("z", "w")) == orders_differ(A, B) == row
+
+
+def test_orders_differ_refuses_an_exchange_of_one_present_variable():
+    # with only z (or only w) in A and B, exchanging z and w cannot turn A
+    # into B, whatever the products are
+    for v in (_Z, _W):
+        A = [[v, 0], [0, MPoly.var("q")]]
+        with pytest.raises(ValueError, match=f"only {v} occurs"):
+            orders_differ(A, A, ("z", "w"))
+    assert orders_differ([[2, 1], [0, 3]], [[2, 1], [0, 3]], ("z", "w")) is None
 
 
 def _no_row(*args):
@@ -291,6 +327,7 @@ def test_an_exponent_overflow_stops_a_comparison_before_any_row(monkeypatch):
     big = z ** (1 << 30)
     monkeypatch.setattr(poly_module, "_rows", _no_row)
     monkeypatch.setattr(poly_module, "_product_rows", _no_row)
+    monkeypatch.setattr(poly_module, "_box_keys", _no_row)
     # the second stream alone passes the limit; the first is fine
     good, bad = [(_corners(big), (0, 1))], [(_corners(big), (0, 1)), (_corners(big), (1, 0))]
     for lhs, rhs in ((good, bad), (bad, good)):
